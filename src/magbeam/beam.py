@@ -15,7 +15,7 @@ import math
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .geomag import E1, ContractViolation, _as_vec3
+from .geomag import E1, ContractViolation, _as_vec3, _cross
 
 
 class BeamFormulation(Enum):
@@ -110,19 +110,26 @@ def tip_pose_from_wrench(
     with c = 1/3 (corrected) or 1/6 (legacy), and
     n = normalize(e1 + (L/EI) (tau + L/2 e1 x f) x e1).
     """
-    ei = params.bending_stiffness
-    L = params.length
-    coef = L**3 / 3.0 if mode is BeamFormulation.CORRECTED else L**3 / 6.0
-    f, tau = w.force, w.torque
-    p = (
-        params.base_position
-        + L * E1
-        + (1.0 / ei) * (0.5 * L**2 * np.cross(tau, E1)
-                        + coef * np.cross(np.cross(E1, f), E1))
-    )
-    n = E1 + (L / ei) * np.cross(tau + 0.5 * L * np.cross(E1, f), E1)
-    n = n / np.linalg.norm(n)
+    p, n = _cantilever(params.straight_tip, params.length,
+                       params.bending_stiffness, mode, w.force, w.torque)
     return TipPose(position=p, tangent=n)
+
+
+def _cantilever(straight: np.ndarray, L: float, ei: float, mode: BeamFormulation,
+                f: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tip position and unit tangent under tip force ``f`` and torque ``tau``.
+
+    Unvalidated kernel shared by :func:`tip_pose_from_wrench` and the
+    equilibrium solver; ``straight`` is the unloaded tip position.
+    """
+    coef = L**3 / 3.0 if mode is BeamFormulation.CORRECTED else L**3 / 6.0
+    e1xf = _cross(E1, f)
+    p = straight + (1.0 / ei) * (
+        0.5 * L * L * _cross(tau, E1) + coef * _cross(e1xf, E1)
+    )
+    n = E1 + (L / ei) * _cross(tau + 0.5 * L * e1xf, E1)
+    n /= np.linalg.norm(n)
+    return p, n
 
 
 def centerline(params: RobotParams, w: Wrench, n_samples: int) -> np.ndarray:

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import csv
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -190,13 +188,8 @@ def _cell_score(
 
 
 def default_thread_count() -> int:
-    """Worker count from MAGBEAM_THREADS (0 or unset = automatic)."""
-    raw = os.environ.get("MAGBEAM_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    return n if n > 0 else min(8, os.cpu_count() or 1)
+    """Always 1: the grid search runs on the calling thread."""
+    return 1
 
 
 class CalibrationError(RuntimeError):
@@ -217,28 +210,17 @@ def grid_search_calibrate(
 
     Every cell stores the maximum in-plane tip error over the records;
     diverging cells score +inf. The argmin cell wins, ties broken
-    lexicographically by (ke, kb). Rows are evaluated in a thread pool;
-    the reduction is deterministic regardless of execution order.
+    lexicographically by (ke, kb). Cells are evaluated in order on the
+    calling thread; ``threads`` is accepted for compatibility and ignored.
     """
     if not records:
         raise ContractViolation("records must be nonempty")
-
-    def row(i: int) -> np.ndarray:
-        ke = grid.ke_values[i]
-        return np.array([
-            _cell_score(records, params, pair_template, source, ke, kb,
-                        settings, mode)
-            for kb in grid.kb_values
-        ])
-
-    n_ke = grid.ke_values.size
-    workers = threads if threads is not None else default_thread_count()
-    if workers > 1 and n_ke > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            rows = list(ex.map(row, range(n_ke)))
-    else:
-        rows = [row(i) for i in range(n_ke)]
-    surface = np.vstack(rows)
+    surface = np.array([
+        [_cell_score(records, params, pair_template, source, ke, kb,
+                     settings, mode)
+         for kb in grid.kb_values]
+        for ke in grid.ke_values
+    ])
 
     if not np.any(np.isfinite(surface)):
         raise CalibrationError("every grid cell diverged")
@@ -276,6 +258,27 @@ def notch_to_angle(notch_position: float, slope: float, offset: float) -> float:
     return slope * (notch_position - offset)
 
 
+_REQUIRED = object()
+
+
+def _csv_number(row: dict, key: str, path, line: int, default=_REQUIRED) -> float:
+    """Finite float in column ``key`` of a ``csv.DictReader`` row; an empty
+    or absent cell yields ``default`` and is an error if none is given.
+    Errors are :class:`ContractViolation` naming ``path:line`` and ``key``."""
+    raw = (row.get(key) or "").strip()
+    if raw == "":
+        if default is _REQUIRED:
+            raise ContractViolation(f"{path}:{line}: {key} is required")
+        return default
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan  # reported below, as a non-finite cell is
+    if not math.isfinite(value):
+        raise ContractViolation(f"{path}:{line}: bad value for {key}: {raw!r}")
+    return value
+
+
 def load_experiment_csv(
     path,
     notch_slope: float | None = None,
@@ -302,16 +305,8 @@ def load_experiment_csv(
         if missing:
             raise ContractViolation(f"{path}: missing columns {sorted(missing)}")
         for line, row in enumerate(reader, start=2):
-            def num(key, default=None):
-                raw = (row.get(key) or "").strip()
-                if raw == "":
-                    return default
-                try:
-                    return float(raw)
-                except ValueError as exc:
-                    raise ContractViolation(
-                        f"{path}:{line}: bad value for {key}: {raw!r}"
-                    ) from exc
+            def num(key, default=_REQUIRED):
+                return _csv_number(row, key, path, line, default)
 
             if use_notch:
                 theta1 = notch_to_angle(num("notch_mm") * 1e-3, notch_slope,
@@ -320,10 +315,8 @@ def load_experiment_csv(
                 theta1 = math.radians(num("theta1_deg"))
             theta2 = math.radians(num("theta2_deg", 0.0))
             x = num("x_mm")
-            y = num("y_mm")
-            z = num("z_mm")
-            if x is None:
-                raise ContractViolation(f"{path}:{line}: x_mm is required")
+            y = num("y_mm", None)
+            z = num("z_mm", None)
             tip = np.array([
                 x * 1e-3,
                 np.nan if y is None else y * 1e-3,

@@ -27,6 +27,7 @@ from .beam import BeamFormulation
 from .calibration import (
     CalibrationError,
     CalibrationGrid,
+    _csv_number,
     evaluate_metrics,
     grid_search_calibrate,
     load_experiment_csv,
@@ -47,9 +48,18 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
+# Largest number of angles in a range, of values on a grid axis, of sweep
+# points and of calibration cells that one command accepts.
+MAX_SAMPLES = 100_000
+
 
 class InputError(ValueError):
     pass
+
+
+def _check_count(n: float, text: str) -> None:
+    if not n <= MAX_SAMPLES:
+        raise InputError(f"{text!r} asks for more than {MAX_SAMPLES} samples")
 
 
 def _parse_range(text: str) -> np.ndarray:
@@ -59,6 +69,8 @@ def _parse_range(text: str) -> np.ndarray:
         vals = [float(p) for p in parts]
     except ValueError as exc:
         raise InputError(f"bad angle range {text!r}") from exc
+    if not all(math.isfinite(v) for v in vals):
+        raise InputError(f"bad angle range {text!r}")
     if len(vals) == 1:
         return np.array(vals)
     if len(vals) != 3:
@@ -66,6 +78,7 @@ def _parse_range(text: str) -> np.ndarray:
     start, step, stop = vals
     if step == 0 or (stop - start) * step < 0:
         return np.array([start])
+    _check_count((stop - start) / step + 1, text)
     n = int(math.floor((stop - start) / step + 0.5)) + 1
     return start + step * np.arange(n)
 
@@ -80,8 +93,9 @@ def _parse_grid_axis(text: str, default_n: int = 25) -> np.ndarray:
         n = int(parts[2]) if len(parts) == 3 else default_n
     except ValueError as exc:
         raise InputError(f"bad grid axis {text!r}") from exc
-    if n < 1 or hi < lo:
+    if n < 1 or not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
         raise InputError(f"bad grid axis {text!r}")
+    _check_count(n, text)
     return np.linspace(lo, hi, n) if n > 1 else np.array([lo])
 
 
@@ -166,6 +180,8 @@ def cmd_sweep(args) -> int:
     cfg, cal = _apply_overrides(cfg, args)
     t1 = np.radians(_parse_range(args.theta1))
     t2 = np.radians(_parse_range(args.theta2))
+    if not args.zip:
+        _check_count(t1.size * t2.size, f"{args.theta1} x {args.theta2}")
     points = sweep(
         cfg.params, cfg.pair_template, cfg.source, cal, cfg.settings,
         _mode(cfg, args), t1, t2, zipped=args.zip,
@@ -212,6 +228,7 @@ def cmd_calibrate(args) -> int:
         ke_values=_parse_grid_axis(args.ke),
         kb_values=_parse_grid_axis(args.kb),
     )
+    _check_count(grid.ke_values.size * grid.kb_values.size, f"{args.ke} x {args.kb}")
     result = grid_search_calibrate(
         records, cfg.params, cfg.pair_template, cfg.source, grid,
         cfg.settings, _mode(cfg, args), threads=args.threads,
@@ -305,9 +322,10 @@ def _load_track_csv(path, plane: str) -> PlanarTrack:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not {"x_mm", ycol} <= set(reader.fieldnames):
             raise InputError(f"{path}: expected columns x_mm,{ycol}")
-        for k, row in enumerate(reader):
-            idx.append(int(row.get("index", k) or k))
-            pts.append([float(row["x_mm"]) * 1e-3, float(row[ycol]) * 1e-3])
+        for line, row in enumerate(reader, start=2):
+            idx.append(_csv_number(row, "index", path, line, line - 2))
+            pts.append([_csv_number(row, "x_mm", path, line) * 1e-3,
+                        _csv_number(row, ycol, path, line) * 1e-3])
     if not pts:
         raise InputError(f"{path}: no data rows")
     return PlanarTrack(plane=plane, points=np.array(pts), indices=np.array(idx))
@@ -325,9 +343,9 @@ def cmd_workspace(args) -> int:
                 reader.fieldnames
             ):
                 raise InputError(f"{args.schedule}: expected theta1_deg,theta2_deg")
-            for row in reader:
-                records.append((math.radians(float(row["theta1_deg"])),
-                                math.radians(float(row["theta2_deg"]))))
+            for line, row in enumerate(reader, start=2):
+                records.append(tuple(math.radians(_csv_number(row, k, args.schedule, line))
+                                     for k in ("theta1_deg", "theta2_deg")))
         if not records:
             raise InputError(f"{args.schedule}: no data rows")
         points = sweep(
@@ -426,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--notch-offset", type=float,
                    help="notch transform offset [mm]")
     p.add_argument("--threads", type=int,
-                   help="worker threads (default: MAGBEAM_THREADS or auto)")
+                   help="accepted and ignored; calibration runs on the calling thread")
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("validate", help="model-vs-data metrics at fixed (ke, kb)")

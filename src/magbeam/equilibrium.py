@@ -9,12 +9,12 @@ position.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .beam import BeamFormulation, RobotParams, TipPose, Wrench, tip_pose_from_wrench
+from .beam import BeamFormulation, RobotParams, TipPose, Wrench, _cantilever
 from .geomag import (
     E1,
     ContractViolation,
@@ -23,6 +23,7 @@ from .geomag import (
     FieldSingularityError,
     RingPairConfig,
     _as_vec3,
+    _ring_pair_wrench,
     tip_wrench,
 )
 
@@ -82,49 +83,19 @@ def solve_tip_pose(
     tolerance. Raises :class:`DivergenceError` if the residual exceeds
     10 L or any value goes non-finite.
     """
-    p = settings.initial_tip if settings.initial_tip is not None else params.straight_tip
-    p = p.copy()
-    n = E1.copy()
-    lam = settings.relaxation
-    bail = 10.0 * params.length
-
-    # hoisted constants for the allocation-light inner loop
-    from .geomag import _cross, _field_raw, _rotation_e1_to
-
     L = params.length
     ei = params.bending_stiffness
-    p0 = params.base_position
-    coef = L**3 / 3.0 if mode is BeamFormulation.CORRECTED else L**3 / 6.0
+    straight = params.straight_tip
     pe_scaled = cal.k_b * source.position
-    m_e = source.moment
-    magnets = (
-        (pair.magnet_1.moment_magnitude, pair.magnet_1.angle,
-         pair.magnet_1.axial_offset),
-        (pair.magnet_2.moment_magnitude, pair.magnet_2.angle,
-         pair.magnet_2.axial_offset),
-    )
-    delta = pair.separation
-    straight = p0 + L * E1
+    p = (settings.initial_tip if settings.initial_tip is not None else straight).copy()
+    n = E1.copy()
+    lam = settings.relaxation
+    bail = 10.0 * L
 
     residual = np.inf
-    w_stacked = np.zeros(6)
     for k in range(1, settings.max_iterations + 1):
-        R = _rotation_e1_to(n)
-        f = np.zeros(3)
-        tau = np.zeros(3)
-        for mag, ang, off in magnets:
-            m = mag * (R @ np.array([0.0, -np.sin(ang), np.cos(ang)]))
-            B, G = _field_raw(m_e, pe_scaled, cal.k_b, p + off * n)
-            f += G.T @ m
-            tau += _cross(m, B)
-        tau += delta * _cross(n, f)
-        w_stacked[:3], w_stacked[3:] = f, tau
-        p_new = straight + (1.0 / ei) * (
-            0.5 * L * L * _cross(tau, E1)
-            + coef * _cross(_cross(E1, f), E1)
-        )
-        n_new = E1 + (L / ei) * _cross(tau + 0.5 * L * _cross(E1, f), E1)
-        n_new /= np.linalg.norm(n_new)
+        f, tau = _ring_pair_wrench(source.moment, pe_scaled, cal.k_b, pair, p, n)
+        p_new, n_new = _cantilever(straight, L, ei, mode, f, tau)
         residual = float(np.linalg.norm(p_new - p))
         if not np.isfinite(residual) or residual > bail:
             raise DivergenceError(
@@ -141,7 +112,7 @@ def solve_tip_pose(
         n = n_new
     return EquilibriumResult(
         tip=TipPose(p, n),
-        wrench=Wrench(w_stacked[:3].copy(), w_stacked[3:].copy()),
+        wrench=Wrench(f, tau),
         iterations=settings.max_iterations,
         residual=residual, converged=False,
     )

@@ -8,7 +8,7 @@ assembled by :func:`tip_wrench`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 import math
 
 import numpy as np
@@ -227,9 +227,15 @@ def ring_dipole_moment(magnet: RingMagnet, tangent) -> np.ndarray:
     tangent = _as_vec3(tangent)
     if abs(np.linalg.norm(tangent) - 1.0) > UNIT_TANGENT_TOL:
         raise ContractViolation("tangent must have unit norm")
-    th = magnet.angle
-    base_dir = np.array([0.0, -math.sin(th), math.cos(th)])
-    return magnet.moment_magnitude * (_rotation_e1_to(tangent) @ base_dir)
+    return _ring_moment(magnet.moment_magnitude, magnet.angle,
+                        _rotation_e1_to(tangent))
+
+
+def _ring_moment(magnitude: float, angle: float, R: np.ndarray) -> np.ndarray:
+    """World-frame ring moment for the tip-frame rotation ``R``."""
+    # np.sin, not math.sin: a non-finite angle gives NaN, which the solver
+    # reports as divergence, instead of raising a bare ValueError
+    return magnitude * (R @ np.array([0.0, -np.sin(angle), np.cos(angle)]))
 
 
 def magnet_moment_from_geometry(
@@ -251,14 +257,25 @@ def magnet_moment_from_geometry(
     return remanence * volume / MU0
 
 
-def magnet_positions(pair: RingPairConfig, tip_position, tangent) -> tuple[np.ndarray, np.ndarray]:
-    """World positions of the two ring magnets for a given tip pose."""
-    p = _as_vec3(tip_position)
-    n = _as_vec3(tangent)
-    return (
-        p + pair.magnet_1.axial_offset * n,
-        p + pair.magnet_2.axial_offset * n,
-    )
+def _ring_pair_wrench(source_moment: np.ndarray, source_position: np.ndarray,
+                      k_b: float, pair: RingPairConfig, p: np.ndarray,
+                      n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Force and torque on the rings at tip position ``p``, unit tangent ``n``.
+
+    Unvalidated kernel shared by :func:`tip_wrench` and the equilibrium
+    solver; ``source_position`` is already scaled by ``k_b``.
+    """
+    R = _rotation_e1_to(n)
+    f = np.zeros(3)
+    tau = np.zeros(3)
+    for magnet in (pair.magnet_1, pair.magnet_2):
+        m = _ring_moment(magnet.moment_magnitude, magnet.angle, R)
+        B, G = _field_raw(source_moment, source_position, k_b,
+                          p + magnet.axial_offset * n)
+        f += G.T @ m
+        tau += _cross(m, B)
+    tau += pair.separation * _cross(n, f)
+    return f, tau
 
 
 def tip_wrench(pair: RingPairConfig, tip_pose, source: DipoleSource,
@@ -276,13 +293,6 @@ def tip_wrench(pair: RingPairConfig, tip_pose, source: DipoleSource,
     n = _as_vec3(tip_pose.tangent)
     if abs(np.linalg.norm(n) - 1.0) > UNIT_TANGENT_TOL:
         raise ContractViolation("tip tangent must have unit norm")
-    p1, p2 = magnet_positions(pair, tip_pose.position, n)
-    f = np.zeros(3)
-    tau = np.zeros(3)
-    for magnet, pos in ((pair.magnet_1, p1), (pair.magnet_2, p2)):
-        m = ring_dipole_moment(magnet, n)
-        sample = calibrated_field(source, cal, pos)
-        f = f + sample.gradient.T @ m
-        tau = tau + np.cross(m, sample.B)
-    tau = tau + pair.separation * np.cross(n, f)
+    f, tau = _ring_pair_wrench(source.moment, cal.k_b * source.position,
+                               cal.k_b, pair, _as_vec3(tip_pose.position), n)
     return Wrench(force=f, torque=tau)

@@ -7,7 +7,7 @@ deflection statistics of the reachable set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from magbeam import cli
 from magbeam.cli import (
     EXIT_INPUT,
     EXIT_NUMERIC,
@@ -29,10 +30,11 @@ class TestParsers:
         assert vals[0] == 0.0 and vals[-1] == pytest.approx(180.0)
 
     def test_range_bad(self):
-        with pytest.raises(InputError):
-            _parse_range("0:12")
-        with pytest.raises(InputError):
-            _parse_range("a:b:c")
+        # the huge counts are rejected before any sample is allocated
+        for text in ("0:12", "a:b:c", "nan", "0:nan:180", "0:1:inf",
+                     "0:1e-9:180", "-1e308:1:1e308"):
+            with pytest.raises(InputError):
+                _parse_range(text)
 
     def test_grid_axis(self):
         vals = _parse_grid_axis("3.5:4.5:5")
@@ -40,10 +42,16 @@ class TestParsers:
         assert len(_parse_grid_axis("1:2")) == 25
 
     def test_grid_axis_bad(self):
-        with pytest.raises(InputError):
-            _parse_grid_axis("2:1:5")
-        with pytest.raises(InputError):
-            _parse_grid_axis("1")
+        for text in ("2:1:5", "1", "nan:2:5", "1:inf:5", "1:2:inf",
+                     "1:2:100000000"):
+            with pytest.raises(InputError):
+                _parse_grid_axis(text)
+
+    def test_point_count_capped(self, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SAMPLES", 10)
+        assert main(["sweep", "--theta1", "0:1:3", "--theta2", "0:1:3"]) == EXIT_INPUT
+        assert main(["calibrate", "--data", str(DATA_DIR / "planar-sweep-digitized.csv"),
+                     "--ke", "0.009:0.018:4", "--kb", "3.5:4.5:4"]) == EXIT_INPUT
 
 
 class TestSimulate:
@@ -66,6 +74,11 @@ class TestSimulate:
         assert "version" in doc and "wall_time_s" in doc
         # config echo matches the bundled file byte for byte after parsing
         assert doc["inputs"] == json.loads(default_config_path().read_text())
+
+    def test_nonfinite_angle_is_not_a_crash(self, capsys):
+        rc = main(["simulate", "--theta1", "inf", "--ke", "0.009", "--kb", "4.03"])
+        assert rc in (EXIT_INPUT, EXIT_NUMERIC)
+        assert "error:" in capsys.readouterr().err
 
     def test_missing_config_exit_2(self):
         rc = main(["simulate", "--theta1", "0", "--config", "/nonexistent.json"])
@@ -211,6 +224,22 @@ class TestWorkspace:
     def test_missing_inputs_exit_2(self):
         rc = main(["workspace"])
         assert rc == EXIT_INPUT
+
+    @pytest.mark.parametrize("flag, text", [
+        ("--schedule", "theta1_deg,theta2_deg\n0,0\n10,abc\n"),
+        ("--top", "x_mm,y_mm\n149,0\n149,x\n"),
+        ("--top", "index,x_mm,y_mm\n0,149,0\nfoo,149,1\n"),
+    ], ids=["schedule", "track", "track-index"])
+    def test_bad_csv_cell_exit_2(self, tmp_path, capsys, flag, text):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        side = tmp_path / "side.csv"
+        side.write_text("x_mm,z_mm\n149,0\n149,1\n")
+        args = [flag, str(bad)] + (["--side", str(side)] if flag == "--top" else [])
+        assert main(["workspace"] + args) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"{bad}:3" in err
+        assert "Traceback" not in err
 
     def test_collinear_track_exit_3(self, tmp_path):
         top = tmp_path / "top.csv"

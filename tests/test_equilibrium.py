@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from magbeam.beam import BeamFormulation
+from magbeam.beam import BeamFormulation, TipPose, tip_pose_from_wrench
 from magbeam.config import default_config_path, load_config
 from magbeam.equilibrium import (
     DivergenceError,
@@ -13,7 +13,7 @@ from magbeam.equilibrium import (
     solve_tip_pose,
     sweep,
 )
-from magbeam.geomag import FieldCalibration, RingMagnet, RingPairConfig
+from magbeam.geomag import E1, FieldCalibration, RingMagnet, RingPairConfig, tip_wrench
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +105,27 @@ class TestSolve:
         with pytest.raises(DivergenceError):
             solve(demo, 0.0, 0.0, params=soft,
                   settings=replace(demo.settings, relaxation=1.0))
+
+    @pytest.mark.parametrize("mode", list(BeamFormulation))
+    def test_undamped_iterates_are_public_compositions(self, demo, mode):
+        # the solver's k-th undamped iterate is bit-for-bit k applications of
+        # tip_pose_from_wrench(tip_wrench(...)); a nonzero separation brings
+        # in the lever-arm torque
+        rng = np.random.default_rng(11)
+        mag = demo.pair_template.magnet_1.moment_magnitude
+        for _ in range(8):
+            t1, t2 = rng.uniform(0.0, 2.0 * math.pi, 2)
+            pair = RingPairConfig.from_angles(mag, t1, t2, separation=5e-3)
+            pose = TipPose(demo.params.straight_tip, E1)
+            for k in range(1, 7):
+                pose = tip_pose_from_wrench(
+                    demo.params, tip_wrench(pair, pose, demo.source, CAL), mode)
+                settings = SolverSettings(position_tolerance=1e-300,
+                                          max_iterations=k, relaxation=1.0)
+                r = solve_tip_pose(demo.params, pair, demo.source, CAL, settings, mode)
+                assert not r.converged
+                assert np.array_equal(r.tip.position, pose.position)
+                assert np.array_equal(r.tip.tangent, pose.tangent)
 
     def test_settings_contracts(self):
         with pytest.raises(Exception):

@@ -248,18 +248,22 @@ class TestTipWrench:
     def test_torque_matches_manual_sum(self):
         # nonzero separation: torque = sum m_i x B_i + delta n x f
         pair = RingPairConfig.from_angles(5.44e-3, 0.4, 1.7, separation=5e-3)
-        w = tip_wrench(pair, self.pose, self.src, self.cal)
-        f = np.zeros(3)
-        tau = np.zeros(3)
-        for mag in (pair.magnet_1, pair.magnet_2):
-            m = ring_dipole_moment(mag, E1)
-            pos = self.pose.position + mag.axial_offset * E1
-            s = dipole_field(self.src, pos)
-            f += s.gradient.T @ m
-            tau += np.cross(m, s.B)
-        tau += pair.separation * np.cross(E1, f)
-        assert w.force == pytest.approx(f, rel=1e-12)
-        assert w.torque == pytest.approx(tau, rel=1e-12)
+        rng = np.random.default_rng(31)
+        tangents = [E1] + [v / np.linalg.norm(v) for v in rng.normal(size=(8, 3))]
+        for n in tangents:
+            pose = TipPose(position=self.pose.position, tangent=n)
+            w = tip_wrench(pair, pose, self.src, self.cal)
+            f = np.zeros(3)
+            tau = np.zeros(3)
+            for mag in (pair.magnet_1, pair.magnet_2):
+                m = ring_dipole_moment(mag, n)
+                pos = pose.position + mag.axial_offset * n
+                s = dipole_field(self.src, pos)
+                f += s.gradient.T @ m
+                tau += np.cross(m, s.B)
+            tau += pair.separation * np.cross(n, f)
+            assert w.force == pytest.approx(f, rel=1e-12)
+            assert w.torque == pytest.approx(tau, rel=1e-12)
 
     def test_torque_bound(self):
         rng = np.random.default_rng(23)

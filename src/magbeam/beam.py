@@ -81,12 +81,15 @@ class RobotParams:
 
     def __post_init__(self):
         object.__setattr__(self, "base_position", _as_vec3(self.base_position))
-        if not (self.length > 0 and self.elastic_modulus > 0
-                and self.section_moment > 0 and self.stiffness_scale > 0):
+        values = (self.length, self.elastic_modulus, self.section_moment,
+                  self.stiffness_scale)
+        if not all(v > 0 and math.isfinite(v) for v in values):
             raise ContractViolation(
                 "length, elastic_modulus, section_moment and stiffness_scale "
-                "must all be > 0"
+                "must all be finite and > 0"
             )
+        if not (0.0 < self.bending_stiffness < math.inf):
+            raise ContractViolation("bending stiffness must be finite and > 0")
 
     @property
     def bending_stiffness(self) -> float:
@@ -129,6 +132,21 @@ def _cantilever(straight: np.ndarray, L: float, ei: float, mode: BeamFormulation
     )
     n = E1 + (L / ei) * _cross(tau + 0.5 * L * e1xf, E1)
     n /= np.linalg.norm(n)
+    return p, n
+
+
+def _cantilever_rows(straight: np.ndarray, L: float, ei: np.ndarray,
+                     mode: BeamFormulation, f: np.ndarray, tau: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_cantilever` over N cases: ``ei`` is (N,), ``f`` and ``tau``
+    are (N, 3)."""
+    coef = L**3 / 3.0 if mode is BeamFormulation.CORRECTED else L**3 / 6.0
+    e1xf = np.cross(E1, f)
+    p = straight + (1.0 / ei)[:, None] * (
+        0.5 * L * L * np.cross(tau, E1) + coef * np.cross(e1xf, E1)
+    )
+    n = E1 + (L / ei)[:, None] * np.cross(tau + 0.5 * L * e1xf, E1)
+    n /= np.linalg.norm(n, axis=1)[:, None]
     return p, n
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .beam import BeamFormulation, RobotParams, TipPose
-from .equilibrium import SolverSettings, SweepPoint, sweep
+from .equilibrium import SolverSettings, SweepPoint, _solve_batch, sweep
 from .geomag import ContractViolation, DipoleSource, FieldCalibration, RingPairConfig
 
 PLANE_AXES = {"xy": (0, 1), "xz": (0, 2), "xyz": (0, 1, 2)}
@@ -164,29 +164,6 @@ def _predict_records(
     )
 
 
-def _cell_score(
-    records: list[ExperimentRecord],
-    params: RobotParams,
-    pair_template: RingPairConfig,
-    source: DipoleSource,
-    ke: float,
-    kb: float,
-    settings: SolverSettings,
-    mode: BeamFormulation,
-) -> float:
-    cell_params = replace(params, stiffness_scale=float(ke))
-    points = _predict_records(
-        records, cell_params, pair_template, source,
-        FieldCalibration(float(kb)), settings, mode,
-    )
-    worst = 0.0
-    for rec, pt in zip(records, points):
-        if pt.result is None or not pt.result.converged:
-            return math.inf
-        worst = max(worst, in_plane_error(rec, pt.result.tip.position))
-    return worst
-
-
 def default_thread_count() -> int:
     """Always 1: the grid search runs on the calling thread."""
     return 1
@@ -209,18 +186,32 @@ def grid_search_calibrate(
     """Exhaustive minimax search over the calibration grid.
 
     Every cell stores the maximum in-plane tip error over the records;
-    diverging cells score +inf. The argmin cell wins, ties broken
-    lexicographically by (ke, kb). Cells are evaluated in order on the
-    calling thread; ``threads`` is accepted for compatibility and ignored.
+    a cell with any diverging or unconverged solve scores +inf. The
+    argmin cell wins, ties broken lexicographically by (ke, kb). All
+    (cell, record) solves are independent and run as one vectorised
+    batch on the calling thread, each seeded from
+    ``settings.initial_tip`` (the straight tip if unset). The predictions
+    behind ``metrics_at_optimum`` are a warm-started sweep over the
+    records at the optimum. ``threads`` is accepted for compatibility
+    and ignored.
     """
     if not records:
         raise ContractViolation("records must be nonempty")
-    surface = np.array([
-        [_cell_score(records, params, pair_template, source, ke, kb,
-                     settings, mode)
-         for kb in grid.kb_values]
-        for ke in grid.ke_values
-    ])
+    n_ke, n_kb, n_rec = grid.ke_values.size, grid.kb_values.size, len(records)
+    # case order: ke-major, then kb, then record
+    ke = np.repeat(grid.ke_values, n_kb * n_rec)
+    kb = np.tile(np.repeat(grid.kb_values, n_rec), n_ke)
+    angles = np.tile([[r.theta1, r.theta2] for r in records], (n_ke * n_kb, 1))
+    batch = _solve_batch(
+        params, pair_template, source, settings, mode, angles,
+        ke * params.elastic_modulus * params.section_moment, kb,
+    )
+    measured = np.array([r.tip for r in records])
+    miss = np.where(np.isfinite(measured),
+                    measured - batch.tip.reshape(n_ke, n_kb, n_rec, 3), 0.0)
+    errors = np.sqrt(np.sum(miss * miss, axis=-1))
+    ok = batch.converged.reshape(n_ke, n_kb, n_rec).all(axis=-1)
+    surface = np.where(ok, errors.max(axis=-1), math.inf)
 
     if not np.any(np.isfinite(surface)):
         raise CalibrationError("every grid cell diverged")

@@ -144,6 +144,8 @@ def _notch_params(args) -> tuple[float | None, float | None]:
 
 def cmd_simulate(args) -> int:
     t0 = time.perf_counter()
+    if not (math.isfinite(args.theta1) and math.isfinite(args.theta2)):
+        raise InputError("--theta1 and --theta2 must be finite")
     cfg = load_config(args.config)
     cfg, cal = _apply_overrides(cfg, args)
     pair = cfg.pair_template.with_angles(
@@ -425,7 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zip", action="store_true",
                    help="pair the sequences elementwise instead of a grid")
     p.add_argument("--no-warm-start", action="store_true",
-                   help="seed every solve from the straight configuration")
+                   help="seed every solve from the straight configuration "
+                        "and solve all points as one batch")
     p.add_argument("--ke", type=float, help="stiffness scale override")
     p.add_argument("--kb", type=float, help="field scale (default 1)")
     p.add_argument("--out", help="output CSV (default: stdout)")

@@ -10,11 +10,19 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .beam import BeamFormulation, RobotParams, TipPose, Wrench, _cantilever
+from .beam import (
+    BeamFormulation,
+    RobotParams,
+    TipPose,
+    Wrench,
+    _cantilever,
+    _cantilever_rows,
+)
 from .geomag import (
     E1,
     ContractViolation,
@@ -22,12 +30,18 @@ from .geomag import (
     FieldCalibration,
     FieldSingularityError,
     RingPairConfig,
+    _SINGULAR,
     _as_vec3,
     _ring_pair_wrench,
+    _ring_pair_wrench_rows,
     tip_wrench,
 )
 
 log = logging.getLogger(__name__)
+
+# Cases per batched fixed-point call; bounds the working memory of a batch
+# (under 1 kB per case) whatever the number of cases.
+_BATCH_CASES = 4096
 
 
 class DivergenceError(RuntimeError):
@@ -118,6 +132,115 @@ def solve_tip_pose(
     )
 
 
+class _Batch(NamedTuple):
+    """Outcome of :func:`_solve_batch`, row k for case k.
+
+    A row holds what :func:`solve_tip_pose` returns for its case, or in
+    ``error`` the message of the exception it raises (``None`` if none).
+    """
+
+    tip: np.ndarray  # (N, 3) [m]
+    tangent: np.ndarray  # (N, 3)
+    force: np.ndarray  # (N, 3) [N]
+    torque: np.ndarray  # (N, 3) [N*m]
+    iterations: np.ndarray  # (N,)
+    residual: np.ndarray  # (N,) [m]
+    converged: np.ndarray  # (N,) bool
+    error: np.ndarray  # (N,) object: str or None
+
+
+def _solve_batch(
+    params: RobotParams,
+    pair: RingPairConfig,
+    source: DipoleSource,
+    settings: SolverSettings,
+    mode: BeamFormulation,
+    angles,
+    ei,
+    k_b,
+) -> _Batch:
+    """:func:`solve_tip_pose` for N independent cases in one array loop.
+
+    Case k has the magnet angles ``angles[k]`` (shape (N, 2)), the bending
+    stiffness ``ei[k]`` and the field scale ``k_b[k]`` (scalars are
+    broadcast); ``params`` supplies the length and the straight tip. Each
+    case keeps the scalar solve's seed, damping, residual, tolerance,
+    iteration limit and bail-out, and stops on its own iteration. Cases
+    are solved ``_BATCH_CASES`` at a time, which changes no result.
+    """
+    angles = np.asarray(angles, dtype=float).reshape(-1, 2)
+    n_cases = len(angles)
+    ei = np.broadcast_to(np.asarray(ei, dtype=float), n_cases)
+    k_b = np.broadcast_to(np.asarray(k_b, dtype=float), n_cases)
+    chunks = [
+        _solve_chunk(params, pair, source, settings, mode,
+                     angles[a:a + _BATCH_CASES], ei[a:a + _BATCH_CASES],
+                     k_b[a:a + _BATCH_CASES])
+        for a in range(0, n_cases, _BATCH_CASES)
+    ]
+    return _Batch(*(np.concatenate(column) for column in zip(*chunks)))
+
+
+def _solve_chunk(params, pair, source, settings, mode, angles, ei, k_b) -> _Batch:
+    n_cases = len(angles)
+    out = _Batch(
+        tip=np.full((n_cases, 3), np.nan), tangent=np.full((n_cases, 3), np.nan),
+        force=np.full((n_cases, 3), np.nan), torque=np.full((n_cases, 3), np.nan),
+        iterations=np.full(n_cases, settings.max_iterations),
+        residual=np.full(n_cases, np.nan), converged=np.zeros(n_cases, dtype=bool),
+        error=np.full(n_cases, None, dtype=object),
+    )
+    L = params.length
+    straight = params.straight_tip
+    seed = settings.initial_tip if settings.initial_tip is not None else straight
+    lam = settings.relaxation
+    bail = 10.0 * L
+
+    # the rows of the cases still iterating, and their state
+    rows = np.arange(n_cases)
+    pe_scaled = k_b[:, None] * source.position
+    p = np.tile(seed, (n_cases, 1))
+    n = np.tile(E1, (n_cases, 1))
+    with np.errstate(all="ignore"):  # non-finite values are reported below
+        for k in range(1, settings.max_iterations + 1):
+            f, tau, singular = _ring_pair_wrench_rows(
+                source.moment, pe_scaled, k_b, pair, angles, p, n)
+            p_new, n_new = _cantilever_rows(straight, L, ei, mode, f, tau)
+            residual = np.linalg.norm(p_new - p, axis=1)
+            diverged = ~singular & (~np.isfinite(residual) | (residual > bail))
+            converged = ~singular & ~diverged & (residual <= settings.position_tolerance)
+
+            out.error[rows[singular]] = _SINGULAR
+            for r, res in zip(rows[diverged], residual[diverged]):
+                out.error[r] = f"fixed-point residual {res:.3g} m after {k} iterations"
+            if converged.any():
+                c = rows[converged]
+                fc, tc, final_singular = _ring_pair_wrench_rows(
+                    source.moment, pe_scaled[converged], k_b[converged], pair,
+                    angles[converged], p_new[converged], n_new[converged])
+                out.tip[c], out.tangent[c] = p_new[converged], n_new[converged]
+                out.force[c], out.torque[c] = fc, tc
+                out.iterations[c] = k
+                out.residual[c] = residual[converged]
+                out.converged[c] = ~final_singular
+                out.error[c[final_singular]] = _SINGULAR
+
+            going = ~(singular | diverged | converged)
+            rows = rows[going]
+            if rows.size == 0:
+                break
+            p = (1.0 - lam) * p[going] + lam * p_new[going]
+            n = n_new[going]
+            f, tau, residual = f[going], tau[going], residual[going]
+            angles, ei, k_b, pe_scaled = (
+                angles[going], ei[going], k_b[going], pe_scaled[going])
+        else:
+            out.tip[rows], out.tangent[rows] = p, n
+            out.force[rows], out.torque[rows] = f, tau
+            out.residual[rows] = residual
+    return out
+
+
 @dataclass(frozen=True)
 class SweepPoint:
     q: tuple[float, float]  # (theta1, theta2) [rad]
@@ -139,11 +262,12 @@ def sweep(
 ) -> list[SweepPoint]:
     """Evaluate the forward model over a grid or zipped list of angles.
 
-    Cartesian order is theta1-major. With ``warm_start`` each solve is
-    seeded at the previous converged tip; with it disabled every point is
-    seeded from ``settings.initial_tip``, which makes the points fully
-    independent (safe to evaluate in any order) while preserving the
-    output ordering.
+    Cartesian order is theta1-major. With ``warm_start`` the points are
+    solved one after another, each seeded at the previous converged tip.
+    With it disabled every point is seeded from ``settings.initial_tip``
+    (the straight tip if unset), and all points are solved together as
+    one vectorised batch; each point gets what :func:`solve_tip_pose`
+    gives it, to within the solver's rounding.
     """
     t1 = list(theta1_values)
     t2 = list(theta2_values)
@@ -156,11 +280,16 @@ def sweep(
     else:
         qs = [(a, b) for a in t1 for b in t2]
 
+    if not warm_start:
+        batch = _solve_batch(params, pair_template, source, settings, mode, qs,
+                             params.bending_stiffness, cal.k_b)
+        return [_sweep_point(q, batch, k) for k, q in enumerate(qs)]
+
     out: list[SweepPoint] = []
     seed = settings.initial_tip
     for q in qs:
         pair = pair_template.with_angles(*q)
-        local = replace(settings, initial_tip=seed) if warm_start else settings
+        local = replace(settings, initial_tip=seed)
         try:
             res = solve_tip_pose(params, pair, source, cal, local, mode)
         except (DivergenceError, FieldSingularityError) as exc:
@@ -168,9 +297,20 @@ def sweep(
             seed = settings.initial_tip
             continue
         out.append(SweepPoint(q=q, result=res))
-        if warm_start:
-            seed = res.tip.position if res.converged else settings.initial_tip
+        seed = res.tip.position if res.converged else settings.initial_tip
     return out
+
+
+def _sweep_point(q, batch: _Batch, k: int) -> SweepPoint:
+    if batch.error[k] is not None:
+        return SweepPoint(q=q, result=None, error=batch.error[k])
+    return SweepPoint(q=q, result=EquilibriumResult(
+        tip=TipPose(batch.tip[k], batch.tangent[k]),
+        wrench=Wrench(batch.force[k], batch.torque[k]),
+        iterations=int(batch.iterations[k]),
+        residual=float(batch.residual[k]),
+        converged=bool(batch.converged[k]),
+    ))
 
 
 @dataclass(frozen=True)
@@ -202,7 +342,8 @@ def invert_controls(
     ``basin_count`` reports the number of distinct grid-seed clusters
     whose error is within tolerance of the best. Targets outside the
     sampled reachable set are answered with the nearest achievable
-    configuration and ``within_reach = False``.
+    configuration and ``within_reach = False``. Raises
+    :class:`DivergenceError` if no grid seed converges.
     """
     p_target = _as_vec3(getattr(target, "position", target))
     angles = np.linspace(0.0, 2.0 * np.pi, grid_size, endpoint=False)
@@ -235,7 +376,9 @@ def invert_controls(
         i, j = divmod(k, grid_size)
         errs[i, j] = float(np.linalg.norm(pt.result.tip.position - p_target))
         radii.append(float(np.linalg.norm(pt.result.tip.position - straight)))
-    reach = max(radii) if radii else 0.0
+    if not radii:
+        raise DivergenceError("no grid seed converged")
+    reach = max(radii)
     target_radius = float(np.linalg.norm(p_target - straight))
     within_reach = target_radius <= reach * 1.05 + settings.position_tolerance
 

@@ -26,6 +26,9 @@ class FieldSingularityError(ValueError):
     """Field requested at (or too close to) the dipole location."""
 
 
+_SINGULAR = "field requested at the dipole position"
+
+
 class ContractViolation(ValueError):
     """An input violates a documented precondition."""
 
@@ -160,7 +163,7 @@ def _field_raw(moment: np.ndarray, source_position: np.ndarray, scale: float,
     P = point - source_position
     r2 = float(P @ P)
     if r2 <= 0.0:
-        raise FieldSingularityError("field requested at the dipole position")
+        raise FieldSingularityError(_SINGULAR)
     r = math.sqrt(r2)
     u = P / r
     um = float(u @ moment)
@@ -276,6 +279,66 @@ def _ring_pair_wrench(source_moment: np.ndarray, source_position: np.ndarray,
         tau += _cross(m, B)
     tau += pair.separation * _cross(n, f)
     return f, tau
+
+
+def _rows_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", a, b)
+
+
+def _ring_pair_wrench_rows(source_moment: np.ndarray, source_position: np.ndarray,
+                           k_b: np.ndarray, pair: RingPairConfig, angles: np.ndarray,
+                           p: np.ndarray, n: np.ndarray
+                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_ring_pair_wrench` over N cases at once.
+
+    ``source_position``, ``p`` and ``n`` are (N, 3), ``k_b`` is (N,) and
+    ``angles`` (N, 2) replaces the angles of ``pair``'s two magnets. The
+    minimal rotation e1 -> n is applied to each ring moment by Rodrigues'
+    formula and the gradient force is contracted in closed form, so no
+    3x3 matrix is built. Returns ``(f, tau, singular)``; ``singular``
+    flags the rows whose field point coincides with the source, where
+    ``f`` and ``tau`` are meaningless.
+    """
+    # minimal rotation e1 -> n: unit axis e1 x n / s, angle atan2(s, n_x)
+    c = n[:, 0]
+    s = np.hypot(n[:, 1], n[:, 2])
+    turn = s >= 1e-15
+    s_safe = np.where(turn, s, 1.0)
+    angle = np.arctan2(s, c)
+    sin_a = np.where(turn, np.sin(angle), 0.0)
+    one_minus_cos = np.where(turn, 1.0 - np.cos(angle), 0.0)
+    axis = np.stack([np.zeros_like(c), -n[:, 2] / s_safe, n[:, 1] / s_safe], axis=1)
+    # n == -e1 is a half-turn about e2, as in _rotation_e1_to
+    flip = np.where(~turn & (c <= 0.0), -1.0, 1.0)
+
+    pref = k_b * (MU0 / (4.0 * math.pi))
+    f = np.zeros_like(p)
+    tau = np.zeros_like(p)
+    singular = np.zeros(len(p), dtype=bool)
+    for k, magnet in enumerate((pair.magnet_1, pair.magnet_2)):
+        # ring moment at zero tangent tilt: magnitude * (0, -sin, cos)
+        v = np.zeros_like(p)
+        v[:, 1] = -np.sin(angles[:, k])
+        v[:, 2] = flip * np.cos(angles[:, k])
+        kxv = np.cross(axis, v)
+        m = magnet.moment_magnitude * (
+            v + sin_a[:, None] * kxv + one_minus_cos[:, None] * np.cross(axis, kxv))
+
+        P = p + magnet.axial_offset * n - source_position
+        r2 = _rows_dot(P, P)
+        singular |= r2 <= 0.0
+        r = np.sqrt(r2)
+        u = P / r[:, None]
+        um = u @ source_moment
+        B = (pref / (r2 * r))[:, None] * (3.0 * um[:, None] * u - source_moment)
+        # G m with G = c (m_s u^T + u m_s^T + (u . m_s)(I - 5 u u^T))
+        u_m = _rows_dot(u, m)
+        f += (3.0 * pref / (r2 * r2))[:, None] * (
+            u_m[:, None] * source_moment + (m @ source_moment)[:, None] * u
+            + um[:, None] * (m - 5.0 * u_m[:, None] * u))
+        tau += np.cross(m, B)
+    tau += pair.separation * np.cross(n, f)
+    return f, tau, singular
 
 
 def tip_wrench(pair: RingPairConfig, tip_pose, source: DipoleSource,

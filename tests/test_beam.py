@@ -192,6 +192,19 @@ class TestParamContracts:
             RobotParams(length=0.1, elastic_modulus=1e9, section_moment=1e-13,
                         stiffness_scale=0.0)
 
+    @pytest.mark.parametrize("field", ["length", "elastic_modulus",
+                                       "section_moment", "stiffness_scale"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_finite_required(self, field, value):
+        good = dict(length=0.1, elastic_modulus=1e9, section_moment=1e-13)
+        with pytest.raises(ContractViolation):
+            RobotParams(**{**good, field: value})
+
+    def test_finite_bending_stiffness_required(self):
+        with pytest.raises(ContractViolation):
+            RobotParams(length=0.1, elastic_modulus=1e300, section_moment=1e-13,
+                        stiffness_scale=1e300)
+
     def test_nonfinite_wrench_rejected(self):
         with pytest.raises(ContractViolation):
             Wrench(force=[np.nan, 0, 0], torque=np.zeros(3))

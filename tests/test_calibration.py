@@ -15,7 +15,8 @@ from magbeam.calibration import (
     notch_to_angle,
 )
 from magbeam.config import default_config_path, load_config
-from magbeam.equilibrium import sweep
+from magbeam import equilibrium
+from magbeam.equilibrium import solve_tip_pose, sweep
 from magbeam.geomag import ContractViolation, FieldCalibration
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -146,7 +147,8 @@ class TestGridSearch:
                                   demo.pair_template, demo.source, grid,
                                   demo.settings, BeamFormulation.LEGACY)
         assert (a.ke_star, a.kb_star) == (b.ke_star, b.kb_star)
-        # warm starting makes scores order dependent at the solver tolerance
+        # every (cell, record) solve starts cold, so only the order of the
+        # floating-point reductions depends on the record order
         tol = 5 * demo.settings.position_tolerance
         assert a.error_surface == pytest.approx(b.error_surface, abs=tol)
 
@@ -162,6 +164,56 @@ class TestGridSearch:
                                   demo.source, grid, threads=4, **kw)
         assert np.array_equal(a.error_surface, b.error_surface)
         assert (a.ke_star, a.kb_star) == (b.ke_star, b.kb_star)
+
+    def test_chunking_does_not_change_result(self, demo, monkeypatch):
+        thetas = list(np.radians([0.0, 50.0, 100.0, 150.0]))
+        recs = synth_records(demo, 0.012, 4.0, thetas)
+        grid = CalibrationGrid(ke_values=np.linspace(0.010, 0.014, 3),
+                               kb_values=np.linspace(3.8, 4.2, 4))
+        kw = dict(settings=demo.settings, mode=BeamFormulation.LEGACY)
+        whole = grid_search_calibrate(recs, demo.params, demo.pair_template,
+                                      demo.source, grid, **kw)
+        # 48 cases in chunks of 7: chunk edges fall inside cells
+        monkeypatch.setattr(equilibrium, "_BATCH_CASES", 7)
+        chunked = grid_search_calibrate(recs, demo.params, demo.pair_template,
+                                        demo.source, grid, **kw)
+        assert np.array_equal(whole.error_surface, chunked.error_surface)
+        assert (whole.ke_star, whole.kb_star) == (chunked.ke_star, chunked.kb_star)
+
+    def test_cells_match_per_record_solves(self, demo):
+        thetas = list(np.radians([0.0, 60.0, 120.0, 180.0]))
+        recs = synth_records(demo, 0.012, 4.0, thetas)
+        grid = CalibrationGrid(ke_values=np.array([0.009, 0.012]),
+                               kb_values=np.array([3.6, 4.4]))
+        res = grid_search_calibrate(recs, demo.params, demo.pair_template,
+                                    demo.source, grid, demo.settings,
+                                    BeamFormulation.LEGACY)
+        for i, ke in enumerate(grid.ke_values):
+            for j, kb in enumerate(grid.kb_values):
+                params = replace(demo.params, stiffness_scale=ke)
+                worst = max(
+                    in_plane_error(r, solve_tip_pose(
+                        params, demo.pair_template.with_angles(r.theta1, r.theta2),
+                        demo.source, FieldCalibration(kb), demo.settings,
+                        BeamFormulation.LEGACY).tip.position)
+                    for r in recs
+                )
+                assert res.error_surface[i, j] == pytest.approx(
+                    worst, abs=demo.settings.position_tolerance)
+
+    def test_unconverged_cell_scores_inf(self, demo):
+        # on the soft cell theta1 = 0 diverges; the antiparallel pi still solves
+        thetas = [0.0, math.pi]
+        recs = synth_records(demo, 0.012, 4.0, thetas)
+        grid = CalibrationGrid(ke_values=np.array([1e-9, 0.012]),
+                               kb_values=np.array([4.0]))
+        res = grid_search_calibrate(recs, demo.params, demo.pair_template,
+                                    demo.source, grid,
+                                    replace(demo.settings, relaxation=1.0),
+                                    BeamFormulation.LEGACY)
+        assert res.error_surface[0, 0] == math.inf
+        assert np.isfinite(res.error_surface[1, 0])
+        assert (res.ke_star, res.kb_star) == (0.012, 4.0)
 
     def test_empty_records_rejected(self, demo):
         with pytest.raises(ContractViolation):

@@ -75,9 +75,16 @@ class TestSimulate:
         # config echo matches the bundled file byte for byte after parsing
         assert doc["inputs"] == json.loads(default_config_path().read_text())
 
-    def test_nonfinite_angle_is_not_a_crash(self, capsys):
-        rc = main(["simulate", "--theta1", "inf", "--ke", "0.009", "--kb", "4.03"])
-        assert rc in (EXIT_INPUT, EXIT_NUMERIC)
+    @pytest.mark.parametrize("args", [
+        ["--theta1", "inf", "--ke", "0.009"],
+        ["--theta1", "nan", "--ke", "0.009"],
+        ["--theta1", "0", "--theta2", "inf", "--ke", "0.009"],
+        ["--theta1", "0", "--theta2", "nan", "--ke", "0.009"],
+        ["--theta1", "30", "--ke", "inf"],
+    ], ids=["theta1-inf", "theta1-nan", "theta2-inf", "theta2-nan", "ke-inf"])
+    def test_nonfinite_angle_is_not_a_crash(self, capsys, args):
+        rc = main(["simulate", "--kb", "4.03", *args])
+        assert rc == EXIT_INPUT
         assert "error:" in capsys.readouterr().err
 
     def test_missing_config_exit_2(self):

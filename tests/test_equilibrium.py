@@ -4,7 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from magbeam.beam import BeamFormulation, TipPose, tip_pose_from_wrench
+from magbeam.beam import (
+    BeamFormulation,
+    TipPose,
+    _cantilever,
+    _cantilever_rows,
+    tip_pose_from_wrench,
+)
 from magbeam.config import default_config_path, load_config
 from magbeam.equilibrium import (
     DivergenceError,
@@ -13,7 +19,16 @@ from magbeam.equilibrium import (
     solve_tip_pose,
     sweep,
 )
-from magbeam.geomag import E1, FieldCalibration, RingMagnet, RingPairConfig, tip_wrench
+from magbeam.geomag import (
+    E1,
+    FieldCalibration,
+    FieldSingularityError,
+    RingMagnet,
+    RingPairConfig,
+    _ring_pair_wrench,
+    _ring_pair_wrench_rows,
+    tip_wrench,
+)
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +151,114 @@ class TestSolve:
             SolverSettings(max_iterations=0)
 
 
+def _close_rows(a, b, rel=1e-12):
+    scale = np.maximum(np.linalg.norm(b, axis=1), 1e-300)
+    return np.all(np.linalg.norm(a - b, axis=1) <= rel * scale)
+
+
+class TestBatchKernels:
+    @pytest.mark.parametrize("separation", [0.0, 5e-3])
+    def test_row_kernels_match_scalar(self, demo, separation):
+        rng = np.random.default_rng(5)
+        n_cases = 64
+        mag = demo.pair_template.magnet_1.moment_magnitude
+        pair = RingPairConfig.from_angles(mag, 0.0, 0.0, separation=separation)
+        angles = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, (n_cases, 2))
+        k_b = rng.uniform(3.5, 4.5, n_cases)
+        ei = rng.uniform(0.009, 0.018, n_cases) * demo.params.bending_stiffness
+        p = demo.params.straight_tip + rng.uniform(-0.03, 0.03, (n_cases, 3))
+        n = rng.normal(size=(n_cases, 3))
+        n[:2] = [E1, -E1]  # the two tangents without a rotation axis
+        n /= np.linalg.norm(n, axis=1)[:, None]
+        pe = k_b[:, None] * demo.source.position
+        f, tau, singular = _ring_pair_wrench_rows(
+            demo.source.moment, pe, k_b, pair, angles, p, n)
+        assert not singular.any()
+        expected = [
+            _ring_pair_wrench(demo.source.moment, pe[k], k_b[k],
+                              pair.with_angles(*angles[k]), p[k], n[k])
+            for k in range(n_cases)
+        ]
+        assert _close_rows(f, np.array([e[0] for e in expected]))
+        assert _close_rows(tau, np.array([e[1] for e in expected]))
+        for mode in BeamFormulation:
+            pr, nr = _cantilever_rows(demo.params.straight_tip, demo.params.length,
+                                      ei, mode, f, tau)
+            expected = [_cantilever(demo.params.straight_tip, demo.params.length,
+                                    ei[k], mode, f[k], tau[k])
+                        for k in range(n_cases)]
+            assert _close_rows(pr, np.array([e[0] for e in expected]))
+            assert _close_rows(nr, np.array([e[1] for e in expected]))
+
+    def test_singular_rows_flagged(self, demo):
+        pair = demo.pair_template.with_angles(0.3, 0.1)
+        p = np.array([demo.source.position, demo.params.straight_tip])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f, tau, singular = _ring_pair_wrench_rows(
+                demo.source.moment, np.array([demo.source.position] * 2),
+                np.ones(2), pair, np.zeros((2, 2)), p, np.array([E1, E1]))
+        assert singular.tolist() == [True, False]
+        assert np.all(np.isfinite(f[1])) and np.all(np.isfinite(tau[1]))
+
+
+class TestColdSweep:
+    def assert_matches_scalar(self, params, pair_template, settings, t1, t2, demo,
+                              mode=MODE):
+        pts = sweep(params, pair_template, demo.source, CAL, settings, mode,
+                    t1, t2, warm_start=False)
+        assert [pt.q for pt in pts] == [(a, b) for a in t1 for b in t2]
+        tol = settings.position_tolerance
+        for pt in pts:
+            try:
+                ref = solve_tip_pose(params, pair_template.with_angles(*pt.q),
+                                     demo.source, CAL, settings, mode)
+            except (DivergenceError, FieldSingularityError) as exc:
+                assert pt.result is None and pt.error == str(exc)
+                continue
+            assert pt.error is None
+            r = pt.result
+            assert r.converged == ref.converged
+            assert r.iterations == ref.iterations
+            assert np.linalg.norm(r.tip.position - ref.tip.position) <= tol
+            assert np.linalg.norm(r.tip.tangent - ref.tip.tangent) <= tol
+            assert r.residual == pytest.approx(ref.residual, rel=1e-6, abs=1e-15)
+            assert np.allclose(r.wrench.force, ref.wrench.force, rtol=1e-9, atol=1e-15)
+            assert np.allclose(r.wrench.torque, ref.wrench.torque, rtol=1e-9,
+                               atol=1e-18)
+        return pts
+
+    @pytest.mark.parametrize("mode", list(BeamFormulation))
+    def test_matches_per_point_solves(self, demo, mode):
+        t = list(np.radians(np.arange(0.0, 360.0, 40.0)))
+        pts = self.assert_matches_scalar(demo.params, demo.pair_template,
+                                         demo.settings, t, t, demo, mode)
+        assert all(pt.result.converged for pt in pts)
+
+    def test_matches_with_separation_and_seed(self, demo):
+        mag = demo.pair_template.magnet_1.moment_magnitude
+        pair = RingPairConfig.from_angles(mag, 0.0, 0.0, separation=5e-3)
+        settings = replace(demo.settings,
+                           initial_tip=demo.params.straight_tip + [0.0, 0.005, 0.0])
+        t = list(np.radians([0.0, 75.0, 150.0, 290.0]))
+        self.assert_matches_scalar(demo.params, pair, settings, t, t, demo)
+
+    def test_divergent_points_recorded(self, demo):
+        soft = replace(demo.params, stiffness_scale=1e-9)
+        pts = self.assert_matches_scalar(soft, demo.pair_template,
+                                         replace(demo.settings, relaxation=1.0),
+                                         [0.0, 0.4, math.pi], [0.0], demo)
+        assert [pt.result is None for pt in pts] == [True, True, False]
+        assert pts[0].error.startswith("fixed-point residual")
+
+    def test_unconverged_points_keep_last_iterate(self, demo):
+        settings = replace(demo.settings, max_iterations=3)
+        t = list(np.radians([0.0, 30.0, 180.0]))
+        pts = self.assert_matches_scalar(demo.params, demo.pair_template, settings,
+                                         t, [0.0], demo)
+        assert [pt.result.converged for pt in pts] == [False, False, True]
+        assert pts[0].result.iterations == 3
+
+
 class TestSweep:
     def test_single_pair_matches_direct(self, demo):
         q = (0.5, 0.1)
@@ -204,6 +327,13 @@ class TestInverse:
                               demo.source, CAL, demo.settings, MODE)
         assert inv.within_reach
         assert inv.position_error <= demo.settings.position_tolerance
+
+    def test_no_converged_seed_raises(self, demo):
+        settings = replace(demo.settings, max_iterations=1)
+        with pytest.raises(DivergenceError, match="no grid seed converged"):
+            invert_controls(demo.params.straight_tip, demo.params,
+                            demo.pair_template, demo.source, CAL, settings, MODE,
+                            grid_size=3)
 
     def test_unreachable_flagged(self, demo):
         target = demo.params.straight_tip + np.array([0.0, 2 * demo.params.length, 0.0])

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 import math
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
-from .geomag import E1, ContractViolation, _as_vec3, _cross
+from .geomag import E1, ContractViolation, _as_vec3, _dot
 
 
 class BeamFormulation(Enum):
@@ -113,41 +113,45 @@ def tip_pose_from_wrench(
     with c = 1/3 (corrected) or 1/6 (legacy), and
     n = normalize(e1 + (L/EI) (tau + L/2 e1 x f) x e1).
     """
-    p, n = _cantilever(params.straight_tip, params.length,
-                       params.bending_stiffness, mode, w.force, w.torque)
-    return TipPose(position=p, tangent=n)
+    p, n = _cantilever_rows(params.straight_tip, params.length, params.bending_stiffness,
+                            mode, w.as_stacked()[None])
+    return TipPose(position=p[0], tangent=n[0])
 
 
-def _cantilever(straight: np.ndarray, L: float, ei: float, mode: BeamFormulation,
-                f: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tip position and unit tangent under tip force ``f`` and torque ``tau``.
+@lru_cache(maxsize=16)
+def _compliance(L: float, mode: BeamFormulation) -> np.ndarray:
+    """The linear part of :func:`tip_pose_from_wrench`: the (6, 6) map
+    from a stacked wrench (f | tau) to EI times the tip displacement
+    (columns 0-2) and to EI times the tangent's tilt (0, n_y, n_z) before
+    normalisation (columns 3-5). With (e1 x f) x e1 = (0, f_y, f_z) and
+    tau x e1 = (0, tau_z, -tau_y) only f_y, f_z, tau_y and tau_z act."""
+    h = 0.5 * L * L
+    c = L**3 / 3.0 if mode is BeamFormulation.CORRECTED else L**3 / 6.0
+    C = np.zeros((6, 6))
+    C[1, 1], C[5, 1] = c, h  # p_y: c L^3 f_y + L^2/2 tau_z
+    C[2, 2], C[4, 2] = c, -h  # p_z: c L^3 f_z - L^2/2 tau_y
+    C[1, 4], C[5, 4] = h, L  # n_y: L (L/2 f_y + tau_z)
+    C[2, 5], C[4, 5] = h, -L  # n_z: L (L/2 f_z - tau_y)
+    C.flags.writeable = False
+    return C
 
-    Unvalidated kernel shared by :func:`tip_pose_from_wrench` and the
-    equilibrium solver; ``straight`` is the unloaded tip position.
+
+def _cantilever_rows(straight: np.ndarray, L: float, ei, mode: BeamFormulation,
+                     w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tip positions and unit tangents of N cases under the stacked tip
+    wrenches ``w`` (N, 6) = (f | tau), with bending stiffness ``ei`` (a
+    scalar or an (N, 1) column).
+
+    The one beam kernel, unvalidated: :func:`tip_pose_from_wrench` calls
+    it on one row and the equilibrium solver on every case it iterates;
+    ``straight`` is the unloaded tip position. The product with
+    :func:`_compliance` is an einsum, not a BLAS product, so that a row's
+    result does not depend on how many rows there are.
     """
-    coef = L**3 / 3.0 if mode is BeamFormulation.CORRECTED else L**3 / 6.0
-    e1xf = _cross(E1, f)
-    p = straight + (1.0 / ei) * (
-        0.5 * L * L * _cross(tau, E1) + coef * _cross(e1xf, E1)
-    )
-    n = E1 + (L / ei) * _cross(tau + 0.5 * L * e1xf, E1)
-    n /= np.linalg.norm(n)
-    return p, n
-
-
-def _cantilever_rows(straight: np.ndarray, L: float, ei: np.ndarray,
-                     mode: BeamFormulation, f: np.ndarray, tau: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_cantilever` over N cases: ``ei`` is (N,), ``f`` and ``tau``
-    are (N, 3)."""
-    coef = L**3 / 3.0 if mode is BeamFormulation.CORRECTED else L**3 / 6.0
-    e1xf = np.cross(E1, f)
-    p = straight + (1.0 / ei)[:, None] * (
-        0.5 * L * L * np.cross(tau, E1) + coef * np.cross(e1xf, E1)
-    )
-    n = E1 + (L / ei)[:, None] * np.cross(tau + 0.5 * L * e1xf, E1)
-    n /= np.linalg.norm(n, axis=1)[:, None]
-    return p, n
+    g = np.einsum("ij,jk->ik", w, _compliance(L, mode)) / ei
+    g[:, 3] = 1.0
+    t = g[:, 3:]
+    return straight + g[:, :3], t / np.sqrt(_dot(t, t))[:, None]
 
 
 def centerline(params: RobotParams, w: Wrench, n_samples: int) -> np.ndarray:
@@ -157,6 +161,8 @@ def centerline(params: RobotParams, w: Wrench, n_samples: int) -> np.ndarray:
     twice by composite trapezoid; the endpoint matches the corrected-mode
     closed form to quadrature accuracy.
     """
+    from scipy.integrate import cumulative_trapezoid  # scipy is most of the import time
+
     if n_samples < 2:
         raise ContractViolation("n_samples must be >= 2")
     ei = params.bending_stiffness

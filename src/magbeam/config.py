@@ -75,6 +75,17 @@ def _nonneg(section: dict, name: str, key: str) -> float:
     return float(v)
 
 
+def _vec3(section: dict, name: str, key: str) -> np.ndarray:
+    v = _require(section, name, key)
+    try:
+        a = np.asarray(v, dtype=float)
+    except (TypeError, ValueError):
+        a = None
+    if a is None or a.shape != (3,) or not np.all(np.isfinite(a)):
+        raise ConfigError(f"{name}.{key}: expected 3 finite numbers, got {v!r}")
+    return a
+
+
 def _check_keys(doc: dict):
     unknown = set(doc) - set(_SCHEMA)
     if unknown:
@@ -127,16 +138,13 @@ def parse_config(doc: dict) -> LoadedConfig:
         _positive(ext, "external_magnet", "length_mm") * 1e-3,
         _positive(ext, "external_magnet", "remanence_t"),
     )
-    pos = np.asarray(_require(ext, "external_magnet", "position_mm"), dtype=float)
-    direction = np.asarray(_require(ext, "external_magnet", "moment_direction"),
-                           dtype=float)
-    if pos.shape != (3,) or direction.shape != (3,):
-        raise ConfigError("external_magnet: position_mm and moment_direction "
-                          "must be 3-vectors")
+    pos = _vec3(ext, "external_magnet", "position_mm")
+    direction = _vec3(ext, "external_magnet", "moment_direction")
     nrm = np.linalg.norm(direction)
-    if not (nrm > 0 and np.all(np.isfinite(direction)) and np.all(np.isfinite(pos))):
-        raise ConfigError("external_magnet: moment_direction must be a nonzero "
-                          "finite vector")
+    if not nrm > 0:
+        raise ConfigError("external_magnet: moment_direction must be nonzero")
+    if not math.isfinite(ext_moment):
+        raise ConfigError("external_magnet: the dipole moment is not finite")
     source = DipoleSource(moment=ext_moment * direction / nrm, position=pos * 1e-3)
 
     settings = SolverSettings(
@@ -146,7 +154,7 @@ def parse_config(doc: dict) -> LoadedConfig:
     )
 
     mode_name = doc["beam_mode"]
-    if mode_name not in _MODES:
+    if not isinstance(mode_name, str) or mode_name not in _MODES:
         raise ConfigError(
             f"beam_mode: expected one of {sorted(_MODES)}, got {mode_name!r}"
         )

@@ -13,16 +13,8 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .beam import (
-    BeamFormulation,
-    RobotParams,
-    TipPose,
-    Wrench,
-    _cantilever,
-    _cantilever_rows,
-)
+from .beam import BeamFormulation, RobotParams, TipPose, Wrench, _cantilever_rows
 from .geomag import (
     E1,
     ContractViolation,
@@ -32,15 +24,16 @@ from .geomag import (
     RingPairConfig,
     _SINGULAR,
     _as_vec3,
-    _ring_pair_wrench,
+    _dot,
     _ring_pair_wrench_rows,
-    tip_wrench,
+    _ring_rows,
 )
 
 log = logging.getLogger(__name__)
 
 # Cases per batched fixed-point call; bounds the working memory of a batch
-# (under 1 kB per case) whatever the number of cases.
+# whatever the number of cases. Peak tracemalloc use is about 0.6 kB per
+# case for coincident rings and 0.9 kB for separated ones.
 _BATCH_CASES = 4096
 
 
@@ -95,41 +88,17 @@ def solve_tip_pose(
     with the cantilever map using the tangent from the previous iterate,
     until the undamped residual ||g(p) - p|| drops below the position
     tolerance. Raises :class:`DivergenceError` if the residual exceeds
-    10 L or any value goes non-finite.
+    10 L or any value goes non-finite, and :class:`FieldSingularityError`
+    if a ring reaches the source. This is the one-case call of the
+    batched loop :func:`_solve_batch`.
     """
-    L = params.length
-    ei = params.bending_stiffness
-    straight = params.straight_tip
-    pe_scaled = cal.k_b * source.position
-    p = (settings.initial_tip if settings.initial_tip is not None else straight).copy()
-    n = E1.copy()
-    lam = settings.relaxation
-    bail = 10.0 * L
-
-    residual = np.inf
-    for k in range(1, settings.max_iterations + 1):
-        f, tau = _ring_pair_wrench(source.moment, pe_scaled, cal.k_b, pair, p, n)
-        p_new, n_new = _cantilever(straight, L, ei, mode, f, tau)
-        residual = float(np.linalg.norm(p_new - p))
-        if not np.isfinite(residual) or residual > bail:
-            raise DivergenceError(
-                f"fixed-point residual {residual:.3g} m after {k} iterations"
-            )
-        if residual <= settings.position_tolerance:
-            final = TipPose(p_new, n_new)
-            w_final = tip_wrench(pair, final, source, cal)
-            return EquilibriumResult(
-                tip=final, wrench=w_final, iterations=k,
-                residual=residual, converged=True,
-            )
-        p = (1.0 - lam) * p + lam * p_new
-        n = n_new
-    return EquilibriumResult(
-        tip=TipPose(p, n),
-        wrench=Wrench(f, tau),
-        iterations=settings.max_iterations,
-        residual=residual, converged=False,
-    )
+    batch = _solve_batch(params, pair, source, settings, mode,
+                         [[pair.magnet_1.angle, pair.magnet_2.angle]],
+                         params.bending_stiffness, cal.k_b)
+    error = batch.error[0]
+    if error is not None:
+        raise (FieldSingularityError if error == _SINGULAR else DivergenceError)(error)
+    return _equilibrium(batch, 0)
 
 
 class _Batch(NamedTuple):
@@ -141,8 +110,7 @@ class _Batch(NamedTuple):
 
     tip: np.ndarray  # (N, 3) [m]
     tangent: np.ndarray  # (N, 3)
-    force: np.ndarray  # (N, 3) [N]
-    torque: np.ndarray  # (N, 3) [N*m]
+    wrench: np.ndarray  # (N, 6) force [N] | torque [N*m]
     iterations: np.ndarray  # (N,)
     residual: np.ndarray  # (N,) [m]
     converged: np.ndarray  # (N,) bool
@@ -159,25 +127,29 @@ def _solve_batch(
     ei,
     k_b,
 ) -> _Batch:
-    """:func:`solve_tip_pose` for N independent cases in one array loop.
+    """The damped fixed-point loop, over N independent cases at once.
 
     Case k has the magnet angles ``angles[k]`` (shape (N, 2)), the bending
     stiffness ``ei[k]`` and the field scale ``k_b[k]`` (scalars are
-    broadcast); ``params`` supplies the length and the straight tip. Each
-    case keeps the scalar solve's seed, damping, residual, tolerance,
-    iteration limit and bail-out, and stops on its own iteration. Cases
-    are solved ``_BATCH_CASES`` at a time, which changes no result.
+    broadcast); ``pair`` supplies the magnitudes, offsets and separation
+    of the rings and ``params`` the length and the straight tip. Every
+    case has the seed, damping, residual, tolerance, iteration limit and
+    bail-out described in :func:`solve_tip_pose`, which is the N = 1 call,
+    and stops on its own iteration. Cases are solved ``_BATCH_CASES`` at
+    a time, which changes no result.
     """
     angles = np.asarray(angles, dtype=float).reshape(-1, 2)
     n_cases = len(angles)
-    ei = np.broadcast_to(np.asarray(ei, dtype=float), n_cases)
-    k_b = np.broadcast_to(np.asarray(k_b, dtype=float), n_cases)
+    ei = np.full(n_cases, ei, dtype=float)
+    k_b = np.full(n_cases, k_b, dtype=float)
     chunks = [
         _solve_chunk(params, pair, source, settings, mode,
                      angles[a:a + _BATCH_CASES], ei[a:a + _BATCH_CASES],
                      k_b[a:a + _BATCH_CASES])
         for a in range(0, n_cases, _BATCH_CASES)
     ]
+    if len(chunks) == 1:
+        return chunks[0]
     return _Batch(*(np.concatenate(column) for column in zip(*chunks)))
 
 
@@ -185,7 +157,7 @@ def _solve_chunk(params, pair, source, settings, mode, angles, ei, k_b) -> _Batc
     n_cases = len(angles)
     out = _Batch(
         tip=np.full((n_cases, 3), np.nan), tangent=np.full((n_cases, 3), np.nan),
-        force=np.full((n_cases, 3), np.nan), torque=np.full((n_cases, 3), np.nan),
+        wrench=np.full((n_cases, 6), np.nan),
         iterations=np.full(n_cases, settings.max_iterations),
         residual=np.full(n_cases, np.nan), converged=np.zeros(n_cases, dtype=bool),
         error=np.full(n_cases, None, dtype=object),
@@ -194,49 +166,51 @@ def _solve_chunk(params, pair, source, settings, mode, angles, ei, k_b) -> _Batc
     straight = params.straight_tip
     seed = settings.initial_tip if settings.initial_tip is not None else straight
     lam = settings.relaxation
+    tol = settings.position_tolerance
     bail = 10.0 * L
 
     # the rows of the cases still iterating, and their state
     rows = np.arange(n_cases)
-    pe_scaled = k_b[:, None] * source.position
+    rings = _ring_rows(pair, source, k_b, angles)
+    ei = ei[:, None]
     p = np.tile(seed, (n_cases, 1))
     n = np.tile(E1, (n_cases, 1))
     with np.errstate(all="ignore"):  # non-finite values are reported below
         for k in range(1, settings.max_iterations + 1):
-            f, tau, singular = _ring_pair_wrench_rows(
-                source.moment, pe_scaled, k_b, pair, angles, p, n)
-            p_new, n_new = _cantilever_rows(straight, L, ei, mode, f, tau)
-            residual = np.linalg.norm(p_new - p, axis=1)
-            diverged = ~singular & (~np.isfinite(residual) | (residual > bail))
-            converged = ~singular & ~diverged & (residual <= settings.position_tolerance)
-
-            out.error[rows[singular]] = _SINGULAR
-            for r, res in zip(rows[diverged], residual[diverged]):
-                out.error[r] = f"fixed-point residual {res:.3g} m after {k} iterations"
-            if converged.any():
-                c = rows[converged]
-                fc, tc, final_singular = _ring_pair_wrench_rows(
-                    source.moment, pe_scaled[converged], k_b[converged], pair,
-                    angles[converged], p_new[converged], n_new[converged])
-                out.tip[c], out.tangent[c] = p_new[converged], n_new[converged]
-                out.force[c], out.torque[c] = fc, tc
-                out.iterations[c] = k
-                out.residual[c] = residual[converged]
-                out.converged[c] = ~final_singular
-                out.error[c[final_singular]] = _SINGULAR
-
-            going = ~(singular | diverged | converged)
-            rows = rows[going]
-            if rows.size == 0:
-                break
-            p = (1.0 - lam) * p[going] + lam * p_new[going]
-            n = n_new[going]
-            f, tau, residual = f[going], tau[going], residual[going]
-            angles, ei, k_b, pe_scaled = (
-                angles[going], ei[going], k_b[going], pe_scaled[going])
+            w, r2 = _ring_pair_wrench_rows(rings, p, n)
+            p_new, n_new = _cantilever_rows(straight, L, ei, mode, w)
+            d = p_new - p
+            residual = np.sqrt(_dot(d, d))
+            # NaN fails both tests: a singular or non-finite case stops too
+            going = (residual > tol) & (residual <= bail)
+            if not going.all():
+                converged = residual <= tol
+                singular = ~going & (r2 <= 0.0).any(axis=1)
+                diverged = ~going & ~converged & ~singular
+                out.error[rows[singular]] = _SINGULAR
+                for r, res in zip(rows[diverged], residual[diverged]):
+                    out.error[r] = f"fixed-point residual {res:.3g} m after {k} iterations"
+                if converged.any():
+                    c = rows[converged]
+                    out.wrench[c], r2c = _ring_pair_wrench_rows(
+                        rings.take(converged), p_new[converged], n_new[converged])
+                    final_singular = (r2c <= 0.0).any(axis=1)
+                    out.tip[c], out.tangent[c] = p_new[converged], n_new[converged]
+                    out.iterations[c] = k
+                    out.residual[c] = residual[converged]
+                    out.converged[c] = ~final_singular
+                    out.error[c[final_singular]] = _SINGULAR
+                rows = rows[going]
+                if rows.size == 0:
+                    break
+                p, p_new, n_new, w, residual, ei = (
+                    p[going], p_new[going], n_new[going], w[going], residual[going],
+                    ei[going])
+                rings = rings.take(going)
+            p = (1.0 - lam) * p + lam * p_new
+            n = n_new
         else:
-            out.tip[rows], out.tangent[rows] = p, n
-            out.force[rows], out.torque[rows] = f, tau
+            out.tip[rows], out.tangent[rows], out.wrench[rows] = p, n, w
             out.residual[rows] = residual
     return out
 
@@ -304,13 +278,18 @@ def sweep(
 def _sweep_point(q, batch: _Batch, k: int) -> SweepPoint:
     if batch.error[k] is not None:
         return SweepPoint(q=q, result=None, error=batch.error[k])
-    return SweepPoint(q=q, result=EquilibriumResult(
+    return SweepPoint(q=q, result=_equilibrium(batch, k))
+
+
+def _equilibrium(batch: _Batch, k: int) -> EquilibriumResult:
+    """Case ``k`` of a batch whose ``error`` is ``None``."""
+    return EquilibriumResult(
         tip=TipPose(batch.tip[k], batch.tangent[k]),
-        wrench=Wrench(batch.force[k], batch.torque[k]),
+        wrench=Wrench(batch.wrench[k, :3], batch.wrench[k, 3:]),
         iterations=int(batch.iterations[k]),
         residual=float(batch.residual[k]),
         converged=bool(batch.converged[k]),
-    ))
+    )
 
 
 @dataclass(frozen=True)
@@ -345,6 +324,8 @@ def invert_controls(
     configuration and ``within_reach = False``. Raises
     :class:`DivergenceError` if no grid seed converges.
     """
+    from scipy.optimize import minimize  # scipy is most of the import time
+
     p_target = _as_vec3(getattr(target, "position", target))
     angles = np.linspace(0.0, 2.0 * np.pi, grid_size, endpoint=False)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,8 +19,6 @@ MU0 = 4.0e-7 * math.pi  # vacuum permeability [T*m/A]
 UNIT_TANGENT_TOL = 1e-9
 
 E1 = np.array([1.0, 0.0, 0.0])
-E2 = np.array([0.0, 1.0, 0.0])
-E3 = np.array([0.0, 0.0, 1.0])
 
 
 class FieldSingularityError(ValueError):
@@ -38,12 +37,6 @@ def _as_vec3(v) -> np.ndarray:
     if a.shape != (3,):
         raise ContractViolation(f"expected a 3-vector, got shape {a.shape}")
     return a
-
-
-def skew(v: np.ndarray) -> np.ndarray:
-    """Cross-product matrix: skew(v) @ x == v x x."""
-    x, y, z = v
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
 @dataclass(frozen=True)
@@ -147,16 +140,6 @@ class FieldSample:
     gradient: np.ndarray  # [T/m]
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # np.cross has noticeable call overhead for single 3-vectors; the
-    # solver inner loop uses this instead.
-    return np.array([
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    ])
-
-
 def _field_raw(moment: np.ndarray, source_position: np.ndarray, scale: float,
                point: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Allocation-light dipole field/gradient; inputs already validated."""
@@ -200,25 +183,6 @@ def calibrated_field(source: DipoleSource, cal: FieldCalibration, point) -> Fiel
     return FieldSample(B=B, gradient=G)
 
 
-def _rotation_e1_to(tangent: np.ndarray) -> np.ndarray:
-    """Minimal (geodesic) rotation matrix carrying e1 onto ``tangent``.
-
-    For tangent == -e1 the geodesic rotation is undefined; a half-turn
-    about e2 is used as a deterministic convention.
-    """
-    c = float(E1 @ tangent)
-    axis = np.cross(E1, tangent)
-    s = float(np.linalg.norm(axis))
-    if s < 1e-15:
-        if c > 0.0:
-            return np.eye(3)
-        return np.diag([-1.0, 1.0, -1.0])  # pi about e2
-    axis = axis / s
-    K = skew(axis)
-    angle = math.atan2(s, c)
-    return np.eye(3) + math.sin(angle) * K + (1.0 - math.cos(angle)) * (K @ K)
-
-
 def ring_dipole_moment(magnet: RingMagnet, tangent) -> np.ndarray:
     """Moment vector of one ring magnet in the world frame.
 
@@ -230,15 +194,33 @@ def ring_dipole_moment(magnet: RingMagnet, tangent) -> np.ndarray:
     tangent = _as_vec3(tangent)
     if abs(np.linalg.norm(tangent) - 1.0) > UNIT_TANGENT_TOL:
         raise ContractViolation("tangent must have unit norm")
-    return _ring_moment(magnet.moment_magnitude, magnet.angle,
-                        _rotation_e1_to(tangent))
+    v = magnet.moment_magnitude * np.array(
+        [[[0.0, -np.sin(magnet.angle), np.cos(magnet.angle)]]])
+    return _rotate_rows(v, tangent[None])[0, 0]
 
 
-def _ring_moment(magnitude: float, angle: float, R: np.ndarray) -> np.ndarray:
-    """World-frame ring moment for the tip-frame rotation ``R``."""
-    # np.sin, not math.sin: a non-finite angle gives NaN, which the solver
-    # reports as divergence, instead of raising a bare ValueError
-    return magnitude * (R @ np.array([0.0, -np.sin(angle), np.cos(angle)]))
+def _rotate_rows(v: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Moments ``v`` carried by the minimal rotation e1 -> n, per row.
+
+    ``v`` is (N, K, 3), K moments orthogonal to e1 for each of the (N, 3)
+    unit tangents ``n``. With k = e1 x n and c = n_x the rotation is
+    v + k x v + k x (k x v) / (1 + c), which for v orthogonal to e1 is
+    v + q (1, w n_y, w n_z) with q = -(n . v) and w = 1 / (1 + c). For
+    c < 0, w is evaluated as (1 - c) / s^2 with s^2 = n_y^2 + n_z^2, which
+    does not cancel near -e1; at n = -e1 itself, where no minimal
+    rotation is defined, a half-turn about e2 is used.
+    """
+    c = n[:, 0]
+    if c.min() < 0.0:
+        s2 = n[:, 1] * n[:, 1] + n[:, 2] * n[:, 2]
+        w = np.where(c < 0.0, (1.0 - c) / np.where(s2 > 0.0, s2, 1.0), 1.0 / (1.0 + abs(c)))
+        v = np.where(((c < 0.0) & (s2 == 0.0))[:, None, None], v * [1.0, 1.0, -1.0], v)
+    else:
+        w = 1.0 / (1.0 + c)
+    h = n * w[:, None]
+    h[:, 0] = 1.0
+    q = -_dot(n[:, None, :], v)
+    return v + q[..., None] * h[:, None, :]
 
 
 def magnet_moment_from_geometry(
@@ -260,85 +242,94 @@ def magnet_moment_from_geometry(
     return remanence * volume / MU0
 
 
-def _ring_pair_wrench(source_moment: np.ndarray, source_position: np.ndarray,
-                      k_b: float, pair: RingPairConfig, p: np.ndarray,
-                      n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Force and torque on the rings at tip position ``p``, unit tangent ``n``.
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis. An einsum, not a BLAS product, so
+    that a row's result does not depend on how many rows there are."""
+    return np.einsum("...i,...i->...", a, b)
 
-    Unvalidated kernel shared by :func:`tip_wrench` and the equilibrium
-    solver; ``source_position`` is already scaled by ``k_b``.
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross products over the last axis of two arrays of one shape;
+    ``np.cross`` costs far more on the few rows of a single solve."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    out = np.empty(a.shape)
+    out[..., 0] = a1 * b2 - a2 * b1
+    out[..., 1] = a2 * b0 - a0 * b2
+    out[..., 2] = a0 * b1 - a1 * b0
+    return out
+
+
+class _Rings(NamedTuple):
+    """The per-case constants of :func:`_ring_pair_wrench_rows`, computed
+    once per solve by :func:`_ring_rows`; row k belongs to case k."""
+
+    v: np.ndarray  # (N, K, 3) ring moments at zero tangent tilt [A*m^2]
+    offset: np.ndarray  # (K, 1) axial offsets of the rings [m]
+    separation: float  # [m]
+    moment: np.ndarray  # (3,) source moment [A*m^2]
+    position: np.ndarray  # (N, 3) k_b-scaled source position [m]
+    pref: np.ndarray  # (N, 1) k_b mu0 / (4 pi)
+
+    def take(self, rows) -> "_Rings":
+        return self._replace(v=self.v[rows], position=self.position[rows],
+                             pref=self.pref[rows])
+
+
+def _ring_rows(pair: RingPairConfig, source: DipoleSource, k_b: np.ndarray,
+               angles: np.ndarray) -> _Rings:
+    """Constants for N cases of ``pair`` with the (N, 2) magnet ``angles``
+    and the (N,) field scales ``k_b``.
+
+    A ring's moment at zero tangent tilt is magnitude * (0, -sin, cos) of
+    its angle. Two rings at one axial offset (zero separation) see the
+    same field, so they enter as one dipole of their summed moment (K = 1).
     """
-    R = _rotation_e1_to(n)
-    f = np.zeros(3)
-    tau = np.zeros(3)
-    for magnet in (pair.magnet_1, pair.magnet_2):
-        m = _ring_moment(magnet.moment_magnitude, magnet.angle, R)
-        B, G = _field_raw(source_moment, source_position, k_b,
-                          p + magnet.axial_offset * n)
-        f += G.T @ m
-        tau += _cross(m, B)
-    tau += pair.separation * _cross(n, f)
-    return f, tau
+    mag = np.array([pair.magnet_1.moment_magnitude, pair.magnet_2.moment_magnitude])
+    v = np.zeros(angles.shape + (3,))
+    v[..., 1] = -mag * np.sin(angles)
+    v[..., 2] = mag * np.cos(angles)
+    offset = np.array([[pair.magnet_1.axial_offset], [pair.magnet_2.axial_offset]])
+    if offset[0, 0] == offset[1, 0]:
+        v, offset = v.sum(axis=1, keepdims=True), offset[:1]
+    return _Rings(v=v, offset=offset, separation=pair.separation, moment=source.moment,
+                  position=k_b[:, None] * source.position,
+                  pref=(k_b * (MU0 / (4.0 * math.pi)))[:, None])
 
 
-def _rows_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", a, b)
+def _ring_pair_wrench_rows(rings: _Rings, p: np.ndarray, n: np.ndarray
+                           ) -> tuple[np.ndarray, np.ndarray]:
+    """Force and torque on the rings of N cases at tip positions ``p`` and
+    unit tangents ``n``, both (N, 3).
 
-
-def _ring_pair_wrench_rows(source_moment: np.ndarray, source_position: np.ndarray,
-                           k_b: np.ndarray, pair: RingPairConfig, angles: np.ndarray,
-                           p: np.ndarray, n: np.ndarray
-                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_ring_pair_wrench` over N cases at once.
-
-    ``source_position``, ``p`` and ``n`` are (N, 3), ``k_b`` is (N,) and
-    ``angles`` (N, 2) replaces the angles of ``pair``'s two magnets. The
-    minimal rotation e1 -> n is applied to each ring moment by Rodrigues'
-    formula and the gradient force is contracted in closed form, so no
-    3x3 matrix is built. Returns ``(f, tau, singular)``; ``singular``
-    flags the rows whose field point coincides with the source, where
-    ``f`` and ``tau`` are meaningless.
+    The one wrench kernel, unvalidated: :func:`tip_wrench` calls it on
+    one row and the equilibrium solver on every case it iterates. The
+    gradient force G m is contracted in closed form, so no 3x3 matrix is
+    built. Returns ``(w, r2)``: ``w`` (N, 6) stacks force and torque, and
+    ``r2`` (N, K) holds the squared ring-to-source distances; a row with
+    a zero there is singular, its ``w`` meaningless.
     """
-    # minimal rotation e1 -> n: unit axis e1 x n / s, angle atan2(s, n_x)
-    c = n[:, 0]
-    s = np.hypot(n[:, 1], n[:, 2])
-    turn = s >= 1e-15
-    s_safe = np.where(turn, s, 1.0)
-    angle = np.arctan2(s, c)
-    sin_a = np.where(turn, np.sin(angle), 0.0)
-    one_minus_cos = np.where(turn, 1.0 - np.cos(angle), 0.0)
-    axis = np.stack([np.zeros_like(c), -n[:, 2] / s_safe, n[:, 1] / s_safe], axis=1)
-    # n == -e1 is a half-turn about e2, as in _rotation_e1_to
-    flip = np.where(~turn & (c <= 0.0), -1.0, 1.0)
-
-    pref = k_b * (MU0 / (4.0 * math.pi))
-    f = np.zeros_like(p)
-    tau = np.zeros_like(p)
-    singular = np.zeros(len(p), dtype=bool)
-    for k, magnet in enumerate((pair.magnet_1, pair.magnet_2)):
-        # ring moment at zero tangent tilt: magnitude * (0, -sin, cos)
-        v = np.zeros_like(p)
-        v[:, 1] = -np.sin(angles[:, k])
-        v[:, 2] = flip * np.cos(angles[:, k])
-        kxv = np.cross(axis, v)
-        m = magnet.moment_magnitude * (
-            v + sin_a[:, None] * kxv + one_minus_cos[:, None] * np.cross(axis, kxv))
-
-        P = p + magnet.axial_offset * n - source_position
-        r2 = _rows_dot(P, P)
-        singular |= r2 <= 0.0
-        r = np.sqrt(r2)
-        u = P / r[:, None]
-        um = u @ source_moment
-        B = (pref / (r2 * r))[:, None] * (3.0 * um[:, None] * u - source_moment)
-        # G m with G = c (m_s u^T + u m_s^T + (u . m_s)(I - 5 u u^T))
-        u_m = _rows_dot(u, m)
-        f += (3.0 * pref / (r2 * r2))[:, None] * (
-            u_m[:, None] * source_moment + (m @ source_moment)[:, None] * u
-            + um[:, None] * (m - 5.0 * u_m[:, None] * u))
-        tau += np.cross(m, B)
-    tau += pair.separation * np.cross(n, f)
-    return f, tau, singular
+    m = _rotate_rows(rings.v, n)
+    P = (p - rings.position)[:, None, :] + rings.offset * n[:, None, :]
+    r2 = _dot(P, P)
+    ir = 1.0 / np.sqrt(r2)
+    u = P * ir[..., None]
+    ms = rings.moment
+    um = _dot(u, ms)
+    u_m = _dot(u, m)
+    m_ms = _dot(m, ms)
+    a = rings.pref * (ir * ir * ir)  # pref / r^3
+    b = 3.0 * a * ir  # 3 pref / r^4
+    B = a[..., None] * ((3.0 * um)[..., None] * u - ms)  # the field at each ring
+    W = np.empty(r2.shape + (6,))
+    # force G m with G = b (m_s u^T + u m_s^T + (u . m_s)(I - 5 u u^T)), torque m x B
+    W[..., :3] = ((b * u_m)[..., None] * ms + (b * (m_ms - 5.0 * um * u_m))[..., None] * u
+                  + (b * um)[..., None] * m)
+    W[..., 3:] = _cross(m, B)
+    w = W.sum(axis=1)
+    if rings.separation:
+        w[:, 3:] += rings.separation * _cross(n, w[:, :3])
+    return w, r2
 
 
 def tip_wrench(pair: RingPairConfig, tip_pose, source: DipoleSource,
@@ -356,6 +347,10 @@ def tip_wrench(pair: RingPairConfig, tip_pose, source: DipoleSource,
     n = _as_vec3(tip_pose.tangent)
     if abs(np.linalg.norm(n) - 1.0) > UNIT_TANGENT_TOL:
         raise ContractViolation("tip tangent must have unit norm")
-    f, tau = _ring_pair_wrench(source.moment, cal.k_b * source.position,
-                               cal.k_b, pair, _as_vec3(tip_pose.position), n)
-    return Wrench(force=f, torque=tau)
+    rings = _ring_rows(pair, source, np.array([cal.k_b]),
+                       np.array([[pair.magnet_1.angle, pair.magnet_2.angle]]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w, r2 = _ring_pair_wrench_rows(rings, _as_vec3(tip_pose.position)[None], n[None])
+    if (r2 <= 0.0).any():
+        raise FieldSingularityError(_SINGULAR)
+    return Wrench(force=w[0, :3], torque=w[0, 3:])

@@ -1,10 +1,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import magbeam
 from magbeam import cli
 from magbeam.cli import (
     EXIT_INPUT,
@@ -18,6 +23,18 @@ from magbeam.cli import (
 from magbeam.config import default_config_path
 
 DATA_DIR = default_config_path().parent
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is most of the import time; only centerline and
+    # invert_controls import it, when they are called
+    src = str(Path(magbeam.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, magbeam, magbeam.cli; print(sorted(m for m in "
+         "sys.modules if m == 'scipy' or m.startswith('scipy.')))"],
+        capture_output=True, text=True, check=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 class TestParsers:

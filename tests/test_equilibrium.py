@@ -4,13 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from magbeam.beam import (
-    BeamFormulation,
-    TipPose,
-    _cantilever,
-    _cantilever_rows,
-    tip_pose_from_wrench,
-)
+from magbeam.beam import BeamFormulation, TipPose, _cantilever_rows, tip_pose_from_wrench
 from magbeam.config import default_config_path, load_config
 from magbeam.equilibrium import (
     DivergenceError,
@@ -25,8 +19,10 @@ from magbeam.geomag import (
     FieldSingularityError,
     RingMagnet,
     RingPairConfig,
-    _ring_pair_wrench,
     _ring_pair_wrench_rows,
+    _ring_rows,
+    calibrated_field,
+    ring_dipole_moment,
     tip_wrench,
 )
 
@@ -156,49 +152,97 @@ def _close_rows(a, b, rel=1e-12):
     return np.all(np.linalg.norm(a - b, axis=1) <= rel * scale)
 
 
+def _random_cases(demo, rng, n_cases):
+    """Magnet angles, field scales, tip positions and unit tangents of
+    random cases; the first two tangents are +e1 and -e1."""
+    angles = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, (n_cases, 2))
+    k_b = rng.uniform(3.5, 4.5, n_cases)
+    p = demo.params.straight_tip + rng.uniform(-0.03, 0.03, (n_cases, 3))
+    n = rng.normal(size=(n_cases, 3))
+    n[:2] = [E1, -E1]
+    n /= np.linalg.norm(n, axis=1)[:, None]
+    return angles, k_b, p, n
+
+
 class TestBatchKernels:
     @pytest.mark.parametrize("separation", [0.0, 5e-3])
-    def test_row_kernels_match_scalar(self, demo, separation):
+    def test_wrench_rows_match_public_compositions(self, demo, separation):
+        # reference: f = sum G(p_i)^T m_i, tau = sum m_i x B(p_i) + delta n x f,
+        # with the full-Jacobian field and the public ring moment
         rng = np.random.default_rng(5)
-        n_cases = 64
         mag = demo.pair_template.magnet_1.moment_magnitude
         pair = RingPairConfig.from_angles(mag, 0.0, 0.0, separation=separation)
-        angles = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, (n_cases, 2))
-        k_b = rng.uniform(3.5, 4.5, n_cases)
-        ei = rng.uniform(0.009, 0.018, n_cases) * demo.params.bending_stiffness
-        p = demo.params.straight_tip + rng.uniform(-0.03, 0.03, (n_cases, 3))
-        n = rng.normal(size=(n_cases, 3))
-        n[:2] = [E1, -E1]  # the two tangents without a rotation axis
-        n /= np.linalg.norm(n, axis=1)[:, None]
-        pe = k_b[:, None] * demo.source.position
-        f, tau, singular = _ring_pair_wrench_rows(
-            demo.source.moment, pe, k_b, pair, angles, p, n)
-        assert not singular.any()
-        expected = [
-            _ring_pair_wrench(demo.source.moment, pe[k], k_b[k],
-                              pair.with_angles(*angles[k]), p[k], n[k])
-            for k in range(n_cases)
-        ]
-        assert _close_rows(f, np.array([e[0] for e in expected]))
-        assert _close_rows(tau, np.array([e[1] for e in expected]))
-        for mode in BeamFormulation:
-            pr, nr = _cantilever_rows(demo.params.straight_tip, demo.params.length,
-                                      ei, mode, f, tau)
-            expected = [_cantilever(demo.params.straight_tip, demo.params.length,
-                                    ei[k], mode, f[k], tau[k])
-                        for k in range(n_cases)]
-            assert _close_rows(pr, np.array([e[0] for e in expected]))
-            assert _close_rows(nr, np.array([e[1] for e in expected]))
+        angles, k_b, p, n = _random_cases(demo, rng, 64)
+        w, r2 = _ring_pair_wrench_rows(_ring_rows(pair, demo.source, k_b, angles), p, n)
+        assert np.all(r2 > 0.0)
+        expected = np.zeros_like(w)
+        for k in range(len(w)):
+            cal = FieldCalibration(k_b[k])
+            f, tau = np.zeros(3), np.zeros(3)
+            for magnet, theta in zip((pair.magnet_1, pair.magnet_2), angles[k]):
+                m = ring_dipole_moment(replace(magnet, angle=theta), n[k])
+                s = calibrated_field(demo.source, cal, p[k] + magnet.axial_offset * n[k])
+                f += s.gradient.T @ m
+                tau += np.cross(m, s.B)
+            expected[k] = np.concatenate([f, tau + separation * np.cross(n[k], f)])
+        assert _close_rows(w[:, :3], expected[:, :3])
+        assert _close_rows(w[:, 3:], expected[:, 3:])
+
+    @pytest.mark.parametrize("mode", list(BeamFormulation))
+    def test_beam_rows_match_closed_forms(self, demo, mode):
+        # superposed classical cantilever results: an end moment M deflects
+        # by M L^2 / (2 EI) with slope M L / EI, an end force F by
+        # c F L^3 / EI (c = 1/3, or 1/6 in legacy mode) with slope F L^2 / (2 EI)
+        rng = np.random.default_rng(7)
+        n_cases = 32
+        L = demo.params.length
+        straight = demo.params.straight_tip
+        ei = rng.uniform(0.5, 2.0, n_cases) * demo.params.bending_stiffness
+        w = np.hstack([rng.normal(size=(n_cases, 3)) * 1e-4,
+                       rng.normal(size=(n_cases, 3)) * 1e-6])
+        c = 1.0 / 3.0 if mode is BeamFormulation.CORRECTED else 1.0 / 6.0
+        fy, fz, my, mz = w[:, 1], w[:, 2], w[:, 4], w[:, 5]
+        # bending in x-y is driven by F_y and M_z, in x-z by F_z and -M_y
+        dy = (mz * L**2 / 2 + c * fy * L**3) / ei
+        dz = (-my * L**2 / 2 + c * fz * L**3) / ei
+        sy = (mz * L + fy * L**2 / 2) / ei
+        sz = (-my * L + fz * L**2 / 2) / ei
+        p, n = _cantilever_rows(straight, L, ei[:, None], mode, w)
+        assert _close_rows(p, straight + np.column_stack([np.zeros(n_cases), dy, dz]))
+        tangent = np.column_stack([np.ones(n_cases), sy, sz])
+        assert _close_rows(n, tangent / np.linalg.norm(tangent, axis=1)[:, None])
+
+    def test_rows_are_independent(self, demo):
+        # N rows give what N single-row calls give, bit for bit, so a case's
+        # result does not depend on the batch it is solved in
+        rng = np.random.default_rng(13)
+        mag = demo.pair_template.magnet_1.moment_magnitude
+        for separation in (0.0, 5e-3):
+            pair = RingPairConfig.from_angles(mag, 0.0, 0.0, separation=separation)
+            angles, k_b, p, n = _random_cases(demo, rng, 33)
+            rings = _ring_rows(pair, demo.source, k_b, angles)
+            w, r2 = _ring_pair_wrench_rows(rings, p, n)
+            ei = rng.uniform(0.5, 2.0, (len(w), 1)) * demo.params.bending_stiffness
+            for mode in BeamFormulation:
+                pb, nb = _cantilever_rows(demo.params.straight_tip, demo.params.length,
+                                          ei, mode, w)
+                for k in range(len(w)):
+                    wk, r2k = _ring_pair_wrench_rows(rings.take([k]), p[k:k + 1],
+                                                     n[k:k + 1])
+                    assert np.array_equal(wk[0], w[k]) and np.array_equal(r2k[0], r2[k])
+                    pk, nk = _cantilever_rows(demo.params.straight_tip,
+                                              demo.params.length, ei[k:k + 1], mode,
+                                              w[k:k + 1])
+                    assert np.array_equal(pk[0], pb[k]) and np.array_equal(nk[0], nb[k])
 
     def test_singular_rows_flagged(self, demo):
         pair = demo.pair_template.with_angles(0.3, 0.1)
+        rings = _ring_rows(pair, demo.source, np.ones(2), np.zeros((2, 2)))
         p = np.array([demo.source.position, demo.params.straight_tip])
         with np.errstate(divide="ignore", invalid="ignore"):
-            f, tau, singular = _ring_pair_wrench_rows(
-                demo.source.moment, np.array([demo.source.position] * 2),
-                np.ones(2), pair, np.zeros((2, 2)), p, np.array([E1, E1]))
-        assert singular.tolist() == [True, False]
-        assert np.all(np.isfinite(f[1])) and np.all(np.isfinite(tau[1]))
+            w, r2 = _ring_pair_wrench_rows(rings, p, np.array([E1, E1]))
+        assert (r2 <= 0.0).any(axis=1).tolist() == [True, False]
+        assert np.all(np.isfinite(w[1]))
 
 
 class TestColdSweep:

@@ -14,6 +14,7 @@ from magbeam.geomag import (
     RingPairConfig,
     calibrated_field,
     dipole_field,
+    _rotate_rows,
     magnet_moment_from_geometry,
     ring_dipole_moment,
     tip_wrench,
@@ -175,6 +176,60 @@ class TestRingDipoleMoment:
         a = ring_dipole_moment(RingMagnet(1.0, 0.7), n)
         b = ring_dipole_moment(RingMagnet(1.0, 0.7 + 2 * math.pi), n)
         assert a == pytest.approx(b, abs=1e-15)
+
+
+def rodrigues_e1_to(n):
+    """Minimal rotation carrying e1 onto the unit vector n, as an explicit
+    Rodrigues matrix: unit axis e1 x n / |e1 x n|, angle atan2(|e1 x n|, n_x).
+    For n = -e1 the documented half-turn about e2."""
+    axis = np.cross(E1, n)
+    s = np.linalg.norm(axis)
+    if s == 0.0:
+        return np.eye(3) if n[0] > 0 else np.diag([-1.0, 1.0, -1.0])
+    k = axis / s
+    K = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
+    angle = math.atan2(s, n[0])
+    return np.eye(3) + math.sin(angle) * K + (1.0 - math.cos(angle)) * (K @ K)
+
+
+def oracle_tangents():
+    """+-e1, tangents 1e-5 to 1e-12 away from -e1 and from +e1, and random ones."""
+    rng = np.random.default_rng(41)
+    out = [E1, -E1]
+    for eps in (1e-5, 1e-6, 1e-8, 1e-10, 1e-12):
+        for phi in rng.uniform(0.0, 2.0 * math.pi, 3):
+            for sign in (-1.0, 1.0):
+                out.append(np.array([sign * math.sqrt(1.0 - eps * eps),
+                                     eps * math.cos(phi), eps * math.sin(phi)]))
+    for v in rng.normal(size=(24, 3)):
+        out.append(v / np.linalg.norm(v))
+    return out
+
+
+class TestRotationOracle:
+    # near -e1, w = 1 / (1 + n_x) evaluated naively is off by O(1) at
+    # 1e-8 from -e1; these tangents catch that
+    def test_ring_dipole_moment(self):
+        rng = np.random.default_rng(43)
+        mag = 5.44e-3
+        for n in oracle_tangents():
+            R = rodrigues_e1_to(n)
+            for theta in rng.uniform(-10.0, 10.0, 4):
+                expected = mag * (R @ [0.0, -math.sin(theta), math.cos(theta)])
+                got = ring_dipole_moment(RingMagnet(mag, theta), n)
+                assert np.linalg.norm(got - expected) <= 1e-12 * mag
+
+    def test_kernel_moments(self):
+        # the wrench kernel's rotation, all tangents and two moments per row at once
+        rng = np.random.default_rng(47)
+        n = np.array(oracle_tangents())
+        theta = rng.uniform(-10.0, 10.0, (len(n), 2))
+        v = np.stack([np.zeros_like(theta), -np.sin(theta), np.cos(theta)], axis=-1)
+        m = _rotate_rows(v, n)
+        for k in range(len(n)):
+            R = rodrigues_e1_to(n[k])
+            for j in range(2):
+                assert np.linalg.norm(m[k, j] - R @ v[k, j]) <= 1e-12
 
 
 class TestMomentFromGeometry:

@@ -161,8 +161,6 @@ def centerline(params: RobotParams, w: Wrench, n_samples: int) -> np.ndarray:
     twice by composite trapezoid; the endpoint matches the corrected-mode
     closed form to quadrature accuracy.
     """
-    from scipy.integrate import cumulative_trapezoid  # scipy is most of the import time
-
     if n_samples < 2:
         raise ContractViolation("n_samples must be >= 2")
     ei = params.bending_stiffness
@@ -171,11 +169,14 @@ def centerline(params: RobotParams, w: Wrench, n_samples: int) -> np.ndarray:
     e1xf = np.cross(E1, w.force)
     kappa = (w.torque[None, :] + (L - s)[:, None] * e1xf[None, :]) / ei
     dtang = np.cross(kappa, E1)
-    tang = E1[None, :] + cumulative_trapezoid(dtang, s, axis=0, initial=0.0)
-    pos = params.base_position[None, :] + cumulative_trapezoid(
-        tang, s, axis=0, initial=0.0
-    )
-    return pos
+    tang = E1[None, :] + _cumulative_trapezoid(dtang, s)
+    return params.base_position[None, :] + _cumulative_trapezoid(tang, s)
+
+
+def _cumulative_trapezoid(y: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of the rows of ``y`` over ``s``, from 0."""
+    steps = 0.5 * np.diff(s)[:, None] * (y[1:] + y[:-1])
+    return np.concatenate([np.zeros((1, y.shape[1])), np.cumsum(steps, axis=0)])
 
 
 def section_moment_tube(outer_diameter: float, inner_diameter: float) -> float:

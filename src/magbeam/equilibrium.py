@@ -3,8 +3,8 @@
 The coupled problem p = g(p), where g evaluates the magnetic wrench at
 the current tip pose and maps it back through the cantilever model, is
 solved by damped fixed-point iteration. The map is also inverted
-numerically to find the magnet rotations that reach a target tip
-position.
+numerically, by a grid search and a batched least-squares refinement, to
+find the magnet rotations that reach a target tip position.
 """
 from __future__ import annotations
 
@@ -209,8 +209,9 @@ def _solve_chunk(params, pair, source, settings, mode, angles, ei, k_b) -> _Batc
                 rings = rings.take(going)
             p = (1.0 - lam) * p + lam * p_new
             n = n_new
-        else:
-            out.tip[rows], out.tangent[rows], out.wrench[rows] = p, n, w
+        else:  # unconverged: the last damped iterate, with its own wrench
+            out.tip[rows], out.tangent[rows] = p, n
+            out.wrench[rows] = _ring_pair_wrench_rows(rings, p, n)[0]
             out.residual[rows] = residual
     return out
 
@@ -292,6 +293,17 @@ def _equilibrium(batch: _Batch, k: int) -> EquilibriumResult:
     )
 
 
+# Refinement of invert_controls: multi-start Levenberg-Marquardt on the
+# residual r(q) = p(q) - p_target, every seed in one batch per step.
+_INVERSE_SEEDS = 5  # the lexicographic winner and the next best grid cells
+_INVERSE_H = 1e-5  # [rad] forward-difference step of the Jacobian dp/dq
+_INVERSE_TIGHTEN = 1e-4  # difference and trial solves: this times the tolerance
+_INVERSE_DAMPING = (1e-9, 1e-2, 1.0)  # trial damping mu, over trace(J^T J)
+_INVERSE_MAX_STEP = 0.25  # [rad] longest trial step
+_INVERSE_STEPS = 30
+_INVERSE_STOP = 1e-3  # a seed stops below, or gaining less than, this times the tolerance
+
+
 @dataclass(frozen=True)
 class InverseResult:
     q: tuple[float, float]  # [rad]
@@ -314,92 +326,139 @@ def invert_controls(
 ) -> InverseResult:
     """Find magnet rotations that bring the tip to a target position.
 
-    Seeds a grid over [0, 2 pi)^2, then refines the best seed with a
-    Nelder-Mead simplex (terminating when the simplex diameter falls
-    below ``simplex_tolerance`` rad). Among seeds tied within the solver
-    position tolerance the lexicographically smallest q wins.
-    ``basin_count`` reports the number of distinct grid-seed clusters
-    whose error is within tolerance of the best. Targets outside the
-    sampled reachable set are answered with the nearest achievable
-    configuration and ``within_reach = False``. Raises
+    Solves a ``grid_size`` x ``grid_size`` grid over [0, 2 pi)^2 as one
+    cold batch. Among cells tied within the solver position tolerance of
+    the smallest error the lexicographically smallest q wins;
+    ``basin_count`` reports the number of distinct clusters of tied
+    cells. Unless the winner is already within tolerance, it and the next
+    best cells seed a Levenberg-Marquardt least-squares solve of
+    p(q) = target: every step solves, for all seeds in one batch, a few
+    damped trial steps together with the forward differences that give
+    the Jacobian at each, and every seed keeps its best trial while the
+    error falls. The seeds run together because one alone can stall on
+    the theta1 = theta2 fold, where the swap symmetry of the rings makes
+    the Jacobian singular. These solves use 1e-4 times the position
+    tolerance. The answer is a plain :func:`solve_tip_pose` at
+    ``settings``; if it misses a target the refinement met, by that
+    solve's own iteration error, one Gauss-Newton step on the miss
+    follows and is kept if it lands closer. Repeated calls give
+    bit-identical answers. Targets outside the sampled reachable set are
+    answered with the nearest configuration found and ``within_reach =
+    False``. ``simplex_tolerance`` is accepted and ignored; it served the
+    Nelder-Mead refinement this solve replaced. Raises
     :class:`DivergenceError` if no grid seed converges.
     """
-    from scipy.optimize import minimize  # scipy is most of the import time
-
+    if grid_size < 1:
+        raise ContractViolation("grid_size must be >= 1")
     p_target = _as_vec3(getattr(target, "position", target))
-    angles = np.linspace(0.0, 2.0 * np.pi, grid_size, endpoint=False)
-
-    def objective(q) -> float:
-        try:
-            res = solve_tip_pose(
-                params, pair_template.with_angles(q[0], q[1]), source, cal,
-                settings, mode,
-            )
-        except (DivergenceError, FieldSingularityError) as exc:
-            log.debug("inverse probe diverged at q=%s: %s", q, exc)
-            return np.inf
-        if not res.converged:
-            return np.inf
-        return float(np.linalg.norm(res.tip.position - p_target))
-
-    straight = params.straight_tip
-    coarse = sweep(
-        params, pair_template, source, cal, settings, mode,
-        angles, angles, warm_start=False,
-    )
-    errs = np.full((grid_size, grid_size), np.inf)
-    radii = []
-    for k, pt in enumerate(coarse):
-        if pt.result is None or not pt.result.converged:
-            if pt.error is not None:
-                log.debug("inverse grid seed failed at q=%s: %s", pt.q, pt.error)
-            continue
-        i, j = divmod(k, grid_size)
-        errs[i, j] = float(np.linalg.norm(pt.result.tip.position - p_target))
-        radii.append(float(np.linalg.norm(pt.result.tip.position - straight)))
-    if not radii:
-        raise DivergenceError("no grid seed converged")
-    reach = max(radii)
-    target_radius = float(np.linalg.norm(p_target - straight))
-    within_reach = target_radius <= reach * 1.05 + settings.position_tolerance
-
-    best = float(np.min(errs))
     tol = settings.position_tolerance
-    tied = np.argwhere(errs <= best + tol)
-    # lexicographic winner by (theta1, theta2)
-    si, sj = min(map(tuple, tied))
-    q0 = np.array([angles[si], angles[sj]])
+    angles = np.linspace(0.0, 2.0 * np.pi, grid_size, endpoint=False)
+    grid = np.stack(np.meshgrid(angles, angles, indexing="ij"), axis=-1).reshape(-1, 2)
+    coarse = _solve_batch(params, pair_template, source, settings, mode, grid,
+                          params.bending_stiffness, cal.k_b)
+    ok = coarse.converged
+    if not ok.any():
+        raise DivergenceError("no grid seed converged")
+    log.debug("inverse grid: %d of %d seeds failed", (~ok).sum(), ok.size)
+    errs = np.full(ok.size, np.inf)
+    errs[ok] = np.linalg.norm(coarse.tip[ok] - p_target, axis=1)
+    straight = params.straight_tip
+    reach = np.linalg.norm(coarse.tip[ok] - straight, axis=1).max()
+    within_reach = bool(np.linalg.norm(p_target - straight) <= reach * 1.05 + tol)
 
-    basin_count = _count_basins(errs <= best + tol)
+    best = errs.min()
+    tied = errs <= best + tol
+    first = np.flatnonzero(tied)[0]  # theta1-major order: the lexicographic winner
+    basin_count = _count_basins(tied.reshape(grid_size, grid_size))
 
-    if best > tol:
-        res = minimize(
-            objective, q0, method="Nelder-Mead",
-            options={
-                "xatol": simplex_tolerance,
-                "fatol": tol * 1e-3,
-                "maxiter": 400,
-                "initial_simplex": np.array([
-                    q0,
-                    q0 + [angles[1] if grid_size > 1 else 0.1, 0.0],
-                    q0 + [0.0, angles[1] if grid_size > 1 else 0.1],
-                ]),
-            },
-        )
-        if np.isfinite(res.fun) and res.fun < best:
-            q0 = np.mod(res.x, 2.0 * np.pi)
+    def answer(q):
+        q = (float(q[0]), float(q[1]))
+        final = solve_tip_pose(params, pair_template.with_angles(*q), source, cal,
+                               settings, mode)
+        return q, final, float(np.linalg.norm(final.tip.position - p_target))
 
-    q_final = (float(q0[0]), float(q0[1]))
-    final = solve_tip_pose(
-        params, pair_template.with_angles(*q_final), source, cal, settings, mode
-    )
-    return InverseResult(
-        q=q_final,
-        result=final,
-        position_error=float(np.linalg.norm(final.tip.position - p_target)),
-        within_reach=within_reach,
-        basin_count=basin_count,
-    )
+    if best <= tol:
+        q, final, error = answer(grid[first])
+    else:
+        order = np.argsort(errs, kind="stable")
+        others = order[(order != first) & np.isfinite(errs[order])]
+        seeds = grid[np.concatenate(([first], others[:_INVERSE_SEEDS - 1]))]
+        tight = replace(settings, position_tolerance=tol * _INVERSE_TIGHTEN)
+
+        def tips(qs):
+            batch = _solve_batch(params, pair_template, source, tight, mode, qs,
+                                 params.bending_stiffness, cal.k_b)
+            return np.where(batch.converged[:, None], batch.tip, np.nan)
+
+        stop = _INVERSE_STOP * tol
+        q_lm, r_lm, jac = _least_squares(tips, p_target, seeds, stop)
+        err_lm = np.linalg.norm(r_lm)
+        q, final, error = answer(np.mod(q_lm, 2.0 * np.pi) if err_lm < best else grid[first])
+        if err_lm <= stop < error:
+            # The tight solves met the target; the answer at the caller's
+            # tolerance misses it by that solve's own iteration error. One
+            # Gauss-Newton step on that miss removes most of it.
+            step = np.linalg.lstsq(jac, p_target - final.tip.position, rcond=None)[0]
+            retry = answer(np.mod(q + step, 2.0 * np.pi))
+            if retry[2] < error:
+                q, final, error = retry
+    return InverseResult(q=q, result=final, position_error=error,
+                         within_reach=within_reach, basin_count=basin_count)
+
+
+def _least_squares(tips, p_target: np.ndarray, q: np.ndarray, stop: float):
+    """Multi-start Levenberg-Marquardt on r(q) = tips(q) - p_target.
+
+    ``tips`` maps (M, 2) angles to (M, 3) tips, NaN where a solve failed;
+    ``q`` holds one seed per row. Each step is one ``tips`` call over the
+    trial points of every live seed, one per damping in
+    ``_INVERSE_DAMPING``, each with its two forward-difference neighbours,
+    so that the accepted trial brings its own Jacobian. A seed stops when
+    no trial lowers its error by more than ``stop``, or after
+    ``_INVERSE_STEPS`` steps; all stop once one seed is within ``stop``.
+    Returns (q, r(q), Jacobian) of the first seed within ``stop``, else of
+    the one with the smallest error.
+    """
+    q = np.array(q, dtype=float)
+    stencil = np.array([[0.0, 0.0], [_INVERSE_H, 0.0], [0.0, _INVERSE_H]])
+
+    def evaluate(points):  # (..., 2) -> r (..., 3), Jacobian (..., 3, 2), |r| or inf
+        p = tips((points[..., None, :] + stencil).reshape(-1, 2))
+        p = p.reshape(points.shape[:-1] + (3, 3))
+        r = p[..., 0, :] - p_target
+        jac = (p[..., 1:, :] - p[..., :1, :]).swapaxes(-1, -2) / _INVERSE_H
+        err = np.linalg.norm(r, axis=-1)
+        return r, jac, np.where(np.isfinite(jac).all(axis=(-1, -2)), err, np.inf)
+
+    mu = np.asarray(_INVERSE_DAMPING)
+    with np.errstate(all="ignore"):  # a failed or singular trial is just rejected
+        r, jac, err = evaluate(q)
+        live = np.isfinite(err)
+        for _ in range(_INVERSE_STEPS):
+            if not live.any() or (err <= stop).any():
+                break
+            idx = np.flatnonzero(live)
+            # damped normal equations (J^T J + mu tr(J^T J) I) step = -J^T r,
+            # one per damping, solved in closed form
+            a = np.einsum("sij,sik->sjk", jac[idx], jac[idx])[:, None]
+            g = np.einsum("sij,si->sj", jac[idx], r[idx])[:, None]
+            d = mu * (a[..., 0, 0] + a[..., 1, 1])
+            a00, a11, a01 = a[..., 0, 0] + d, a[..., 1, 1] + d, a[..., 0, 1]
+            step = np.stack([a01 * g[..., 1] - a11 * g[..., 0],
+                             a01 * g[..., 0] - a00 * g[..., 1]], axis=-1)
+            step /= (a00 * a11 - a01 * a01)[..., None]
+            length = np.linalg.norm(step, axis=-1, keepdims=True)
+            trial = q[idx, None] + step * np.minimum(1.0, _INVERSE_MAX_STEP / length)
+            rt, jt, et = evaluate(trial)
+            k = (np.arange(len(idx)), np.argmin(et, axis=1))  # each seed's best trial
+            gain = err[idx] - et[k]
+            upd = idx[gain > 0.0]
+            q[upd], r[upd], jac[upd], err[upd] = (
+                x[k][gain > 0.0] for x in (trial, rt, jt, et))
+            live[idx] = gain > stop
+    done = np.flatnonzero(err <= stop)
+    s = done[0] if done.size else np.argmin(err)
+    return q[s], r[s], jac[s]
 
 
 def _count_basins(mask: np.ndarray) -> int:

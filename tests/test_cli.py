@@ -26,8 +26,7 @@ DATA_DIR = default_config_path().parent
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy is most of the import time; only centerline and
-    # invert_controls import it, when they are called
+    # scipy is a test-only dependency, and importing it is slow
     src = str(Path(magbeam.__file__).resolve().parents[1])
     out = subprocess.run(
         [sys.executable, "-c", "import sys, magbeam, magbeam.cli; print(sorted(m for m in "
@@ -35,6 +34,43 @@ def test_import_leaves_scipy_unloaded():
         capture_output=True, text=True, check=True, timeout=60,
         env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
+
+
+SCIPY_BLOCKED = """
+import sys
+sys.modules["scipy"] = None  # every import of scipy now raises ImportError
+from dataclasses import replace
+import numpy as np
+from magbeam import cli
+from magbeam.beam import Wrench, centerline
+from magbeam.config import default_config_path, load_config
+from magbeam.equilibrium import invert_controls, solve_tip_pose
+from magbeam.geomag import FieldCalibration
+flags = ["--ke", "0.009", "--kb", "4.03"]
+assert cli.main(["simulate", "--theta1", "60", "--theta2", "0", *flags]) == 0
+assert cli.main(["sweep", "--theta1", "0:30:180", "--theta2", "0", *flags]) == 0
+cfg = load_config(default_config_path())
+params = replace(cfg.params, stiffness_scale=0.009)
+cal = FieldCalibration(4.03)
+target = solve_tip_pose(params, cfg.pair_template.with_angles(0.8, 0.2), cfg.source,
+                        cal, cfg.settings, cfg.mode).tip.position
+inv = invert_controls(target, params, cfg.pair_template, cfg.source, cal,
+                      cfg.settings, cfg.mode)
+assert inv.position_error <= cfg.settings.position_tolerance
+assert np.isfinite(centerline(params, Wrench(np.array([0.0, 0.01, 0.0]), np.zeros(3)),
+                              50)).all()
+print("runs without scipy")
+"""
+
+
+def test_runtime_needs_no_scipy():
+    # scipy is only a test dependency: the CLI, the inverse and the
+    # centerline run with it blocked
+    src = str(Path(magbeam.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", SCIPY_BLOCKED], capture_output=True,
+                         text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().endswith("runs without scipy")
 
 
 class TestParsers:

@@ -9,12 +9,14 @@ from magbeam.config import default_config_path, load_config
 from magbeam.equilibrium import (
     DivergenceError,
     SolverSettings,
+    _solve_batch,
     invert_controls,
     solve_tip_pose,
     sweep,
 )
 from magbeam.geomag import (
     E1,
+    ContractViolation,
     FieldCalibration,
     FieldSingularityError,
     RingMagnet,
@@ -137,6 +139,21 @@ class TestSolve:
                 assert not r.converged
                 assert np.array_equal(r.tip.position, pose.position)
                 assert np.array_equal(r.tip.tangent, pose.tangent)
+
+    @pytest.mark.parametrize("separation", [0.0, 5e-3])
+    @pytest.mark.parametrize("mode", list(BeamFormulation))
+    def test_unconverged_wrench_belongs_to_the_tip(self, demo, mode, separation):
+        # an unconverged result reports the last damped iterate as its tip;
+        # its wrench is the public tip_wrench at that same pose
+        mag = demo.pair_template.magnet_1.moment_magnitude
+        settings = replace(demo.settings, max_iterations=3)
+        for t1, t2 in ((0.3, 0.0), (1.9, 4.4), (5.0, 2.2)):
+            pair = RingPairConfig.from_angles(mag, t1, t2, separation=separation)
+            r = solve_tip_pose(demo.params, pair, demo.source, CAL, settings, mode)
+            assert not r.converged
+            w = tip_wrench(pair, r.tip, demo.source, CAL)
+            for got, ref in ((r.wrench.force, w.force), (r.wrench.torque, w.torque)):
+                assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_settings_contracts(self):
         with pytest.raises(Exception):
@@ -385,3 +402,66 @@ class TestInverse:
                               demo.source, CAL, demo.settings, MODE)
         assert not inv.within_reach
         assert inv.result.converged
+
+    @pytest.mark.parametrize("q", [(1.8010, 1.8935), (4.5962, 4.8653)]
+                             + [tuple(q) for q in np.random.default_rng(21).uniform(
+                                 0.0, 2.0 * math.pi, (20, 2))],
+                             ids=lambda q: f"{q[0]:.4f},{q[1]:.4f}")
+    def test_round_trip_random(self, demo, q):
+        # the first two lie near the theta1 = theta2 fold, where one
+        # least-squares seed alone can stall; the error is recomputed by a
+        # fresh solve at the returned angles
+        target = solve(demo, *q).tip.position
+        inv = invert_controls(target, demo.params, demo.pair_template,
+                              demo.source, CAL, demo.settings, MODE)
+        tol = demo.settings.position_tolerance
+        assert inv.within_reach
+        assert inv.position_error <= tol
+        again = solve(demo, *inv.q)
+        assert np.linalg.norm(again.tip.position - target) <= tol
+
+    @pytest.mark.parametrize("mode", list(BeamFormulation))
+    def test_round_trip_soft_body(self, demo, mode):
+        # at k_e = 0.002 a solve at the default tolerance stops micrometres
+        # short of its fixed point, which the tight refinement solves do not
+        # see; the answer must still land within tolerance
+        soft = replace(demo.params, stiffness_scale=0.002)
+        cal = FieldCalibration(4.0)
+        tol = demo.settings.position_tolerance
+        for q in np.random.default_rng(5).uniform(0.0, 2.0 * math.pi, (6, 2)):
+            target = solve(demo, *q, cal=cal, mode=mode, params=soft).tip.position
+            inv = invert_controls(target, soft, demo.pair_template, demo.source, cal,
+                                  demo.settings, mode)
+            assert inv.position_error <= tol
+
+    def test_unreachable_no_worse_than_dense_grid(self, demo):
+        # oracle: the nearest tip over a dense 180 x 180 grid of cold solves
+        target = demo.params.straight_tip + 0.03 * np.array([0.0, 0.6, 0.8])
+        inv = invert_controls(target, demo.params, demo.pair_template,
+                              demo.source, CAL, demo.settings, MODE)
+        t = np.linspace(0.0, 2.0 * math.pi, 180, endpoint=False)
+        grid = np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2)
+        batch = _solve_batch(demo.params, demo.pair_template, demo.source,
+                             demo.settings, MODE, grid, demo.params.bending_stiffness,
+                             CAL.k_b)
+        assert batch.converged.all()
+        nearest = np.linalg.norm(batch.tip - target, axis=1).min()
+        assert not inv.within_reach
+        assert inv.position_error <= nearest + demo.settings.position_tolerance
+
+    def test_repeatable(self, demo):
+        # same inputs, bit-identical answer; simplex_tolerance is ignored
+        target = solve(demo, 1.8010, 1.8935).tip.position
+        args = (target, demo.params, demo.pair_template, demo.source, CAL,
+                demo.settings, MODE)
+        a = invert_controls(*args)
+        b = invert_controls(*args)
+        c = invert_controls(*args, simplex_tolerance=0.5)
+        assert a.q == b.q == c.q
+        assert np.array_equal(a.result.tip.position, b.result.tip.position)
+        assert a.position_error == b.position_error == c.position_error
+
+    def test_empty_grid_rejected(self, demo):
+        with pytest.raises(ContractViolation):
+            invert_controls(demo.params.straight_tip, demo.params, demo.pair_template,
+                            demo.source, CAL, demo.settings, MODE, grid_size=0)

@@ -2,7 +2,9 @@
 
 The coupled problem p = g(p), where g evaluates the magnetic wrench at
 the current tip pose and maps it back through the cantilever model, is
-solved by damped fixed-point iteration. The map is also inverted
+solved by fixed-point iteration with Aitken's dynamic relaxation
+(Kuettler & Wall, Comput. Mech. 43, 2008): every case adapts its own
+relaxation factor from its last two residuals. The map is also inverted
 numerically, by a grid search and a batched least-squares refinement, to
 find the magnet rotations that reach a target tip position.
 """
@@ -46,12 +48,14 @@ class SolverSettings:
     """Fixed-point solver controls.
 
     ``initial_tip = None`` seeds the iteration at the straight tip
-    position p0 + L e1.
+    position p0 + L e1. ``relaxation`` is the first and smallest
+    relaxation factor of the Aitken-accelerated iteration; 1 makes it a
+    plain undamped iteration.
     """
 
     position_tolerance: float = 1e-6  # [m]
     max_iterations: int = 1000
-    relaxation: float = 0.5  # damping factor in (0, 1]
+    relaxation: float = 0.5  # first and smallest relaxation factor, in (0, 1]
     initial_tip: np.ndarray | None = None  # [m]
 
     def __post_init__(self):
@@ -67,10 +71,17 @@ class SolverSettings:
 
 @dataclass(frozen=True)
 class EquilibriumResult:
+    """A solve's exit pose and its wrench.
+
+    ``residual`` is the position part ||g(p) - p|| of the stop test; a
+    converged solve has also moved its tangent by at most the position
+    tolerance over L in its last iteration.
+    """
+
     tip: TipPose
     wrench: Wrench
     iterations: int
-    residual: float  # [m] fixed-point residual ||g(p) - p|| at exit
+    residual: float  # [m] position residual ||g(p) - p|| at exit
     converged: bool
 
 
@@ -82,12 +93,16 @@ def solve_tip_pose(
     settings: SolverSettings = SolverSettings(),
     mode: BeamFormulation = BeamFormulation.CORRECTED,
 ) -> EquilibriumResult:
-    """Damped fixed-point solve for the equilibrium tip pose.
+    """Relaxed fixed-point solve for the equilibrium tip pose.
 
-    Iterates p <- (1 - lam) p + lam g(p), where g composes the tip wrench
-    with the cantilever map using the tangent from the previous iterate,
-    until the undamped residual ||g(p) - p|| drops below the position
-    tolerance. Raises :class:`DivergenceError` if the residual exceeds
+    Iterates p <- (1 - w) p + w g(p), where g composes the tip wrench
+    with the cantilever map using the tangent n from the previous
+    iterate, and the tangent takes its new value n' unrelaxed. The factor
+    w starts at ``settings.relaxation``; from the second iteration on it
+    is Aitken's w <- -w r_old . (r - r_old) / |r - r_old|^2, clipped to
+    [relaxation, 1], with r = g(p) - p. The solve stops once
+    max(||g(p) - p||, L ||n' - n||) drops to the position tolerance and
+    returns g(p). Raises :class:`DivergenceError` if the residual exceeds
     10 L or any value goes non-finite, and :class:`FieldSingularityError`
     if a ring reaches the source. This is the one-case call of the
     batched loop :func:`_solve_batch`.
@@ -127,16 +142,16 @@ def _solve_batch(
     ei,
     k_b,
 ) -> _Batch:
-    """The damped fixed-point loop, over N independent cases at once.
+    """The relaxed fixed-point loop, over N independent cases at once.
 
     Case k has the magnet angles ``angles[k]`` (shape (N, 2)), the bending
     stiffness ``ei[k]`` and the field scale ``k_b[k]`` (scalars are
     broadcast); ``pair`` supplies the magnitudes, offsets and separation
     of the rings and ``params`` the length and the straight tip. Every
-    case has the seed, damping, residual, tolerance, iteration limit and
-    bail-out described in :func:`solve_tip_pose`, which is the N = 1 call,
-    and stops on its own iteration. Cases are solved ``_BATCH_CASES`` at
-    a time, which changes no result.
+    case has the seed, relaxation, stop test, iteration limit and bail-out
+    described in :func:`solve_tip_pose`, which is the N = 1 call, keeps its
+    own relaxation factor and stops on its own iteration. Cases are solved
+    ``_BATCH_CASES`` at a time, which changes no result.
     """
     angles = np.asarray(angles, dtype=float).reshape(-1, 2)
     n_cases = len(angles)
@@ -167,24 +182,31 @@ def _solve_chunk(params, pair, source, settings, mode, angles, ei, k_b) -> _Batc
     seed = settings.initial_tip if settings.initial_tip is not None else straight
     lam = settings.relaxation
     tol = settings.position_tolerance
-    bail = 10.0 * L
+    bail2 = (10.0 * L) ** 2
 
-    # the rows of the cases still iterating, and their state
+    # the rows of the cases still iterating, and their state: the pose,
+    # the relaxation factor and the previous residual g(p) - p, NaN before
+    # the first iteration so that it takes the factor ``relaxation``
     rows = np.arange(n_cases)
     rings = _ring_rows(pair, source, k_b, angles)
     ei = ei[:, None]
     p = np.tile(seed, (n_cases, 1))
     n = np.tile(E1, (n_cases, 1))
+    omega = np.full((n_cases, 1), lam)
+    d_old = np.full((n_cases, 3), np.nan)
     with np.errstate(all="ignore"):  # non-finite values are reported below
         for k in range(1, settings.max_iterations + 1):
             w, r2 = _ring_pair_wrench_rows(rings, p, n)
             p_new, n_new = _cantilever_rows(straight, L, ei, mode, w)
             d = p_new - p
-            residual = np.sqrt(_dot(d, d))
+            d2 = _dot(d, d)
+            dn = n_new - n
+            change = np.sqrt(np.maximum(d2, L * L * _dot(dn, dn)))
             # NaN fails both tests: a singular or non-finite case stops too
-            going = (residual > tol) & (residual <= bail)
+            going = (change > tol) & (d2 <= bail2)
             if not going.all():
-                converged = residual <= tol
+                residual = np.sqrt(d2)
+                converged = change <= tol
                 singular = ~going & (r2 <= 0.0).any(axis=1)
                 diverged = ~going & ~converged & ~singular
                 out.error[rows[singular]] = _SINGULAR
@@ -203,16 +225,23 @@ def _solve_chunk(params, pair, source, settings, mode, angles, ei, k_b) -> _Batc
                 rows = rows[going]
                 if rows.size == 0:
                     break
-                p, p_new, n_new, w, residual, ei = (
-                    p[going], p_new[going], n_new[going], w[going], residual[going],
-                    ei[going])
+                p, p_new, n_new, d, d2, d_old, omega, ei = (
+                    p[going], p_new[going], n_new[going], d[going], d2[going],
+                    d_old[going], omega[going], ei[going])
                 rings = rings.take(going)
-            p = (1.0 - lam) * p + lam * p_new
+            # Aitken's factor w <- w r_old . (r_old - r) / |r_old - r|^2,
+            # clipped to [relaxation, 1]; fmax maps a NaN (no previous
+            # residual, or no change in it) to the floor
+            dd = d_old - d
+            omega = np.fmin(np.fmax(omega * (_dot(d_old, dd) / _dot(dd, dd))[:, None],
+                                    lam), 1.0)
+            p = p_new - (1.0 - omega) * d  # (1 - w) p + w g(p)
             n = n_new
-        else:  # unconverged: the last damped iterate, with its own wrench
+            d_old = d
+        else:  # unconverged: the last relaxed iterate, with its own wrench
             out.tip[rows], out.tangent[rows] = p, n
             out.wrench[rows] = _ring_pair_wrench_rows(rings, p, n)[0]
-            out.residual[rows] = residual
+            out.residual[rows] = np.sqrt(d2)
     return out
 
 
@@ -339,12 +368,10 @@ def invert_controls(
     the theta1 = theta2 fold, where the swap symmetry of the rings makes
     the Jacobian singular. These solves use 1e-4 times the position
     tolerance. The answer is a plain :func:`solve_tip_pose` at
-    ``settings``; if it misses a target the refinement met, by that
-    solve's own iteration error, one Gauss-Newton step on the miss
-    follows and is kept if it lands closer. Repeated calls give
-    bit-identical answers. Targets outside the sampled reachable set are
-    answered with the nearest configuration found and ``within_reach =
-    False``. ``simplex_tolerance`` is accepted and ignored; it served the
+    ``settings``. Repeated calls give bit-identical answers. Targets
+    outside the sampled reachable set are answered with the nearest
+    configuration found and ``within_reach = False``.
+    ``simplex_tolerance`` is accepted and ignored; it served the
     Nelder-Mead refinement this solve replaced. Raises
     :class:`DivergenceError` if no grid seed converges.
     """
@@ -371,15 +398,8 @@ def invert_controls(
     first = np.flatnonzero(tied)[0]  # theta1-major order: the lexicographic winner
     basin_count = _count_basins(tied.reshape(grid_size, grid_size))
 
-    def answer(q):
-        q = (float(q[0]), float(q[1]))
-        final = solve_tip_pose(params, pair_template.with_angles(*q), source, cal,
-                               settings, mode)
-        return q, final, float(np.linalg.norm(final.tip.position - p_target))
-
-    if best <= tol:
-        q, final, error = answer(grid[first])
-    else:
+    q = grid[first]
+    if best > tol:
         order = np.argsort(errs, kind="stable")
         others = order[(order != first) & np.isfinite(errs[order])]
         seeds = grid[np.concatenate(([first], others[:_INVERSE_SEEDS - 1]))]
@@ -390,18 +410,13 @@ def invert_controls(
                                  params.bending_stiffness, cal.k_b)
             return np.where(batch.converged[:, None], batch.tip, np.nan)
 
-        stop = _INVERSE_STOP * tol
-        q_lm, r_lm, jac = _least_squares(tips, p_target, seeds, stop)
-        err_lm = np.linalg.norm(r_lm)
-        q, final, error = answer(np.mod(q_lm, 2.0 * np.pi) if err_lm < best else grid[first])
-        if err_lm <= stop < error:
-            # The tight solves met the target; the answer at the caller's
-            # tolerance misses it by that solve's own iteration error. One
-            # Gauss-Newton step on that miss removes most of it.
-            step = np.linalg.lstsq(jac, p_target - final.tip.position, rcond=None)[0]
-            retry = answer(np.mod(q + step, 2.0 * np.pi))
-            if retry[2] < error:
-                q, final, error = retry
+        q_lm, r_lm = _least_squares(tips, p_target, seeds, _INVERSE_STOP * tol)
+        if np.linalg.norm(r_lm) < best:
+            q = np.mod(q_lm, 2.0 * np.pi)
+    q = (float(q[0]), float(q[1]))
+    final = solve_tip_pose(params, pair_template.with_angles(*q), source, cal,
+                           settings, mode)
+    error = float(np.linalg.norm(final.tip.position - p_target))
     return InverseResult(q=q, result=final, position_error=error,
                          within_reach=within_reach, basin_count=basin_count)
 
@@ -416,8 +431,8 @@ def _least_squares(tips, p_target: np.ndarray, q: np.ndarray, stop: float):
     so that the accepted trial brings its own Jacobian. A seed stops when
     no trial lowers its error by more than ``stop``, or after
     ``_INVERSE_STEPS`` steps; all stop once one seed is within ``stop``.
-    Returns (q, r(q), Jacobian) of the first seed within ``stop``, else of
-    the one with the smallest error.
+    Returns (q, r(q)) of the first seed within ``stop``, else of the one
+    with the smallest error.
     """
     q = np.array(q, dtype=float)
     stencil = np.array([[0.0, 0.0], [_INVERSE_H, 0.0], [0.0, _INVERSE_H]])
@@ -458,7 +473,7 @@ def _least_squares(tips, p_target: np.ndarray, q: np.ndarray, stop: float):
             live[idx] = gain > stop
     done = np.flatnonzero(err <= stop)
     s = done[0] if done.size else np.argmin(err)
-    return q[s], r[s], jac[s]
+    return q[s], r[s]
 
 
 def _count_basins(mask: np.ndarray) -> int:

@@ -41,7 +41,7 @@ class Wrench:
     def __post_init__(self):
         object.__setattr__(self, "force", _as_vec3(self.force))
         object.__setattr__(self, "torque", _as_vec3(self.torque))
-        if not (np.all(np.isfinite(self.force)) and np.all(np.isfinite(self.torque))):
+        if not (np.isfinite(self.force).all() and np.isfinite(self.torque).all()):
             raise ContractViolation("wrench entries must be finite")
 
     @classmethod

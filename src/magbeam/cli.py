@@ -427,8 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zip", action="store_true",
                    help="pair the sequences elementwise instead of a grid")
     p.add_argument("--no-warm-start", action="store_true",
-                   help="seed every solve from the straight configuration "
-                        "and solve all points as one batch")
+                   help="with --zip, seed every solve from the straight "
+                        "configuration and solve all points as one batch "
+                        "(a grid is always one batch)")
     p.add_argument("--ke", type=float, help="stiffness scale override")
     p.add_argument("--kb", type=float, help="field scale (default 1)")
     p.add_argument("--out", help="output CSV (default: stdout)")

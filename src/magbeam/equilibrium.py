@@ -11,6 +11,7 @@ find the magnet rotations that reach a target tip position.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -24,6 +25,7 @@ from .geomag import (
     FieldCalibration,
     FieldSingularityError,
     RingPairConfig,
+    UNIT_TANGENT_TOL,
     _SINGULAR,
     _as_vec3,
     _dot,
@@ -47,16 +49,18 @@ class DivergenceError(RuntimeError):
 class SolverSettings:
     """Fixed-point solver controls.
 
-    ``initial_tip = None`` seeds the iteration at the straight tip
-    position p0 + L e1. ``relaxation`` is the first and smallest
-    relaxation factor of the Aitken-accelerated iteration; 1 makes it a
-    plain undamped iteration.
+    ``initial_tip`` seeds the iteration. ``None`` starts it at the
+    straight tip p0 + L e1 with tangent e1, a 3-vector at that position
+    with tangent e1, and a :class:`TipPose` (finite, with a unit tangent;
+    a neighbouring solve's tip, say) at that pose. ``relaxation`` is
+    the first and smallest relaxation factor of the Aitken-accelerated
+    iteration; 1 makes it a plain undamped iteration.
     """
 
     position_tolerance: float = 1e-6  # [m]
     max_iterations: int = 1000
     relaxation: float = 0.5  # first and smallest relaxation factor, in (0, 1]
-    initial_tip: np.ndarray | None = None  # [m]
+    initial_tip: np.ndarray | TipPose | None = None  # [m], or a pose
 
     def __post_init__(self):
         if not (self.position_tolerance > 0.0):
@@ -65,8 +69,16 @@ class SolverSettings:
             raise ContractViolation("max_iterations must be >= 1")
         if not (0.0 < self.relaxation <= 1.0):
             raise ContractViolation("relaxation must lie in (0, 1]")
-        if self.initial_tip is not None:
-            object.__setattr__(self, "initial_tip", _as_vec3(self.initial_tip))
+        seed = self.initial_tip
+        if isinstance(seed, TipPose):
+            # plain floats: a warm sweep builds one of these per point
+            values = seed.position.tolist() + seed.tangent.tolist()
+            if not all(map(math.isfinite, values)):
+                raise ContractViolation("initial_tip pose must be finite")
+            if abs(math.hypot(*values[3:]) - 1.0) > UNIT_TANGENT_TOL:
+                raise ContractViolation("initial_tip tangent must have unit norm")
+        elif seed is not None:
+            object.__setattr__(self, "initial_tip", _as_vec3(seed))
 
 
 @dataclass(frozen=True)
@@ -179,7 +191,11 @@ def _solve_chunk(params, pair, source, settings, mode, angles, ei, k_b) -> _Batc
     )
     L = params.length
     straight = params.straight_tip
-    seed = settings.initial_tip if settings.initial_tip is not None else straight
+    seed, seed_tangent = settings.initial_tip, E1
+    if seed is None:
+        seed = straight
+    elif isinstance(seed, TipPose):
+        seed, seed_tangent = seed.position, seed.tangent
     lam = settings.relaxation
     tol = settings.position_tolerance
     bail2 = (10.0 * L) ** 2
@@ -191,7 +207,7 @@ def _solve_chunk(params, pair, source, settings, mode, angles, ei, k_b) -> _Batc
     rings = _ring_rows(pair, source, k_b, angles)
     ei = ei[:, None]
     p = np.tile(seed, (n_cases, 1))
-    n = np.tile(E1, (n_cases, 1))
+    n = np.tile(seed_tangent, (n_cases, 1))
     omega = np.full((n_cases, 1), lam)
     d_old = np.full((n_cases, 3), np.nan)
     with np.errstate(all="ignore"):  # non-finite values are reported below
@@ -266,12 +282,16 @@ def sweep(
 ) -> list[SweepPoint]:
     """Evaluate the forward model over a grid or zipped list of angles.
 
-    Cartesian order is theta1-major. With ``warm_start`` the points are
-    solved one after another, each seeded at the previous converged tip.
-    With it disabled every point is seeded from ``settings.initial_tip``
-    (the straight tip if unset), and all points are solved together as
-    one vectorised batch; each point gets what :func:`solve_tip_pose`
-    gives it, to within the solver's rounding.
+    A Cartesian grid (``zipped=False``, theta1-major order) is solved as
+    one vectorised batch, every point seeded from ``settings.initial_tip``
+    (the straight tip if unset); each point gets what
+    :func:`solve_tip_pose` gives it, to within the solver's rounding. A
+    point whose solve fails is reported failed, with no retry.
+    ``warm_start`` applies to zipped schedules alone and is accepted and
+    ignored for grids. With it a schedule is solved one point after
+    another, each seeded at the pose (position and tangent) of the
+    previous converged tip; without it a schedule is one batch like a
+    grid.
     """
     t1 = list(theta1_values)
     t2 = list(theta2_values)
@@ -284,7 +304,7 @@ def sweep(
     else:
         qs = [(a, b) for a in t1 for b in t2]
 
-    if not warm_start:
+    if not (zipped and warm_start):
         batch = _solve_batch(params, pair_template, source, settings, mode, qs,
                              params.bending_stiffness, cal.k_b)
         return [_sweep_point(q, batch, k) for k, q in enumerate(qs)]
@@ -301,7 +321,7 @@ def sweep(
             seed = settings.initial_tip
             continue
         out.append(SweepPoint(q=q, result=res))
-        seed = res.tip.position if res.converged else settings.initial_tip
+        seed = res.tip if res.converged else settings.initial_tip
     return out
 
 

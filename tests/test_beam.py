@@ -205,6 +205,10 @@ class TestParamContracts:
             RobotParams(length=0.1, elastic_modulus=1e300, section_moment=1e-13,
                         stiffness_scale=1e300)
 
-    def test_nonfinite_wrench_rejected(self):
+    @pytest.mark.parametrize("part", ["force", "torque"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_wrench_rejected(self, part, value):
+        bad = np.zeros(3)
+        bad[1] = value
         with pytest.raises(ContractViolation):
-            Wrench(force=[np.nan, 0, 0], torque=np.zeros(3))
+            Wrench(**{"force": np.zeros(3), "torque": np.zeros(3), part: bad})

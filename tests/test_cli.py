@@ -175,6 +175,17 @@ class TestSweep:
         assert doc["results"]["metrics"]["max_abs_error_mm"] <= 0.01
         assert doc["results"]["metrics"]["r_squared"] >= 0.999
 
+    def test_grid_is_one_batch_with_or_without_warm_start(self, tmp_path):
+        csvs = []
+        for extra in ([], ["--no-warm-start"]):
+            out = tmp_path / f"sweep{len(csvs)}.csv"
+            rc = main(["sweep", "--theta1", "0:15:180", "--theta2", "0:40:120",
+                       "--ke", "0.009", "--kb", "4.03", "--out", str(out), *extra])
+            assert rc == EXIT_OK
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1]
+        assert len(csvs[0].splitlines()) == 1 + 13 * 4
+
     def test_stdout_default(self, capsys):
         rc = main(["sweep", "--theta1", "0", "--theta2", "0",
                    "--ke", "0.009", "--kb", "4.03"])

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from magbeam import equilibrium
 from magbeam.beam import BeamFormulation, TipPose, _cantilever_rows, tip_pose_from_wrench
 from magbeam.config import default_config_path, load_config
 from magbeam.equilibrium import (
@@ -162,6 +163,24 @@ class TestSolve:
             SolverSettings(relaxation=1.5)
         with pytest.raises(Exception):
             SolverSettings(max_iterations=0)
+
+    @pytest.mark.parametrize("tangent", [
+        [1.0, 1e-4, 0.0], [0.5, 0.0, 0.0], [np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0]])
+    def test_pose_seed_needs_finite_unit_tangent(self, demo, tangent):
+        with pytest.raises(ContractViolation):
+            SolverSettings(initial_tip=TipPose(demo.params.straight_tip, tangent))
+
+    def test_pose_seed_needs_finite_position(self):
+        with pytest.raises(ContractViolation):
+            SolverSettings(initial_tip=TipPose([np.nan, 0.0, 0.0], E1))
+
+    def test_pose_seed_starts_at_its_tangent(self, demo):
+        # seeded at its own converged pose, a solve stops after one iteration
+        r = solve(demo, 0.7, 0.2)
+        again = solve(demo, 0.7, 0.2, settings=replace(demo.settings, initial_tip=r.tip))
+        assert again.iterations == 1
+        assert np.linalg.norm(again.tip.position - r.tip.position) <= \
+            demo.settings.position_tolerance
 
 
 def _solve_grid(demo, ke, kb, mode, n, settings=None):
@@ -383,16 +402,61 @@ class TestSweep:
                     demo.settings, MODE, t1, t2, zipped=True)
         assert [pt.q for pt in pts] == list(zip(t1, t2))
 
-    def test_parallel_mode_deterministic(self, demo):
+    def test_batch_deterministic(self, demo):
         t1 = np.radians([0.0, 30.0, 60.0])
-        kw = dict(zipped=False, warm_start=False)
         a = sweep(demo.params, demo.pair_template, demo.source, CAL,
-                  demo.settings, MODE, t1, [0.0, math.pi], **kw)
+                  demo.settings, MODE, t1, [0.0, math.pi])
         b = sweep(demo.params, demo.pair_template, demo.source, CAL,
-                  demo.settings, MODE, t1, [0.0, math.pi], **kw)
+                  demo.settings, MODE, t1, [0.0, math.pi])
         for x, y in zip(a, b):
             assert x.q == y.q
             assert np.array_equal(x.result.tip.position, y.result.tip.position)
+
+    @pytest.mark.parametrize("mode", list(BeamFormulation))
+    @pytest.mark.parametrize("ke, kb", [(0.001, 4.0), (0.002, 4.0), (0.009, 4.03),
+                                        (0.018, 3.5)])
+    def test_grid_batch_matches_warm_path(self, demo, ke, kb, mode, monkeypatch):
+        # the warm zipped schedule over the same theta1-major points is the
+        # sequential path grids took before they became one batch
+        params = replace(demo.params, stiffness_scale=ke)
+        t1 = list(np.radians(np.arange(0.0, 360.0, 20.0)))
+        t2 = list(np.radians(np.arange(0.0, 360.0, 30.0)))
+        calls = []
+        monkeypatch.setattr(equilibrium, "solve_tip_pose",
+                            lambda *a, **k: calls.append(a) or solve_tip_pose(*a, **k))
+        grid = sweep(params, demo.pair_template, demo.source, FieldCalibration(kb),
+                     demo.settings, mode, t1, t2)
+        assert calls == []
+        qs = [(a, b) for a in t1 for b in t2]
+        warm = sweep(params, demo.pair_template, demo.source, FieldCalibration(kb),
+                     demo.settings, mode, [q[0] for q in qs], [q[1] for q in qs],
+                     zipped=True, warm_start=True)
+        assert len(calls) == len(qs) == len(grid) == 216
+        tol = demo.settings.position_tolerance
+        for g, w in zip(grid, warm):
+            assert g.q == w.q
+            assert (g.error is None) == (w.error is None)
+            if g.error is None:
+                assert g.result.converged == w.result.converged
+                if g.result.converged:
+                    # farther apart would be a second equilibrium branch
+                    gap = np.linalg.norm(g.result.tip.position - w.result.tip.position)
+                    assert gap <= 10.0 * tol
+
+    def test_warm_schedule_fewer_iterations_than_cold(self, demo):
+        # the warm seed carries the previous tip's tangent as well as its
+        # position: 97 iterations against 120 cold; seeded with the
+        # position alone the schedule takes 120 as well
+        path = default_config_path().parent / "elliptical-schedule.csv"
+        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        t1, t2 = np.radians(rows[:, 0]), np.radians(rows[:, 1])
+        total = {}
+        for warm in (True, False):
+            pts = sweep(demo.params, demo.pair_template, demo.source, CAL,
+                        demo.settings, MODE, t1, t2, zipped=True, warm_start=warm)
+            assert all(pt.result.converged for pt in pts)
+            total[warm] = sum(pt.result.iterations for pt in pts)
+        assert total[True] < total[False]
 
     def test_failures_recorded_not_raised(self, demo):
         soft = replace(demo.params, stiffness_scale=1e-9)

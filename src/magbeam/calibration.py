@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .beam import BeamFormulation, RobotParams, TipPose
-from .equilibrium import SolverSettings, SweepPoint, _solve_batch, sweep
+from .equilibrium import SolverSettings, _solve_batch, _tips, sweep
 from .geomag import ContractViolation, DipoleSource, FieldCalibration, RingPairConfig
 
 PLANE_AXES = {"xy": (0, 1), "xz": (0, 2), "xyz": (0, 1, 2)}
@@ -34,6 +34,8 @@ class ExperimentRecord:
     plane: str = "xy"
 
     def __post_init__(self):
+        if not (math.isfinite(self.theta1) and math.isfinite(self.theta2)):
+            raise ContractViolation("theta1 and theta2 must be finite")
         tip = np.asarray(self.tip, dtype=float)
         if tip.shape != (3,):
             raise ContractViolation("tip must be a 3-vector")
@@ -55,12 +57,17 @@ class ExperimentRecord:
         return PLANE_AXES[self.plane]
 
 
+def _in_plane_errors(measured: np.ndarray, predicted: np.ndarray) -> np.ndarray:
+    """The one in-plane miss: (..., R) distances of ``predicted`` (..., R, 3)
+    tips from ``measured`` (R, 3) ones over the components not NaN there."""
+    miss = np.where(np.isfinite(measured), measured - predicted, 0.0)
+    return np.sqrt(np.sum(miss * miss, axis=-1))
+
+
 def in_plane_error(record: ExperimentRecord, predicted_position) -> float:
     """Euclidean distance between measurement and prediction, projected
     onto the record's measurement plane."""
-    pred = np.asarray(predicted_position, dtype=float)
-    axes = list(record.axes)
-    return float(np.linalg.norm(record.tip[axes] - pred[axes]))
+    return float(_in_plane_errors(record.tip, np.asarray(predicted_position, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -79,6 +86,26 @@ class FitMetrics:
         }
 
 
+def _fit_metrics(measured: np.ndarray, predicted: np.ndarray) -> FitMetrics:
+    """The statistics of :func:`evaluate_metrics` for (R, 3) ``predicted``
+    tips against ``measured`` ones, NaN where a component is unobserved."""
+    if len(measured) < 2:
+        raise ContractViolation("need at least two records")
+    errors = _in_plane_errors(measured, predicted)
+    seen = np.isfinite(measured)
+    mean = np.where(seen, measured, 0.0).sum(axis=0) / np.maximum(seen.sum(axis=0), 1)
+    spread = np.where(seen, measured - mean, 0.0)
+    ss_res = float(np.sum(errors * errors))
+    ss_tot = float(np.sum(spread * spread))
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else (1.0 if ss_res == 0.0 else -np.inf)
+    return FitMetrics(
+        max_abs_error=float(errors.max()),
+        mean_abs_error=float(errors.mean()),
+        std_error=float(errors.std()),
+        r_squared=r2,
+    )
+
+
 def evaluate_metrics(
     records: list[ExperimentRecord],
     predictions: list[TipPose],
@@ -87,34 +114,14 @@ def evaluate_metrics(
 
     Per-record error is the in-plane Euclidean distance. R^2 is computed
     over the stacked observed position components, with the total sum of
-    squares taken about each component's own mean (equivalently, about
-    the mean deflection; a constant baseline shift cancels).
+    squares taken about each component's mean over the records that
+    observe it (equivalently, about the mean deflection; a constant
+    baseline shift cancels).
     """
     if len(records) != len(predictions):
         raise ContractViolation("records and predictions must have equal length")
-    if len(records) < 2:
-        raise ContractViolation("need at least two records")
-    errors = np.array([
-        in_plane_error(r, p.position) for r, p in zip(records, predictions)
-    ])
-    ss_res = 0.0
-    ss_tot = 0.0
-    for axis in range(3):
-        meas = np.array([r.tip[axis] for r in records if axis in r.axes])
-        pred = np.array([
-            p.position[axis] for r, p in zip(records, predictions) if axis in r.axes
-        ])
-        if meas.size == 0:
-            continue
-        ss_res += float(np.sum((meas - pred) ** 2))
-        ss_tot += float(np.sum((meas - meas.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else (1.0 if ss_res == 0.0 else -np.inf)
-    return FitMetrics(
-        max_abs_error=float(errors.max()),
-        mean_abs_error=float(errors.mean()),
-        std_error=float(errors.std()),
-        r_squared=r2,
-    )
+    return _fit_metrics(np.array([r.tip for r in records]),
+                        np.array([p.position for p in predictions]))
 
 
 @dataclass(frozen=True)
@@ -147,23 +154,6 @@ class CalibrationResult:
     metrics_at_optimum: FitMetrics
 
 
-def _predict_records(
-    records: list[ExperimentRecord],
-    params: RobotParams,
-    pair_template: RingPairConfig,
-    source: DipoleSource,
-    cal: FieldCalibration,
-    settings: SolverSettings,
-    mode: BeamFormulation,
-) -> list[SweepPoint]:
-    t1 = [r.theta1 for r in records]
-    t2 = [r.theta2 for r in records]
-    return sweep(
-        params, pair_template, source, cal, settings, mode, t1, t2,
-        zipped=True, warm_start=True,
-    )
-
-
 def default_thread_count() -> int:
     """Always 1: the grid search runs on the calling thread."""
     return 1
@@ -192,11 +182,11 @@ def grid_search_calibrate(
     batch on the calling thread, each seeded from
     ``settings.initial_tip`` (the straight tip if unset). The predictions
     behind ``metrics_at_optimum`` are a warm-started sweep over the
-    records at the optimum. ``threads`` is accepted for compatibility
-    and ignored.
+    records at the optimum (NaN if one raises). Fewer than two records
+    fail before any solve. ``threads`` is accepted and ignored.
     """
-    if not records:
-        raise ContractViolation("records must be nonempty")
+    if len(records) < 2:
+        raise ContractViolation("need at least two records")
     n_ke, n_kb, n_rec = grid.ke_values.size, grid.kb_values.size, len(records)
     # case order: ke-major, then kb, then record
     ke = np.repeat(grid.ke_values, n_kb * n_rec)
@@ -207,33 +197,26 @@ def grid_search_calibrate(
         ke * params.elastic_modulus * params.section_moment, kb,
     )
     measured = np.array([r.tip for r in records])
-    miss = np.where(np.isfinite(measured),
-                    measured - batch.tip.reshape(n_ke, n_kb, n_rec, 3), 0.0)
-    errors = np.sqrt(np.sum(miss * miss, axis=-1))
+    errors = _in_plane_errors(measured, batch.tip.reshape(n_ke, n_kb, n_rec, 3))
     ok = batch.converged.reshape(n_ke, n_kb, n_rec).all(axis=-1)
     surface = np.where(ok, errors.max(axis=-1), math.inf)
 
     if not np.any(np.isfinite(surface)):
         raise CalibrationError("every grid cell diverged")
-    best = np.min(surface)
-    i, j = min(map(tuple, np.argwhere(surface == best)))
+    # the first minimum in C order is the lexicographically smallest cell
+    i, j = np.unravel_index(np.argmin(surface), surface.shape)
     ke_star = float(grid.ke_values[i])
     kb_star = float(grid.kb_values[j])
 
-    opt_params = replace(params, stiffness_scale=ke_star)
-    points = _predict_records(
-        records, opt_params, pair_template, source,
+    points = sweep(
+        replace(params, stiffness_scale=ke_star), pair_template, source,
         FieldCalibration(kb_star), settings, mode,
+        [r.theta1 for r in records], [r.theta2 for r in records],
+        zipped=True, warm_start=True,
     )
-    preds = [
-        pt.result.tip if pt.result is not None
-        else TipPose(np.full(3, np.nan), np.array([1.0, 0.0, 0.0]))
-        for pt in points
-    ]
-    metrics = evaluate_metrics(records, preds)
     return CalibrationResult(
         ke_star=ke_star, kb_star=kb_star, grid=grid,
-        error_surface=surface, metrics_at_optimum=metrics,
+        error_surface=surface, metrics_at_optimum=_fit_metrics(measured, _tips(points)[0]),
     )
 
 

@@ -28,12 +28,13 @@ from .calibration import (
     CalibrationError,
     CalibrationGrid,
     _csv_number,
-    evaluate_metrics,
+    _fit_metrics,
+    _in_plane_errors,
     grid_search_calibrate,
     load_experiment_csv,
 )
 from .config import ConfigError, LoadedConfig, default_config_path, load_config
-from .equilibrium import DivergenceError, solve_tip_pose, sweep
+from .equilibrium import DivergenceError, _tips, solve_tip_pose, sweep
 from .geomag import ContractViolation, FieldCalibration, FieldSingularityError
 from .svgplot import SvgPlot
 from .workspace import (
@@ -189,17 +190,12 @@ def cmd_sweep(args) -> int:
         _mode(cfg, args), t1, t2, zipped=args.zip,
         warm_start=not args.no_warm_start,
     )
-    rows = []
-    for pt in points:
-        if pt.result is not None:
-            p = pt.result.tip.position * 1e3
-            rows.append([
-                math.degrees(pt.q[0]), math.degrees(pt.q[1]),
-                p[0], p[1], p[2], pt.result.converged,
-            ])
-        else:
-            rows.append([math.degrees(pt.q[0]), math.degrees(pt.q[1]),
-                         "", "", "", False])
+    tips, converged = _tips(points)
+    solved = np.isfinite(tips).all(axis=1)
+    rows = [
+        [math.degrees(pt.q[0]), math.degrees(pt.q[1]), *(p if s else ["", "", ""]), ok]
+        for pt, p, s, ok in zip(points, (tips * 1e3).tolist(), solved, converged.tolist())
+    ]
     header = ["theta1_deg", "theta2_deg", "x_mm", "y_mm", "z_mm", "converged"]
     if args.out:
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
@@ -210,7 +206,7 @@ def cmd_sweep(args) -> int:
         w = csv.writer(sys.stdout)
         w.writerow(header)
         w.writerows(rows)
-    n_failed = sum(1 for pt in points if pt.result is None or not pt.result.converged)
+    n_failed = int((~converged).sum())
     if args.report:
         _emit_json(_report(cfg, {
             "points": len(points),
@@ -270,23 +266,22 @@ def cmd_validate(args) -> int:
         [r.theta1 for r in records], [r.theta2 for r in records],
         zipped=True,
     )
-    bad = [pt for pt in points if pt.result is None or not pt.result.converged]
-    if bad:
-        print(f"error: {len(bad)} forward solves failed", file=sys.stderr)
+    preds, converged = _tips(points)
+    if not converged.all():
+        print(f"error: {(~converged).sum()} forward solves failed", file=sys.stderr)
         return EXIT_NUMERIC
-    preds = [pt.result.tip for pt in points]
-    metrics = evaluate_metrics(records, preds)
-    table = []
-    for rec, pose in zip(records, preds):
-        axes = list(rec.axes)
-        err = float(np.linalg.norm(rec.tip[axes] - pose.position[axes]))
-        table.append({
+    measured = np.array([r.tip for r in records])
+    metrics = _fit_metrics(measured, preds)
+    table = [
+        {
             "theta1_deg": math.degrees(rec.theta1),
             "theta2_deg": math.degrees(rec.theta2),
             "measured_mm": [None if not np.isfinite(v) else v * 1e3 for v in rec.tip],
-            "predicted_mm": (pose.position * 1e3).tolist(),
-            "error_mm": err * 1e3,
-        })
+            "predicted_mm": (pred * 1e3).tolist(),
+            "error_mm": float(err) * 1e3,
+        }
+        for rec, pred, err in zip(records, preds, _in_plane_errors(measured, preds))
+    ]
     doc = _report(cfg, {
         "ke": args.ke,
         "kb": args.kb,
@@ -305,10 +300,10 @@ def _validate_plot(records, preds, path):
     t_deg = np.array([math.degrees(r.theta1) for r in records])
     meas = []
     pred = []
-    for rec, pose in zip(records, preds):
+    for rec, position in zip(records, preds):
         axes = list(rec.axes)[1:]  # transverse components of the plane
         meas.append(float(np.linalg.norm(rec.tip[axes])) * 1e3)
-        pred.append(float(np.linalg.norm(pose.position[axes])) * 1e3)
+        pred.append(float(np.linalg.norm(position[axes])) * 1e3)
     order = np.argsort(t_deg)
     plot.add_line(np.column_stack([t_deg[order], np.array(pred)[order]]),
                   color="#1f77b4")
@@ -355,11 +350,10 @@ def cmd_workspace(args) -> int:
             _mode(cfg, args),
             [q[0] for q in records], [q[1] for q in records], zipped=True,
         )
-        bad = [pt for pt in points if pt.result is None or not pt.result.converged]
-        if bad:
-            print(f"error: {len(bad)} forward solves failed", file=sys.stderr)
+        pts3d, converged = _tips(points)
+        if not converged.all():
+            print(f"error: {(~converged).sum()} forward solves failed", file=sys.stderr)
             return EXIT_NUMERIC
-        pts3d = np.array([pt.result.tip.position for pt in points])
         flags = np.zeros(len(pts3d), dtype=bool)
     else:
         if not (args.top and args.side):

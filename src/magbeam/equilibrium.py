@@ -291,12 +291,15 @@ def sweep(
     ignored for grids. With it a schedule is solved one point after
     another, each seeded at the pose (position and tangent) of the
     previous converged tip; without it a schedule is one batch like a
-    grid.
+    grid. Empty or non-finite angle sequences raise
+    :class:`ContractViolation` before any solve.
     """
     t1 = list(theta1_values)
     t2 = list(theta2_values)
     if not t1 or not t2:
         raise ContractViolation("angle sequences must be nonempty")
+    if not (np.isfinite(t1).all() and np.isfinite(t2).all()):
+        raise ContractViolation("angles must be finite")
     if zipped:
         if len(t1) != len(t2):
             raise ContractViolation("zipped sweep needs equal-length sequences")
@@ -323,6 +326,18 @@ def sweep(
         out.append(SweepPoint(q=q, result=res))
         seed = res.tip if res.converged else settings.initial_tip
     return out
+
+
+def _tips(points: list[SweepPoint]) -> tuple[np.ndarray, np.ndarray]:
+    """The (N, 3) tip positions of sweep points, NaN where a point has no
+    result, and their (N,) converged flags."""
+    tips = np.full((len(points), 3), np.nan)
+    converged = np.zeros(len(points), dtype=bool)
+    for k, pt in enumerate(points):
+        if pt.result is not None:
+            tips[k] = pt.result.tip.position
+            converged[k] = pt.result.converged
+    return tips, converged
 
 
 def _sweep_point(q, batch: _Batch, k: int) -> SweepPoint:
@@ -371,7 +386,6 @@ def invert_controls(
     settings: SolverSettings = SolverSettings(),
     mode: BeamFormulation = BeamFormulation.CORRECTED,
     grid_size: int = 24,
-    simplex_tolerance: float = 1e-3,
 ) -> InverseResult:
     """Find magnet rotations that bring the tip to a target position.
 
@@ -390,14 +404,15 @@ def invert_controls(
     tolerance. The answer is a plain :func:`solve_tip_pose` at
     ``settings``. Repeated calls give bit-identical answers. Targets
     outside the sampled reachable set are answered with the nearest
-    configuration found and ``within_reach = False``.
-    ``simplex_tolerance`` is accepted and ignored; it served the
-    Nelder-Mead refinement this solve replaced. Raises
+    configuration found and ``within_reach = False``. Raises
+    :class:`ContractViolation` for a non-finite target and
     :class:`DivergenceError` if no grid seed converges.
     """
     if grid_size < 1:
         raise ContractViolation("grid_size must be >= 1")
     p_target = _as_vec3(getattr(target, "position", target))
+    if not np.isfinite(p_target).all():
+        raise ContractViolation("target must be finite")
     tol = settings.position_tolerance
     angles = np.linspace(0.0, 2.0 * np.pi, grid_size, endpoint=False)
     grid = np.stack(np.meshgrid(angles, angles, indexing="ij"), axis=-1).reshape(-1, 2)

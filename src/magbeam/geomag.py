@@ -85,6 +85,8 @@ class RingMagnet:
     def __post_init__(self):
         if not (self.moment_magnitude >= 0.0 and math.isfinite(self.moment_magnitude)):
             raise ContractViolation("moment_magnitude must be finite and >= 0")
+        if not math.isfinite(self.angle):
+            raise ContractViolation("angle must be finite")
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from magbeam.beam import BeamFormulation, TipPose
+from magbeam import calibration
 from magbeam.calibration import (
+    PLANE_AXES,
     CalibrationGrid,
     ExperimentRecord,
     evaluate_metrics,
@@ -44,11 +46,25 @@ class TestRecords:
         with pytest.raises(ContractViolation):
             ExperimentRecord(0.0, 0.0, [0.1, np.nan, np.nan], "xy")
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", ["theta1", "theta2"])
+    def test_nonfinite_angles_rejected(self, which, value):
+        angles = {"theta1": 0.0, "theta2": 0.0, which: value}
+        with pytest.raises(ContractViolation, match="finite"):
+            ExperimentRecord(tip=[0.1, 0.0, np.nan], plane="xy", **angles)
+
     def test_in_plane_error_projects(self):
         rec = ExperimentRecord(0.0, 0.0, [0.1, 0.02, np.nan], "xy")
         # error in z is invisible to an x-y record
         assert in_plane_error(rec, [0.1, 0.02, 0.5]) == 0.0
         assert in_plane_error(rec, [0.1, 0.05, 0.0]) == pytest.approx(0.03)
+        rec = ExperimentRecord(0.0, 0.0, [0.1, np.nan, 0.02], "xz")
+        # and error in y to an x-z one
+        assert in_plane_error(rec, [0.1, 0.5, 0.02]) == 0.0
+        assert in_plane_error(rec, [0.13, 0.0, 0.06]) == pytest.approx(0.05)
+        rec = ExperimentRecord(0.0, 0.0, [0.1, 0.02, 0.03], "xyz")
+        assert in_plane_error(rec, [0.1, 0.02, 0.03]) == 0.0
+        assert in_plane_error(rec, [0.11, 0.04, 0.05]) == pytest.approx(0.03)
 
 
 class TestMetrics:
@@ -86,6 +102,39 @@ class TestMetrics:
         ss_res = np.sum((meas - pred) ** 2)
         ss_tot = np.sum((meas - meas.mean(axis=0)) ** 2)
         assert m.r_squared == pytest.approx(1.0 - ss_res / ss_tot, rel=1e-12)
+
+    def test_mixed_planes_against_per_axis_oracle(self):
+        # x-y, x-z and 3D records with nonzero errors; the oracle projects
+        # each record on its own axes and sums R^2 one axis at a time
+        rng = np.random.default_rng(7)
+        planes = ["xy", "xz", "xyz", "xy", "xz", "xyz", "xy", "xz"]
+        recs = []
+        for plane in planes:
+            tip = 0.1 + 0.02 * rng.standard_normal(3)
+            tip[[k for k in range(3) if k not in PLANE_AXES[plane]]] = np.nan
+            recs.append(ExperimentRecord(rng.uniform(0, 3), 0.0, tip, plane))
+        preds = [
+            TipPose(np.nan_to_num(r.tip, nan=0.3) + 0.004 * rng.standard_normal(3), E1)
+            for r in recs
+        ]
+        m = evaluate_metrics(recs, preds)
+        errors = np.array([
+            np.linalg.norm(r.tip[list(r.axes)] - p.position[list(r.axes)])
+            for r, p in zip(recs, preds)
+        ])
+        assert errors.min() > 0.0
+        ss_res = ss_tot = 0.0
+        for axis in range(3):
+            meas = np.array([r.tip[axis] for r in recs if axis in r.axes])
+            pred = np.array([p.position[axis] for r, p in zip(recs, preds)
+                             if axis in r.axes])
+            ss_res += np.sum((meas - pred) ** 2)
+            ss_tot += np.sum((meas - meas.mean()) ** 2)
+        assert m.max_abs_error == pytest.approx(errors.max(), rel=1e-12)
+        assert m.mean_abs_error == pytest.approx(errors.mean(), rel=1e-12)
+        assert m.std_error == pytest.approx(errors.std(), rel=1e-12)
+        assert m.r_squared == pytest.approx(1.0 - ss_res / ss_tot, rel=1e-12)
+        assert m.r_squared < 1.0
 
     def test_length_mismatch_rejected(self):
         recs = [ExperimentRecord(0.0, 0.0, [0.1, 0.0, 0.0], "xyz")] * 2
@@ -219,6 +268,16 @@ class TestGridSearch:
         with pytest.raises(ContractViolation):
             grid_search_calibrate([], demo.params, demo.pair_template,
                                   demo.source)
+
+    def test_one_record_rejected_before_solving(self, demo, monkeypatch):
+        recs = synth_records(demo, 0.012, 4.0, [0.0])
+        calls = []
+        monkeypatch.setattr(calibration, "_solve_batch",
+                            lambda *a, **k: calls.append(a))
+        with pytest.raises(ContractViolation, match="need at least two records"):
+            grid_search_calibrate(recs, demo.params, demo.pair_template,
+                                  demo.source)
+        assert calls == []
 
     def test_grid_contracts(self):
         with pytest.raises(ContractViolation):

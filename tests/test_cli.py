@@ -195,6 +195,18 @@ class TestSweep:
         assert len(lines) == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["calibrate", "--ke", "0.009:0.012:3", "--kb", "3.9:4.2:3"],
+    ["validate", "--ke", "0.009", "--kb", "4.03"],
+], ids=["calibrate", "validate"])
+def test_one_record_exit_2(tmp_path, capsys, command):
+    f = tmp_path / "one.csv"
+    f.write_text("theta1_deg,theta2_deg,x_mm,y_mm,z_mm\n0,0,150.0,0.2,\n")
+    rc = main([*command, "--data", str(f)])
+    assert rc == EXIT_INPUT
+    assert "need at least two records" in capsys.readouterr().err
+
+
 class TestCalibrate:
     def test_small_grid_json(self, tmp_path):
         out = tmp_path / "cal.json"

@@ -11,6 +11,7 @@ from magbeam.equilibrium import (
     DivergenceError,
     SolverSettings,
     _solve_batch,
+    _tips,
     invert_controls,
     solve_tip_pose,
     sweep,
@@ -54,6 +55,13 @@ class TestSolve:
         assert r.converged
         assert r.iterations <= 2
         assert r.tip.position == pytest.approx(demo.params.straight_tip, abs=1e-12)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_angle_rejected(self, demo, value):
+        with pytest.raises(ContractViolation, match="finite"):
+            solve(demo, value, 0.0)
+        with pytest.raises(ContractViolation, match="finite"):
+            solve(demo, 0.0, value)
 
     def test_zero_moment_straight(self, demo):
         pair = RingPairConfig.from_angles(0.0, 0.3, 1.1)
@@ -467,6 +475,31 @@ class TestSweep:
         assert pts[0].result is None and pts[0].error is not None
         # the antiparallel point is a zero-wrench fixed point and still solves
         assert pts[1].result is not None and pts[1].result.converged
+        tips, converged = _tips(pts)
+        assert np.isnan(tips[0]).all()
+        assert np.array_equal(tips[1], pts[1].result.tip.position)
+        assert converged.tolist() == [False, True]
+
+    def test_tips_keep_unconverged_positions(self, demo):
+        pts = sweep(demo.params, demo.pair_template, demo.source, CAL,
+                    replace(demo.settings, max_iterations=1), MODE, [0.5, 1.0], [0.0])
+        tips, converged = _tips(pts)
+        assert not converged.any()
+        assert np.array_equal(tips, [pt.result.tip.position for pt in pts])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("zipped, warm", [(False, True), (True, True), (True, False)],
+                             ids=["grid", "warm-schedule", "cold-schedule"])
+    def test_nonfinite_angles_rejected_before_solving(self, demo, monkeypatch,
+                                                      zipped, warm, value):
+        calls = []
+        monkeypatch.setattr(equilibrium, "_solve_batch",
+                            lambda *a, **k: calls.append(a))
+        for t1, t2 in (([0.0, value], [0.0, 0.5]), ([0.0, 0.5], [value, 0.5])):
+            with pytest.raises(ContractViolation, match="finite"):
+                sweep(demo.params, demo.pair_template, demo.source, CAL,
+                      demo.settings, MODE, t1, t2, zipped=zipped, warm_start=warm)
+        assert calls == []
 
     def test_empty_rejected(self, demo):
         with pytest.raises(Exception):
@@ -553,16 +586,22 @@ class TestInverse:
         assert inv.position_error <= nearest + demo.settings.position_tolerance
 
     def test_repeatable(self, demo):
-        # same inputs, bit-identical answer; simplex_tolerance is ignored
+        # same inputs, bit-identical answer
         target = solve(demo, 1.8010, 1.8935).tip.position
         args = (target, demo.params, demo.pair_template, demo.source, CAL,
                 demo.settings, MODE)
         a = invert_controls(*args)
         b = invert_controls(*args)
-        c = invert_controls(*args, simplex_tolerance=0.5)
-        assert a.q == b.q == c.q
+        assert a.q == b.q
         assert np.array_equal(a.result.tip.position, b.result.tip.position)
-        assert a.position_error == b.position_error == c.position_error
+        assert a.position_error == b.position_error
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_target_rejected(self, demo, value):
+        target = demo.params.straight_tip + np.array([0.0, value, 0.0])
+        with pytest.raises(ContractViolation, match="finite"):
+            invert_controls(target, demo.params, demo.pair_template, demo.source,
+                            CAL, demo.settings, MODE)
 
     def test_empty_grid_rejected(self, demo):
         with pytest.raises(ContractViolation):

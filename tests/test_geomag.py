@@ -170,6 +170,13 @@ class TestRingDipoleMoment:
         with pytest.raises(ContractViolation):
             ring_dipole_moment(RingMagnet(1.0, 0.0), [1.0, 0.1, 0.0])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_angle_rejected(self, value):
+        with pytest.raises(ContractViolation, match="finite"):
+            RingMagnet(1.0, value)
+        with pytest.raises(ContractViolation, match="finite"):
+            RingPairConfig.from_angles(1.0, 0.0, value)
+
     def test_angle_periodicity(self):
         n = np.array([0.8, 0.6, 0.0])
         n /= np.linalg.norm(n)

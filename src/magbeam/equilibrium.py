@@ -5,14 +5,18 @@ the current tip pose and maps it back through the cantilever model, is
 solved by fixed-point iteration with Aitken's dynamic relaxation
 (Kuettler & Wall, Comput. Mech. 43, 2008): every case adapts its own
 relaxation factor from its last two residuals. The map is also inverted
-numerically, by a grid search and a batched least-squares refinement, to
-find the magnet rotations that reach a target tip position.
+numerically, to find the magnet rotations that reach a target tip
+position: a grid search over the angles, then a least-squares refinement
+that moves each candidate's tip pose by Newton steps on x = G(x; q) and
+takes its Jacobian from the implicit-function sensitivity
+dx/dq = (I - dG/dx)^-1 dG/dq, so that it needs no fixed-point solve.
 """
 from __future__ import annotations
 
 import logging
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -55,6 +59,9 @@ class SolverSettings:
     a neighbouring solve's tip, say) at that pose. ``relaxation`` is
     the first and smallest relaxation factor of the Aitken-accelerated
     iteration; 1 makes it a plain undamped iteration.
+    ``position_tolerance`` must be finite and positive, and
+    ``max_iterations`` an integer (a numpy integer too, a bool not) of at
+    least 1; anything else raises :class:`ContractViolation`.
     """
 
     position_tolerance: float = 1e-6  # [m]
@@ -63,10 +70,11 @@ class SolverSettings:
     initial_tip: np.ndarray | TipPose | None = None  # [m], or a pose
 
     def __post_init__(self):
-        if not (self.position_tolerance > 0.0):
-            raise ContractViolation("position_tolerance must be > 0")
-        if self.max_iterations < 1:
-            raise ContractViolation("max_iterations must be >= 1")
+        if not (self.position_tolerance > 0.0 and math.isfinite(self.position_tolerance)):
+            raise ContractViolation("position_tolerance must be finite and > 0")
+        n = self.max_iterations
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ContractViolation("max_iterations must be an integer >= 1")
         if not (0.0 < self.relaxation <= 1.0):
             raise ContractViolation("relaxation must lie in (0, 1]")
         seed = self.initial_tip
@@ -358,10 +366,13 @@ def _equilibrium(batch: _Batch, k: int) -> EquilibriumResult:
 
 
 # Refinement of invert_controls: multi-start Levenberg-Marquardt on the
-# residual r(q) = p(q) - p_target, every seed in one batch per step.
+# miss r(q) = p(q) - p_target, coupled to Newton on each seed's tip pose;
+# every step is one pass of the row kernels over every seed's trials.
 _INVERSE_SEEDS = 5  # the lexicographic winner and the next best grid cells
-_INVERSE_H = 1e-5  # [rad] forward-difference step of the Jacobian dp/dq
-_INVERSE_TIGHTEN = 1e-4  # difference and trial solves: this times the tolerance
+# forward-difference steps of dG/dx in the 6 pose components [m, 1] and of
+# dG/dq in the 2 angles [rad]; row 0 of the stencil is the base point
+_INVERSE_H = np.array([1e-8] * 6 + [1e-7] * 2)
+_INVERSE_STENCIL = np.eye(9, 8, -1) * _INVERSE_H
 _INVERSE_DAMPING = (1e-9, 1e-2, 1.0)  # trial damping mu, over trace(J^T J)
 _INVERSE_MAX_STEP = 0.25  # [rad] longest trial step
 _INVERSE_STEPS = 30
@@ -394,19 +405,21 @@ def invert_controls(
     the smallest error the lexicographically smallest q wins;
     ``basin_count`` reports the number of distinct clusters of tied
     cells. Unless the winner is already within tolerance, it and the next
-    best cells seed a Levenberg-Marquardt least-squares solve of
-    p(q) = target: every step solves, for all seeds in one batch, a few
-    damped trial steps together with the forward differences that give
-    the Jacobian at each, and every seed keeps its best trial while the
-    error falls. The seeds run together because one alone can stall on
-    the theta1 = theta2 fold, where the swap symmetry of the rings makes
-    the Jacobian singular. These solves use 1e-4 times the position
-    tolerance. The answer is a plain :func:`solve_tip_pose` at
-    ``settings``. Repeated calls give bit-identical answers. Targets
-    outside the sampled reachable set are answered with the nearest
-    configuration found and ``within_reach = False``. Raises
-    :class:`ContractViolation` for a non-finite target and
-    :class:`DivergenceError` if no grid seed converges.
+    best cells, each with its converged tip pose, seed a
+    Levenberg-Marquardt least-squares solve of p(q) = target that makes
+    no fixed-point solve: every step is one pass of the wrench and beam
+    kernels over a few damped trial steps of all seeds, which takes each
+    trial's pose one Newton step towards its equilibrium and gives the
+    implicit-function sensitivity dp/dq that is the Jacobian there (see
+    :func:`_least_squares`). The seeds run together because one alone
+    can stall on the theta1 = theta2 fold, where the swap symmetry of the
+    rings makes the Jacobian singular. The answer is a plain
+    :func:`solve_tip_pose` at ``settings``. Repeated calls give
+    bit-identical answers. Targets outside the sampled reachable set are
+    answered with the nearest configuration found and
+    ``within_reach = False``. Raises :class:`ContractViolation` for a
+    non-finite target and :class:`DivergenceError` if no grid seed
+    converges.
     """
     if grid_size < 1:
         raise ContractViolation("grid_size must be >= 1")
@@ -437,15 +450,11 @@ def invert_controls(
     if best > tol:
         order = np.argsort(errs, kind="stable")
         others = order[(order != first) & np.isfinite(errs[order])]
-        seeds = grid[np.concatenate(([first], others[:_INVERSE_SEEDS - 1]))]
-        tight = replace(settings, position_tolerance=tol * _INVERSE_TIGHTEN)
-
-        def tips(qs):
-            batch = _solve_batch(params, pair_template, source, tight, mode, qs,
-                                 params.bending_stiffness, cal.k_b)
-            return np.where(batch.converged[:, None], batch.tip, np.nan)
-
-        q_lm, r_lm = _least_squares(tips, p_target, seeds, _INVERSE_STOP * tol)
+        seeds = np.concatenate(([first], others[:_INVERSE_SEEDS - 1]))
+        newton = partial(_newton_pass, params, pair_template, source, mode, cal.k_b)
+        q_lm, r_lm = _least_squares(newton, p_target, grid[seeds],
+                                    np.hstack([coarse.tip[seeds], coarse.tangent[seeds]]),
+                                    _INVERSE_STOP * tol)
         if np.linalg.norm(r_lm) < best:
             q = np.mod(q_lm, 2.0 * np.pi)
     q = (float(q[0]), float(q[1]))
@@ -456,55 +465,110 @@ def invert_controls(
                          within_reach=within_reach, basin_count=basin_count)
 
 
-def _least_squares(tips, p_target: np.ndarray, q: np.ndarray, stop: float):
-    """Multi-start Levenberg-Marquardt on r(q) = tips(q) - p_target.
+def _newton_pass(params: RobotParams, pair: RingPairConfig, source: DipoleSource,
+                 mode: BeamFormulation, k_b: float, q: np.ndarray, x: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """One Newton step on the fixed point x = G(x; q) of M cases, with the
+    sensitivity of the fixed point to the angles.
 
-    ``tips`` maps (M, 2) angles to (M, 3) tips, NaN where a solve failed;
-    ``q`` holds one seed per row. Each step is one ``tips`` call over the
-    trial points of every live seed, one per damping in
-    ``_INVERSE_DAMPING``, each with its two forward-difference neighbours,
-    so that the accepted trial brings its own Jacobian. A seed stops when
-    no trial lowers its error by more than ``stop``, or after
-    ``_INVERSE_STEPS`` steps; all stop once one seed is within ``stop``.
-    Returns (q, r(q)) of the first seed within ``stop``, else of the one
-    with the smallest error.
+    ``q`` (M, 2) holds magnet angles and ``x`` (M, 6) tip poses (p | n),
+    whose tangents are renormalised first; G is one evaluation of the
+    wrench and beam kernels, as in one iteration of :func:`_solve_batch`.
+    Its Jacobians dG/dx and dG/dq are forward differences with the steps
+    ``_INVERSE_H``, and all 9 M evaluations go through the kernels as one
+    pass. Returns the corrected poses x + (I - dG/dx)^-1 (G - x), tangents
+    renormalised, and the implicit-function sensitivities
+    S = (I - dG/dx)^-1 dG/dq (M, 6, 2), which at a fixed point are dx/dq.
+    A row whose pass is singular or non-finite, or whose I - dG/dx is
+    singular, comes back NaN.
+    """
+    m = len(q)
+    x = np.array(x, dtype=float)
+    x[:, 3:] /= np.sqrt(_dot(x[:, 3:], x[:, 3:]))[:, None]
+    xs = (x[:, None] + _INVERSE_STENCIL[:, :6]).reshape(-1, 6)
+    qs = (q[:, None] + _INVERSE_STENCIL[:, 6:]).reshape(-1, 2)
+    rings = _ring_rows(pair, source, np.full(len(qs), k_b), qs)
+    with np.errstate(all="ignore"):  # singular and non-finite rows are masked below
+        w, r2 = _ring_pair_wrench_rows(rings, xs[:, :3], xs[:, 3:])
+        p, n = _cantilever_rows(params.straight_tip, params.length,
+                                params.bending_stiffness, mode, w)
+        g = np.hstack([p, n]).reshape(m, 9, 6)
+        # column j of jac is dG along input j: 6 pose components, then 2 angles
+        jac = ((g[:, 1:] - g[:, :1]) / _INVERSE_H[:, None]).swapaxes(1, 2)
+    eye = np.eye(6)
+    a = eye - jac[..., :6]
+    rhs = np.concatenate([(g[:, 0] - x)[..., None], jac[..., 6:]], axis=2)
+    ok = ((r2.reshape(m, -1) > 0.0).all(axis=1) & np.isfinite(a).all(axis=(1, 2))
+          & np.isfinite(rhs).all(axis=(1, 2)))
+    a[~ok] = eye
+    ok &= np.linalg.det(a) != 0.0
+    a[~ok], rhs[~ok] = eye, 0.0
+    sol = np.linalg.solve(a, rhs)
+    x_new = x + sol[..., 0]
+    x_new[:, 3:] /= np.sqrt(_dot(x_new[:, 3:], x_new[:, 3:]))[:, None]
+    sens = sol[..., 1:]
+    x_new[~ok], sens[~ok] = np.nan, np.nan
+    return x_new, sens
+
+
+def _least_squares(newton, p_target: np.ndarray, q: np.ndarray, x: np.ndarray,
+                   stop: float):
+    """Multi-start Levenberg-Marquardt on r(q) = p(q) - p_target, coupled to
+    Newton on the tip pose.
+
+    ``q`` holds one seed per row and ``x`` its (M, 6) tip pose (p | n).
+    ``newton`` maps angles (M, 2) and poses (M, 6) to Newton-corrected
+    poses and their sensitivities S = dx/dq (M, 6, 2), NaN where it
+    fails, as :func:`_newton_pass` does. A point's miss is the position
+    of its corrected pose less the target, with the position rows of S as
+    its Jacobian. Each step is one ``newton`` call over the trial points
+    of every live seed, one per damping in ``_INVERSE_DAMPING``, each
+    started from the pose x + S dq that the seed's sensitivity predicts
+    for it; a trial that fails scores +inf. A seed keeps its best trial,
+    with that trial's corrected pose and sensitivity, while the error
+    falls. It stops when no trial lowers its error by more than ``stop``,
+    or after ``_INVERSE_STEPS`` steps; all stop once one seed is within
+    ``stop``. Returns (q, r(q)) of the first seed within ``stop``, else of
+    the one with the smallest error.
     """
     q = np.array(q, dtype=float)
-    stencil = np.array([[0.0, 0.0], [_INVERSE_H, 0.0], [0.0, _INVERSE_H]])
 
-    def evaluate(points):  # (..., 2) -> r (..., 3), Jacobian (..., 3, 2), |r| or inf
-        p = tips((points[..., None, :] + stencil).reshape(-1, 2))
-        p = p.reshape(points.shape[:-1] + (3, 3))
-        r = p[..., 0, :] - p_target
-        jac = (p[..., 1:, :] - p[..., :1, :]).swapaxes(-1, -2) / _INVERSE_H
-        err = np.linalg.norm(r, axis=-1)
-        return r, jac, np.where(np.isfinite(jac).all(axis=(-1, -2)), err, np.inf)
+    def evaluate(points, poses):  # (..., 2), (..., 6) -> pose, S, r, |r| or inf
+        shape = points.shape[:-1]
+        pose, sens = newton(points.reshape(-1, 2), poses.reshape(-1, 6))
+        pose, sens = pose.reshape(shape + (6,)), sens.reshape(shape + (6, 2))
+        r = pose[..., :3] - p_target
+        good = np.isfinite(pose).all(axis=-1) & np.isfinite(sens).all(axis=(-1, -2))
+        return pose, sens, r, np.where(good, np.linalg.norm(r, axis=-1), np.inf)
 
     mu = np.asarray(_INVERSE_DAMPING)
     with np.errstate(all="ignore"):  # a failed or singular trial is just rejected
-        r, jac, err = evaluate(q)
+        x, sens, r, err = evaluate(q, np.asarray(x, dtype=float))
         live = np.isfinite(err)
         for _ in range(_INVERSE_STEPS):
             if not live.any() or (err <= stop).any():
                 break
             idx = np.flatnonzero(live)
+            jac = sens[idx, :3]
             # damped normal equations (J^T J + mu tr(J^T J) I) step = -J^T r,
             # one per damping, solved in closed form
-            a = np.einsum("sij,sik->sjk", jac[idx], jac[idx])[:, None]
-            g = np.einsum("sij,si->sj", jac[idx], r[idx])[:, None]
+            a = np.einsum("sij,sik->sjk", jac, jac)[:, None]
+            g = np.einsum("sij,si->sj", jac, r[idx])[:, None]
             d = mu * (a[..., 0, 0] + a[..., 1, 1])
             a00, a11, a01 = a[..., 0, 0] + d, a[..., 1, 1] + d, a[..., 0, 1]
             step = np.stack([a01 * g[..., 1] - a11 * g[..., 0],
                              a01 * g[..., 0] - a00 * g[..., 1]], axis=-1)
             step /= (a00 * a11 - a01 * a01)[..., None]
             length = np.linalg.norm(step, axis=-1, keepdims=True)
-            trial = q[idx, None] + step * np.minimum(1.0, _INVERSE_MAX_STEP / length)
-            rt, jt, et = evaluate(trial)
+            step *= np.minimum(1.0, _INVERSE_MAX_STEP / length)
+            predicted = x[idx, None] + np.einsum("sij,stj->sti", sens[idx], step)
+            trial = q[idx, None] + step
+            xt, st, rt, et = evaluate(trial, predicted)
             k = (np.arange(len(idx)), np.argmin(et, axis=1))  # each seed's best trial
             gain = err[idx] - et[k]
             upd = idx[gain > 0.0]
-            q[upd], r[upd], jac[upd], err[upd] = (
-                x[k][gain > 0.0] for x in (trial, rt, jt, et))
+            q[upd], x[upd], sens[upd], r[upd], err[upd] = (
+                v[k][gain > 0.0] for v in (trial, xt, st, rt, et))
             live[idx] = gain > stop
     done = np.flatnonzero(err <= stop)
     s = done[0] if done.size else np.argmin(err)

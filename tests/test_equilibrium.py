@@ -171,6 +171,16 @@ class TestSolve:
             SolverSettings(relaxation=1.5)
         with pytest.raises(Exception):
             SolverSettings(max_iterations=0)
+        # a float count used to crash the solve in range(), and an infinite
+        # tolerance made every solve "converge" after one iteration
+        for bad in (2.5, 3.0, np.float64(3.0), True, False, 0, -1, np.int64(0)):
+            with pytest.raises(ContractViolation, match="max_iterations"):
+                SolverSettings(max_iterations=bad)
+        for bad in (math.inf, -math.inf, math.nan, 0.0, -1e-6):
+            with pytest.raises(ContractViolation, match="position_tolerance"):
+                SolverSettings(position_tolerance=bad)
+        for good in (1, np.int64(7), np.int32(3)):
+            assert SolverSettings(max_iterations=good).max_iterations == good
 
     @pytest.mark.parametrize("tangent", [
         [1.0, 1e-4, 0.0], [0.5, 0.0, 0.0], [np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0]])
@@ -559,8 +569,8 @@ class TestInverse:
     @pytest.mark.parametrize("mode", list(BeamFormulation))
     def test_round_trip_soft_body(self, demo, mode):
         # at k_e = 0.002 the fixed point contracts slowly, and the answer at
-        # the default tolerance and the tight refinement solves must still
-        # agree to within tolerance
+        # the default tolerance and the Newton-corrected poses of the
+        # refinement must still agree to within tolerance
         soft = replace(demo.params, stiffness_scale=0.002)
         cal = FieldCalibration(4.0)
         tol = demo.settings.position_tolerance
@@ -607,3 +617,83 @@ class TestInverse:
         with pytest.raises(ContractViolation):
             invert_controls(demo.params.straight_tip, demo.params, demo.pair_template,
                             demo.source, CAL, demo.settings, MODE, grid_size=0)
+
+    @pytest.mark.parametrize("reachable", [True, False], ids=["reachable", "unreachable"])
+    def test_no_nested_solves(self, demo, monkeypatch, reachable):
+        # the coarse grid and the final answer are the only fixed-point
+        # solves; the refinement runs on single passes of the row kernels
+        if reachable:
+            target = solve(demo, math.radians(50), math.radians(10)).tip.position
+        else:
+            target = demo.params.straight_tip + np.array([0.0, 0.018, 0.024])
+        batches, passes = [], []
+        solve_batch, newton_pass = equilibrium._solve_batch, equilibrium._newton_pass
+        monkeypatch.setattr(equilibrium, "_solve_batch",
+                            lambda *a: batches.append(len(a[5])) or solve_batch(*a))
+        monkeypatch.setattr(equilibrium, "_newton_pass",
+                            lambda *a: passes.append(len(a[5])) or newton_pass(*a))
+        inv = invert_controls(target, demo.params, demo.pair_template, demo.source,
+                              CAL, demo.settings, MODE)
+        assert batches == [24 * 24, 1]
+        assert passes  # the refinement ran
+        assert inv.within_reach is reachable
+
+    @pytest.mark.parametrize("mode", list(BeamFormulation))
+    @pytest.mark.parametrize("ke, kb", [(0.002, 4.0), (0.009, 4.03)])
+    def test_round_trip_separated_rings(self, demo, ke, kb, mode):
+        # a nonzero separation takes the wrench kernel through two dipoles
+        # and the lever-arm torque
+        params = replace(demo.params, stiffness_scale=ke)
+        mag = demo.pair_template.magnet_1.moment_magnitude
+        pair = RingPairConfig.from_angles(mag, 0.0, 0.0, separation=5e-3)
+        cal = FieldCalibration(kb)
+        tol = demo.settings.position_tolerance
+        for q in np.random.default_rng(17).uniform(0.0, 2.0 * math.pi, (4, 2)):
+            target = solve_tip_pose(params, pair.with_angles(*q), demo.source, cal,
+                                    demo.settings, mode).tip.position
+            inv = invert_controls(target, params, pair, demo.source, cal,
+                                  demo.settings, mode)
+            assert inv.within_reach
+            assert inv.position_error <= tol
+
+
+class TestSensitivity:
+    @pytest.mark.parametrize("mode", list(BeamFormulation))
+    @pytest.mark.parametrize("separation", [0.0, 5e-3])
+    @pytest.mark.parametrize("ke, kb", [(0.002, 4.0), (0.009, 4.03)])
+    def test_matches_central_differences(self, demo, ke, kb, separation, mode):
+        # oracle: central differences (h = 1e-5 rad) of tips solved to
+        # 1e-13 m; the implicit-function sensitivity at the converged pose
+        # must agree with them in its position rows
+        params = replace(demo.params, stiffness_scale=ke)
+        mag = demo.pair_template.magnet_1.moment_magnitude
+        pair = RingPairConfig.from_angles(mag, 0.0, 0.0, separation=separation)
+        tight = replace(demo.settings, position_tolerance=1e-13)
+        h = 1e-5
+
+        def tips(q):
+            batch = _solve_batch(params, pair, demo.source, tight, mode, q,
+                                 params.bending_stiffness, kb)
+            assert batch.converged.all()
+            return batch
+
+        q = np.random.default_rng(29).uniform(0.0, 2.0 * math.pi, (6, 2))
+        at = tips(q)
+        _, sens = equilibrium._newton_pass(params, pair, demo.source, mode, kb, q,
+                                           np.hstack([at.tip, at.tangent]))
+        steps = h * np.eye(2)
+        plus = tips((q[:, None] + steps).reshape(-1, 2)).tip.reshape(6, 2, 3)
+        minus = tips((q[:, None] - steps).reshape(-1, 2)).tip.reshape(6, 2, 3)
+        oracle = ((plus - minus) / (2.0 * h)).swapaxes(1, 2)  # (6, 3, 2) dp/dq
+        miss = np.linalg.norm(sens[:, :3] - oracle, axis=(1, 2))
+        assert np.all(miss <= 1e-5 * np.linalg.norm(oracle, axis=(1, 2)))
+
+    def test_singular_rows_are_nan(self, demo):
+        # a pose at the source makes its row NaN and leaves the others alone
+        q = np.array([[0.3, 1.1], [0.3, 1.1]])
+        x = np.array([np.r_[demo.params.straight_tip, E1],
+                      np.r_[CAL.k_b * demo.source.position, E1]])
+        pose, sens = equilibrium._newton_pass(demo.params, demo.pair_template,
+                                              demo.source, MODE, CAL.k_b, q, x)
+        assert np.isfinite(pose[0]).all() and np.isfinite(sens[0]).all()
+        assert np.isnan(pose[1]).all() and np.isnan(sens[1]).all()

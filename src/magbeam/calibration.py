@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .beam import BeamFormulation, RobotParams, TipPose
-from .equilibrium import SolverSettings, _solve_batch, _tips, sweep
+from .equilibrium import SolverSettings, _solve_batch, _sweep_rows
 from .geomag import ContractViolation, DipoleSource, FieldCalibration, RingPairConfig
 
 PLANE_AXES = {"xy": (0, 1), "xz": (0, 2), "xyz": (0, 1, 2)}
@@ -181,9 +181,9 @@ def grid_search_calibrate(
     (cell, record) solves are independent and run as one vectorised
     batch on the calling thread, each seeded from
     ``settings.initial_tip`` (the straight tip if unset). The predictions
-    behind ``metrics_at_optimum`` are a warm-started sweep over the
-    records at the optimum (NaN if one raises). Fewer than two records
-    fail before any solve. ``threads`` is accepted and ignored.
+    behind ``metrics_at_optimum`` are the tip column of a warm-started
+    sweep over the records at the optimum (NaN where a solve raises).
+    Fewer than two records fail before any solve. ``threads`` is ignored.
     """
     if len(records) < 2:
         raise ContractViolation("need at least two records")
@@ -208,7 +208,7 @@ def grid_search_calibrate(
     ke_star = float(grid.ke_values[i])
     kb_star = float(grid.kb_values[j])
 
-    points = sweep(
+    _, optimum = _sweep_rows(
         replace(params, stiffness_scale=ke_star), pair_template, source,
         FieldCalibration(kb_star), settings, mode,
         [r.theta1 for r in records], [r.theta2 for r in records],
@@ -216,7 +216,7 @@ def grid_search_calibrate(
     )
     return CalibrationResult(
         ke_star=ke_star, kb_star=kb_star, grid=grid,
-        error_surface=surface, metrics_at_optimum=_fit_metrics(measured, _tips(points)[0]),
+        error_surface=surface, metrics_at_optimum=_fit_metrics(measured, optimum.tip),
     )
 
 

@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 input error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -34,7 +35,7 @@ from .calibration import (
     load_experiment_csv,
 )
 from .config import ConfigError, LoadedConfig, default_config_path, load_config
-from .equilibrium import DivergenceError, _tips, solve_tip_pose, sweep
+from .equilibrium import DivergenceError, _sweep_rows, solve_tip_pose
 from .geomag import ContractViolation, FieldCalibration, FieldSingularityError
 from .svgplot import SvgPlot
 from .workspace import (
@@ -185,36 +186,42 @@ def cmd_sweep(args) -> int:
     t2 = np.radians(_parse_range(args.theta2))
     if not args.zip:
         _check_count(t1.size * t2.size, f"{args.theta1} x {args.theta2}")
-    points = sweep(
+    q, batch = _sweep_rows(
         cfg.params, cfg.pair_template, cfg.source, cal, cfg.settings,
         _mode(cfg, args), t1, t2, zipped=args.zip,
         warm_start=not args.no_warm_start,
     )
-    tips, converged = _tips(points)
-    solved = np.isfinite(tips).all(axis=1)
+    solved = np.isfinite(batch.tip).all(axis=1)
     rows = [
-        [math.degrees(pt.q[0]), math.degrees(pt.q[1]), *(p if s else ["", "", ""]), ok]
-        for pt, p, s, ok in zip(points, (tips * 1e3).tolist(), solved, converged.tolist())
+        [math.degrees(a), math.degrees(b), *(p if s else ["", "", ""]), ok]
+        for (a, b), p, s, ok in zip(q.tolist(), (batch.tip * 1e3).tolist(), solved,
+                                    batch.converged.tolist())
     ]
-    header = ["theta1_deg", "theta2_deg", "x_mm", "y_mm", "z_mm", "converged"]
-    if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows(rows)
-    else:
-        w = csv.writer(sys.stdout)
-        w.writerow(header)
+    with (open(args.out, "w", newline="", encoding="utf-8") if args.out
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        w = csv.writer(fh)
+        w.writerow(["theta1_deg", "theta2_deg", "x_mm", "y_mm", "z_mm", "converged"])
         w.writerows(rows)
-    n_failed = int((~converged).sum())
+    n_failed = int((~batch.converged).sum())
     if args.report:
         _emit_json(_report(cfg, {
-            "points": len(points),
+            "points": len(q),
             "failed": n_failed,
             "kb": cal.k_b,
             "csv": args.out,
         }, t0), args.report)
     return EXIT_OK if n_failed == 0 else EXIT_NUMERIC
+
+
+def _schedule_tips(cfg: LoadedConfig, params, cal, mode, angles) -> np.ndarray:
+    """(N, 3) tips of a warm schedule; DivergenceError unless all converge."""
+    q = np.reshape(angles, (-1, 2))
+    _, batch = _sweep_rows(params, cfg.pair_template, cfg.source, cal, cfg.settings,
+                           mode, q[:, 0], q[:, 1], zipped=True)
+    failed = int((~batch.converged).sum())
+    if failed:
+        raise DivergenceError(f"{failed} forward solves failed")
+    return batch.tip
 
 
 def cmd_calibrate(args) -> int:
@@ -260,16 +267,8 @@ def cmd_validate(args) -> int:
     records = load_experiment_csv(args.data, notch_slope=slope, notch_offset=offset)
     params = replace(cfg.params, stiffness_scale=args.ke)
     cal = FieldCalibration(args.kb)
-    points = sweep(
-        params, cfg.pair_template, cfg.source, cal, cfg.settings,
-        _mode(cfg, args),
-        [r.theta1 for r in records], [r.theta2 for r in records],
-        zipped=True,
-    )
-    preds, converged = _tips(points)
-    if not converged.all():
-        print(f"error: {(~converged).sum()} forward solves failed", file=sys.stderr)
-        return EXIT_NUMERIC
+    preds = _schedule_tips(cfg, params, cal, _mode(cfg, args),
+                           [(r.theta1, r.theta2) for r in records])
     measured = np.array([r.tip for r in records])
     metrics = _fit_metrics(measured, preds)
     table = [
@@ -345,15 +344,7 @@ def cmd_workspace(args) -> int:
                                      for k in ("theta1_deg", "theta2_deg")))
         if not records:
             raise InputError(f"{args.schedule}: no data rows")
-        points = sweep(
-            cfg.params, cfg.pair_template, cfg.source, cal, cfg.settings,
-            _mode(cfg, args),
-            [q[0] for q in records], [q[1] for q in records], zipped=True,
-        )
-        pts3d, converged = _tips(points)
-        if not converged.all():
-            print(f"error: {(~converged).sum()} forward solves failed", file=sys.stderr)
-            return EXIT_NUMERIC
+        pts3d = _schedule_tips(cfg, cfg.params, cal, _mode(cfg, args), records)
         flags = np.zeros(len(pts3d), dtype=bool)
     else:
         if not (args.top and args.side):

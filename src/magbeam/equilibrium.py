@@ -49,6 +49,11 @@ class DivergenceError(RuntimeError):
     """Fixed-point iteration left the trust region or went non-finite."""
 
 
+def _is_count(n) -> bool:
+    """Whether ``n`` is an integer (a numpy integer too, a bool not) >= 1."""
+    return not isinstance(n, bool) and isinstance(n, (int, np.integer)) and n >= 1
+
+
 @dataclass(frozen=True)
 class SolverSettings:
     """Fixed-point solver controls.
@@ -72,8 +77,7 @@ class SolverSettings:
     def __post_init__(self):
         if not (self.position_tolerance > 0.0 and math.isfinite(self.position_tolerance)):
             raise ContractViolation("position_tolerance must be finite and > 0")
-        n = self.max_iterations
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        if not _is_count(self.max_iterations):
             raise ContractViolation("max_iterations must be an integer >= 1")
         if not (0.0 < self.relaxation <= 1.0):
             raise ContractViolation("relaxation must lie in (0, 1]")
@@ -140,7 +144,8 @@ class _Batch(NamedTuple):
     """Outcome of :func:`_solve_batch`, row k for case k.
 
     A row holds what :func:`solve_tip_pose` returns for its case, or in
-    ``error`` the message of the exception it raises (``None`` if none).
+    ``error`` the message of the exception it raises (``None`` if none);
+    ``tip`` is NaN exactly where ``error`` is set.
     """
 
     tip: np.ndarray  # (N, 3) [m]
@@ -188,15 +193,20 @@ def _solve_batch(
     return _Batch(*(np.concatenate(column) for column in zip(*chunks)))
 
 
-def _solve_chunk(params, pair, source, settings, mode, angles, ei, k_b) -> _Batch:
-    n_cases = len(angles)
-    out = _Batch(
+def _empty_batch(n_cases: int, max_iterations: int) -> _Batch:
+    """N rows of unsolved cases: NaN values, no error, not converged."""
+    return _Batch(
         tip=np.full((n_cases, 3), np.nan), tangent=np.full((n_cases, 3), np.nan),
         wrench=np.full((n_cases, 6), np.nan),
-        iterations=np.full(n_cases, settings.max_iterations),
+        iterations=np.full(n_cases, max_iterations),
         residual=np.full(n_cases, np.nan), converged=np.zeros(n_cases, dtype=bool),
         error=np.full(n_cases, None, dtype=object),
     )
+
+
+def _solve_chunk(params, pair, source, settings, mode, angles, ei, k_b) -> _Batch:
+    n_cases = len(angles)
+    out = _empty_batch(n_cases, settings.max_iterations)
     L = params.length
     straight = params.straight_tip
     seed, seed_tangent = settings.initial_tip, E1
@@ -246,6 +256,7 @@ def _solve_chunk(params, pair, source, settings, mode, angles, ei, k_b) -> _Batc
                     out.residual[c] = residual[converged]
                     out.converged[c] = ~final_singular
                     out.error[c[final_singular]] = _SINGULAR
+                    out.tip[c[final_singular]] = np.nan  # no tip where there is an error
                 rows = rows[going]
                 if rows.size == 0:
                     break
@@ -297,61 +308,53 @@ def sweep(
     point whose solve fails is reported failed, with no retry.
     ``warm_start`` applies to zipped schedules alone and is accepted and
     ignored for grids. With it a schedule is solved one point after
-    another, each seeded at the pose (position and tangent) of the
-    previous converged tip; without it a schedule is one batch like a
-    grid. Empty or non-finite angle sequences raise
-    :class:`ContractViolation` before any solve.
+    another by :func:`solve_tip_pose`, each seeded at the pose (position
+    and tangent) of the previous converged tip; without it a schedule is
+    one batch like a grid. Empty or non-finite angle sequences raise
+    :class:`ContractViolation` before any solve. The points wrap the
+    result columns that the command line and calibration read as arrays.
     """
+    q, batch = _sweep_rows(params, pair_template, source, cal, settings, mode,
+                           theta1_values, theta2_values, zipped, warm_start)
+    return [SweepPoint(tuple(qk), None if e is not None else _equilibrium(batch, k), e)
+            for k, (qk, e) in enumerate(zip(q.tolist(), batch.error))]
+
+
+def _sweep_rows(params, pair_template, source, cal, settings, mode,
+                theta1_values, theta2_values, zipped=False, warm_start=True
+                ) -> tuple[np.ndarray, _Batch]:
+    """:func:`sweep` as columns: the (N, 2) angles of its points and their
+    :class:`_Batch` rows, with the same order, contract and solves."""
     t1 = list(theta1_values)
     t2 = list(theta2_values)
     if not t1 or not t2:
         raise ContractViolation("angle sequences must be nonempty")
     if not (np.isfinite(t1).all() and np.isfinite(t2).all()):
         raise ContractViolation("angles must be finite")
-    if zipped:
-        if len(t1) != len(t2):
-            raise ContractViolation("zipped sweep needs equal-length sequences")
-        qs = list(zip(t1, t2))
-    else:
-        qs = [(a, b) for a in t1 for b in t2]
-
+    if zipped and len(t1) != len(t2):
+        raise ContractViolation("zipped sweep needs equal-length sequences")
+    q = np.array(list(zip(t1, t2)) if zipped else [(a, b) for a in t1 for b in t2],
+                 dtype=float)
     if not (zipped and warm_start):
-        batch = _solve_batch(params, pair_template, source, settings, mode, qs,
-                             params.bending_stiffness, cal.k_b)
-        return [_sweep_point(q, batch, k) for k, q in enumerate(qs)]
+        return q, _solve_batch(params, pair_template, source, settings, mode, q,
+                               params.bending_stiffness, cal.k_b)
 
-    out: list[SweepPoint] = []
+    out = _empty_batch(len(q), settings.max_iterations)
     seed = settings.initial_tip
-    for q in qs:
-        pair = pair_template.with_angles(*q)
-        local = replace(settings, initial_tip=seed)
+    for k, angles in enumerate(q.tolist()):
         try:
-            res = solve_tip_pose(params, pair, source, cal, local, mode)
+            res = solve_tip_pose(params, pair_template.with_angles(*angles), source, cal,
+                                 replace(settings, initial_tip=seed), mode)
         except (DivergenceError, FieldSingularityError) as exc:
-            out.append(SweepPoint(q=q, result=None, error=str(exc)))
+            out.error[k] = str(exc)
             seed = settings.initial_tip
             continue
-        out.append(SweepPoint(q=q, result=res))
+        out.tip[k], out.tangent[k] = res.tip.position, res.tip.tangent
+        out.wrench[k] = res.wrench.as_stacked()
+        out.iterations[k], out.residual[k], out.converged[k] = (
+            res.iterations, res.residual, res.converged)
         seed = res.tip if res.converged else settings.initial_tip
-    return out
-
-
-def _tips(points: list[SweepPoint]) -> tuple[np.ndarray, np.ndarray]:
-    """The (N, 3) tip positions of sweep points, NaN where a point has no
-    result, and their (N,) converged flags."""
-    tips = np.full((len(points), 3), np.nan)
-    converged = np.zeros(len(points), dtype=bool)
-    for k, pt in enumerate(points):
-        if pt.result is not None:
-            tips[k] = pt.result.tip.position
-            converged[k] = pt.result.converged
-    return tips, converged
-
-
-def _sweep_point(q, batch: _Batch, k: int) -> SweepPoint:
-    if batch.error[k] is not None:
-        return SweepPoint(q=q, result=None, error=batch.error[k])
-    return SweepPoint(q=q, result=_equilibrium(batch, k))
+    return q, out
 
 
 def _equilibrium(batch: _Batch, k: int) -> EquilibriumResult:
@@ -418,11 +421,12 @@ def invert_controls(
     bit-identical answers. Targets outside the sampled reachable set are
     answered with the nearest configuration found and
     ``within_reach = False``. Raises :class:`ContractViolation` for a
-    non-finite target and :class:`DivergenceError` if no grid seed
-    converges.
+    non-finite target or a ``grid_size`` that is not an integer (a numpy
+    integer too, a bool not) of at least 1, and :class:`DivergenceError`
+    if no grid seed converges.
     """
-    if grid_size < 1:
-        raise ContractViolation("grid_size must be >= 1")
+    if not _is_count(grid_size):
+        raise ContractViolation("grid_size must be an integer >= 1")
     p_target = _as_vec3(getattr(target, "position", target))
     if not np.isfinite(p_target).all():
         raise ContractViolation("target must be finite")

@@ -194,6 +194,39 @@ class TestSweep:
         assert lines[0].startswith("theta1_deg,theta2_deg,x_mm")
         assert len(lines) == 2
 
+    @pytest.mark.parametrize("extra", [["--theta2", "0"],
+                                       ["--theta2", "10:-5:0", "--zip"],
+                                       ["--theta2", "10:-5:0", "--zip", "--no-warm-start"]],
+                             ids=["grid", "zip", "zip-cold"])
+    def test_failed_rows(self, tmp_path, capsys, extra):
+        # on so soft a body only the antiparallel point (180, 0) deg solves
+        report = tmp_path / "sweep.json"
+        rc = main(["sweep", "--theta1", "0:90:180", *extra, "--ke", "1e-6",
+                   "--kb", "4.03", "--report", str(report)])
+        assert rc == EXIT_NUMERIC
+        t2 = ["0.0"] * 3 if "--zip" not in extra else ["10.0", "5.0", "0.0"]
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "theta1_deg,theta2_deg,x_mm,y_mm,z_mm,converged"
+        assert lines[1:3] == [f"0.0,{t2[0]},,,,False", f"90.0,{t2[1]},,,,False"]
+        row = lines[3].split(",")
+        assert row[:2] == ["180.0", "0.0"] and row[-1] == "True"
+        assert float(row[2]) == pytest.approx(150.0, abs=1e-6)
+        results = json.loads(report.read_text())["results"]
+        assert (results["points"], results["failed"]) == (3, 2)
+
+    def test_unconverged_rows_keep_tips(self, tmp_path, capsys):
+        # an unconverged solve raises nothing: its row keeps the last iterate
+        doc = json.loads((DATA_DIR / "demonstrator.json").read_text())
+        doc["solver"]["max_iterations"] = 1
+        config = tmp_path / "one-iteration.json"
+        config.write_text(json.dumps(doc))
+        rc = main(["sweep", "--config", str(config), "--theta1", "30:30:60",
+                   "--ke", "0.009", "--kb", "4.03"])
+        assert rc == EXIT_NUMERIC
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))[1:]
+        assert [r[-1] for r in rows] == ["False", "False"]
+        assert all(math.isfinite(float(v)) for r in rows for v in r[2:5])
+
 
 @pytest.mark.parametrize("command", [
     ["calibrate", "--ke", "0.009:0.012:3", "--kb", "3.9:4.2:3"],
@@ -260,6 +293,18 @@ class TestValidate:
         assert svg.read_text().startswith("<svg")
         doc = json.loads(out.read_text())
         assert len(doc["results"]["records"]) == 16
+
+
+@pytest.mark.parametrize("command, failed", [
+    (["validate", "--data", str(DATA_DIR / "planar-sweep-digitized.csv")], 15),
+    (["workspace", "--schedule", str(DATA_DIR / "elliptical-schedule.csv")], 24),
+], ids=["validate", "workspace"])
+def test_failed_forward_solves_exit_3(capsys, command, failed):
+    rc = main([*command, "--ke", "1e-6", "--kb", "4.03"])
+    assert rc == EXIT_NUMERIC
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {failed} forward solves failed\n"  # and no traceback
 
 
 class TestWorkspace:

@@ -11,14 +11,16 @@ from magbeam.equilibrium import (
     DivergenceError,
     SolverSettings,
     _solve_batch,
-    _tips,
+    _sweep_rows,
     invert_controls,
     solve_tip_pose,
     sweep,
 )
 from magbeam.geomag import (
+    _SINGULAR,
     E1,
     ContractViolation,
+    DipoleSource,
     FieldCalibration,
     FieldSingularityError,
     RingMagnet,
@@ -39,6 +41,10 @@ def demo():
 
 CAL = FieldCalibration(4.03)
 MODE = BeamFormulation.LEGACY
+# the three paths of a sweep: one batch, a warm schedule, a cold one
+SWEEP_KINDS = pytest.mark.parametrize("zipped, warm",
+                                      [(False, True), (True, True), (True, False)],
+                                      ids=["grid", "warm-schedule", "cold-schedule"])
 
 
 def solve(demo, t1, t2, cal=CAL, settings=None, mode=MODE, params=None):
@@ -478,28 +484,81 @@ class TestSweep:
 
     def test_failures_recorded_not_raised(self, demo):
         soft = replace(demo.params, stiffness_scale=1e-9)
-        pts = sweep(soft, demo.pair_template, demo.source, CAL,
-                    replace(demo.settings, relaxation=1.0), MODE,
-                    [0.0, math.pi], [0.0])
+        args = (soft, demo.pair_template, demo.source, CAL,
+                replace(demo.settings, relaxation=1.0), MODE, [0.0, math.pi], [0.0])
+        pts = sweep(*args)
         assert len(pts) == 2
         assert pts[0].result is None and pts[0].error is not None
         # the antiparallel point is a zero-wrench fixed point and still solves
         assert pts[1].result is not None and pts[1].result.converged
-        tips, converged = _tips(pts)
-        assert np.isnan(tips[0]).all()
-        assert np.array_equal(tips[1], pts[1].result.tip.position)
-        assert converged.tolist() == [False, True]
+        q, rows = _sweep_rows(*args)
+        assert [tuple(a) for a in q.tolist()] == [pt.q for pt in pts]
+        assert rows.error.tolist() == [pts[0].error, None]
+        assert np.isnan(rows.tip[0]).all()
+        assert np.array_equal(rows.tip[1], pts[1].result.tip.position)
+        assert rows.converged.tolist() == [False, True]
 
     def test_tips_keep_unconverged_positions(self, demo):
-        pts = sweep(demo.params, demo.pair_template, demo.source, CAL,
-                    replace(demo.settings, max_iterations=1), MODE, [0.5, 1.0], [0.0])
-        tips, converged = _tips(pts)
-        assert not converged.any()
-        assert np.array_equal(tips, [pt.result.tip.position for pt in pts])
+        args = (demo.params, demo.pair_template, demo.source, CAL,
+                replace(demo.settings, max_iterations=1), MODE, [0.5, 1.0], [0.0])
+        pts = sweep(*args)
+        _, rows = _sweep_rows(*args)
+        assert not rows.converged.any()
+        assert rows.error.tolist() == [None, None]
+        assert np.isfinite(rows.tip).all()
+        assert np.array_equal(rows.tip, [pt.result.tip.position for pt in pts])
+
+    @pytest.mark.parametrize("case", ["demonstrator", "failing"])
+    @SWEEP_KINDS
+    def test_columns_equal_points(self, demo, zipped, warm, case):
+        if case == "demonstrator":
+            params = demo.params
+            t1 = np.radians(np.arange(0.0, 360.0, 40.0))
+            t2 = np.radians(np.arange(0.0, 90.0, 10.0))
+        else:  # a soft body: only the antiparallel point (180, 0) deg solves
+            params = replace(demo.params, stiffness_scale=1e-6)
+            t1 = np.radians([0.0, 90.0, 180.0, 270.0])
+            t2 = np.radians([0.0, 10.0, 0.0, 30.0])
+        args = (params, demo.pair_template, demo.source, CAL, demo.settings, MODE,
+                t1, t2, zipped, warm)
+        pts = sweep(*args)
+        q, rows = _sweep_rows(*args)
+        assert len(q) == len(pts) == (len(t1) if zipped else len(t1) * len(t2))
+        failed = rows.error != None  # noqa: E711 -- elementwise over an object array
+        assert failed.any() == (case == "failing")
+        assert not failed.all()
+        # the invariant the callers of the columns rely on
+        assert np.array_equal(np.isnan(rows.tip).any(axis=1), failed)
+        assert np.array_equal(np.isnan(rows.tip).all(axis=1), failed)
+        for k, pt in enumerate(pts):
+            assert pt.q == tuple(q[k])
+            assert pt.error == rows.error[k]
+            if pt.error is not None:
+                assert pt.result is None and not rows.converged[k]
+                continue
+            r = pt.result
+            assert np.array_equal(r.tip.position, rows.tip[k])
+            assert np.array_equal(r.tip.tangent, rows.tangent[k])
+            assert r.iterations == rows.iterations[k]
+            assert r.residual == rows.residual[k]
+            assert r.converged == rows.converged[k]
+
+    @SWEEP_KINDS
+    def test_singular_exit_pose_has_no_tip(self, demo, zipped, warm):
+        # a field-free source at the straight tip (k_b = 1 leaves it there):
+        # from a seed within the tolerance of it every solve converges in
+        # one iteration onto the source, where its exit pose is singular
+        source = DipoleSource(moment=np.zeros(3), position=demo.params.straight_tip)
+        settings = replace(demo.settings,
+                           initial_tip=demo.params.straight_tip + [0.0, 5e-7, 0.0])
+        _, rows = _sweep_rows(demo.params, demo.pair_template, source, FieldCalibration(1.0),
+                              settings, MODE, [0.3, 0.5], [0.1, 0.2], zipped, warm)
+        assert rows.error.tolist() == [_SINGULAR] * len(rows.error)
+        assert np.isnan(rows.tip).all()
+        assert not rows.converged.any()
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("zipped, warm", [(False, True), (True, True), (True, False)],
-                             ids=["grid", "warm-schedule", "cold-schedule"])
+    @SWEEP_KINDS
     def test_nonfinite_angles_rejected_before_solving(self, demo, monkeypatch,
                                                       zipped, warm, value):
         calls = []
@@ -614,9 +673,16 @@ class TestInverse:
                             CAL, demo.settings, MODE)
 
     def test_empty_grid_rejected(self, demo):
-        with pytest.raises(ContractViolation):
-            invert_controls(demo.params.straight_tip, demo.params, demo.pair_template,
-                            demo.source, CAL, demo.settings, MODE, grid_size=0)
+        # grid_size has the integer contract of max_iterations
+        for size in (0, -1, np.int64(0), 2.5, 2.0, np.float64(3.0), True, "3", None):
+            with pytest.raises(ContractViolation, match="grid_size"):
+                invert_controls(demo.params.straight_tip, demo.params,
+                                demo.pair_template, demo.source, CAL, demo.settings,
+                                MODE, grid_size=size)
+        inv = invert_controls(demo.params.straight_tip, demo.params, demo.pair_template,
+                              demo.source, CAL, demo.settings, MODE,
+                              grid_size=np.int64(2))
+        assert inv.result.converged
 
     @pytest.mark.parametrize("reachable", [True, False], ids=["reachable", "unreachable"])
     def test_no_nested_solves(self, demo, monkeypatch, reachable):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import math
 import sys
@@ -54,6 +55,11 @@ EXIT_NUMERIC = 3
 # points and of calibration cells that one command accepts.
 MAX_SAMPLES = 100_000
 
+# Fraction of a step by which a range's stop may fall short of a sample
+# that it still includes: far above the rounding error of a quotient of at
+# most MAX_SAMPLES steps, far below one step.
+_RANGE_SLACK = 1e-9
+
 
 class InputError(ValueError):
     pass
@@ -81,7 +87,9 @@ def _parse_range(text: str) -> np.ndarray:
     if step == 0 or (stop - start) * step < 0:
         return np.array([start])
     _check_count((stop - start) / step + 1, text)
-    n = int(math.floor((stop - start) / step + 0.5)) + 1
+    # the last sample stays at or before stop; the slack forgives the
+    # rounding of a quotient that should be whole ('0:0.1:0.3' gives 2.999...)
+    n = int(math.floor((stop - start) / step + _RANGE_SLACK)) + 1
     return start + step * np.arange(n)
 
 
@@ -383,6 +391,7 @@ def cmd_workspace(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser of the command line; the subcommand is ``command``."""
     ap = argparse.ArgumentParser(
         prog="magbeam",
         description="Magnetic continuum robot simulation and calibration toolkit",
@@ -403,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ke", type=float, help="stiffness scale override")
     p.add_argument("--kb", type=float, help="field scale (default 1)")
     p.add_argument("--out", help="write a JSON run report")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="forward solves over angle ranges")
     common(p)
@@ -419,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kb", type=float, help="field scale (default 1)")
     p.add_argument("--out", help="output CSV (default: stdout)")
     p.add_argument("--report", help="write a JSON run report")
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("calibrate", help="grid-search (ke, kb) against data")
     common(p)
@@ -434,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="notch transform offset [mm]")
     p.add_argument("--threads", type=int,
                    help="accepted and ignored; calibration runs on the calling thread")
-    p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("validate", help="model-vs-data metrics at fixed (ke, kb)")
     common(p)
@@ -447,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="notch transform slope [deg/mm]")
     p.add_argument("--notch-offset", type=float,
                    help="notch transform offset [mm]")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("workspace", help="workspace reconstruction and ellipse fit")
     common(p)
@@ -458,19 +463,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kb", type=float, help="field scale (default 1)")
     p.add_argument("--out", help="output JSON (default: stdout)")
     p.add_argument("--plot", help="write an SVG of the y-z projection")
-    p.set_defaults(func=cmd_workspace)
     return ap
 
 
+# main() builds its parser on the first call and reuses it: building costs
+# about 2 ms (every add_argument makes a HelpFormatter, which asks for the
+# terminal size), and parsing leaves no state in the parser.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse uses exit code 2 for usage errors already
         return int(exc.code or 0)
+    # looked up when it runs, so that the shared parser holds no stale
+    # reference to a command function that has since been rebound
+    command = {"simulate": cmd_simulate, "sweep": cmd_sweep, "calibrate": cmd_calibrate,
+               "validate": cmd_validate, "workspace": cmd_workspace}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except (ConfigError, ContractViolation, InputError, FileNotFoundError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -241,22 +241,20 @@ def _solve_chunk(params, pair, source, settings, mode, angles, ei, k_b) -> _Batc
             if not going.all():
                 residual = np.sqrt(d2)
                 converged = change <= tol
+                if converged.all():
+                    # every live case stops converged, as a converged one-case
+                    # solve always does: write them as they stand, ungathered
+                    _write_converged(out, rows, k, rings, p_new, n_new, residual)
+                    break
                 singular = ~going & (r2 <= 0.0).any(axis=1)
                 diverged = ~going & ~converged & ~singular
                 out.error[rows[singular]] = _SINGULAR
                 for r, res in zip(rows[diverged], residual[diverged]):
                     out.error[r] = f"fixed-point residual {res:.3g} m after {k} iterations"
                 if converged.any():
-                    c = rows[converged]
-                    out.wrench[c], r2c = _ring_pair_wrench_rows(
-                        rings.take(converged), p_new[converged], n_new[converged])
-                    final_singular = (r2c <= 0.0).any(axis=1)
-                    out.tip[c], out.tangent[c] = p_new[converged], n_new[converged]
-                    out.iterations[c] = k
-                    out.residual[c] = residual[converged]
-                    out.converged[c] = ~final_singular
-                    out.error[c[final_singular]] = _SINGULAR
-                    out.tip[c[final_singular]] = np.nan  # no tip where there is an error
+                    _write_converged(out, rows[converged], k, rings.take(converged),
+                                     p_new[converged], n_new[converged],
+                                     residual[converged])
                 rows = rows[going]
                 if rows.size == 0:
                     break
@@ -278,6 +276,21 @@ def _solve_chunk(params, pair, source, settings, mode, angles, ei, k_b) -> _Batc
             out.wrench[rows] = _ring_pair_wrench_rows(rings, p, n)[0]
             out.residual[rows] = np.sqrt(d2)
     return out
+
+
+def _write_converged(out: _Batch, c, k: int, rings, p, n, residual) -> None:
+    """Rows ``c`` of ``out`` for cases that converged in iteration ``k`` at
+    the poses (p, n), with the wrench there; an exit pose on the source is
+    a singular error, with no tip."""
+    out.wrench[c], r2 = _ring_pair_wrench_rows(rings, p, n)
+    out.tip[c], out.tangent[c] = p, n
+    out.iterations[c] = k
+    out.residual[c] = residual
+    singular = (r2 <= 0.0).any(axis=1)
+    out.converged[c] = ~singular
+    if singular.any():
+        out.error[c[singular]] = _SINGULAR
+        out.tip[c[singular]] = np.nan
 
 
 @dataclass(frozen=True)

@@ -250,12 +250,14 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", a, b)
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross products over the last axis of two arrays of one shape;
-    ``np.cross`` costs far more on the few rows of a single solve."""
+def _cross(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Cross products over the last axis of two arrays of one shape, into
+    ``out`` if given; ``np.cross`` costs far more on the few rows of a
+    single solve."""
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
     b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    out = np.empty(a.shape)
+    if out is None:
+        out = np.empty(a.shape)
     out[..., 0] = a1 * b2 - a2 * b1
     out[..., 1] = a2 * b0 - a0 * b2
     out[..., 2] = a0 * b1 - a1 * b0
@@ -267,7 +269,7 @@ class _Rings(NamedTuple):
     once per solve by :func:`_ring_rows`; row k belongs to case k."""
 
     v: np.ndarray  # (N, K, 3) ring moments at zero tangent tilt [A*m^2]
-    offset: np.ndarray  # (K, 1) axial offsets of the rings [m]
+    offset: np.ndarray | None  # (K, 1) axial offsets of the rings [m]; None if all 0
     separation: float  # [m]
     moment: np.ndarray  # (3,) source moment [A*m^2]
     position: np.ndarray  # (N, 3) k_b-scaled source position [m]
@@ -285,7 +287,8 @@ def _ring_rows(pair: RingPairConfig, source: DipoleSource, k_b: np.ndarray,
 
     A ring's moment at zero tangent tilt is magnitude * (0, -sin, cos) of
     its angle. Two rings at one axial offset (zero separation) see the
-    same field, so they enter as one dipole of their summed moment (K = 1).
+    same field, so they enter as one dipole of their summed moment (K = 1);
+    at zero axial offset, as on the demonstrator, ``offset`` is ``None``.
     """
     mag = np.array([pair.magnet_1.moment_magnitude, pair.magnet_2.moment_magnitude])
     v = np.zeros(angles.shape + (3,))
@@ -294,6 +297,8 @@ def _ring_rows(pair: RingPairConfig, source: DipoleSource, k_b: np.ndarray,
     offset = np.array([[pair.magnet_1.axial_offset], [pair.magnet_2.axial_offset]])
     if offset[0, 0] == offset[1, 0]:
         v, offset = v.sum(axis=1, keepdims=True), offset[:1]
+    if not offset.any():
+        offset = None
     return _Rings(v=v, offset=offset, separation=pair.separation, moment=source.moment,
                   position=k_b[:, None] * source.position,
                   pref=(k_b * (MU0 / (4.0 * math.pi)))[:, None])
@@ -309,10 +314,16 @@ def _ring_pair_wrench_rows(rings: _Rings, p: np.ndarray, n: np.ndarray
     gradient force G m is contracted in closed form, so no 3x3 matrix is
     built. Returns ``(w, r2)``: ``w`` (N, 6) stacks force and torque, and
     ``r2`` (N, K) holds the squared ring-to-source distances; a row with
-    a zero there is singular, its ``w`` meaningless.
+    a zero there is singular, its ``w`` meaningless. One ring dipole at
+    the tip point (K = 1, zero offset, as on the demonstrator) skips the
+    offset term and the sum over rings, whose call overhead on the few
+    rows of a one-case solve outweighs their arithmetic; the torque is
+    written into ``W`` in place.
     """
     m = _rotate_rows(rings.v, n)
-    P = (p - rings.position)[:, None, :] + rings.offset * n[:, None, :]
+    P = (p - rings.position)[:, None, :]
+    if rings.offset is not None:
+        P = P + rings.offset * n[:, None, :]
     r2 = _dot(P, P)
     ir = 1.0 / np.sqrt(r2)
     u = P * ir[..., None]
@@ -327,8 +338,8 @@ def _ring_pair_wrench_rows(rings: _Rings, p: np.ndarray, n: np.ndarray
     # force G m with G = b (m_s u^T + u m_s^T + (u . m_s)(I - 5 u u^T)), torque m x B
     W[..., :3] = ((b * u_m)[..., None] * ms + (b * (m_ms - 5.0 * um * u_m))[..., None] * u
                   + (b * um)[..., None] * m)
-    W[..., 3:] = _cross(m, B)
-    w = W.sum(axis=1)
+    _cross(m, B, out=W[..., 3:])
+    w = W[:, 0] if W.shape[1] == 1 else W.sum(axis=1)
     if rings.separation:
         w[:, 3:] += rings.separation * _cross(n, w[:, :3])
     return w, r2

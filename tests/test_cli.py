@@ -78,9 +78,15 @@ class TestParsers:
         assert _parse_range("45") == pytest.approx([45.0])
 
     def test_range_inclusive(self):
-        vals = _parse_range("0:12:180")
-        assert len(vals) == 16
-        assert vals[0] == 0.0 and vals[-1] == pytest.approx(180.0)
+        for text, count, last in [
+            ("0:12:180", 16, 180.0), ("0:1:180", 181, 180.0), ("0:0.1:0.3", 4, 0.3),
+            ("10:-5:0", 3, 0.0),
+            # a stop that the step does not reach is not overshot
+            ("0:10:25", 3, 20.0), ("0:7:20", 3, 14.0), ("0:10:29.9", 3, 20.0),
+        ]:
+            vals = _parse_range(text)
+            assert len(vals) == count, text
+            assert vals[0] == float(text.split(":")[0]) and vals[-1] == pytest.approx(last)
 
     def test_range_bad(self):
         # the huge counts are rejected before any sample is allocated
@@ -105,6 +111,49 @@ class TestParsers:
         assert main(["sweep", "--theta1", "0:1:3", "--theta2", "0:1:3"]) == EXIT_INPUT
         assert main(["calibrate", "--data", str(DATA_DIR / "planar-sweep-digitized.csv"),
                      "--ke", "0.009:0.018:4", "--kb", "3.5:4.5:4"]) == EXIT_INPUT
+
+
+PARSER_BUILDS = """
+import argparse
+builds = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    builds.append(1)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+import magbeam.cli
+print(len(builds))
+magbeam.cli.main(["--version"])
+"""
+
+
+def test_import_builds_no_parser():
+    # the parser is built by the first main() call, not at import
+    src = str(Path(magbeam.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", PARSER_BUILDS], capture_output=True,
+                         text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    builds, version = out.stdout.split()
+    assert builds == "0" and version == magbeam.__version__
+
+
+def test_shared_parser_keeps_no_state(tmp_path, capsys):
+    # main() reuses one parser: a grid sweep after a zipped one and a
+    # --version gives the bytes it gives on a parser of its own
+    flags = ["--ke", "0.009", "--kb", "4.03"]
+    grid = ["sweep", "--theta1", "0:45:180", "--theta2", "0:90:180", *flags]
+    cli._parser.cache_clear()
+    assert main([*grid, "--out", str(tmp_path / "alone.csv")]) == EXIT_OK
+    assert main(["sweep", "--theta1", "0:90:180", "--theta2", "0:90:180", "--zip",
+                 "--no-warm-start", *flags, "--out", str(tmp_path / "zip.csv")]) == EXIT_OK
+    assert main(["--version"]) == EXIT_OK
+    assert capsys.readouterr().out.strip() == magbeam.__version__
+    assert main(["sweep", *flags]) == EXIT_INPUT  # --theta1 is required
+    assert main([*grid, "--out", str(tmp_path / "after.csv")]) == EXIT_OK
+    assert (tmp_path / "after.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+    assert len((tmp_path / "zip.csv").read_bytes().splitlines()) == 1 + 3
+    assert len((tmp_path / "after.csv").read_bytes().splitlines()) == 1 + 5 * 3
+    assert cli._parser.cache_info().misses == 1
 
 
 class TestSimulate:

@@ -344,6 +344,63 @@ class TestBatchKernels:
         assert np.all(np.isfinite(w[1]))
 
 
+class TestStop:
+    """However a batch's cases stop together, each row is its own solve."""
+
+    def assert_rows_are_solves(self, demo, source, cases):
+        # cases are (theta1, theta2, stiffness_scale, k_b), solved as one batch
+        params = [replace(demo.params, stiffness_scale=c[2]) for c in cases]
+        batch = _solve_batch(demo.params, demo.pair_template, source, demo.settings, MODE,
+                             [c[:2] for c in cases], [p.bending_stiffness for p in params],
+                             [c[3] for c in cases])
+        for k, (case, pk) in enumerate(zip(cases, params)):
+            try:
+                ref = solve_tip_pose(pk, demo.pair_template.with_angles(*case[:2]), source,
+                                     FieldCalibration(case[3]), demo.settings, MODE)
+            except (DivergenceError, FieldSingularityError) as exc:
+                assert batch.error[k] == str(exc)
+                assert np.isnan(batch.tip[k]).all() and not batch.converged[k]
+                continue
+            assert batch.error[k] is None
+            for got, want in ((batch.tip[k], ref.tip.position),
+                              (batch.tangent[k], ref.tip.tangent),
+                              (batch.wrench[k], ref.wrench.as_stacked())):
+                assert got.tobytes() == want.tobytes()
+            assert batch.iterations[k] == ref.iterations
+            assert batch.residual[k].tobytes() == np.float64(ref.residual).tobytes()
+            assert batch.converged[k] == ref.converged
+        return batch
+
+    def test_one_case_is_the_public_maps(self, demo):
+        # antiparallel rings converge in one iteration: the tip is g of the
+        # straight pose and the wrench that of the tip, bit for bit
+        pair = demo.pair_template.with_angles(math.pi, 0.0)
+        r = solve_tip_pose(demo.params, pair, demo.source, CAL, demo.settings, MODE)
+        straight = TipPose(demo.params.straight_tip, E1)
+        tip = tip_pose_from_wrench(demo.params, tip_wrench(pair, straight, demo.source, CAL),
+                                   MODE)
+        w = tip_wrench(pair, tip, demo.source, CAL)
+        assert (r.iterations, r.converged) == (1, True)
+        assert r.tip.position.tobytes() == tip.position.tobytes()
+        assert r.tip.tangent.tobytes() == tip.tangent.tobytes()
+        assert r.wrench.as_stacked().tobytes() == w.as_stacked().tobytes()
+        assert r.residual == math.dist(tip.position, straight.position)
+
+    def test_mixed_stop_then_last_cases(self, demo):
+        # a source at the straight tip: in the first iteration one case
+        # converges, one diverges (a near-zero stiffness) and one is singular
+        # (k_b = 1 leaves the source on the seed); two mirrored cases go on
+        # and stop converged together, with tips mirrored in y
+        source = DipoleSource(moment=demo.source.moment, position=demo.params.straight_tip)
+        batch = self.assert_rows_are_solves(demo, source, [
+            (math.pi, 0.0, 0.009, 4.03), (0.5, 0.1, 0.009, 4.03), (0.3, 0.0, 1e-9, 2.0),
+            (0.3, 0.0, 0.009, 1.0), (-0.5, -0.1, 0.009, 4.03)])
+        assert batch.iterations[0] == 1 and batch.iterations[1] == batch.iterations[4] > 1
+        assert batch.error[2].endswith("after 1 iterations")
+        assert batch.error[3] == _SINGULAR
+        assert batch.tip[1, 1] == -batch.tip[4, 1] != 0.0
+
+
 class TestColdSweep:
     def assert_matches_scalar(self, params, pair_template, settings, t1, t2, demo,
                               mode=MODE):

@@ -126,7 +126,11 @@ def evaluate_metrics(
 
 @dataclass(frozen=True)
 class CalibrationGrid:
-    """Search grid for the (stiffness scale, field scale) pair."""
+    """Search grid for the (stiffness scale, field scale) pair.
+
+    Each axis is a nonempty, strictly increasing sequence of finite values
+    > 0; anything else raises :class:`ContractViolation`.
+    """
 
     ke_values: np.ndarray = field(
         default_factory=lambda: np.linspace(0.009, 0.018, 25)
@@ -140,6 +144,8 @@ class CalibrationGrid:
             v = np.asarray(getattr(self, name), dtype=float)
             if v.ndim != 1 or v.size == 0:
                 raise ContractViolation(f"{name} must be a nonempty 1-D sequence")
+            if not np.all(np.isfinite(v) & (v > 0)):
+                raise ContractViolation(f"{name} must be finite and > 0")
             if v.size > 1 and not np.all(np.diff(v) > 0):
                 raise ContractViolation(f"{name} must be strictly increasing")
             object.__setattr__(self, name, v)
@@ -253,6 +259,24 @@ def _csv_number(row: dict, key: str, path, line: int, default=_REQUIRED) -> floa
     return value
 
 
+def _csv_rows(path, required) -> list[tuple[int, dict]]:
+    """The data rows of the CSV table at ``path``, each with its line number,
+    as ``csv.DictReader`` rows. A :class:`ContractViolation` naming ``path``
+    rejects an empty file, a header without one of the ``required``
+    columns and a table without data rows."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise ContractViolation(f"{path}: empty CSV")
+        missing = set(required) - set(reader.fieldnames)
+        if missing:
+            raise ContractViolation(f"{path}: missing columns {sorted(missing)}")
+        rows = list(enumerate(reader, start=2))
+    if not rows:
+        raise ContractViolation(f"{path}: no data rows")
+    return rows
+
+
 def load_experiment_csv(
     path,
     notch_slope: float | None = None,
@@ -268,40 +292,29 @@ def load_experiment_csv(
     ``theta2_deg`` defaults to 0.
     """
     use_notch = notch_slope is not None and notch_offset is not None
+    needed = {"x_mm", "y_mm"} | ({"notch_mm"} if use_notch else {"theta1_deg"})
     records: list[ExperimentRecord] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ContractViolation(f"{path}: empty CSV")
-        cols = set(reader.fieldnames)
-        needed = {"x_mm", "y_mm"} | ({"notch_mm"} if use_notch else {"theta1_deg"})
-        missing = needed - cols
-        if missing:
-            raise ContractViolation(f"{path}: missing columns {sorted(missing)}")
-        for line, row in enumerate(reader, start=2):
-            def num(key, default=_REQUIRED):
-                return _csv_number(row, key, path, line, default)
+    for line, row in _csv_rows(path, needed):
+        def num(key, default=_REQUIRED):
+            return _csv_number(row, key, path, line, default)
 
-            if use_notch:
-                theta1 = notch_to_angle(num("notch_mm") * 1e-3, notch_slope,
-                                        notch_offset)
-            else:
-                theta1 = math.radians(num("theta1_deg"))
-            theta2 = math.radians(num("theta2_deg", 0.0))
-            x = num("x_mm")
-            y = num("y_mm", None)
-            z = num("z_mm", None)
-            tip = np.array([
-                x * 1e-3,
-                np.nan if y is None else y * 1e-3,
-                np.nan if z is None else z * 1e-3,
-            ])
-            if y is None and z is None:
-                raise ContractViolation(f"{path}:{line}: need y_mm or z_mm")
-            plane = "xyz" if (y is not None and z is not None) else (
-                "xy" if y is not None else "xz"
-            )
-            records.append(ExperimentRecord(theta1, theta2, tip, plane))
-    if not records:
-        raise ContractViolation(f"{path}: no data rows")
+        if use_notch:
+            theta1 = notch_to_angle(num("notch_mm") * 1e-3, notch_slope, notch_offset)
+        else:
+            theta1 = math.radians(num("theta1_deg"))
+        theta2 = math.radians(num("theta2_deg", 0.0))
+        x = num("x_mm")
+        y = num("y_mm", None)
+        z = num("z_mm", None)
+        tip = np.array([
+            x * 1e-3,
+            np.nan if y is None else y * 1e-3,
+            np.nan if z is None else z * 1e-3,
+        ])
+        if y is None and z is None:
+            raise ContractViolation(f"{path}:{line}: need y_mm or z_mm")
+        plane = "xyz" if (y is not None and z is not None) else (
+            "xy" if y is not None else "xz"
+        )
+        records.append(ExperimentRecord(theta1, theta2, tip, plane))
     return records

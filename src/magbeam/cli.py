@@ -30,6 +30,7 @@ from .calibration import (
     CalibrationError,
     CalibrationGrid,
     _csv_number,
+    _csv_rows,
     _fit_metrics,
     _in_plane_errors,
     grid_search_calibrate,
@@ -38,7 +39,7 @@ from .calibration import (
 from .config import ConfigError, LoadedConfig, default_config_path, load_config
 from .equilibrium import DivergenceError, _sweep_rows, solve_tip_pose
 from .geomag import ContractViolation, FieldCalibration, FieldSingularityError
-from .svgplot import SvgPlot
+from .svgplot import write_svg
 from .workspace import (
     EllipseFitError,
     PlanarTrack,
@@ -109,19 +110,18 @@ def _parse_grid_axis(text: str, default_n: int = 25) -> np.ndarray:
     return np.linspace(lo, hi, n) if n > 1 else np.array([lo])
 
 
-def _apply_overrides(cfg: LoadedConfig, args) -> tuple[LoadedConfig, FieldCalibration]:
-    params = cfg.params
-    if getattr(args, "ke", None) is not None:
-        params = replace(params, stiffness_scale=args.ke)
-        cfg = replace(cfg, params=params)
-    kb = getattr(args, "kb", None)
-    return cfg, FieldCalibration(kb if kb is not None else 1.0)
-
-
 def _mode(cfg: LoadedConfig, args) -> BeamFormulation:
-    if getattr(args, "beam_mode", None):
-        return BeamFormulation(args.beam_mode)
-    return cfg.mode
+    return BeamFormulation(args.beam_mode) if args.beam_mode else cfg.mode
+
+
+def _model(args) -> tuple[LoadedConfig, FieldCalibration, BeamFormulation]:
+    """The ``--config`` model with the stiffness scale of ``--ke`` (the
+    config's if unset), the field scale of ``--kb`` (default 1) and the
+    beam formulation of ``--beam-mode`` (the config's if unset)."""
+    cfg = load_config(args.config)
+    if args.ke is not None:
+        cfg = replace(cfg, params=replace(cfg.params, stiffness_scale=args.ke))
+    return cfg, FieldCalibration(1.0 if args.kb is None else args.kb), _mode(cfg, args)
 
 
 def _report(cfg: LoadedConfig, results: dict, t0: float) -> dict:
@@ -142,8 +142,7 @@ def _emit_json(doc: dict, out: str | None):
 
 
 def _notch_params(args) -> tuple[float | None, float | None]:
-    slope = getattr(args, "notch_slope", None)
-    offset = getattr(args, "notch_offset", None)
+    slope, offset = args.notch_slope, args.notch_offset
     if (slope is None) != (offset is None):
         raise InputError("--notch-slope and --notch-offset must be given together")
     if slope is None:
@@ -156,13 +155,11 @@ def cmd_simulate(args) -> int:
     t0 = time.perf_counter()
     if not (math.isfinite(args.theta1) and math.isfinite(args.theta2)):
         raise InputError("--theta1 and --theta2 must be finite")
-    cfg = load_config(args.config)
-    cfg, cal = _apply_overrides(cfg, args)
+    cfg, cal, mode = _model(args)
     pair = cfg.pair_template.with_angles(
         math.radians(args.theta1), math.radians(args.theta2)
     )
-    res = solve_tip_pose(cfg.params, pair, cfg.source, cal, cfg.settings,
-                         _mode(cfg, args))
+    res = solve_tip_pose(cfg.params, pair, cfg.source, cal, cfg.settings, mode)
     tip_mm = res.tip.position * 1e3
     deflection_mm = float(np.linalg.norm(res.tip.position - cfg.params.straight_tip)) * 1e3
     print(f"tip_mm: [{tip_mm[0]:.4f}, {tip_mm[1]:.4f}, {tip_mm[2]:.4f}]")
@@ -188,15 +185,14 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     t0 = time.perf_counter()
-    cfg = load_config(args.config)
-    cfg, cal = _apply_overrides(cfg, args)
+    cfg, cal, mode = _model(args)
     t1 = np.radians(_parse_range(args.theta1))
     t2 = np.radians(_parse_range(args.theta2))
     if not args.zip:
         _check_count(t1.size * t2.size, f"{args.theta1} x {args.theta2}")
     q, batch = _sweep_rows(
         cfg.params, cfg.pair_template, cfg.source, cal, cfg.settings,
-        _mode(cfg, args), t1, t2, zipped=args.zip,
+        mode, t1, t2, zipped=args.zip,
         warm_start=not args.no_warm_start,
     )
     solved = np.isfinite(batch.tip).all(axis=1)
@@ -221,10 +217,10 @@ def cmd_sweep(args) -> int:
     return EXIT_OK if n_failed == 0 else EXIT_NUMERIC
 
 
-def _schedule_tips(cfg: LoadedConfig, params, cal, mode, angles) -> np.ndarray:
+def _schedule_tips(cfg: LoadedConfig, cal, mode, angles) -> np.ndarray:
     """(N, 3) tips of a warm schedule; DivergenceError unless all converge."""
     q = np.reshape(angles, (-1, 2))
-    _, batch = _sweep_rows(params, cfg.pair_template, cfg.source, cal, cfg.settings,
+    _, batch = _sweep_rows(cfg.params, cfg.pair_template, cfg.source, cal, cfg.settings,
                            mode, q[:, 0], q[:, 1], zipped=True)
     failed = int((~batch.converged).sum())
     if failed:
@@ -270,13 +266,10 @@ def cmd_calibrate(args) -> int:
 
 def cmd_validate(args) -> int:
     t0 = time.perf_counter()
-    cfg = load_config(args.config)
+    cfg, cal, mode = _model(args)
     slope, offset = _notch_params(args)
     records = load_experiment_csv(args.data, notch_slope=slope, notch_offset=offset)
-    params = replace(cfg.params, stiffness_scale=args.ke)
-    cal = FieldCalibration(args.kb)
-    preds = _schedule_tips(cfg, params, cal, _mode(cfg, args),
-                           [(r.theta1, r.theta2) for r in records])
+    preds = _schedule_tips(cfg, cal, mode, [(r.theta1, r.theta2) for r in records])
     measured = np.array([r.tip for r in records])
     metrics = _fit_metrics(measured, preds)
     table = [
@@ -302,8 +295,6 @@ def cmd_validate(args) -> int:
 
 
 def _validate_plot(records, preds, path):
-    plot = SvgPlot(title="measured vs predicted tip position",
-                   x_label="theta1 [deg]", y_label="in-plane deflection [mm]")
     t_deg = np.array([math.degrees(r.theta1) for r in records])
     meas = []
     pred = []
@@ -312,47 +303,30 @@ def _validate_plot(records, preds, path):
         meas.append(float(np.linalg.norm(rec.tip[axes])) * 1e3)
         pred.append(float(np.linalg.norm(position[axes])) * 1e3)
     order = np.argsort(t_deg)
-    plot.add_line(np.column_stack([t_deg[order], np.array(pred)[order]]),
-                  color="#1f77b4")
-    plot.add_points(np.column_stack([t_deg, meas]), color="#d62728")
-    plot.write(path)
+    write_svg(path, np.column_stack([t_deg[order], np.array(pred)[order]]),
+              np.column_stack([t_deg, meas]), "measured vs predicted tip position",
+              "theta1 [deg]", "in-plane deflection [mm]")
 
 
 def _load_track_csv(path, plane: str) -> PlanarTrack:
     ycol = "y_mm" if plane == "top" else "z_mm"
     idx = []
     pts = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"x_mm", ycol} <= set(reader.fieldnames):
-            raise InputError(f"{path}: expected columns x_mm,{ycol}")
-        for line, row in enumerate(reader, start=2):
-            idx.append(_csv_number(row, "index", path, line, line - 2))
-            pts.append([_csv_number(row, "x_mm", path, line) * 1e-3,
-                        _csv_number(row, ycol, path, line) * 1e-3])
-    if not pts:
-        raise InputError(f"{path}: no data rows")
+    for line, row in _csv_rows(path, ("x_mm", ycol)):
+        idx.append(_csv_number(row, "index", path, line, line - 2))
+        pts.append([_csv_number(row, "x_mm", path, line) * 1e-3,
+                    _csv_number(row, ycol, path, line) * 1e-3])
     return PlanarTrack(plane=plane, points=np.array(pts), indices=np.array(idx))
 
 
 def cmd_workspace(args) -> int:
     t0 = time.perf_counter()
-    cfg = load_config(args.config)
-    cfg, cal = _apply_overrides(cfg, args)
+    cfg, cal, mode = _model(args)
     if args.schedule:
-        records = []
-        with open(args.schedule, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or not {"theta1_deg", "theta2_deg"} <= set(
-                reader.fieldnames
-            ):
-                raise InputError(f"{args.schedule}: expected theta1_deg,theta2_deg")
-            for line, row in enumerate(reader, start=2):
-                records.append(tuple(math.radians(_csv_number(row, k, args.schedule, line))
-                                     for k in ("theta1_deg", "theta2_deg")))
-        if not records:
-            raise InputError(f"{args.schedule}: no data rows")
-        pts3d = _schedule_tips(cfg, cfg.params, cal, _mode(cfg, args), records)
+        cols = ("theta1_deg", "theta2_deg")
+        angles = [[math.radians(_csv_number(row, k, args.schedule, line)) for k in cols]
+                  for line, row in _csv_rows(args.schedule, cols)]
+        pts3d = _schedule_tips(cfg, cal, mode, angles)
         flags = np.zeros(len(pts3d), dtype=bool)
     else:
         if not (args.top and args.side):
@@ -382,11 +356,8 @@ def cmd_workspace(args) -> int:
     }, t0)
     _emit_json(doc, args.out)
     if args.plot:
-        plot = SvgPlot(title="tip workspace (y-z projection)",
-                       x_label="y [mm]", y_label="z [mm]")
-        plot.add_line(ell.sample() * 1e3, color="#1f77b4")
-        plot.add_points(pts3d[:, 1:3] * 1e3, color="#d62728")
-        plot.write(args.plot)
+        write_svg(args.plot, ell.sample() * 1e3, pts3d[:, 1:3] * 1e3,
+                  "tip workspace (y-z projection)", "y [mm]", "z [mm]")
     return EXIT_OK
 
 
@@ -405,12 +376,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--beam-mode", choices=["corrected", "legacy"],
                        help="override the beam formulation from the config")
 
+    def scale_overrides(p):
+        p.add_argument("--ke", type=float, help="stiffness scale override")
+        p.add_argument("--kb", type=float, help="field scale (default 1)")
+
+    def notch(p):
+        p.add_argument("--notch-slope", type=float,
+                       help="notch transform slope [deg/mm]")
+        p.add_argument("--notch-offset", type=float,
+                       help="notch transform offset [mm]")
+
     p = sub.add_parser("simulate", help="single forward solve")
     common(p)
     p.add_argument("--theta1", type=float, required=True, help="distal angle [deg]")
     p.add_argument("--theta2", type=float, default=0.0, help="proximal angle [deg]")
-    p.add_argument("--ke", type=float, help="stiffness scale override")
-    p.add_argument("--kb", type=float, help="field scale (default 1)")
+    scale_overrides(p)
     p.add_argument("--out", help="write a JSON run report")
 
     p = sub.add_parser("sweep", help="forward solves over angle ranges")
@@ -423,8 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="with --zip, seed every solve from the straight "
                         "configuration and solve all points as one batch "
                         "(a grid is always one batch)")
-    p.add_argument("--ke", type=float, help="stiffness scale override")
-    p.add_argument("--kb", type=float, help="field scale (default 1)")
+    scale_overrides(p)
     p.add_argument("--out", help="output CSV (default: stdout)")
     p.add_argument("--report", help="write a JSON run report")
 
@@ -435,10 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kb", default="3.5:4.5:25", help="lo:hi[:n]")
     p.add_argument("--out", help="output JSON (default: stdout)")
     p.add_argument("--surface", help="write the error surface as CSV")
-    p.add_argument("--notch-slope", type=float,
-                   help="notch transform slope [deg/mm]")
-    p.add_argument("--notch-offset", type=float,
-                   help="notch transform offset [mm]")
+    notch(p)
     p.add_argument("--threads", type=int,
                    help="accepted and ignored; calibration runs on the calling thread")
 
@@ -449,18 +425,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kb", type=float, required=True)
     p.add_argument("--out", help="output JSON (default: stdout)")
     p.add_argument("--plot", help="write an SVG of measured vs predicted curves")
-    p.add_argument("--notch-slope", type=float,
-                   help="notch transform slope [deg/mm]")
-    p.add_argument("--notch-offset", type=float,
-                   help="notch transform offset [mm]")
+    notch(p)
 
     p = sub.add_parser("workspace", help="workspace reconstruction and ellipse fit")
     common(p)
     p.add_argument("--schedule", help="CSV of theta1_deg,theta2_deg to simulate")
     p.add_argument("--top", help="top-view track CSV (x_mm,y_mm)")
     p.add_argument("--side", help="side-view track CSV (x_mm,z_mm)")
-    p.add_argument("--ke", type=float, help="stiffness scale override")
-    p.add_argument("--kb", type=float, help="field scale (default 1)")
+    scale_overrides(p)
     p.add_argument("--out", help="output JSON (default: stdout)")
     p.add_argument("--plot", help="write an SVG of the y-z projection")
     return ap

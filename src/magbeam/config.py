@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .beam import BeamFormulation, RobotParams, section_moment_tube
-from .equilibrium import SolverSettings
+from .equilibrium import SolverSettings, _is_count
 from .geomag import (
     DipoleSource,
     RingPairConfig,
@@ -61,18 +61,30 @@ def _require(section: dict, name: str, key: str):
     return section[key]
 
 
+def _is_number(v) -> bool:
+    """Whether ``v`` is a finite JSON number; true and false are not."""
+    return not isinstance(v, bool) and isinstance(v, (int, float)) and math.isfinite(v)
+
+
 def _positive(section: dict, name: str, key: str) -> float:
     v = _require(section, name, key)
-    if not isinstance(v, (int, float)) or not math.isfinite(v) or v <= 0:
+    if not _is_number(v) or v <= 0:
         raise ConfigError(f"{name}.{key}: expected a positive number, got {v!r}")
     return float(v)
 
 
 def _nonneg(section: dict, name: str, key: str) -> float:
     v = _require(section, name, key)
-    if not isinstance(v, (int, float)) or not math.isfinite(v) or v < 0:
+    if not _is_number(v) or v < 0:
         raise ConfigError(f"{name}.{key}: expected a number >= 0, got {v!r}")
     return float(v)
+
+
+def _count(section: dict, name: str, key: str) -> int:
+    v = _require(section, name, key)
+    if not _is_count(v):
+        raise ConfigError(f"{name}.{key}: expected an integer >= 1, got {v!r}")
+    return v
 
 
 def _vec3(section: dict, name: str, key: str) -> np.ndarray:
@@ -149,7 +161,7 @@ def parse_config(doc: dict) -> LoadedConfig:
 
     settings = SolverSettings(
         position_tolerance=_positive(solver, "solver", "tolerance_mm") * 1e-3,
-        max_iterations=int(_positive(solver, "solver", "max_iterations")),
+        max_iterations=_count(solver, "solver", "max_iterations"),
         relaxation=_positive(solver, "solver", "relaxation"),
     )
 

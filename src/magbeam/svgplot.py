@@ -1,113 +1,59 @@
-"""Minimal dependency-free SVG scatter/line plots.
+"""Minimal dependency-free SVG figure.
 
-Enough for the validation and workspace figures: polylines, markers,
-axis frame with tick labels, and a title. Data coordinates are mapped
-into a fixed-size canvas with equal margins.
+Enough for the validation and workspace figures: one polyline, one set
+of markers, an axis frame with tick labels, and a title. Data
+coordinates are mapped into a fixed-size canvas with equal margins.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
+WIDTH, HEIGHT, MARGIN = 640, 480, 56
 
-@dataclass
-class SvgPlot:
-    width: int = 640
-    height: int = 480
-    margin: int = 56
-    title: str = ""
-    x_label: str = ""
-    y_label: str = ""
-    _series: list = field(default_factory=list)
 
-    def add_line(self, xy: np.ndarray, color: str = "#1f77b4", width: float = 1.5,
-                 dash: str | None = None):
-        self._series.append(("line", np.asarray(xy, dtype=float), color, width, dash))
+def write_svg(path, line, points, title: str, x_label: str, y_label: str) -> None:
+    """Write to ``path`` a figure of the polyline through the (N, 2) ``line``
+    and a marker at each of the (M, 2) ``points``.
 
-    def add_points(self, xy: np.ndarray, color: str = "#d62728", radius: float = 3.0):
-        self._series.append(("points", np.asarray(xy, dtype=float), color, radius, None))
+    Both axes span the data padded by 5 % of its extent (of 1 where the
+    extent is zero); each carries ticks at its low, middle and high value.
+    """
+    line = np.asarray(line, dtype=float)
+    points = np.asarray(points, dtype=float)
+    data = np.vstack([line, points])
+    lo, hi = data.min(axis=0), data.max(axis=0)
+    span = np.where(hi - lo > 0, hi - lo, 1.0)
+    lo, hi = lo - 0.05 * span, hi + 0.05 * span
+    w, h = WIDTH - 2 * MARGIN, HEIGHT - 2 * MARGIN
 
-    def _bounds(self):
-        pts = np.vstack([s[1] for s in self._series]) if self._series else np.zeros((1, 2))
-        lo = pts.min(axis=0)
-        hi = pts.max(axis=0)
-        span = np.where(hi - lo > 0, hi - lo, 1.0)
-        return lo - 0.05 * span, hi + 0.05 * span
+    def to_px(xy):
+        t = (xy - lo) / (hi - lo)
+        return np.column_stack([MARGIN + t[:, 0] * w, HEIGHT - MARGIN - t[:, 1] * h])
 
-    def _mapper(self):
-        lo, hi = self._bounds()
-        w = self.width - 2 * self.margin
-        h = self.height - 2 * self.margin
-
-        def to_px(xy):
-            t = (xy - lo) / (hi - lo)
-            return np.column_stack([
-                self.margin + t[:, 0] * w,
-                self.height - self.margin - t[:, 1] * h,
-            ])
-
-        return to_px, lo, hi
-
-    def render(self) -> str:
-        to_px, lo, hi = self._mapper()
-        parts = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
-            f'height="{self.height}" viewBox="0 0 {self.width} {self.height}">',
-            f'<rect width="{self.width}" height="{self.height}" fill="white"/>',
-            f'<rect x="{self.margin}" y="{self.margin}" '
-            f'width="{self.width - 2 * self.margin}" '
-            f'height="{self.height - 2 * self.margin}" fill="none" stroke="#444"/>',
-        ]
-        if self.title:
-            parts.append(
-                f'<text x="{self.width / 2}" y="{self.margin / 2}" '
-                f'text-anchor="middle" font-size="14">{self.title}</text>'
-            )
-        for axis, label in ((0, self.x_label), (1, self.y_label)):
-            for frac in (0.0, 0.5, 1.0):
-                val = lo[axis] + frac * (hi[axis] - lo[axis])
-                if axis == 0:
-                    x = self.margin + frac * (self.width - 2 * self.margin)
-                    y = self.height - self.margin + 16
-                    anchor, rot = "middle", ""
-                else:
-                    x = self.margin - 8
-                    y = self.height - self.margin - frac * (self.height - 2 * self.margin)
-                    anchor, rot = "end", ""
-                parts.append(
-                    f'<text x="{x:.1f}" y="{y:.1f}" text-anchor="{anchor}" '
-                    f'font-size="10"{rot}>{val:.3g}</text>'
-                )
-        if self.x_label:
-            parts.append(
-                f'<text x="{self.width / 2}" y="{self.height - 8}" '
-                f'text-anchor="middle" font-size="12">{self.x_label}</text>'
-            )
-        if self.y_label:
-            parts.append(
-                f'<text x="14" y="{self.height / 2}" text-anchor="middle" '
-                f'font-size="12" transform="rotate(-90 14 {self.height / 2})">'
-                f'{self.y_label}</text>'
-            )
-        for kind, data, color, size, dash in self._series:
-            px = to_px(data)
-            if kind == "line":
-                pts = " ".join(f"{p[0]:.2f},{p[1]:.2f}" for p in px)
-                extra = f' stroke-dasharray="{dash}"' if dash else ""
-                parts.append(
-                    f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                    f'stroke-width="{size}"{extra}/>'
-                )
-            else:
-                for p in px:
-                    parts.append(
-                        f'<circle cx="{p[0]:.2f}" cy="{p[1]:.2f}" r="{size}" '
-                        f'fill="{color}"/>'
-                    )
-        parts.append("</svg>")
-        return "\n".join(parts)
-
-    def write(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.render())
+    fracs = (0.0, 0.5, 1.0)
+    ticks = [(MARGIN + f * w, HEIGHT - MARGIN + 16, "middle", lo[0] + f * (hi[0] - lo[0]))
+             for f in fracs]
+    ticks += [(MARGIN - 8, HEIGHT - MARGIN - f * h, "end", lo[1] + f * (hi[1] - lo[1]))
+              for f in fracs]
+    vertices = " ".join(f"{x:.2f},{y:.2f}" for x, y in to_px(line))
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+        f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        f'<rect x="{MARGIN}" y="{MARGIN}" width="{w}" height="{h}" fill="none" '
+        f'stroke="#444"/>',
+        f'<text x="{WIDTH / 2}" y="{MARGIN / 2}" text-anchor="middle" '
+        f'font-size="14">{title}</text>',
+        *(f'<text x="{x:.1f}" y="{y:.1f}" text-anchor="{anchor}" '
+          f'font-size="10">{val:.3g}</text>' for x, y, anchor, val in ticks),
+        f'<text x="{WIDTH / 2}" y="{HEIGHT - 8}" text-anchor="middle" '
+        f'font-size="12">{x_label}</text>',
+        f'<text x="14" y="{HEIGHT / 2}" text-anchor="middle" font-size="12" '
+        f'transform="rotate(-90 14 {HEIGHT / 2})">{y_label}</text>',
+        f'<polyline points="{vertices}" fill="none" stroke="#1f77b4" stroke-width="1.5"/>',
+        *(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3.0" fill="#d62728"/>'
+          for x, y in to_px(points)),
+        "</svg>",
+    ]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(parts))

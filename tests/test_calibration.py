@@ -285,6 +285,16 @@ class TestGridSearch:
         with pytest.raises(ContractViolation):
             CalibrationGrid(kb_values=np.array([]))
 
+    @pytest.mark.parametrize("axis", ["ke_values", "kb_values"])
+    @pytest.mark.parametrize("bad", [0.0, -0.01, math.inf, math.nan],
+                             ids=["zero", "negative", "inf", "nan"])
+    def test_grid_values_finite_positive(self, axis, bad):
+        # a cell that no RobotParams or FieldCalibration would accept is
+        # rejected with the grid, not scored
+        values = np.array([bad, 0.01]) if bad < 0.01 else np.array([0.01, bad])
+        with pytest.raises(ContractViolation, match=f"{axis} must be finite and > 0"):
+            CalibrationGrid(**{axis: values})
+
 
 class TestCsvLoader:
     def test_planar_rows(self, tmp_path):

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -111,6 +112,29 @@ class TestParsers:
         assert main(["sweep", "--theta1", "0:1:3", "--theta2", "0:1:3"]) == EXIT_INPUT
         assert main(["calibrate", "--data", str(DATA_DIR / "planar-sweep-digitized.csv"),
                      "--ke", "0.009:0.018:4", "--kb", "3.5:4.5:4"]) == EXIT_INPUT
+
+
+def test_option_strings_per_subcommand():
+    # every flag each subcommand takes, so that no flag is added or lost
+    common = {"-h", "--help", "--config", "--beam-mode"}
+    expected = {
+        "simulate": {"--theta1", "--theta2", "--ke", "--kb", "--out"},
+        "sweep": {"--theta1", "--theta2", "--zip", "--no-warm-start", "--ke", "--kb",
+                  "--out", "--report"},
+        "calibrate": {"--data", "--ke", "--kb", "--out", "--surface", "--notch-slope",
+                      "--notch-offset", "--threads"},
+        "validate": {"--data", "--ke", "--kb", "--out", "--plot", "--notch-slope",
+                     "--notch-offset"},
+        "workspace": {"--schedule", "--top", "--side", "--ke", "--kb", "--out", "--plot"},
+    }
+    parser = cli.build_parser()
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert {o for a in parser._actions for o in a.option_strings} == {
+        "-h", "--help", "--version"}
+    assert set(sub.choices) == set(expected)
+    for name, flags in expected.items():
+        got = {o for a in sub.choices[name]._actions for o in a.option_strings}
+        assert got == common | flags, name
 
 
 PARSER_BUILDS = """
@@ -324,6 +348,16 @@ class TestCalibrate:
                    "--kb", "4:4:1"])
         assert rc == EXIT_INPUT
 
+    @pytest.mark.parametrize("axes", [["--ke=-0.01:0.01:3", "--kb", "3.5:4.5:3"],
+                                      ["--ke", "0.009:0.018:3", "--kb=-4.5:4.5:3"]],
+                             ids=["ke", "kb"])
+    def test_nonpositive_grid_exit_2(self, capsys, axes):
+        rc = main(["calibrate", "--data", str(DATA_DIR / "planar-sweep-digitized.csv"),
+                   *axes])
+        assert rc == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == "" and "must be finite and > 0" in err
+
     def test_notch_flags_must_pair(self, tmp_path):
         rc = main(["calibrate", "--data", str(DATA_DIR / "planar-sweep-digitized.csv"),
                    "--ke", "0.009:0.009:1", "--kb", "4:4:1",
@@ -417,6 +451,27 @@ class TestWorkspace:
         err = capsys.readouterr().err
         assert f"{bad}:3" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--schedule", "--top", "--side"])
+    @pytest.mark.parametrize("kind", ["empty", "missing-column", "no-rows"])
+    def test_bad_csv_table_exit_2(self, tmp_path, capsys, flag, kind):
+        first, second = {"--schedule": ("theta1_deg", "theta2_deg"),
+                         "--top": ("x_mm", "y_mm"), "--side": ("x_mm", "z_mm")}[flag]
+        bad = tmp_path / "bad.csv"
+        bad.write_text({"empty": "", "missing-column": f"{first}\n0\n",
+                        "no-rows": f"{first},{second}\n"}[kind])
+        top = tmp_path / "top.csv"
+        top.write_text("x_mm,y_mm\n149,0\n149,1\n")
+        side = tmp_path / "side.csv"
+        side.write_text("x_mm,z_mm\n149,0\n149,1\n")
+        args = {"--schedule": ["--schedule", bad], "--top": ["--top", bad, "--side", side],
+                "--side": ["--top", top, "--side", bad]}[flag]
+        assert main(["workspace", *map(str, args)]) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == {"empty": f"error: {bad}: empty CSV\n",
+                       "missing-column": f"error: {bad}: missing columns ['{second}']\n",
+                       "no-rows": f"error: {bad}: no data rows\n"}[kind]
 
     def test_collinear_track_exit_3(self, tmp_path):
         top = tmp_path / "top.csv"

@@ -89,3 +89,18 @@ class TestSchema:
     def test_raw_preserved(self, doc):
         cfg = parse_config(doc)
         assert cfg.raw == doc
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("solver", "max_iterations", 2.5),
+        ("solver", "max_iterations", 3.0),
+        ("solver", "max_iterations", True),
+        ("solver", "relaxation", True),
+        ("robot", "length_mm", True),
+        ("tip_magnets", "id_mm", False),
+    ], ids=["iterations-fraction", "iterations-float", "iterations-true", "relaxation-true",
+            "length-true", "id-false"])
+    def test_bools_and_fractional_counts_rejected(self, doc, section, key, value):
+        # a JSON true is no number, and a count is no float
+        doc[section][key] = value
+        with pytest.raises(ConfigError, match=f"{section}.{key}"):
+            parse_config(doc)

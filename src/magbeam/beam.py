@@ -113,45 +113,56 @@ def tip_pose_from_wrench(
     with c = 1/3 (corrected) or 1/6 (legacy), and
     n = normalize(e1 + (L/EI) (tau + L/2 e1 x f) x e1).
     """
-    p, n = _cantilever_rows(params.straight_tip, params.length, params.bending_stiffness,
-                            mode, w.as_stacked()[None])
-    return TipPose(position=p[0], tangent=n[0])
+    g = _cantilever_rows(_straight_pose(params), params.length, params.bending_stiffness,
+                         mode, w.as_stacked()[None])
+    return TipPose(position=g[0, :3], tangent=g[0, 3:])
+
+
+# the wrench components (f | tau) of each coefficient of _compliance
+_GATHER = np.array([0, 1, 2, 0, 1, 2, 0, 5, 4, 0, 5, 4])
 
 
 @lru_cache(maxsize=16)
 def _compliance(L: float, mode: BeamFormulation) -> np.ndarray:
-    """The linear part of :func:`tip_pose_from_wrench`: the (6, 6) map
-    from a stacked wrench (f | tau) to EI times the tip displacement
-    (columns 0-2) and to EI times the tangent's tilt (0, n_y, n_z) before
-    normalisation (columns 3-5). With (e1 x f) x e1 = (0, f_y, f_z) and
-    tau x e1 = (0, tau_z, -tau_y) only f_y, f_z, tau_y and tau_z act."""
+    """The linear part of :func:`tip_pose_from_wrench` as the (12,)
+    coefficients ``k`` of the wrench components that ``_GATHER`` picks:
+    with ``wk = w[_GATHER] * k``, EI times the displacement of the tip
+    (outputs 0-2) and of its tangent from e1 before normalisation
+    (outputs 3-5) is ``wk[:6] + wk[6:]``, one force and one torque term.
+    With (e1 x f) x e1 = (0, f_y, f_z) and tau x e1 = (0, tau_z, -tau_y)
+    only f_y, f_z, tau_y and tau_z act; the zero coefficients of p_x and
+    n_x keep a non-finite wrench non-finite there."""
     h = 0.5 * L * L
     c = L**3 / 3.0 if mode is BeamFormulation.CORRECTED else L**3 / 6.0
-    C = np.zeros((6, 6))
-    C[1, 1], C[5, 1] = c, h  # p_y: c L^3 f_y + L^2/2 tau_z
-    C[2, 2], C[4, 2] = c, -h  # p_z: c L^3 f_z - L^2/2 tau_y
-    C[1, 4], C[5, 4] = h, L  # n_y: L (L/2 f_y + tau_z)
-    C[2, 5], C[4, 5] = h, -L  # n_z: L (L/2 f_z - tau_y)
-    C.flags.writeable = False
-    return C
+    k = np.array([0.0, c, c, 0.0, h, h,  # c L^3 f_y, c L^3 f_z, L^2/2 f_y, L^2/2 f_z
+                  0.0, h, -h, 0.0, L, -L])  # L^2/2 tau_z, -L^2/2 tau_y, L tau_z, -L tau_y
+    k.flags.writeable = False
+    return k
 
 
 def _cantilever_rows(straight: np.ndarray, L: float, ei, mode: BeamFormulation,
-                     w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tip positions and unit tangents of N cases under the stacked tip
+                     w: np.ndarray) -> np.ndarray:
+    """Tip poses (p | n), (N, 6), of N cases under the stacked tip
     wrenches ``w`` (N, 6) = (f | tau), with bending stiffness ``ei`` (a
     scalar or an (N, 1) column).
 
     The one beam kernel, unvalidated: :func:`tip_pose_from_wrench` calls
     it on one row and the equilibrium solver on every case it iterates;
-    ``straight`` is the unloaded tip position. The product with
-    :func:`_compliance` is an einsum, not a BLAS product, so that a row's
-    result does not depend on how many rows there are.
+    ``straight`` is the (6,) unloaded tip pose (p0 + L e1 | e1). Every
+    step works within a row (a gather, products, a sum of two terms, the
+    tangent's vecdot), so a row's result does not depend on how many rows
+    there are, which a BLAS matrix product would not promise.
     """
-    g = np.einsum("ij,jk->ik", w, _compliance(L, mode)) / ei
-    g[:, 3] = 1.0
+    wk = w[:, _GATHER] * _compliance(L, mode)
+    g = (wk[:, :6] + wk[:, 6:]) / ei + straight
     t = g[:, 3:]
-    return straight + g[:, :3], t / np.sqrt(_dot(t, t))[:, None]
+    t /= np.sqrt(_dot(t, t))[:, None]
+    return g
+
+
+def _straight_pose(params: RobotParams) -> np.ndarray:
+    """The (6,) unloaded tip pose (p0 + L e1 | e1) of ``params``."""
+    return np.concatenate([params.straight_tip, E1])
 
 
 def centerline(params: RobotParams, w: Wrench, n_samples: int) -> np.ndarray:

@@ -8,6 +8,7 @@ the maximum in-plane tip position error over the dataset.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field, replace
 
@@ -263,15 +264,26 @@ def _csv_rows(path, required) -> list[tuple[int, dict]]:
     """The data rows of the CSV table at ``path``, each with its line number,
     as ``csv.DictReader`` rows. A :class:`ContractViolation` naming ``path``
     rejects an empty file, a header without one of the ``required``
-    columns and a table without data rows."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+    columns and a table without data rows; one naming ``path:line`` a
+    file that is not UTF-8 text and one the csv module cannot parse (a
+    cell over its field size limit, say)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ContractViolation(f"{path}:{line}: not UTF-8 text ({exc.reason})") from exc
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    try:
         if reader.fieldnames is None:
             raise ContractViolation(f"{path}: empty CSV")
         missing = set(required) - set(reader.fieldnames)
         if missing:
             raise ContractViolation(f"{path}: missing columns {sorted(missing)}")
         rows = list(enumerate(reader, start=2))
+    except csv.Error as exc:
+        raise ContractViolation(f"{path}:{reader.reader.line_num}: {exc}") from exc
     if not rows:
         raise ContractViolation(f"{path}: no data rows")
     return rows

@@ -181,7 +181,11 @@ def load_config(path) -> LoadedConfig:
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
     try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{p}: not UTF-8 text at byte {exc.start} ({exc.reason})") from exc
+    try:
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{p}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(doc, dict):

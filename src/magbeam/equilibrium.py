@@ -21,7 +21,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .beam import BeamFormulation, RobotParams, TipPose, Wrench, _cantilever_rows
+from .beam import (
+    BeamFormulation,
+    RobotParams,
+    TipPose,
+    Wrench,
+    _cantilever_rows,
+    _straight_pose,
+)
 from .geomag import (
     E1,
     ContractViolation,
@@ -40,8 +47,8 @@ from .geomag import (
 log = logging.getLogger(__name__)
 
 # Cases per batched fixed-point call; bounds the working memory of a batch
-# whatever the number of cases. Peak tracemalloc use is about 0.6 kB per
-# case for coincident rings and 0.9 kB for separated ones.
+# whatever the number of cases. Peak tracemalloc use is about 0.85 kB per
+# case for coincident rings and 1.1 kB for separated ones (4096 cases).
 _BATCH_CASES = 4096
 
 
@@ -145,16 +152,25 @@ class _Batch(NamedTuple):
 
     A row holds what :func:`solve_tip_pose` returns for its case, or in
     ``error`` the message of the exception it raises (``None`` if none);
-    ``tip`` is NaN exactly where ``error`` is set.
+    ``pose`` is NaN exactly where ``error`` is set.
     """
 
-    tip: np.ndarray  # (N, 3) [m]
-    tangent: np.ndarray  # (N, 3)
+    pose: np.ndarray  # (N, 6) tip position [m] | unit tangent
     wrench: np.ndarray  # (N, 6) force [N] | torque [N*m]
     iterations: np.ndarray  # (N,)
     residual: np.ndarray  # (N,) [m]
     converged: np.ndarray  # (N,) bool
     error: np.ndarray  # (N,) object: str or None
+
+    @property
+    def tip(self) -> np.ndarray:
+        """(N, 3) tip positions [m], a view of ``pose``."""
+        return self.pose[:, :3]
+
+    @property
+    def tangent(self) -> np.ndarray:
+        """(N, 3) unit tip tangents, a view of ``pose``."""
+        return self.pose[:, 3:]
 
 
 def _solve_batch(
@@ -194,57 +210,63 @@ def _solve_batch(
 
 
 def _empty_batch(n_cases: int, max_iterations: int) -> _Batch:
-    """N rows of unsolved cases: NaN values, no error, not converged."""
+    """N rows of unsolved cases: NaN values, no error, not converged. The
+    float columns are views of one array."""
+    values = np.full((n_cases, 13), np.nan)
     return _Batch(
-        tip=np.full((n_cases, 3), np.nan), tangent=np.full((n_cases, 3), np.nan),
-        wrench=np.full((n_cases, 6), np.nan),
-        iterations=np.full(n_cases, max_iterations),
-        residual=np.full(n_cases, np.nan), converged=np.zeros(n_cases, dtype=bool),
-        error=np.full(n_cases, None, dtype=object),
+        pose=values[:, :6], wrench=values[:, 6:12], residual=values[:, 12],
+        iterations=np.full(n_cases, max_iterations), converged=np.zeros(n_cases, dtype=bool),
+        error=np.empty(n_cases, dtype=object),  # None
     )
+
+
+# the position columns of a pose (p | n): the relaxation moves p alone
+_POSITION = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
 
 
 def _solve_chunk(params, pair, source, settings, mode, angles, ei, k_b) -> _Batch:
     n_cases = len(angles)
     out = _empty_batch(n_cases, settings.max_iterations)
     L = params.length
-    straight = params.straight_tip
-    seed, seed_tangent = settings.initial_tip, E1
-    if seed is None:
-        seed = straight
-    elif isinstance(seed, TipPose):
-        seed, seed_tangent = seed.position, seed.tangent
+    straight = _straight_pose(params)
+    seed = settings.initial_tip
+    if isinstance(seed, TipPose):
+        x0 = np.concatenate([seed.position, seed.tangent])
+    elif seed is not None:
+        x0 = np.concatenate([seed, E1])
+    else:
+        x0 = straight
     lam = settings.relaxation
     tol = settings.position_tolerance
     bail2 = (10.0 * L) ** 2
 
-    # the rows of the cases still iterating, and their state: the pose,
-    # the relaxation factor and the previous residual g(p) - p, NaN before
-    # the first iteration so that it takes the factor ``relaxation``
+    # the rows of the cases still iterating, and their state: the pose
+    # x = (p | n), each case's relaxation factor and, from the second
+    # iteration on, the previous residual g(p) - p
     rows = np.arange(n_cases)
     rings = _ring_rows(pair, source, k_b, angles)
     ei = ei[:, None]
-    p = np.tile(seed, (n_cases, 1))
-    n = np.tile(seed_tangent, (n_cases, 1))
-    omega = np.full((n_cases, 1), lam)
-    d_old = np.full((n_cases, 3), np.nan)
+    x = np.empty((n_cases, 6))
+    x[:] = x0
+    d_old, omega = None, np.full((n_cases, 1), lam)
     with np.errstate(all="ignore"):  # non-finite values are reported below
         for k in range(1, settings.max_iterations + 1):
-            w, r2 = _ring_pair_wrench_rows(rings, p, n)
-            p_new, n_new = _cantilever_rows(straight, L, ei, mode, w)
-            d = p_new - p
-            d2 = _dot(d, d)
-            dn = n_new - n
-            change = np.sqrt(np.maximum(d2, L * L * _dot(dn, dn)))
+            w, r2 = _ring_pair_wrench_rows(rings, x[:, :3], x[:, 3:])
+            g = _cantilever_rows(straight, L, ei, mode, w)
+            d = g - x  # position residual | tangent change
+            d3 = d.reshape(-1, 2, 3)
+            s = _dot(d3, d3)  # squared norms of both
+            d2 = s[:, 0]
+            change = np.sqrt(np.maximum(d2, L * L * s[:, 1]))
             # NaN fails both tests: a singular or non-finite case stops too
             going = (change > tol) & (d2 <= bail2)
-            if not going.all():
+            if np.count_nonzero(going) < going.size:
                 residual = np.sqrt(d2)
                 converged = change <= tol
                 if converged.all():
                     # every live case stops converged, as a converged one-case
                     # solve always does: write them as they stand, ungathered
-                    _write_converged(out, rows, k, rings, p_new, n_new, residual)
+                    _write_converged(out, rows, k, rings, g, residual)
                     break
                 singular = ~going & (r2 <= 0.0).any(axis=1)
                 diverged = ~going & ~converged & ~singular
@@ -253,44 +275,45 @@ def _solve_chunk(params, pair, source, settings, mode, angles, ei, k_b) -> _Batc
                     out.error[r] = f"fixed-point residual {res:.3g} m after {k} iterations"
                 if converged.any():
                     _write_converged(out, rows[converged], k, rings.take(converged),
-                                     p_new[converged], n_new[converged],
-                                     residual[converged])
+                                     g[converged], residual[converged])
                 rows = rows[going]
                 if rows.size == 0:
                     break
-                p, p_new, n_new, d, d2, d_old, omega, ei = (
-                    p[going], p_new[going], n_new[going], d[going], d2[going],
-                    d_old[going], omega[going], ei[going])
+                g, d, d2, ei, omega = g[going], d[going], d2[going], ei[going], omega[going]
+                if d_old is not None:
+                    d_old = d_old[going]
                 rings = rings.take(going)
-            # Aitken's factor w <- w r_old . (r_old - r) / |r_old - r|^2,
-            # clipped to [relaxation, 1]; fmax maps a NaN (no previous
-            # residual, or no change in it) to the floor
-            dd = d_old - d
-            omega = np.fmin(np.fmax(omega * (_dot(d_old, dd) / _dot(dd, dd))[:, None],
-                                    lam), 1.0)
-            p = p_new - (1.0 - omega) * d  # (1 - w) p + w g(p)
-            n = n_new
-            d_old = d
+            dp = d[:, :3]
+            if d_old is not None:
+                # Aitken's factor w <- w r_old . (r_old - r) / |r_old - r|^2,
+                # clipped to [relaxation, 1]; fmax maps a NaN (no change in
+                # the residual) to the floor
+                dd = d_old - dp
+                omega = np.fmin(np.fmax(omega * (_dot(d_old, dd) / _dot(dd, dd))[:, None],
+                                        lam), 1.0)
+            x = g - ((1.0 - omega) * _POSITION) * d  # p <- (1 - w) p + w g(p), n <- n'
+            d_old = dp
         else:  # unconverged: the last relaxed iterate, with its own wrench
-            out.tip[rows], out.tangent[rows] = p, n
-            out.wrench[rows] = _ring_pair_wrench_rows(rings, p, n)[0]
+            out.pose[rows] = x
+            out.wrench[rows] = _ring_pair_wrench_rows(rings, x[:, :3], x[:, 3:])[0]
             out.residual[rows] = np.sqrt(d2)
     return out
 
 
-def _write_converged(out: _Batch, c, k: int, rings, p, n, residual) -> None:
+def _write_converged(out: _Batch, c, k: int, rings, x, residual) -> None:
     """Rows ``c`` of ``out`` for cases that converged in iteration ``k`` at
-    the poses (p, n), with the wrench there; an exit pose on the source is
+    the poses ``x``, with the wrench there; an exit pose on the source is
     a singular error, with no tip."""
-    out.wrench[c], r2 = _ring_pair_wrench_rows(rings, p, n)
-    out.tip[c], out.tangent[c] = p, n
+    out.wrench[c], r2 = _ring_pair_wrench_rows(rings, x[:, :3], x[:, 3:])
+    out.pose[c] = x
     out.iterations[c] = k
     out.residual[c] = residual
-    singular = (r2 <= 0.0).any(axis=1)
-    out.converged[c] = ~singular
-    if singular.any():
-        out.error[c[singular]] = _SINGULAR
-        out.tip[c[singular]] = np.nan
+    out.converged[c] = True
+    if np.count_nonzero(r2 <= 0.0):
+        singular = c[(r2 <= 0.0).any(axis=1)]
+        out.converged[singular] = False
+        out.error[singular] = _SINGULAR
+        out.pose[singular] = np.nan
 
 
 @dataclass(frozen=True)
@@ -373,7 +396,7 @@ def _sweep_rows(params, pair_template, source, cal, settings, mode,
 def _equilibrium(batch: _Batch, k: int) -> EquilibriumResult:
     """Case ``k`` of a batch whose ``error`` is ``None``."""
     return EquilibriumResult(
-        tip=TipPose(batch.tip[k], batch.tangent[k]),
+        tip=TipPose(batch.pose[k, :3], batch.pose[k, 3:]),
         wrench=Wrench(batch.wrench[k, :3], batch.wrench[k, 3:]),
         iterations=int(batch.iterations[k]),
         residual=float(batch.residual[k]),
@@ -470,7 +493,7 @@ def invert_controls(
         seeds = np.concatenate(([first], others[:_INVERSE_SEEDS - 1]))
         newton = partial(_newton_pass, params, pair_template, source, mode, cal.k_b)
         q_lm, r_lm = _least_squares(newton, p_target, grid[seeds],
-                                    np.hstack([coarse.tip[seeds], coarse.tangent[seeds]]),
+                                    coarse.pose[seeds],
                                     _INVERSE_STOP * tol)
         if np.linalg.norm(r_lm) < best:
             q = np.mod(q_lm, 2.0 * np.pi)
@@ -507,9 +530,8 @@ def _newton_pass(params: RobotParams, pair: RingPairConfig, source: DipoleSource
     rings = _ring_rows(pair, source, np.full(len(qs), k_b), qs)
     with np.errstate(all="ignore"):  # singular and non-finite rows are masked below
         w, r2 = _ring_pair_wrench_rows(rings, xs[:, :3], xs[:, 3:])
-        p, n = _cantilever_rows(params.straight_tip, params.length,
-                                params.bending_stiffness, mode, w)
-        g = np.hstack([p, n]).reshape(m, 9, 6)
+        g = _cantilever_rows(_straight_pose(params), params.length,
+                             params.bending_stiffness, mode, w).reshape(m, 9, 6)
         # column j of jac is dG along input j: 6 pose components, then 2 angles
         jac = ((g[:, 1:] - g[:, :1]) / _INVERSE_H[:, None]).swapaxes(1, 2)
     eye = np.eye(6)

@@ -207,22 +207,21 @@ def _rotate_rows(v: np.ndarray, n: np.ndarray) -> np.ndarray:
     ``v`` is (N, K, 3), K moments orthogonal to e1 for each of the (N, 3)
     unit tangents ``n``. With k = e1 x n and c = n_x the rotation is
     v + k x v + k x (k x v) / (1 + c), which for v orthogonal to e1 is
-    v + q (1, w n_y, w n_z) with q = -(n . v) and w = 1 / (1 + c). For
-    c < 0, w is evaluated as (1 - c) / s^2 with s^2 = n_y^2 + n_z^2, which
-    does not cancel near -e1; at n = -e1 itself, where no minimal
-    rotation is defined, a half-turn about e2 is used.
+    v - (n . v) (1, w n_y, w n_z) with w = 1 / (1 + c). For c < 0, w is
+    evaluated as (1 - c) / s^2 with s^2 = n_y^2 + n_z^2, which does not
+    cancel near -e1; at n = -e1 itself, where no minimal rotation is
+    defined, a half-turn about e2 is used.
     """
-    c = n[:, 0]
+    c = n[:, :1]
     if c.min() < 0.0:
-        s2 = n[:, 1] * n[:, 1] + n[:, 2] * n[:, 2]
+        s2 = n[:, 1:2] * n[:, 1:2] + n[:, 2:] * n[:, 2:]
         w = np.where(c < 0.0, (1.0 - c) / np.where(s2 > 0.0, s2, 1.0), 1.0 / (1.0 + abs(c)))
-        v = np.where(((c < 0.0) & (s2 == 0.0))[:, None, None], v * [1.0, 1.0, -1.0], v)
+        v = np.where(((c < 0.0) & (s2 == 0.0))[:, None], v * [1.0, 1.0, -1.0], v)
     else:
         w = 1.0 / (1.0 + c)
-    h = n * w[:, None]
+    h = n * w
     h[:, 0] = 1.0
-    q = -_dot(n[:, None, :], v)
-    return v + q[..., None] * h[:, None, :]
+    return v - _dot(n[:, None], v)[..., None] * h[:, None]
 
 
 def magnet_moment_from_geometry(
@@ -245,23 +244,25 @@ def magnet_moment_from_geometry(
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products over the last axis. An einsum, not a BLAS product, so
-    that a row's result does not depend on how many rows there are."""
-    return np.einsum("...i,...i->...", a, b)
+    """Dot products over the last axis. ``np.vecdot`` is a generalized
+    ufunc whose core is one vector pair, so each result is computed from
+    its own two vectors alone and a row's result does not depend on how
+    many rows there are; a BLAS matrix product, which blocks rows
+    together, does not promise that."""
+    return np.vecdot(a, b)
 
 
-def _cross(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Cross products over the last axis of two arrays of one shape, into
-    ``out`` if given; ``np.cross`` costs far more on the few rows of a
-    single solve."""
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    if out is None:
-        out = np.empty(a.shape)
-    out[..., 0] = a1 * b2 - a2 * b1
-    out[..., 1] = a2 * b0 - a0 * b2
-    out[..., 2] = a0 * b1 - a1 * b0
-    return out
+# the six products a_i b_j of a x b: out = (a b)[:3] - (a b)[3:]
+_CROSS_A = np.array([1, 2, 0, 2, 0, 1])
+_CROSS_B = np.array([2, 0, 1, 1, 2, 0])
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross products over the last axis of two arrays of one shape: two
+    index gathers, one product and one difference, where ``np.cross``
+    costs far more on the few rows of a single solve."""
+    ab = a[..., _CROSS_A] * b[..., _CROSS_B]
+    return ab[..., :3] - ab[..., 3:]
 
 
 class _Rings(NamedTuple):
@@ -273,7 +274,7 @@ class _Rings(NamedTuple):
     separation: float  # [m]
     moment: np.ndarray  # (3,) source moment [A*m^2]
     position: np.ndarray  # (N, 3) k_b-scaled source position [m]
-    pref: np.ndarray  # (N, 1) k_b mu0 / (4 pi)
+    pref: np.ndarray  # (N, 1, 1) k_b mu0 / (4 pi)
 
     def take(self, rows) -> "_Rings":
         return self._replace(v=self.v[rows], position=self.position[rows],
@@ -290,18 +291,21 @@ def _ring_rows(pair: RingPairConfig, source: DipoleSource, k_b: np.ndarray,
     same field, so they enter as one dipole of their summed moment (K = 1);
     at zero axial offset, as on the demonstrator, ``offset`` is ``None``.
     """
-    mag = np.array([pair.magnet_1.moment_magnitude, pair.magnet_2.moment_magnitude])
+    m1, m2 = pair.magnet_1, pair.magnet_2
+    mag = np.array([m1.moment_magnitude, m2.moment_magnitude])
     v = np.zeros(angles.shape + (3,))
     v[..., 1] = -mag * np.sin(angles)
     v[..., 2] = mag * np.cos(angles)
-    offset = np.array([[pair.magnet_1.axial_offset], [pair.magnet_2.axial_offset]])
-    if offset[0, 0] == offset[1, 0]:
-        v, offset = v.sum(axis=1, keepdims=True), offset[:1]
-    if not offset.any():
-        offset = None
+    offset = None
+    if m1.axial_offset == m2.axial_offset:
+        v = v[:, :1] + v[:, 1:]
+        if m1.axial_offset:
+            offset = np.array([[m1.axial_offset]])
+    else:
+        offset = np.array([[m1.axial_offset], [m2.axial_offset]])
     return _Rings(v=v, offset=offset, separation=pair.separation, moment=source.moment,
                   position=k_b[:, None] * source.position,
-                  pref=(k_b * (MU0 / (4.0 * math.pi)))[:, None])
+                  pref=(k_b * (MU0 / (4.0 * math.pi)))[:, None, None])
 
 
 def _ring_pair_wrench_rows(rings: _Rings, p: np.ndarray, n: np.ndarray
@@ -314,31 +318,30 @@ def _ring_pair_wrench_rows(rings: _Rings, p: np.ndarray, n: np.ndarray
     gradient force G m is contracted in closed form, so no 3x3 matrix is
     built. Returns ``(w, r2)``: ``w`` (N, 6) stacks force and torque, and
     ``r2`` (N, K) holds the squared ring-to-source distances; a row with
-    a zero there is singular, its ``w`` meaningless. One ring dipole at
-    the tip point (K = 1, zero offset, as on the demonstrator) skips the
-    offset term and the sum over rings, whose call overhead on the few
-    rows of a one-case solve outweighs their arithmetic; the torque is
-    written into ``W`` in place.
+    a zero there is singular, its ``w`` meaningless. Per-ring scalars are
+    kept as (N, K, 1) columns, so they broadcast against the vectors
+    without reshaping. One ring dipole at the tip point (K = 1, zero
+    offset, as on the demonstrator) skips the offset term and the sum
+    over rings, whose call overhead on the few rows of a one-case solve
+    outweighs their arithmetic.
     """
     m = _rotate_rows(rings.v, n)
-    P = (p - rings.position)[:, None, :]
+    P = (p - rings.position)[:, None]
     if rings.offset is not None:
-        P = P + rings.offset * n[:, None, :]
+        P = P + rings.offset * n[:, None]
     r2 = _dot(P, P)
-    ir = 1.0 / np.sqrt(r2)
-    u = P * ir[..., None]
+    ir = 1.0 / np.sqrt(r2[..., None])
+    u = P * ir
     ms = rings.moment
-    um = _dot(u, ms)
-    u_m = _dot(u, m)
-    m_ms = _dot(m, ms)
+    um = _dot(u, ms)[..., None]
+    u_m = _dot(u, m)[..., None]
+    m_ms = _dot(m, ms)[..., None]
     a = rings.pref * (ir * ir * ir)  # pref / r^3
     b = 3.0 * a * ir  # 3 pref / r^4
-    B = a[..., None] * ((3.0 * um)[..., None] * u - ms)  # the field at each ring
-    W = np.empty(r2.shape + (6,))
-    # force G m with G = b (m_s u^T + u m_s^T + (u . m_s)(I - 5 u u^T)), torque m x B
-    W[..., :3] = ((b * u_m)[..., None] * ms + (b * (m_ms - 5.0 * um * u_m))[..., None] * u
-                  + (b * um)[..., None] * m)
-    _cross(m, B, out=W[..., 3:])
+    # force G m with G = b (m_s u^T + u m_s^T + (u . m_s)(I - 5 u u^T)),
+    # torque m x B with the field B = a (3 (u . m_s) u - m_s) at each ring
+    f = (b * u_m) * ms + (b * (m_ms - 5.0 * um * u_m)) * u + (b * um) * m
+    W = np.concatenate([f, _cross(m, a * ((3.0 * um) * u - ms))], axis=-1)
     w = W[:, 0] if W.shape[1] == 1 else W.sum(axis=1)
     if rings.separation:
         w[:, 3:] += rings.separation * _cross(n, w[:, :3])

@@ -313,6 +313,42 @@ def test_one_record_exit_2(tmp_path, capsys, command):
     assert "need at least two records" in capsys.readouterr().err
 
 
+# a file the CSV or JSON readers cannot decode or parse: byte 0xFF on line 3,
+# or a quoted cell on line 3 longer than the csv module's field size limit
+UNREADABLE = {
+    "not-utf8": (b"theta1_deg,theta2_deg,x_mm,y_mm,z_mm\n0,0,150,0,\n1\xff,0,150,1,\n",
+                 "not UTF-8 text"),
+    "oversized-cell": (b"theta1_deg,theta2_deg,x_mm,y_mm,z_mm\n0,0,150,0,\n\""
+                       + b"x" * 200_000 + b"\",0,150,1,\n", "field larger than field limit"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNREADABLE))
+@pytest.mark.parametrize("command", [
+    ["calibrate", "--ke", "0.009:0.012:2", "--kb", "3.9:4.2:2", "--data"],
+    ["validate", "--ke", "0.009", "--kb", "4.03", "--data"],
+    ["workspace", "--schedule"],
+], ids=["calibrate", "validate", "workspace"])
+def test_unreadable_csv_exit_2(tmp_path, capsys, command, kind):
+    data, message = UNREADABLE[kind]
+    f = tmp_path / "bad.csv"
+    f.write_bytes(data)
+    assert main([*command, str(f)]) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {f}:3: {message}")
+    assert "Traceback" not in err
+
+
+def test_config_not_utf8_exit_2(tmp_path, capsys):
+    f = tmp_path / "bad.json"
+    f.write_bytes(b'{"robot": "\xff"}')
+    assert main(["simulate", "--theta1", "10", "--config", str(f)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {f}: not UTF-8 text")
+    assert "Traceback" not in err
+
+
 class TestCalibrate:
     def test_small_grid_json(self, tmp_path):
         out = tmp_path / "cal.json"

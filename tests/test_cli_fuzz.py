@@ -1,9 +1,11 @@
 """Seeded fuzz of the command line.
 
 Every subcommand is fed malformed config values, CSV cells, range
-strings and numeric flags. Whatever the input, the CLI must answer with
-a documented exit code (0 success, 2 input error, 3 numerical failure)
-and must never let an exception escape or print a traceback.
+strings and numeric flags, and files that are not UTF-8 or hold a CSV
+cell over the csv module's field size limit. Whatever the input, the
+CLI must answer with a documented exit code (0 success, 2 input error,
+3 numerical failure) and must never let an exception escape or print a
+traceback.
 """
 import json
 
@@ -31,10 +33,21 @@ def _pick(rng, seq):
     return seq[int(rng.integers(len(seq)))]
 
 
+def byte_defect(rng, text, cells) -> bytes:
+    """``text`` as UTF-8 with one byte-level defect: a byte 0xFF, which is
+    not UTF-8, at a random place, or if ``cells`` may be, a last row holding
+    a quoted cell longer than the csv module's field size limit."""
+    data = text.encode("utf-8")
+    if cells and rng.random() < 0.5:
+        return data + b'"' + b"9" * 200_000 + b'"\n'
+    k = int(rng.integers(len(data) + 1))
+    return data[:k] + b"\xff" + data[k:]
+
+
 def fuzz_config(rng, path) -> str:
     """The demonstrator config with one random defect, written to ``path``."""
     doc = json.loads(default_config_path().read_text(encoding="utf-8"))
-    kind = int(rng.integers(6))
+    kind = int(rng.integers(7))
     sec = _pick(rng, sorted(k for k in doc if isinstance(doc[k], dict)))
     if kind == 0 or kind == 1:
         doc[sec][_pick(rng, sorted(doc[sec]))] = _pick(rng, BAD_VALUES)
@@ -47,7 +60,7 @@ def fuzz_config(rng, path) -> str:
     text = json.dumps(doc)
     if kind == 5:
         text = text[:int(rng.integers(len(text)))]
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(byte_defect(rng, text, cells=False) if kind == 6 else text.encode("utf-8"))
     return str(path)
 
 
@@ -55,7 +68,7 @@ def fuzz_csv(rng, src, path, rows) -> str:
     """The first ``rows`` data rows of ``src`` with one random defect."""
     lines = src.read_text(encoding="utf-8").splitlines()[:rows + 1]
     table = [line.split(",") for line in lines]
-    kind = int(rng.integers(5))
+    kind = int(rng.integers(6))
     if kind <= 1:
         r = int(rng.integers(1, len(table)))
         table[r][int(rng.integers(len(table[r])))] = _pick(rng, BAD_CELLS)
@@ -63,9 +76,10 @@ def fuzz_csv(rng, src, path, rows) -> str:
         table[0][int(rng.integers(len(table[0])))] = _pick(rng, BAD_CELLS)
     elif kind == 3:
         table = table[:int(rng.integers(1, 3))]
-    else:
+    elif kind == 4:
         table.append([_pick(rng, BAD_CELLS)])
-    path.write_text("\n".join(",".join(row) for row in table) + "\n", encoding="utf-8")
+    text = "\n".join(",".join(row) for row in table) + "\n"
+    path.write_bytes(byte_defect(rng, text, cells=True) if kind == 5 else text.encode("utf-8"))
     return str(path)
 
 

@@ -44,6 +44,12 @@ class TestDefaults:
         with pytest.raises(ConfigError):
             load_config(f)
 
+    def test_not_utf8(self, tmp_path):
+        f = tmp_path / "bad.json"
+        f.write_bytes(b'{"robot": "\xff"}')
+        with pytest.raises(ConfigError, match=r"not UTF-8 text at byte 11"):
+            load_config(f)
+
 
 class TestSchema:
     def test_unknown_top_level_key(self, doc):

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from magbeam import equilibrium
-from magbeam.beam import BeamFormulation, TipPose, _cantilever_rows, tip_pose_from_wrench
+from magbeam.beam import (
+    BeamFormulation,
+    TipPose,
+    _cantilever_rows,
+    _straight_pose,
+    tip_pose_from_wrench,
+)
 from magbeam.config import default_config_path, load_config
 from magbeam.equilibrium import (
     DivergenceError,
@@ -25,6 +31,7 @@ from magbeam.geomag import (
     FieldSingularityError,
     RingMagnet,
     RingPairConfig,
+    _dot,
     _ring_pair_wrench_rows,
     _ring_rows,
     calibrated_field,
@@ -306,7 +313,8 @@ class TestBatchKernels:
         dz = (-my * L**2 / 2 + c * fz * L**3) / ei
         sy = (mz * L + fy * L**2 / 2) / ei
         sz = (-my * L + fz * L**2 / 2) / ei
-        p, n = _cantilever_rows(straight, L, ei[:, None], mode, w)
+        p, n = np.hsplit(_cantilever_rows(_straight_pose(demo.params), L, ei[:, None],
+                                          mode, w), 2)
         assert _close_rows(p, straight + np.column_stack([np.zeros(n_cases), dy, dz]))
         tangent = np.column_stack([np.ones(n_cases), sy, sz])
         assert _close_rows(n, tangent / np.linalg.norm(tangent, axis=1)[:, None])
@@ -323,16 +331,38 @@ class TestBatchKernels:
             w, r2 = _ring_pair_wrench_rows(rings, p, n)
             ei = rng.uniform(0.5, 2.0, (len(w), 1)) * demo.params.bending_stiffness
             for mode in BeamFormulation:
-                pb, nb = _cantilever_rows(demo.params.straight_tip, demo.params.length,
-                                          ei, mode, w)
+                pb, nb = np.hsplit(_cantilever_rows(_straight_pose(demo.params),
+                                                    demo.params.length, ei, mode, w), 2)
                 for k in range(len(w)):
                     wk, r2k = _ring_pair_wrench_rows(rings.take([k]), p[k:k + 1],
                                                      n[k:k + 1])
                     assert np.array_equal(wk[0], w[k]) and np.array_equal(r2k[0], r2[k])
-                    pk, nk = _cantilever_rows(demo.params.straight_tip,
-                                              demo.params.length, ei[k:k + 1], mode,
-                                              w[k:k + 1])
+                    pk, nk = np.hsplit(_cantilever_rows(_straight_pose(demo.params),
+                                                        demo.params.length, ei[k:k + 1],
+                                                        mode, w[k:k + 1]), 2)
                     assert np.array_equal(pk[0], pb[k]) and np.array_equal(nk[0], nb[k])
+            # the broadcast dot of the kernel, (N, 1, 3) rows against one 3-vector
+            ms = demo.source.moment
+            d = _dot(p[:, None], ms)
+            assert d.shape == (len(p), 1)
+            for k in range(len(p)):
+                assert np.array_equal(_dot(p[k:k + 1, None], ms), d[k:k + 1])
+            # whole solves: each row of a batch of N is the one-case solve
+            for n_cases in (1, 2, 3, 5, 17, 33):
+                q = rng.uniform(0.0, 2.0 * math.pi, (n_cases, 2))
+                k_b = rng.uniform(3.5, 4.5, n_cases)
+                batch = _solve_batch(demo.params, pair, demo.source, demo.settings, MODE, q,
+                                     demo.params.bending_stiffness, k_b)
+                for k in range(n_cases):
+                    ref = solve_tip_pose(demo.params, pair.with_angles(*q[k]), demo.source,
+                                         FieldCalibration(k_b[k]), demo.settings, MODE)
+                    assert batch.error[k] is None
+                    assert batch.pose[k].tobytes() == np.concatenate(
+                        [ref.tip.position, ref.tip.tangent]).tobytes()
+                    assert batch.wrench[k].tobytes() == ref.wrench.as_stacked().tobytes()
+                    assert batch.residual[k] == ref.residual
+                    assert (batch.iterations[k], batch.converged[k]) == (
+                        ref.iterations, ref.converged)
 
     def test_singular_rows_flagged(self, demo):
         pair = demo.pair_template.with_angles(0.3, 0.1)
@@ -399,6 +429,14 @@ class TestStop:
         assert batch.error[2].endswith("after 1 iterations")
         assert batch.error[3] == _SINGULAR
         assert batch.tip[1, 1] == -batch.tip[4, 1] != 0.0
+
+    def test_stop_after_the_first_relaxed_step(self, demo):
+        # nearly antiparallel rings converge in the second iteration, while
+        # the other cases, one relaxation factor each, go on
+        batch = self.assert_rows_are_solves(demo, demo.source, [
+            (0.5, 0.1, 0.009, 4.03), (0.3, 0.3 + math.pi + 1e-4, 0.009, 4.03),
+            (2.0, 1.0, 0.012, 3.8)])
+        assert batch.iterations[1] == 2 < min(batch.iterations[0], batch.iterations[2])
 
 
 class TestColdSweep:

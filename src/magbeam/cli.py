@@ -110,31 +110,36 @@ def _parse_grid_axis(text: str, default_n: int = 25) -> np.ndarray:
     return np.linspace(lo, hi, n) if n > 1 else np.array([lo])
 
 
-def _mode(cfg: LoadedConfig, args) -> BeamFormulation:
-    return BeamFormulation(args.beam_mode) if args.beam_mode else cfg.mode
-
-
-def _model(args) -> tuple[LoadedConfig, FieldCalibration, BeamFormulation]:
-    """The ``--config`` model with the stiffness scale of ``--ke`` (the
-    config's if unset), the field scale of ``--kb`` (default 1) and the
-    beam formulation of ``--beam-mode`` (the config's if unset)."""
+def _model(args, ke=None, kb=None) -> tuple[LoadedConfig, FieldCalibration]:
+    """The ``--config`` model with the stiffness scale ``ke`` (the config's
+    if None), the field scale ``kb`` (1 if None) and the beam formulation
+    of ``--beam-mode`` (the config's if unset); ``raw``, which reports
+    echo as their inputs, names the ``ke`` and the beam mode that ran."""
     cfg = load_config(args.config)
-    if args.ke is not None:
-        cfg = replace(cfg, params=replace(cfg.params, stiffness_scale=args.ke))
-    return cfg, FieldCalibration(1.0 if args.kb is None else args.kb), _mode(cfg, args)
+    raw = dict(cfg.raw, beam_mode=args.beam_mode or cfg.raw["beam_mode"])
+    if ke is not None:
+        raw["robot"] = dict(raw["robot"], ke=ke)
+        cfg = replace(cfg, params=replace(cfg.params, stiffness_scale=ke))
+    return (replace(cfg, raw=raw, mode=BeamFormulation(raw["beam_mode"])),
+            FieldCalibration(1.0 if kb is None else kb))
 
 
-def _report(cfg: LoadedConfig, results: dict, t0: float) -> dict:
-    return {
-        "inputs": cfg.raw,
-        "results": results,
-        "version": __version__,
-        "wall_time_s": time.perf_counter() - t0,
-    }
+def _finite(v):
+    """``v`` with every non-finite float in it, at any depth, as None."""
+    if isinstance(v, dict):
+        return {k: _finite(x) for k, x in v.items()}
+    if isinstance(v, list):
+        return [_finite(x) for x in v]
+    return None if isinstance(v, float) and not math.isfinite(v) else v
 
 
-def _emit_json(doc: dict, out: str | None):
-    text = json.dumps(doc, indent=2, sort_keys=True)
+def _emit_report(cfg: LoadedConfig, results: dict, t0: float, out: str | None):
+    """The JSON run report, to ``out`` or stdout: the model's ``raw``
+    inputs, ``results`` and the wall time since ``t0``. It is strict JSON,
+    with null for a non-finite number."""
+    doc = {"inputs": cfg.raw, "results": results, "version": __version__,
+           "wall_time_s": time.perf_counter() - t0}
+    text = json.dumps(_finite(doc), indent=2, sort_keys=True, allow_nan=False)
     if out:
         Path(out).write_text(text + "\n", encoding="utf-8")
     else:
@@ -155,11 +160,11 @@ def cmd_simulate(args) -> int:
     t0 = time.perf_counter()
     if not (math.isfinite(args.theta1) and math.isfinite(args.theta2)):
         raise InputError("--theta1 and --theta2 must be finite")
-    cfg, cal, mode = _model(args)
+    cfg, cal = _model(args, args.ke, args.kb)
     pair = cfg.pair_template.with_angles(
         math.radians(args.theta1), math.radians(args.theta2)
     )
-    res = solve_tip_pose(cfg.params, pair, cfg.source, cal, cfg.settings, mode)
+    res = solve_tip_pose(cfg.params, pair, cfg.source, cal, cfg.settings, cfg.mode)
     tip_mm = res.tip.position * 1e3
     deflection_mm = float(np.linalg.norm(res.tip.position - cfg.params.straight_tip)) * 1e3
     print(f"tip_mm: [{tip_mm[0]:.4f}, {tip_mm[1]:.4f}, {tip_mm[2]:.4f}]")
@@ -169,7 +174,7 @@ def cmd_simulate(args) -> int:
     print(f"iterations: {res.iterations}")
     print(f"converged: {res.converged}")
     if args.out:
-        _emit_json(_report(cfg, {
+        _emit_report(cfg, {
             "theta1_deg": args.theta1,
             "theta2_deg": args.theta2,
             "kb": cal.k_b,
@@ -179,20 +184,20 @@ def cmd_simulate(args) -> int:
             "iterations": res.iterations,
             "converged": res.converged,
             "residual_mm": res.residual * 1e3,
-        }, t0), args.out)
+        }, t0, args.out)
     return EXIT_OK if res.converged else EXIT_NUMERIC
 
 
 def cmd_sweep(args) -> int:
     t0 = time.perf_counter()
-    cfg, cal, mode = _model(args)
+    cfg, cal = _model(args, args.ke, args.kb)
     t1 = np.radians(_parse_range(args.theta1))
     t2 = np.radians(_parse_range(args.theta2))
     if not args.zip:
         _check_count(t1.size * t2.size, f"{args.theta1} x {args.theta2}")
     q, batch = _sweep_rows(
         cfg.params, cfg.pair_template, cfg.source, cal, cfg.settings,
-        mode, t1, t2, zipped=args.zip,
+        cfg.mode, t1, t2, zipped=args.zip,
         warm_start=not args.no_warm_start,
     )
     solved = np.isfinite(batch.tip).all(axis=1)
@@ -208,20 +213,20 @@ def cmd_sweep(args) -> int:
         w.writerows(rows)
     n_failed = int((~batch.converged).sum())
     if args.report:
-        _emit_json(_report(cfg, {
+        _emit_report(cfg, {
             "points": len(q),
             "failed": n_failed,
             "kb": cal.k_b,
             "csv": args.out,
-        }, t0), args.report)
+        }, t0, args.report)
     return EXIT_OK if n_failed == 0 else EXIT_NUMERIC
 
 
-def _schedule_tips(cfg: LoadedConfig, cal, mode, angles) -> np.ndarray:
+def _schedule_tips(cfg: LoadedConfig, cal, angles) -> np.ndarray:
     """(N, 3) tips of a warm schedule; DivergenceError unless all converge."""
     q = np.reshape(angles, (-1, 2))
     _, batch = _sweep_rows(cfg.params, cfg.pair_template, cfg.source, cal, cfg.settings,
-                           mode, q[:, 0], q[:, 1], zipped=True)
+                           cfg.mode, q[:, 0], q[:, 1], zipped=True)
     failed = int((~batch.converged).sum())
     if failed:
         raise DivergenceError(f"{failed} forward solves failed")
@@ -230,7 +235,7 @@ def _schedule_tips(cfg: LoadedConfig, cal, mode, angles) -> np.ndarray:
 
 def cmd_calibrate(args) -> int:
     t0 = time.perf_counter()
-    cfg = load_config(args.config)
+    cfg, _ = _model(args)
     slope, offset = _notch_params(args)
     records = load_experiment_csv(args.data, notch_slope=slope, notch_offset=offset)
     grid = CalibrationGrid(
@@ -240,9 +245,9 @@ def cmd_calibrate(args) -> int:
     _check_count(grid.ke_values.size * grid.kb_values.size, f"{args.ke} x {args.kb}")
     result = grid_search_calibrate(
         records, cfg.params, cfg.pair_template, cfg.source, grid,
-        cfg.settings, _mode(cfg, args), threads=args.threads,
+        cfg.settings, cfg.mode, threads=args.threads,
     )
-    doc = _report(cfg, {
+    _emit_report(cfg, {
         "ke_star": result.ke_star,
         "kb_star": result.kb_star,
         "metrics": result.metrics_at_optimum.as_dict_mm(),
@@ -252,8 +257,7 @@ def cmd_calibrate(args) -> int:
             "surface_mm": (result.error_surface * 1e3).ravel().tolist(),
         },
         "records": len(records),
-    }, t0)
-    _emit_json(doc, args.out)
+    }, t0, args.out)
     if args.surface:
         with open(args.surface, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
@@ -266,29 +270,28 @@ def cmd_calibrate(args) -> int:
 
 def cmd_validate(args) -> int:
     t0 = time.perf_counter()
-    cfg, cal, mode = _model(args)
+    cfg, cal = _model(args, args.ke, args.kb)
     slope, offset = _notch_params(args)
     records = load_experiment_csv(args.data, notch_slope=slope, notch_offset=offset)
-    preds = _schedule_tips(cfg, cal, mode, [(r.theta1, r.theta2) for r in records])
+    preds = _schedule_tips(cfg, cal, [(r.theta1, r.theta2) for r in records])
     measured = np.array([r.tip for r in records])
     metrics = _fit_metrics(measured, preds)
     table = [
         {
             "theta1_deg": math.degrees(rec.theta1),
             "theta2_deg": math.degrees(rec.theta2),
-            "measured_mm": [None if not np.isfinite(v) else v * 1e3 for v in rec.tip],
+            "measured_mm": (rec.tip * 1e3).tolist(),
             "predicted_mm": (pred * 1e3).tolist(),
             "error_mm": float(err) * 1e3,
         }
         for rec, pred, err in zip(records, preds, _in_plane_errors(measured, preds))
     ]
-    doc = _report(cfg, {
+    _emit_report(cfg, {
         "ke": args.ke,
         "kb": args.kb,
         "metrics": metrics.as_dict_mm(),
         "records": table,
-    }, t0)
-    _emit_json(doc, args.out)
+    }, t0, args.out)
     if args.plot:
         _validate_plot(records, preds, args.plot)
     return EXIT_OK
@@ -321,12 +324,12 @@ def _load_track_csv(path, plane: str) -> PlanarTrack:
 
 def cmd_workspace(args) -> int:
     t0 = time.perf_counter()
-    cfg, cal, mode = _model(args)
+    cfg, cal = _model(args, args.ke, args.kb)
     if args.schedule:
         cols = ("theta1_deg", "theta2_deg")
         angles = [[math.radians(_csv_number(row, k, args.schedule, line)) for k in cols]
                   for line, row in _csv_rows(args.schedule, cols)]
-        pts3d = _schedule_tips(cfg, cal, mode, angles)
+        pts3d = _schedule_tips(cfg, cal, angles)
         flags = np.zeros(len(pts3d), dtype=bool)
     else:
         if not (args.top and args.side):
@@ -339,7 +342,8 @@ def cmd_workspace(args) -> int:
         flags = merged.x_mismatch
     ell = fit_ellipse(pts3d[:, 1:3])
     stats = workspace_stats(pts3d, cfg.params.straight_tip)
-    doc = _report(cfg, {
+    _emit_report(cfg, {
+        "kb": cal.k_b,
         "points_mm": (pts3d * 1e3).tolist(),
         "x_mismatch_flags": flags.tolist(),
         "ellipse": {
@@ -353,8 +357,7 @@ def cmd_workspace(args) -> int:
             "max_deflection_z_mm": stats.max_deflection_z * 1e3,
             "mean_deflection_mm": stats.mean_deflection * 1e3,
         },
-    }, t0)
-    _emit_json(doc, args.out)
+    }, t0, args.out)
     if args.plot:
         write_svg(args.plot, ell.sample() * 1e3, pts3d[:, 1:3] * 1e3,
                   "tip workspace (y-z projection)", "y [mm]", "z [mm]")

@@ -25,7 +25,6 @@ from .beam import (
     BeamFormulation,
     RobotParams,
     TipPose,
-    Wrench,
     _cantilever_rows,
     _straight_pose,
 )
@@ -40,6 +39,7 @@ from .geomag import (
     _SINGULAR,
     _as_vec3,
     _dot,
+    _ring_offsets,
     _ring_pair_wrench_rows,
     _ring_rows,
 )
@@ -102,15 +102,15 @@ class SolverSettings:
 
 @dataclass(frozen=True)
 class EquilibriumResult:
-    """A solve's exit pose and its wrench.
+    """A solve's exit pose.
 
     ``residual`` is the position part ||g(p) - p|| of the stop test; a
     converged solve has also moved its tangent by at most the position
-    tolerance over L in its last iteration.
+    tolerance over L in its last iteration. The wrench at the tip is
+    ``tip_wrench(pair, result.tip, source, cal)``, as the solve saw it.
     """
 
     tip: TipPose
-    wrench: Wrench
     iterations: int
     residual: float  # [m] position residual ||g(p) - p|| at exit
     converged: bool
@@ -133,10 +133,11 @@ def solve_tip_pose(
     is Aitken's w <- -w r_old . (r - r_old) / |r - r_old|^2, clipped to
     [relaxation, 1], with r = g(p) - p. The solve stops once
     max(||g(p) - p||, L ||n' - n||) drops to the position tolerance and
-    returns g(p). Raises :class:`DivergenceError` if the residual exceeds
-    10 L or any value goes non-finite, and :class:`FieldSingularityError`
-    if a ring reaches the source. This is the one-case call of the
-    batched loop :func:`_solve_batch`.
+    returns g(p), or the last relaxed iterate at the iteration limit. Raises
+    :class:`DivergenceError` if the residual exceeds 10 L or any value
+    goes non-finite, and :class:`FieldSingularityError` if a ring reaches
+    the source, at an iterate or at the exit pose. This is the one-case
+    call of the batched loop :func:`_solve_batch`.
     """
     batch = _solve_batch(params, pair, source, settings, mode,
                          [[pair.magnet_1.angle, pair.magnet_2.angle]],
@@ -150,13 +151,12 @@ def solve_tip_pose(
 class _Batch(NamedTuple):
     """Outcome of :func:`_solve_batch`, row k for case k.
 
-    A row holds what :func:`solve_tip_pose` returns for its case, or in
-    ``error`` the message of the exception it raises (``None`` if none);
-    ``pose`` is NaN exactly where ``error`` is set.
+    A row holds the pose and status that :func:`solve_tip_pose` returns
+    for its case, or in ``error`` the message of the exception it raises
+    (``None`` if none); ``pose`` is NaN exactly where ``error`` is set.
     """
 
     pose: np.ndarray  # (N, 6) tip position [m] | unit tangent
-    wrench: np.ndarray  # (N, 6) force [N] | torque [N*m]
     iterations: np.ndarray  # (N,)
     residual: np.ndarray  # (N,) [m]
     converged: np.ndarray  # (N,) bool
@@ -212,9 +212,9 @@ def _solve_batch(
 def _empty_batch(n_cases: int, max_iterations: int) -> _Batch:
     """N rows of unsolved cases: NaN values, no error, not converged. The
     float columns are views of one array."""
-    values = np.full((n_cases, 13), np.nan)
+    values = np.full((n_cases, 7), np.nan)
     return _Batch(
-        pose=values[:, :6], wrench=values[:, 6:12], residual=values[:, 12],
+        pose=values[:, :6], residual=values[:, 6],
         iterations=np.full(n_cases, max_iterations), converged=np.zeros(n_cases, dtype=bool),
         error=np.empty(n_cases, dtype=object),  # None
     )
@@ -266,7 +266,7 @@ def _solve_chunk(params, pair, source, settings, mode, angles, ei, k_b) -> _Batc
                 if converged.all():
                     # every live case stops converged, as a converged one-case
                     # solve always does: write them as they stand, ungathered
-                    _write_converged(out, rows, k, rings, g, residual)
+                    _write_rows(out, rows, k, rings, g, residual, True)
                     break
                 singular = ~going & (r2 <= 0.0).any(axis=1)
                 diverged = ~going & ~converged & ~singular
@@ -274,8 +274,8 @@ def _solve_chunk(params, pair, source, settings, mode, angles, ei, k_b) -> _Batc
                 for r, res in zip(rows[diverged], residual[diverged]):
                     out.error[r] = f"fixed-point residual {res:.3g} m after {k} iterations"
                 if converged.any():
-                    _write_converged(out, rows[converged], k, rings.take(converged),
-                                     g[converged], residual[converged])
+                    _write_rows(out, rows[converged], k, rings.take(converged),
+                                g[converged], residual[converged], True)
                 rows = rows[going]
                 if rows.size == 0:
                     break
@@ -293,24 +293,20 @@ def _solve_chunk(params, pair, source, settings, mode, angles, ei, k_b) -> _Batc
                                         lam), 1.0)
             x = g - ((1.0 - omega) * _POSITION) * d  # p <- (1 - w) p + w g(p), n <- n'
             d_old = dp
-        else:  # unconverged: the last relaxed iterate, with its own wrench
-            out.pose[rows] = x
-            out.wrench[rows] = _ring_pair_wrench_rows(rings, x[:, :3], x[:, 3:])[0]
-            out.residual[rows] = np.sqrt(d2)
+        else:  # unconverged: the last relaxed iterate
+            _write_rows(out, rows, k, rings, x, np.sqrt(d2), False)
     return out
 
 
-def _write_converged(out: _Batch, c, k: int, rings, x, residual) -> None:
-    """Rows ``c`` of ``out`` for cases that converged in iteration ``k`` at
-    the poses ``x``, with the wrench there; an exit pose on the source is
-    a singular error, with no tip."""
-    out.wrench[c], r2 = _ring_pair_wrench_rows(rings, x[:, :3], x[:, 3:])
-    out.pose[c] = x
-    out.iterations[c] = k
-    out.residual[c] = residual
-    out.converged[c] = True
-    if np.count_nonzero(r2 <= 0.0):
-        singular = c[(r2 <= 0.0).any(axis=1)]
+def _write_rows(out: _Batch, c, k: int, rings, x, residual, converged: bool) -> None:
+    """Rows ``c`` of ``out`` for cases that stopped in iteration ``k`` at
+    the poses ``x``, converged or at the iteration limit; an exit pose
+    with a ring on the source is a singular error, with no tip."""
+    out.pose[c], out.iterations[c] = x, k
+    out.residual[c], out.converged[c] = residual, converged
+    on_source = _ring_offsets(rings, x[:, :3], x[:, 3:])[1] <= 0.0
+    if np.count_nonzero(on_source):
+        singular = c[on_source.any(axis=1)]
         out.converged[singular] = False
         out.error[singular] = _SINGULAR
         out.pose[singular] = np.nan
@@ -386,7 +382,6 @@ def _sweep_rows(params, pair_template, source, cal, settings, mode,
             seed = settings.initial_tip
             continue
         out.tip[k], out.tangent[k] = res.tip.position, res.tip.tangent
-        out.wrench[k] = res.wrench.as_stacked()
         out.iterations[k], out.residual[k], out.converged[k] = (
             res.iterations, res.residual, res.converged)
         seed = res.tip if res.converged else settings.initial_tip
@@ -395,13 +390,9 @@ def _sweep_rows(params, pair_template, source, cal, settings, mode,
 
 def _equilibrium(batch: _Batch, k: int) -> EquilibriumResult:
     """Case ``k`` of a batch whose ``error`` is ``None``."""
-    return EquilibriumResult(
-        tip=TipPose(batch.pose[k, :3], batch.pose[k, 3:]),
-        wrench=Wrench(batch.wrench[k, :3], batch.wrench[k, 3:]),
-        iterations=int(batch.iterations[k]),
-        residual=float(batch.residual[k]),
-        converged=bool(batch.converged[k]),
-    )
+    return EquilibriumResult(TipPose(batch.pose[k, :3], batch.pose[k, 3:]),
+                             int(batch.iterations[k]), float(batch.residual[k]),
+                             bool(batch.converged[k]))
 
 
 # Refinement of invert_controls: multi-start Levenberg-Marquardt on the

@@ -308,28 +308,34 @@ def _ring_rows(pair: RingPairConfig, source: DipoleSource, k_b: np.ndarray,
                   pref=(k_b * (MU0 / (4.0 * math.pi)))[:, None, None])
 
 
+def _ring_offsets(rings: _Rings, p: np.ndarray, n: np.ndarray):
+    """(N, K, 3) source-to-ring vectors of N cases, and their squared norms:
+    a ring sits at the tip position ``p`` plus its offset along ``n``."""
+    P = (p - rings.position)[:, None]
+    P = P if rings.offset is None else P + rings.offset * n[:, None]
+    return P, _dot(P, P)
+
+
 def _ring_pair_wrench_rows(rings: _Rings, p: np.ndarray, n: np.ndarray
                            ) -> tuple[np.ndarray, np.ndarray]:
     """Force and torque on the rings of N cases at tip positions ``p`` and
     unit tangents ``n``, both (N, 3).
 
     The one wrench kernel, unvalidated: :func:`tip_wrench` calls it on
-    one row and the equilibrium solver on every case it iterates. The
-    gradient force G m is contracted in closed form, so no 3x3 matrix is
-    built. Returns ``(w, r2)``: ``w`` (N, 6) stacks force and torque, and
-    ``r2`` (N, K) holds the squared ring-to-source distances; a row with
-    a zero there is singular, its ``w`` meaningless. Per-ring scalars are
-    kept as (N, K, 1) columns, so they broadcast against the vectors
-    without reshaping. One ring dipole at the tip point (K = 1, zero
-    offset, as on the demonstrator) skips the offset term and the sum
-    over rings, whose call overhead on the few rows of a one-case solve
-    outweighs their arithmetic.
+    one row, the equilibrium solver once per iteration on every case it
+    iterates. The gradient force G m is contracted in closed form, so no
+    3x3 matrix is built. Returns ``(w, r2)``: ``w`` (N, 6) stacks force
+    and torque, and ``r2`` (N, K) holds the squared ring-to-source
+    distances of :func:`_ring_offsets`; a row with a zero there is
+    singular, its ``w`` meaningless. Per-ring scalars are kept as
+    (N, K, 1) columns, so they broadcast against the vectors without
+    reshaping. One ring dipole at the tip point (K = 1, zero offset, as on
+    the demonstrator) skips the offset term and the sum over rings, whose
+    call overhead on the few rows of a one-case solve outweighs their
+    arithmetic.
     """
     m = _rotate_rows(rings.v, n)
-    P = (p - rings.position)[:, None]
-    if rings.offset is not None:
-        P = P + rings.offset * n[:, None]
-    r2 = _dot(P, P)
+    P, r2 = _ring_offsets(rings, p, n)
     ir = 1.0 / np.sqrt(r2[..., None])
     u = P * ir
     ms = rings.moment

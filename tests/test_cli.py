@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,10 @@ from magbeam.cli import (
     _parse_range,
     main,
 )
-from magbeam.config import default_config_path
+from magbeam.beam import BeamFormulation
+from magbeam.config import default_config_path, load_config
+from magbeam.equilibrium import solve_tip_pose
+from magbeam.geomag import FieldCalibration
 
 DATA_DIR = default_config_path().parent
 
@@ -412,6 +416,63 @@ class TestValidate:
         assert svg.read_text().startswith("<svg")
         doc = json.loads(out.read_text())
         assert len(doc["results"]["records"]) == 16
+
+
+def _strict_json(text: str):
+    """``text`` parsed as strict JSON: NaN and Infinity are rejected."""
+    def reject(token):
+        raise ValueError(f"non-finite number {token} in a report")
+    return json.loads(text, parse_constant=reject)
+
+
+SCHEDULE = str(DATA_DIR / "elliptical-schedule.csv")
+PLANAR = str(DATA_DIR / "planar-sweep-digitized.csv")
+OVERRIDES = ["--ke", "0.012", "--kb", "4.03", "--beam-mode", "corrected"]
+
+
+@pytest.mark.parametrize("command, ke", [
+    (["simulate", "--theta1", "60", *OVERRIDES, "--out"], 0.012),
+    (["sweep", "--theta1", "0:60:180", *OVERRIDES, "--out", "{tmp}/s.csv", "--report"],
+     0.012),
+    (["calibrate", "--data", PLANAR, "--ke", "0.009:0.012:2", "--kb", "4:4.1:2",
+      "--beam-mode", "corrected", "--out"], 0.009),
+    (["validate", "--data", PLANAR, *OVERRIDES, "--out"], 0.012),
+    (["workspace", "--schedule", SCHEDULE, *OVERRIDES, "--out"], 0.012),
+], ids=["simulate", "sweep", "calibrate", "validate", "workspace"])
+def test_report_names_the_model_that_ran(tmp_path, capsys, command, ke):
+    # the echoed inputs carry the --ke and --beam-mode overrides (calibrate
+    # searches its own ke grid and keeps the config's), the results the kb
+    report = tmp_path / "report.json"
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in command]
+    assert main([*argv, str(report)]) == EXIT_OK
+    doc = _strict_json(report.read_text())
+    expected = json.loads(default_config_path().read_text())
+    expected["robot"]["ke"] = ke
+    expected["beam_mode"] = "corrected"
+    assert doc["inputs"] == expected
+    if command[0] != "calibrate":
+        assert doc["results"]["kb"] == 4.03
+    if command[0] == "simulate":  # and the model that ran is the one named
+        cfg = load_config(default_config_path())
+        res = solve_tip_pose(replace(cfg.params, stiffness_scale=ke),
+                             cfg.pair_template.with_angles(math.radians(60), 0.0),
+                             cfg.source, FieldCalibration(4.03), cfg.settings,
+                             BeamFormulation.CORRECTED)
+        assert doc["results"]["tip_mm"] == (res.tip.position * 1e3).tolist()
+
+
+def test_reports_write_non_finite_numbers_as_null(tmp_path, capsys):
+    # a cell whose solves fail scores +inf in the error surface, and records
+    # that all sit at one position give R^2 = -inf: both are written as null
+    assert main(["calibrate", "--data", PLANAR, "--ke", "1e-6:0.009:2",
+                 "--kb", "4.03:4.03:1"]) == EXIT_OK
+    surface = _strict_json(capsys.readouterr().out)["results"]["grid"]["surface_mm"]
+    assert surface[0] is None and math.isfinite(surface[1])
+    data = tmp_path / "same.csv"
+    data.write_text("theta1_deg,theta2_deg,x_mm,y_mm,z_mm\n0,0,149,1,\n0,0,149,1,\n")
+    assert main(["validate", "--data", str(data), "--ke", "0.009", "--kb", "4.03"]) == EXIT_OK
+    metrics = _strict_json(capsys.readouterr().out)["results"]["metrics"]
+    assert metrics["r_squared"] is None and math.isfinite(metrics["max_abs_error_mm"])
 
 
 @pytest.mark.parametrize("command, failed", [

@@ -5,7 +5,8 @@ strings and numeric flags, and files that are not UTF-8 or hold a CSV
 cell over the csv module's field size limit. Whatever the input, the
 CLI must answer with a documented exit code (0 success, 2 input error,
 3 numerical failure) and must never let an exception escape or print a
-traceback.
+traceback. A JSON report printed on success must be strict JSON, with no
+NaN or Infinity.
 """
 import json
 
@@ -87,6 +88,10 @@ def fuzz_range(rng) -> str:
     return ":".join(_pick(rng, RANGE_TOKENS) for _ in range(int(rng.integers(1, 5))))
 
 
+def _reject(token):
+    raise ValueError(f"non-finite number {token} in a report")
+
+
 def argv_for(command, rng, tmp_path) -> list[str]:
     config = ["--config", fuzz_config(rng, tmp_path / "cfg.json")] if rng.random() < 0.5 else []
     kk = ["--ke", _pick(rng, FLAG_VALUES), "--kb", _pick(rng, FLAG_VALUES)]
@@ -128,8 +133,10 @@ def test_exit_code_and_no_traceback(command, seed, tmp_path, capsys):
         rc = main(argv)
     except Exception as exc:  # a traceback on the command line
         pytest.fail(f"{argv} raised {exc!r}")
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert rc in (EXIT_OK, EXIT_INPUT, EXIT_NUMERIC), argv
     assert "Traceback" not in err
     if rc != EXIT_OK:
         assert "error" in err, argv
+    elif command in ("calibrate", "validate", "workspace"):
+        json.loads(out, parse_constant=_reject)  # a report is strict JSON

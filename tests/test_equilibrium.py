@@ -54,6 +54,20 @@ SWEEP_KINDS = pytest.mark.parametrize("zipped, warm",
                                       ids=["grid", "warm-schedule", "cold-schedule"])
 
 
+def _record_wrench_calls(monkeypatch) -> list:
+    """Patch the wrench kernel of the solver to record the first row (p, n,
+    w) of every call it makes."""
+    calls = []
+
+    def kernel(rings, p, n):
+        w, r2 = _ring_pair_wrench_rows(rings, p, n)
+        calls.append((p[0].copy(), n[0].copy(), w[0].copy()))
+        return w, r2
+
+    monkeypatch.setattr(equilibrium, "_ring_pair_wrench_rows", kernel)
+    return calls
+
+
 def solve(demo, t1, t2, cal=CAL, settings=None, mode=MODE, params=None):
     return solve_tip_pose(
         params or demo.params,
@@ -164,18 +178,27 @@ class TestSolve:
 
     @pytest.mark.parametrize("separation", [0.0, 5e-3])
     @pytest.mark.parametrize("mode", list(BeamFormulation))
-    def test_unconverged_wrench_belongs_to_the_tip(self, demo, mode, separation):
-        # an unconverged result reports the last relaxed iterate as its tip;
-        # its wrench is the public tip_wrench at that same pose
+    def test_unconverged_wrench_belongs_to_the_tip(self, demo, mode, separation,
+                                                   monkeypatch):
+        # an unconverged result reports the last relaxed iterate as its tip,
+        # with no wrench evaluated there: one more iteration evaluates the
+        # wrench at exactly that pose, and it is the public tip_wrench there
+        calls = _record_wrench_calls(monkeypatch)
         mag = demo.pair_template.magnet_1.moment_magnitude
-        settings = replace(demo.settings, max_iterations=3)
         for t1, t2 in ((0.3, 0.0), (1.9, 4.4), (5.0, 2.2)):
             pair = RingPairConfig.from_angles(mag, t1, t2, separation=separation)
-            r = solve_tip_pose(demo.params, pair, demo.source, CAL, settings, mode)
-            assert not r.converged
-            w = tip_wrench(pair, r.tip, demo.source, CAL)
-            for got, ref in ((r.wrench.force, w.force), (r.wrench.torque, w.torque)):
-                assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+            calls.clear()
+            r = solve_tip_pose(demo.params, pair, demo.source, CAL,
+                               replace(demo.settings, max_iterations=3), mode)
+            assert not r.converged and r.iterations == 3 and len(calls) == 3
+            calls.clear()
+            solve_tip_pose(demo.params, pair, demo.source, CAL,
+                           replace(demo.settings, max_iterations=4), mode)
+            p, n, w = calls[3]
+            assert p.tobytes() == r.tip.position.tobytes()
+            assert n.tobytes() == r.tip.tangent.tobytes()
+            ref = tip_wrench(pair, r.tip, demo.source, CAL).as_stacked()
+            assert np.linalg.norm(w - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_settings_contracts(self):
         with pytest.raises(Exception):
@@ -359,7 +382,6 @@ class TestBatchKernels:
                     assert batch.error[k] is None
                     assert batch.pose[k].tobytes() == np.concatenate(
                         [ref.tip.position, ref.tip.tangent]).tobytes()
-                    assert batch.wrench[k].tobytes() == ref.wrench.as_stacked().tobytes()
                     assert batch.residual[k] == ref.residual
                     assert (batch.iterations[k], batch.converged[k]) == (
                         ref.iterations, ref.converged)
@@ -393,8 +415,7 @@ class TestStop:
                 continue
             assert batch.error[k] is None
             for got, want in ((batch.tip[k], ref.tip.position),
-                              (batch.tangent[k], ref.tip.tangent),
-                              (batch.wrench[k], ref.wrench.as_stacked())):
+                              (batch.tangent[k], ref.tip.tangent)):
                 assert got.tobytes() == want.tobytes()
             assert batch.iterations[k] == ref.iterations
             assert batch.residual[k].tobytes() == np.float64(ref.residual).tobytes()
@@ -403,17 +424,15 @@ class TestStop:
 
     def test_one_case_is_the_public_maps(self, demo):
         # antiparallel rings converge in one iteration: the tip is g of the
-        # straight pose and the wrench that of the tip, bit for bit
+        # straight pose, bit for bit
         pair = demo.pair_template.with_angles(math.pi, 0.0)
         r = solve_tip_pose(demo.params, pair, demo.source, CAL, demo.settings, MODE)
         straight = TipPose(demo.params.straight_tip, E1)
         tip = tip_pose_from_wrench(demo.params, tip_wrench(pair, straight, demo.source, CAL),
                                    MODE)
-        w = tip_wrench(pair, tip, demo.source, CAL)
         assert (r.iterations, r.converged) == (1, True)
         assert r.tip.position.tobytes() == tip.position.tobytes()
         assert r.tip.tangent.tobytes() == tip.tangent.tobytes()
-        assert r.wrench.as_stacked().tobytes() == w.as_stacked().tobytes()
         assert r.residual == math.dist(tip.position, straight.position)
 
     def test_mixed_stop_then_last_cases(self, demo):
@@ -439,6 +458,39 @@ class TestStop:
         assert batch.iterations[1] == 2 < min(batch.iterations[0], batch.iterations[2])
 
 
+class TestKernelCalls:
+    """The loop evaluates the wrench kernel once per iteration and never at
+    a solve's exit pose."""
+
+    def test_one_case_solve(self, demo, monkeypatch):
+        calls = _record_wrench_calls(monkeypatch)
+        for t1, t2 in ((math.pi, 0.0), (0.7, 0.2), (2.0, 1.0)):
+            calls.clear()
+            r = solve(demo, t1, t2)
+            assert r.converged and len(calls) == r.iterations
+
+    def test_batch(self, demo, monkeypatch):
+        calls = _record_wrench_calls(monkeypatch)
+        batch = _solve_grid(demo, 0.009, 4.03, MODE, 6)
+        assert batch.converged.all() and batch.iterations.min() < batch.iterations.max()
+        assert len(calls) == batch.iterations.max()
+        # stops of every kind in one batch: converged, diverged and singular
+        # in the first iteration, the rest converged later or at the limit
+        source = DipoleSource(moment=demo.source.moment, position=demo.params.straight_tip)
+        cases = [(math.pi, 0.0, 0.009, 4.03), (0.5, 0.1, 0.009, 4.03),
+                 (0.3, 0.0, 1e-9, 2.0), (0.3, 0.0, 0.009, 1.0)]
+        for limit, converged in ((1000, True), (2, False)):
+            calls.clear()
+            batch = _solve_batch(demo.params, demo.pair_template, source,
+                                 replace(demo.settings, max_iterations=limit), MODE,
+                                 [c[:2] for c in cases],
+                                 [replace(demo.params, stiffness_scale=c[2]).bending_stiffness
+                                  for c in cases], [c[3] for c in cases])
+            assert batch.error[2] is not None and batch.error[3] == _SINGULAR
+            assert batch.converged.tolist() == [True, converged, False, False]
+            assert batch.iterations[1] > 1 and len(calls) == batch.iterations[1]
+
+
 class TestColdSweep:
     def assert_matches_scalar(self, params, pair_template, settings, t1, t2, demo,
                               mode=MODE):
@@ -460,9 +512,6 @@ class TestColdSweep:
             assert np.linalg.norm(r.tip.position - ref.tip.position) <= tol
             assert np.linalg.norm(r.tip.tangent - ref.tip.tangent) <= tol
             assert r.residual == pytest.approx(ref.residual, rel=1e-6, abs=1e-15)
-            assert np.allclose(r.wrench.force, ref.wrench.force, rtol=1e-9, atol=1e-15)
-            assert np.allclose(r.wrench.torque, ref.wrench.torque, rtol=1e-9,
-                               atol=1e-18)
         return pts
 
     @pytest.mark.parametrize("mode", list(BeamFormulation))
@@ -642,15 +691,19 @@ class TestSweep:
     def test_singular_exit_pose_has_no_tip(self, demo, zipped, warm):
         # a field-free source at the straight tip (k_b = 1 leaves it there):
         # from a seed within the tolerance of it every solve converges in
-        # one iteration onto the source, where its exit pose is singular
+        # one iteration onto the source, and from a seed 5 mm off an
+        # undamped solve limited to one iteration stops there unconverged;
+        # either way its exit pose is singular
         source = DipoleSource(moment=np.zeros(3), position=demo.params.straight_tip)
-        settings = replace(demo.settings,
-                           initial_tip=demo.params.straight_tip + [0.0, 5e-7, 0.0])
-        _, rows = _sweep_rows(demo.params, demo.pair_template, source, FieldCalibration(1.0),
-                              settings, MODE, [0.3, 0.5], [0.1, 0.2], zipped, warm)
-        assert rows.error.tolist() == [_SINGULAR] * len(rows.error)
-        assert np.isnan(rows.tip).all()
-        assert not rows.converged.any()
+        for offset, more in ((5e-7, {}), (5e-3, dict(relaxation=1.0, max_iterations=1))):
+            settings = replace(demo.settings, **more,
+                               initial_tip=demo.params.straight_tip + [0.0, offset, 0.0])
+            _, rows = _sweep_rows(demo.params, demo.pair_template, source,
+                                  FieldCalibration(1.0), settings, MODE, [0.3, 0.5],
+                                  [0.1, 0.2], zipped, warm)
+            assert rows.error.tolist() == [_SINGULAR] * len(rows.error)
+            assert np.isnan(rows.tip).all()
+            assert not rows.converged.any()
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @SWEEP_KINDS

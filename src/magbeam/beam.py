@@ -191,7 +191,14 @@ def _cumulative_trapezoid(y: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def section_moment_tube(outer_diameter: float, inner_diameter: float) -> float:
-    """Second moment of area of an annular (or solid) circular section."""
+    """Second moment of area of an annular (or solid) circular section,
+    finite or a :class:`ContractViolation`."""
     if not (outer_diameter > inner_diameter >= 0.0):
         raise ContractViolation("require outer_diameter > inner_diameter >= 0")
-    return math.pi / 64.0 * (outer_diameter**4 - inner_diameter**4)
+    try:
+        moment = math.pi / 64.0 * (outer_diameter**4 - inner_diameter**4)
+    except OverflowError:  # a float power overflows by raising, a product to inf
+        moment = math.inf
+    if not math.isfinite(moment):
+        raise ContractViolation("the section moment is not finite")
+    return moment

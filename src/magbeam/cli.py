@@ -376,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", default=str(default_config_path()),
                        help="robot configuration JSON (default: bundled demonstrator)")
-        p.add_argument("--beam-mode", choices=["corrected", "legacy"],
+        p.add_argument("--beam-mode", choices=[m.value for m in BeamFormulation],
                        help="override the beam formulation from the config")
 
     def scale_overrides(p):

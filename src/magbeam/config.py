@@ -2,7 +2,7 @@
 
 A single JSON document describes the demonstrator; all unit conversion to
 SI happens here, so the numeric core never sees millimeters or degrees.
-Unknown keys are rejected to catch typos early.
+Each key is declared once, in ``_KEYS``; unknown keys are rejected.
 """
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ import numpy as np
 from .beam import BeamFormulation, RobotParams, section_moment_tube
 from .equilibrium import SolverSettings, _is_count
 from .geomag import (
+    ContractViolation,
     DipoleSource,
     RingPairConfig,
     magnet_moment_from_geometry,
@@ -27,17 +28,37 @@ class ConfigError(ValueError):
     """Malformed or physically invalid configuration file."""
 
 
-_SCHEMA = {
-    "robot": {"length_mm", "elastic_modulus_mpa", "tube_od_mm", "tube_id_mm", "ke"},
-    "tip_magnets": {"od_mm", "id_mm", "length_mm", "remanence_t", "separation_mm"},
-    "external_magnet": {
-        "diameter_mm", "length_mm", "remanence_t", "position_mm", "moment_direction",
-    },
-    "solver": {"tolerance_mm", "max_iterations", "relaxation"},
-    "beam_mode": None,
-}
-
-_MODES = {"corrected": BeamFormulation.CORRECTED, "legacy": BeamFormulation.LEGACY}
+# Every config key, once: (section, key, kind, SI scale); section None is
+# the top level. Every key is required. A "positive" or "non-negative" number
+# must be finite and a "vector" is 3 finite numbers; both are scaled to SI as
+# float(value) * scale. A "count" is an integer >= 1, the "choice" the value
+# of a BeamFormulation.
+_KEYS = (
+    ("robot", "tube_od_mm", "positive", 1e-3),
+    ("robot", "tube_id_mm", "non-negative", 1e-3),
+    ("robot", "length_mm", "positive", 1e-3),
+    ("robot", "elastic_modulus_mpa", "positive", 1e6),
+    ("robot", "ke", "positive", 1.0),
+    ("tip_magnets", "od_mm", "positive", 1e-3),
+    ("tip_magnets", "id_mm", "non-negative", 1e-3),
+    ("tip_magnets", "length_mm", "positive", 1e-3),
+    ("tip_magnets", "remanence_t", "positive", 1.0),
+    ("tip_magnets", "separation_mm", "non-negative", 1e-3),
+    ("external_magnet", "diameter_mm", "positive", 1e-3),
+    ("external_magnet", "length_mm", "positive", 1e-3),
+    ("external_magnet", "remanence_t", "positive", 1.0),
+    ("external_magnet", "position_mm", "vector", 1e-3),
+    ("external_magnet", "moment_direction", "vector", 1.0),
+    ("solver", "tolerance_mm", "positive", 1e-3),
+    ("solver", "max_iterations", "count", None),
+    ("solver", "relaxation", "positive", 1.0),
+    (None, "beam_mode", "choice", None),
+)
+_TOP = {k for s, k, _, _ in _KEYS if s is None}
+_SECTIONS = {sec: {k for s, k, _, _ in _KEYS if s == sec} for sec, _, _, _ in _KEYS if sec}
+_EXPECTED = {"positive": "a positive number", "non-negative": "a number >= 0",
+             "count": "an integer >= 1", "vector": "3 finite numbers",
+             "choice": f"one of {sorted(m.value for m in BeamFormulation)}"}
 
 
 @dataclass(frozen=True)
@@ -55,124 +76,99 @@ def default_config_path() -> Path:
     return Path(str(resources.files("magbeam").joinpath("data/demonstrator.json")))
 
 
-def _require(section: dict, name: str, key: str):
-    if key not in section:
-        raise ConfigError(f"{name}: missing field '{key}'")
-    return section[key]
-
-
-def _is_number(v) -> bool:
-    """Whether ``v`` is a finite JSON number; true and false are not."""
-    return not isinstance(v, bool) and isinstance(v, (int, float)) and math.isfinite(v)
-
-
-def _positive(section: dict, name: str, key: str) -> float:
-    v = _require(section, name, key)
-    if not _is_number(v) or v <= 0:
-        raise ConfigError(f"{name}.{key}: expected a positive number, got {v!r}")
-    return float(v)
-
-
-def _nonneg(section: dict, name: str, key: str) -> float:
-    v = _require(section, name, key)
-    if not _is_number(v) or v < 0:
-        raise ConfigError(f"{name}.{key}: expected a number >= 0, got {v!r}")
-    return float(v)
-
-
-def _count(section: dict, name: str, key: str) -> int:
-    v = _require(section, name, key)
-    if not _is_count(v):
-        raise ConfigError(f"{name}.{key}: expected an integer >= 1, got {v!r}")
-    return v
-
-
-def _vec3(section: dict, name: str, key: str) -> np.ndarray:
-    v = _require(section, name, key)
-    try:
-        a = np.asarray(v, dtype=float)
-    except (TypeError, ValueError):
-        a = None
-    if a is None or a.shape != (3,) or not np.all(np.isfinite(a)):
-        raise ConfigError(f"{name}.{key}: expected 3 finite numbers, got {v!r}")
-    return a
-
-
 def _check_keys(doc: dict):
-    unknown = set(doc) - set(_SCHEMA)
+    unknown = set(doc) - _TOP - set(_SECTIONS)
     if unknown:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
-    for sec, fields in _SCHEMA.items():
-        if fields is None:
-            continue
+    for sec, keys in _SECTIONS.items():
         if sec not in doc:
             raise ConfigError(f"missing section '{sec}'")
         if not isinstance(doc[sec], dict):
             raise ConfigError(f"section '{sec}' must be an object")
-        extra = set(doc[sec]) - fields
+        extra = set(doc[sec]) - keys
         if extra:
             raise ConfigError(f"{sec}: unknown keys {sorted(extra)}")
+    missing = _TOP - set(doc)
+    if missing:
+        raise ConfigError(f"missing top-level keys: {sorted(missing)}")
+
+
+def _checked(doc: dict) -> dict:
+    """``doc`` with each value of ``_KEYS`` in SI. A value that is missing, not
+    of its kind or not convertible (an integer too large for a float) is a
+    ConfigError naming its key."""
+    _check_keys(doc)
+    values = {}
+    for sec, key, kind, scale in _KEYS:
+        where = doc if sec is None else doc[sec]
+        if key not in where:
+            raise ConfigError(f"{sec}: missing field '{key}'")
+        v, si = where[key], None
+        try:
+            if kind == "choice":
+                si = BeamFormulation(v)
+            elif kind == "count":
+                si = v if _is_count(v) else None
+            elif kind == "vector":
+                a = np.asarray(v, dtype=float)
+                if a.shape == (3,) and np.isfinite(a).all():
+                    si = a * scale
+            elif not isinstance(v, bool) and isinstance(v, (int, float)):
+                x = float(v)
+                if math.isfinite(x) and (x > 0 if kind == "positive" else x >= 0):
+                    si = x * scale
+        except (TypeError, ValueError, OverflowError):
+            pass
+        if si is None:
+            name = key if sec is None else f"{sec}.{key}"
+            raise ConfigError(f"{name}: expected {_EXPECTED[kind]}, got {v!r}")
+        (values if sec is None else values.setdefault(sec, {}))[key] = si
+    return values
+
+
+def _derived(section: str, helper, *args):
+    """``helper(*args)``, a ContractViolation as a ConfigError on ``section``."""
+    try:
+        return helper(*args)
+    except ContractViolation as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
 def parse_config(doc: dict) -> LoadedConfig:
-    _check_keys(doc)
-    robot = doc["robot"]
-    tip = doc["tip_magnets"]
-    ext = doc["external_magnet"]
-    solver = doc["solver"]
-
-    od = _positive(robot, "robot", "tube_od_mm") * 1e-3
-    idm = _nonneg(robot, "robot", "tube_id_mm") * 1e-3
+    v = _checked(doc)
+    robot, tip, ext = v["robot"], v["tip_magnets"], v["external_magnet"]
+    od, idm = robot["tube_od_mm"], robot["tube_id_mm"]
     if od <= idm:
         raise ConfigError("robot: tube_od_mm must exceed tube_id_mm")
     params = RobotParams(
-        length=_positive(robot, "robot", "length_mm") * 1e-3,
-        elastic_modulus=_positive(robot, "robot", "elastic_modulus_mpa") * 1e6,
-        section_moment=section_moment_tube(od, idm),
+        length=robot["length_mm"],
+        elastic_modulus=robot["elastic_modulus_mpa"],
+        section_moment=_derived("robot", section_moment_tube, od, idm),
         base_position=np.zeros(3),
-        stiffness_scale=_positive(robot, "robot", "ke"),
+        stiffness_scale=robot["ke"],
     )
 
-    tip_moment = magnet_moment_from_geometry(
-        _positive(tip, "tip_magnets", "od_mm") * 1e-3,
-        _nonneg(tip, "tip_magnets", "id_mm") * 1e-3,
-        _positive(tip, "tip_magnets", "length_mm") * 1e-3,
-        _positive(tip, "tip_magnets", "remanence_t"),
-    )
-    pair = RingPairConfig.from_angles(
-        tip_moment, 0.0, 0.0,
-        separation=_nonneg(tip, "tip_magnets", "separation_mm") * 1e-3,
-    )
+    tip_moment = _derived("tip_magnets", magnet_moment_from_geometry, tip["od_mm"],
+                          tip["id_mm"], tip["length_mm"], tip["remanence_t"])
+    pair = RingPairConfig.from_angles(tip_moment, 0.0, 0.0, separation=tip["separation_mm"])
 
-    ext_moment = magnet_moment_from_geometry(
-        _positive(ext, "external_magnet", "diameter_mm") * 1e-3,
-        0.0,
-        _positive(ext, "external_magnet", "length_mm") * 1e-3,
-        _positive(ext, "external_magnet", "remanence_t"),
-    )
-    pos = _vec3(ext, "external_magnet", "position_mm")
-    direction = _vec3(ext, "external_magnet", "moment_direction")
+    ext_moment = _derived("external_magnet", magnet_moment_from_geometry,
+                          ext["diameter_mm"], 0.0, ext["length_mm"], ext["remanence_t"])
+    direction = ext["moment_direction"]
     nrm = np.linalg.norm(direction)
     if not nrm > 0:
         raise ConfigError("external_magnet: moment_direction must be nonzero")
-    if not math.isfinite(ext_moment):
-        raise ConfigError("external_magnet: the dipole moment is not finite")
-    source = DipoleSource(moment=ext_moment * direction / nrm, position=pos * 1e-3)
+    source = DipoleSource(moment=ext_moment * direction / nrm, position=ext["position_mm"])
 
+    solver = v["solver"]
     settings = SolverSettings(
-        position_tolerance=_positive(solver, "solver", "tolerance_mm") * 1e-3,
-        max_iterations=_count(solver, "solver", "max_iterations"),
-        relaxation=_positive(solver, "solver", "relaxation"),
+        position_tolerance=solver["tolerance_mm"],
+        max_iterations=solver["max_iterations"],
+        relaxation=solver["relaxation"],
     )
-
-    mode_name = doc["beam_mode"]
-    if not isinstance(mode_name, str) or mode_name not in _MODES:
-        raise ConfigError(
-            f"beam_mode: expected one of {sorted(_MODES)}, got {mode_name!r}"
-        )
     return LoadedConfig(
         raw=doc, params=params, pair_template=pair, source=source,
-        settings=settings, mode=_MODES[mode_name],
+        settings=settings, mode=v["beam_mode"],
     )
 
 
@@ -188,6 +184,8 @@ def load_config(path) -> LoadedConfig:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{p}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal past the int-to-str digit limit
+        raise ConfigError(f"{p}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{p}: top level must be a JSON object")
     return parse_config(doc)

@@ -230,7 +230,8 @@ def magnet_moment_from_geometry(
     length: float,
     remanence: float,
 ) -> float:
-    """Dipole moment magnitude B_r * V / mu0 of a (possibly annular) cylinder."""
+    """Dipole moment magnitude B_r * V / mu0 of a (possibly annular) cylinder,
+    finite or a :class:`ContractViolation`."""
     if not (outer_diameter > inner_diameter >= 0.0):
         raise ContractViolation("require outer_diameter > inner_diameter >= 0")
     if not (length > 0.0):
@@ -239,8 +240,13 @@ def magnet_moment_from_geometry(
         raise ContractViolation("remanence must be >= 0")
     ro = outer_diameter / 2.0
     ri = inner_diameter / 2.0
-    volume = math.pi * (ro**2 - ri**2) * length
-    return remanence * volume / MU0
+    try:
+        moment = remanence * (math.pi * (ro**2 - ri**2) * length) / MU0
+    except OverflowError:  # a float power overflows by raising, a product to inf
+        moment = math.inf
+    if not math.isfinite(moment):
+        raise ContractViolation("the dipole moment is not finite")
+    return moment
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

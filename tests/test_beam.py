@@ -183,6 +183,12 @@ class TestSectionMoment:
         with pytest.raises(ContractViolation):
             section_moment_tube(1.2e-3, 1.8e-3)
 
+    @pytest.mark.parametrize("od", [1e197, 1e100, math.inf])
+    def test_moment_finite_or_contract_violation(self, od):
+        # a huge but finite diameter raised OverflowError from the float power
+        with pytest.raises(ContractViolation, match="section moment is not finite"):
+            section_moment_tube(od, 1.2e-3)
+
 
 class TestParamContracts:
     def test_positive_required(self):

@@ -1,8 +1,9 @@
 """Seeded fuzz of the command line.
 
-Every subcommand is fed malformed config values, CSV cells, range
-strings and numeric flags, and files that are not UTF-8 or hold a CSV
-cell over the csv module's field size limit. Whatever the input, the
+Every subcommand is fed malformed config values (deleted keys and
+integers too large for a float among them), CSV cells, range strings
+and numeric flags, and files that are not UTF-8 or hold a CSV cell over
+the csv module's field size limit. Whatever the input, the
 CLI must answer with a documented exit code (0 success, 2 input error,
 3 numerical failure) and must never let an exception escape or print a
 traceback. A JSON report printed on success must be strict JSON, with no
@@ -48,7 +49,7 @@ def byte_defect(rng, text, cells) -> bytes:
 def fuzz_config(rng, path) -> str:
     """The demonstrator config with one random defect, written to ``path``."""
     doc = json.loads(default_config_path().read_text(encoding="utf-8"))
-    kind = int(rng.integers(7))
+    kind = int(rng.integers(10))
     sec = _pick(rng, sorted(k for k in doc if isinstance(doc[k], dict)))
     if kind == 0 or kind == 1:
         doc[sec][_pick(rng, sorted(doc[sec]))] = _pick(rng, BAD_VALUES)
@@ -58,6 +59,14 @@ def fuzz_config(rng, path) -> str:
         doc[_pick(rng, [sec, "beam_mode"])] = _pick(rng, BAD_VALUES)
     elif kind == 4:
         doc = _pick(rng, BAD_VALUES)
+    elif kind == 7:
+        del doc[_pick(rng, sorted(doc))]
+    elif kind == 8:  # an integer too large for a float
+        doc[sec][_pick(rng, sorted(doc[sec]))] = 10**400
+    elif kind == 9:
+        vec = _pick(rng, [v for s in sorted(doc) if isinstance(doc[s], dict)
+                          for v in doc[s].values() if isinstance(v, list)])
+        vec[int(rng.integers(len(vec)))] = -(10**400) if rng.random() < 0.5 else 10**400
     text = json.dumps(doc)
     if kind == 5:
         text = text[:int(rng.integers(len(text)))]

@@ -1,15 +1,24 @@
+import copy
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from magbeam.beam import BeamFormulation
 from magbeam.config import (
+    _KEYS,
     ConfigError,
     default_config_path,
     load_config,
     parse_config,
 )
+from magbeam.geomag import ContractViolation
+from test_cli_fuzz import BAD_VALUES
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+NAMES = {e: e[1] if e[0] is None else f"{e[0]}.{e[1]}" for e in _KEYS}  # as messages name them
 
 
 @pytest.fixture
@@ -42,6 +51,13 @@ class TestDefaults:
         f = tmp_path / "bad.json"
         f.write_text("{not json")
         with pytest.raises(ConfigError):
+            load_config(f)
+
+    def test_integer_past_the_digit_limit(self, tmp_path):
+        f = tmp_path / "big.json"
+        text = default_config_path().read_text()
+        f.write_text(text.replace('"ke": 0.009', '"ke": 1' + "0" * 5000))
+        with pytest.raises(ConfigError, match="big.json"):
             load_config(f)
 
     def test_not_utf8(self, tmp_path):
@@ -110,3 +126,67 @@ class TestSchema:
         doc[section][key] = value
         with pytest.raises(ConfigError, match=f"{section}.{key}"):
             parse_config(doc)
+
+
+def _parse_or_input_error(doc):
+    """parse_config(doc), where only ConfigError or ContractViolation may
+    stop it: anything else would reach the command line as a traceback."""
+    try:
+        parse_config(doc)
+    except (ConfigError, ContractViolation):
+        pass
+    except Exception as exc:  # a traceback on the command line
+        pytest.fail(f"{exc!r} escaped parse_config")
+
+
+class TestEveryKey:
+    """Every declared key, given every bad value or deleted."""
+
+    @staticmethod
+    def holder(doc, entry):
+        """The object of ``doc`` that holds the key of ``entry``."""
+        return doc if entry[0] is None else doc[entry[0]]
+
+    @pytest.mark.parametrize("entry", _KEYS, ids=NAMES.get)
+    def test_bad_values(self, doc, entry):
+        for value in [*BAD_VALUES, 10**400, 1e300, [10**400, 0, 0]]:
+            bad = copy.deepcopy(doc)
+            self.holder(bad, entry)[entry[1]] = value
+            _parse_or_input_error(bad)
+
+    # 10**400 is a valid count; it overflows a float everywhere else
+    @pytest.mark.parametrize("entry", [e for e in _KEYS if e[2] != "count"], ids=NAMES.get)
+    def test_oversized_integer_names_the_key(self, doc, entry):
+        self.holder(doc, entry)[entry[1]] = [10**400, 0, 0] if entry[2] == "vector" else 10**400
+        with pytest.raises(ConfigError, match=re.escape(NAMES[entry])):
+            parse_config(doc)
+
+    @pytest.mark.parametrize("entry", _KEYS, ids=NAMES.get)
+    def test_deleted_key(self, doc, entry):
+        del self.holder(doc, entry)[entry[1]]
+        with pytest.raises(ConfigError, match=entry[1]):
+            parse_config(doc)
+
+    @pytest.mark.parametrize("section", sorted({e[0] for e in _KEYS} - {None}))
+    def test_deleted_section(self, doc, section):
+        del doc[section]
+        with pytest.raises(ConfigError, match=f"missing section '{section}'"):
+            parse_config(doc)
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("robot", "tube_od_mm", 1e200),
+        ("tip_magnets", "od_mm", 1e300),
+        ("external_magnet", "diameter_mm", 1e308),
+    ])
+    def test_huge_diameter_names_the_section(self, doc, section, key, value):
+        # a finite diameter whose section or dipole moment overflows
+        doc[section][key] = value
+        with pytest.raises(ConfigError, match=f"^{section}: .* not finite"):
+            parse_config(doc)
+
+
+def test_readme_lists_every_key():
+    """The README's config table names exactly the declared keys."""
+    text = README.read_text(encoding="utf-8").split("## Config file", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `([a-z_.]+)` \|", text, flags=re.MULTILINE)
+    assert sorted(listed) == sorted(NAMES.values())

@@ -263,6 +263,17 @@ class TestMomentFromGeometry:
         with pytest.raises(ContractViolation):
             magnet_moment_from_geometry(od, idm, length, 1.45)
 
+    @pytest.mark.parametrize("od,length,remanence", [
+        (1e297, 0.5e-3, 1.45),     # the power of the radius overflows
+        (0.0762, 1e308, 1.45),     # the volume is inf
+        (0.0762, 0.0381, 1e308),   # the moment is inf
+        (math.inf, 0.0381, 1.45),
+    ])
+    def test_moment_finite_or_contract_violation(self, od, length, remanence):
+        # a huge but finite diameter raised OverflowError from the float power
+        with pytest.raises(ContractViolation, match="dipole moment is not finite"):
+            magnet_moment_from_geometry(od, 0.0, length, remanence)
+
 
 class TestTipWrench:
     def setup_method(self):

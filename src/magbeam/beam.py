@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .geomag import E1, ContractViolation, _as_vec3, _dot
+from .geomag import E1, ContractViolation, Wrench, _as_vec3, _dot
 
 
 class BeamFormulation(Enum):
@@ -29,28 +29,6 @@ class BeamFormulation(Enum):
 
     CORRECTED = "corrected"
     LEGACY = "legacy"
-
-
-@dataclass(frozen=True)
-class Wrench:
-    """Force/torque pair applied at the robot tip."""
-
-    force: np.ndarray  # [N]
-    torque: np.ndarray  # [N*m]
-
-    def __post_init__(self):
-        object.__setattr__(self, "force", _as_vec3(self.force))
-        object.__setattr__(self, "torque", _as_vec3(self.torque))
-        if not (np.isfinite(self.force).all() and np.isfinite(self.torque).all()):
-            raise ContractViolation("wrench entries must be finite")
-
-    @classmethod
-    def zero(cls) -> "Wrench":
-        return cls(np.zeros(3), np.zeros(3))
-
-    def as_stacked(self) -> np.ndarray:
-        """Stacked 6-vector (f | tau)."""
-        return np.concatenate([self.force, self.torque])
 
 
 @dataclass(frozen=True)

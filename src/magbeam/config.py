@@ -161,11 +161,8 @@ def parse_config(doc: dict) -> LoadedConfig:
     source = DipoleSource(moment=ext_moment * direction / nrm, position=ext["position_mm"])
 
     solver = v["solver"]
-    settings = SolverSettings(
-        position_tolerance=solver["tolerance_mm"],
-        max_iterations=solver["max_iterations"],
-        relaxation=solver["relaxation"],
-    )
+    settings = _derived("solver", SolverSettings, solver["tolerance_mm"],
+                        solver["max_iterations"], solver["relaxation"])
     return LoadedConfig(
         raw=doc, params=params, pair_template=pair, source=source,
         settings=settings, mode=v["beam_mode"],

@@ -66,9 +66,9 @@ class SolverSettings:
     """Fixed-point solver controls.
 
     ``initial_tip`` seeds the iteration. ``None`` starts it at the
-    straight tip p0 + L e1 with tangent e1, a 3-vector at that position
-    with tangent e1, and a :class:`TipPose` (finite, with a unit tangent;
-    a neighbouring solve's tip, say) at that pose. ``relaxation`` is
+    straight tip p0 + L e1 with tangent e1, a finite 3-vector at that
+    position with tangent e1, and a :class:`TipPose` (finite, with a unit
+    tangent; a neighbouring solve's tip, say) at that pose. ``relaxation`` is
     the first and smallest relaxation factor of the Aitken-accelerated
     iteration; 1 makes it a plain undamped iteration.
     ``position_tolerance`` must be finite and positive, and
@@ -97,7 +97,7 @@ class SolverSettings:
             if abs(math.hypot(*values[3:]) - 1.0) > UNIT_TANGENT_TOL:
                 raise ContractViolation("initial_tip tangent must have unit norm")
         elif seed is not None:
-            object.__setattr__(self, "initial_tip", _as_vec3(seed))
+            object.__setattr__(self, "initial_tip", _as_vec3(seed, "initial_tip"))
 
 
 @dataclass(frozen=True)
@@ -454,9 +454,7 @@ def invert_controls(
     """
     if not _is_count(grid_size):
         raise ContractViolation("grid_size must be an integer >= 1")
-    p_target = _as_vec3(getattr(target, "position", target))
-    if not np.isfinite(p_target).all():
-        raise ContractViolation("target must be finite")
+    p_target = _as_vec3(getattr(target, "position", target), "target")
     tol = settings.position_tolerance
     angles = np.linspace(0.0, 2.0 * np.pi, grid_size, endpoint=False)
     grid = np.stack(np.meshgrid(angles, angles, indexing="ij"), axis=-1).reshape(-1, 2)

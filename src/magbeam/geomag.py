@@ -19,6 +19,7 @@ MU0 = 4.0e-7 * math.pi  # vacuum permeability [T*m/A]
 UNIT_TANGENT_TOL = 1e-9
 
 E1 = np.array([1.0, 0.0, 0.0])
+_EYE = np.eye(3)  # G contracted with e1, e2, e3: the columns of G
 
 
 class FieldSingularityError(ValueError):
@@ -32,10 +33,14 @@ class ContractViolation(ValueError):
     """An input violates a documented precondition."""
 
 
-def _as_vec3(v) -> np.ndarray:
+def _as_vec3(v, finite: str | None = None) -> np.ndarray:
+    """``v`` as a float 3-vector; one that must also be finite if ``finite``
+    gives its name for the ContractViolation."""
     a = np.asarray(v, dtype=float)
     if a.shape != (3,):
         raise ContractViolation(f"expected a 3-vector, got shape {a.shape}")
+    if finite and not np.isfinite(a).all():
+        raise ContractViolation(f"{finite} must be finite")
     return a
 
 
@@ -47,10 +52,8 @@ class DipoleSource:
     position: np.ndarray  # [m]
 
     def __post_init__(self):
-        object.__setattr__(self, "moment", _as_vec3(self.moment))
-        object.__setattr__(self, "position", _as_vec3(self.position))
-        if not np.all(np.isfinite(self.moment)):
-            raise ContractViolation("dipole moment must be finite")
+        object.__setattr__(self, "moment", _as_vec3(self.moment, "dipole moment"))
+        object.__setattr__(self, "position", _as_vec3(self.position, "dipole position"))
 
 
 @dataclass(frozen=True)
@@ -142,23 +145,24 @@ class FieldSample:
     gradient: np.ndarray  # [T/m]
 
 
-def _field_raw(moment: np.ndarray, source_position: np.ndarray, scale: float,
-               point: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Allocation-light dipole field/gradient; inputs already validated."""
-    P = point - source_position
-    r2 = float(P @ P)
-    if r2 <= 0.0:
-        raise FieldSingularityError(_SINGULAR)
-    r = math.sqrt(r2)
-    u = P / r
-    um = float(u @ moment)
-    pref = scale * MU0 / (4.0 * math.pi)
-    B = (pref / (r2 * r)) * (3.0 * um * u - moment)
-    mu = np.outer(moment, u)
-    G = (3.0 * pref / (r2 * r2)) * (
-        mu + mu.T + um * (np.eye(3) - 5.0 * np.outer(u, u))
-    )
-    return B, G
+@dataclass(frozen=True)
+class Wrench:
+    """Force/torque pair applied at the robot tip."""
+
+    force: np.ndarray  # [N]
+    torque: np.ndarray  # [N*m]
+
+    def __post_init__(self):
+        object.__setattr__(self, "force", _as_vec3(self.force, "wrench force"))
+        object.__setattr__(self, "torque", _as_vec3(self.torque, "wrench torque"))
+
+    @classmethod
+    def zero(cls) -> "Wrench":
+        return cls(np.zeros(3), np.zeros(3))
+
+    def as_stacked(self) -> np.ndarray:
+        """Stacked 6-vector (f | tau)."""
+        return np.concatenate([self.force, self.torque])
 
 
 def dipole_field(source: DipoleSource, point) -> FieldSample:
@@ -166,11 +170,10 @@ def dipole_field(source: DipoleSource, point) -> FieldSample:
 
     B = mu0/(4 pi) * (3 u (u . m) - m) / r^3 with u the unit displacement
     from the source to ``point`` and r its magnitude. The gradient is the
-    closed-form Jacobian, not finite differences.
+    closed-form Jacobian, not finite differences. This is
+    :func:`calibrated_field` at k_b = 1.
     """
-    point = _as_vec3(point)
-    B, G = _field_raw(source.moment, source.position, 1.0, point)
-    return FieldSample(B=B, gradient=G)
+    return calibrated_field(source, FieldCalibration(1.0), point)
 
 
 def calibrated_field(source: DipoleSource, cal: FieldCalibration, point) -> FieldSample:
@@ -178,11 +181,15 @@ def calibrated_field(source: DipoleSource, cal: FieldCalibration, point) -> Fiel
 
     Equivalent to evaluating the nominal dipole formula with the source
     moved to ``k_b * source.position`` and scaling the result (value and
-    gradient) by ``k_b``. The gradient is taken with respect to ``point``.
+    gradient) by ``k_b``. The gradient is taken with respect to ``point``,
+    which must be finite and away from the moved source.
     """
-    point = _as_vec3(point)
-    B, G = _field_raw(source.moment, cal.k_b * source.position, cal.k_b, point)
-    return FieldSample(B=B, gradient=G)
+    P = _as_vec3(point, "field point") - cal.k_b * source.position
+    r2 = _dot(P, P)
+    if r2 <= 0.0:
+        raise FieldSingularityError(_SINGULAR)
+    B, Gm = _field_rows(source.moment, cal.k_b * (MU0 / (4.0 * math.pi)), P, r2, _EYE)
+    return FieldSample(B=B, gradient=Gm.T)
 
 
 def ring_dipole_moment(magnet: RingMagnet, tangent) -> np.ndarray:
@@ -271,6 +278,27 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ab[..., :3] - ab[..., 3:]
 
 
+def _field_rows(ms: np.ndarray, pref, P: np.ndarray, r2: np.ndarray, m: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The one set of dipole field terms, unvalidated: the field B and its
+    gradient G contracted with moments ``m`` (broadcast against ``P``), in
+    closed form with no 3x3 matrix, for a source of moment ``ms`` and
+    prefactor ``pref`` = k_b mu0 / (4 pi) at offsets ``P`` (..., 3) with
+    nonzero squared norms ``r2`` (..., 1), or a scalar for one offset.
+    Per-offset scalars are (..., 1) columns, so they broadcast against the
+    vectors without reshaping."""
+    ir = 1.0 / np.sqrt(r2)
+    u = P * ir
+    um = _dot(u, ms)[..., None]
+    u_m = _dot(u, m)[..., None]
+    m_ms = _dot(m, ms)[..., None]
+    a = pref * (ir * ir * ir)  # pref / r^3
+    b = 3.0 * a * ir  # 3 pref / r^4
+    # B = a (3 (u . m_s) u - m_s), G = b (m_s u^T + u m_s^T + (u . m_s)(I - 5 u u^T))
+    B = a * ((3.0 * um) * u - ms)
+    return B, (b * u_m) * ms + (b * (m_ms - 5.0 * um * u_m)) * u + (b * um) * m
+
+
 class _Rings(NamedTuple):
     """The per-case constants of :func:`_ring_pair_wrench_rows`, computed
     once per solve by :func:`_ring_rows`; row k belongs to case k."""
@@ -329,31 +357,19 @@ def _ring_pair_wrench_rows(rings: _Rings, p: np.ndarray, n: np.ndarray
 
     The one wrench kernel, unvalidated: :func:`tip_wrench` calls it on
     one row, the equilibrium solver once per iteration on every case it
-    iterates. The gradient force G m is contracted in closed form, so no
-    3x3 matrix is built. Returns ``(w, r2)``: ``w`` (N, 6) stacks force
-    and torque, and ``r2`` (N, K) holds the squared ring-to-source
-    distances of :func:`_ring_offsets`; a row with a zero there is
-    singular, its ``w`` meaningless. Per-ring scalars are kept as
-    (N, K, 1) columns, so they broadcast against the vectors without
-    reshaping. One ring dipole at the tip point (K = 1, zero offset, as on
-    the demonstrator) skips the offset term and the sum over rings, whose
-    call overhead on the few rows of a one-case solve outweighs their
-    arithmetic.
+    iterates. The field terms are those of :func:`_field_rows`. Returns
+    ``(w, r2)``: ``w`` (N, 6) stacks force and torque, and ``r2`` (N, K)
+    holds the squared ring-to-source distances of :func:`_ring_offsets`;
+    a row with a zero there is singular, its ``w`` meaningless. One ring
+    dipole at the tip point (K = 1, zero offset, as on the demonstrator)
+    skips the offset term and the sum over rings, whose call overhead on
+    the few rows of a one-case solve outweighs their arithmetic.
     """
     m = _rotate_rows(rings.v, n)
     P, r2 = _ring_offsets(rings, p, n)
-    ir = 1.0 / np.sqrt(r2[..., None])
-    u = P * ir
-    ms = rings.moment
-    um = _dot(u, ms)[..., None]
-    u_m = _dot(u, m)[..., None]
-    m_ms = _dot(m, ms)[..., None]
-    a = rings.pref * (ir * ir * ir)  # pref / r^3
-    b = 3.0 * a * ir  # 3 pref / r^4
-    # force G m with G = b (m_s u^T + u m_s^T + (u . m_s)(I - 5 u u^T)),
-    # torque m x B with the field B = a (3 (u . m_s) u - m_s) at each ring
-    f = (b * u_m) * ms + (b * (m_ms - 5.0 * um * u_m)) * u + (b * um) * m
-    W = np.concatenate([f, _cross(m, a * ((3.0 * um) * u - ms))], axis=-1)
+    # force G m and torque m x B at each ring
+    B, f = _field_rows(rings.moment, rings.pref, P, r2[..., None], m)
+    W = np.concatenate([f, _cross(m, B)], axis=-1)
     w = W[:, 0] if W.shape[1] == 1 else W.sum(axis=1)
     if rings.separation:
         w[:, 3:] += rings.separation * _cross(n, w[:, :3])
@@ -361,15 +377,13 @@ def _ring_pair_wrench_rows(rings: _Rings, p: np.ndarray, n: np.ndarray
 
 
 def tip_wrench(pair: RingPairConfig, tip_pose, source: DipoleSource,
-               cal: FieldCalibration | None = None):
+               cal: FieldCalibration | None = None) -> Wrench:
     """Total magnetic force and torque on the ring pair at the tip.
 
     Force is the sum of gradient pulls on each magnet; torque is the sum
     of the alignment torques m_i x B(p_i) plus the separation lever arm
     acting on the total force.
     """
-    from .beam import Wrench  # deferred to avoid a module cycle
-
     if cal is None:
         cal = FieldCalibration(1.0)
     n = _as_vec3(tip_pose.tangent)

@@ -151,19 +151,21 @@ def _fit_conic_ellipse(points: np.ndarray) -> np.ndarray:
     return np.concatenate([a1, T @ a1])
 
 
+_NEWTON_TOL, _MAX_NEWTON = 1e-9, 100
+
+
 def nearest_ellipse_points(
     center: np.ndarray,
     semi_axes: tuple[float, float],
     orientation: float,
     points: np.ndarray,
-    tol: float = 1e-9,
-    max_newton: int = 100,
 ) -> np.ndarray:
     """Distance from each point to its nearest point on the ellipse.
 
     Works in the ellipse frame; the nearest parametric angle is located by
     a coarse scan followed by Newton iterations on the stationarity
-    condition of the squared distance, to the requested tolerance.
+    condition of the squared distance, at most ``_MAX_NEWTON`` of them, until
+    every step moves its point by less than ``_NEWTON_TOL``.
     """
     a, b = semi_axes
     c, s = math.cos(orientation), math.sin(orientation)
@@ -176,7 +178,7 @@ def nearest_ellipse_points(
         + (b * np.sin(tgrid)[None, :] - y[:, None]) ** 2
     t = tgrid[np.argmin(d2, axis=1)]
 
-    for _ in range(max_newton):
+    for _ in range(_MAX_NEWTON):
         ct, st = np.cos(t), np.sin(t)
         # g(t) = d/dt [ (a ct - x)^2 + (b st - y)^2 ] / 2
         g = (b * b - a * a) * st * ct + a * x * st - b * y * ct
@@ -184,7 +186,7 @@ def nearest_ellipse_points(
         step = np.where(np.abs(gp) > 1e-300, g / gp, 0.0)
         step = np.clip(step, -0.5, 0.5)
         t = t - step
-        if np.all(np.abs(step) * max(a, b) < tol):
+        if np.all(np.abs(step) * max(a, b) < _NEWTON_TOL):
             break
     ct, st = np.cos(t), np.sin(t)
     return np.hypot(a * ct - x, b * st - y)

@@ -127,6 +127,12 @@ class TestSchema:
         with pytest.raises(ConfigError, match=f"{section}.{key}"):
             parse_config(doc)
 
+    @pytest.mark.parametrize("value", [1.5, 2])
+    def test_relaxation_above_one_names_the_section(self, doc, value):
+        doc["solver"]["relaxation"] = value
+        with pytest.raises(ConfigError, match="solver"):
+            parse_config(doc)
+
 
 def _parse_or_input_error(doc):
     """parse_config(doc), where only ConfigError or ContractViolation may

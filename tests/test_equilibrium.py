@@ -224,9 +224,13 @@ class TestSolve:
         with pytest.raises(ContractViolation):
             SolverSettings(initial_tip=TipPose(demo.params.straight_tip, tangent))
 
-    def test_pose_seed_needs_finite_position(self):
+    @pytest.mark.parametrize("seed", [
+        TipPose([np.nan, 0.0, 0.0], E1), TipPose([0.15, np.inf, 0.0], E1),
+        np.array([np.nan, 0.0, 0.0]), np.array([0.15, 0.0, -np.inf])],
+        ids=["pose-nan", "pose-inf", "vector-nan", "vector-inf"])
+    def test_pose_seed_needs_finite_position(self, seed):
         with pytest.raises(ContractViolation):
-            SolverSettings(initial_tip=TipPose([np.nan, 0.0, 0.0], E1))
+            SolverSettings(initial_tip=seed)
 
     def test_pose_seed_starts_at_its_tangent(self, demo):
         # seeded at its own converged pose, a solve stops after one iteration

@@ -140,6 +140,31 @@ class TestCalibratedField:
         with pytest.raises(ContractViolation):
             FieldCalibration(-1.0)
 
+    def test_singularity_at_scaled_source(self):
+        # the singular point moves with the source, to k_b * position
+        src = DipoleSource(moment=[1.0, 0, 0], position=[0.1, 0.02, 0])
+        with pytest.raises(FieldSingularityError):
+            calibrated_field(src, FieldCalibration(4.03), 4.03 * src.position)
+        assert np.isfinite(calibrated_field(src, FieldCalibration(4.03), src.position).B).all()
+
+
+class TestFieldInput:
+    SRC = DipoleSource(moment=[200.0, 0, 0], position=[0.23, 0, 0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", [
+        dipole_field, lambda src, pt: calibrated_field(src, FieldCalibration(4.03), pt)],
+        ids=["dipole", "calibrated"])
+    def test_nonfinite_point_rejected(self, field, bad):
+        # checked before the singular test, so NaN is not a singular point
+        with pytest.raises(ContractViolation, match="finite"):
+            field(self.SRC, [0.15, bad, 0.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_source_position_rejected(self, bad):
+        with pytest.raises(ContractViolation, match="dipole position"):
+            DipoleSource(moment=[200.0, 0, 0], position=[bad, 0, 0])
+
 
 class TestRingDipoleMoment:
     def test_zero_angle_reference(self):
@@ -332,6 +357,26 @@ class TestTipWrench:
                 m = ring_dipole_moment(mag, n)
                 pos = pose.position + mag.axial_offset * n
                 s = dipole_field(self.src, pos)
+                f += s.gradient.T @ m
+                tau += np.cross(m, s.B)
+            tau += pair.separation * np.cross(n, f)
+            assert w.force == pytest.approx(f, rel=1e-12)
+            assert w.torque == pytest.approx(tau, rel=1e-12)
+
+    def test_torque_matches_manual_sum_calibrated(self):
+        # the wrench kernel and calibrated_field scale the source position
+        # and strength by k_b alike
+        cal = FieldCalibration(4.03)
+        pair = RingPairConfig.from_angles(5.44e-3, 0.4, 1.7, separation=5e-3)
+        rng = np.random.default_rng(37)
+        for n in [v / np.linalg.norm(v) for v in rng.normal(size=(8, 3))]:
+            pose = TipPose(position=self.pose.position, tangent=n)
+            w = tip_wrench(pair, pose, self.src, cal)
+            f = np.zeros(3)
+            tau = np.zeros(3)
+            for mag in (pair.magnet_1, pair.magnet_2):
+                m = ring_dipole_moment(mag, n)
+                s = calibrated_field(self.src, cal, pose.position + mag.axial_offset * n)
                 f += s.gradient.T @ m
                 tau += np.cross(m, s.B)
             tau += pair.separation * np.cross(n, f)

@@ -1,21 +1,21 @@
 """Small-deflection cantilever mechanics of the robot body.
 
-The robot is a cantilever of length L clamped at its base with its
-undeformed axis along e1. A wrench applied at the tip produces a linear
-tip deflection; the classical closed forms are end-moment deflection
-M L^2 / (2 EI) and end-force deflection F L^3 / (3 EI), both scaled by
-the dimensionless stiffness factor of :class:`RobotParams`.
+The robot is a cantilever of length L clamped at its base, the origin,
+with its undeformed axis along e1. A wrench applied at the tip produces a
+linear tip deflection; the classical closed forms are end-moment
+deflection M L^2 / (2 EI) and end-force deflection F L^3 / (3 EI), both
+scaled by the dimensionless stiffness factor of :class:`RobotParams`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 import math
 
 import numpy as np
 
-from .geomag import E1, ContractViolation, Wrench, _as_vec3, _dot
+from .geomag import E1, ContractViolation, Wrench, _as_vec3, _dot, _is_count
 
 
 class BeamFormulation(Enum):
@@ -45,7 +45,7 @@ class TipPose:
 
 @dataclass(frozen=True)
 class RobotParams:
-    """Geometry and stiffness of the cantilevered robot body.
+    """Geometry and stiffness of the robot body, cantilevered at the origin.
 
     The single bending stiffness used everywhere is
     ``stiffness_scale * elastic_modulus * section_moment``.
@@ -54,11 +54,9 @@ class RobotParams:
     length: float  # [m]
     elastic_modulus: float  # [Pa]
     section_moment: float  # [m^4]
-    base_position: np.ndarray = field(default_factory=lambda: np.zeros(3))
     stiffness_scale: float = 1.0  # dimensionless
 
     def __post_init__(self):
-        object.__setattr__(self, "base_position", _as_vec3(self.base_position))
         values = (self.length, self.elastic_modulus, self.section_moment,
                   self.stiffness_scale)
         if not all(v > 0 and math.isfinite(v) for v in values):
@@ -76,8 +74,8 @@ class RobotParams:
 
     @property
     def straight_tip(self) -> np.ndarray:
-        """Tip position of the unloaded (straight) robot."""
-        return self.base_position + self.length * E1
+        """Tip position L e1 of the unloaded (straight) robot."""
+        return self.length * E1
 
 
 def tip_pose_from_wrench(
@@ -87,7 +85,7 @@ def tip_pose_from_wrench(
 ) -> TipPose:
     """Closed-form tip pose of the cantilever under a tip wrench.
 
-    p = p0 + L e1 + (1/EI) (L^2/2 tau x e1 + c L^3 (e1 x f) x e1)
+    p = L e1 + (1/EI) (L^2/2 tau x e1 + c L^3 (e1 x f) x e1)
     with c = 1/3 (corrected) or 1/6 (legacy), and
     n = normalize(e1 + (L/EI) (tau + L/2 e1 x f) x e1).
     """
@@ -126,7 +124,7 @@ def _cantilever_rows(straight: np.ndarray, L: float, ei, mode: BeamFormulation,
 
     The one beam kernel, unvalidated: :func:`tip_pose_from_wrench` calls
     it on one row and the equilibrium solver on every case it iterates;
-    ``straight`` is the (6,) unloaded tip pose (p0 + L e1 | e1). Every
+    ``straight`` is the (6,) unloaded tip pose (L e1 | e1). Every
     step works within a row (a gather, products, a sum of two terms, the
     tangent's vecdot), so a row's result does not depend on how many rows
     there are, which a BLAS matrix product would not promise.
@@ -139,19 +137,20 @@ def _cantilever_rows(straight: np.ndarray, L: float, ei, mode: BeamFormulation,
 
 
 def _straight_pose(params: RobotParams) -> np.ndarray:
-    """The (6,) unloaded tip pose (p0 + L e1 | e1) of ``params``."""
+    """The (6,) unloaded tip pose (L e1 | e1) of ``params``."""
     return np.concatenate([params.straight_tip, E1])
 
 
 def centerline(params: RobotParams, w: Wrench, n_samples: int) -> np.ndarray:
-    """Centerline positions at ``n_samples`` uniform arclengths in [0, L].
+    """Centerline positions from the base at the origin, at ``n_samples``
+    (an integer >= 2, a bool not) uniform arclengths in [0, L].
 
     The curvature kappa(s) = (tau + (L - s) e1 x f) / EI is integrated
     twice by composite trapezoid; the endpoint matches the corrected-mode
     closed form to quadrature accuracy.
     """
-    if n_samples < 2:
-        raise ContractViolation("n_samples must be >= 2")
+    if not (_is_count(n_samples) and n_samples >= 2):
+        raise ContractViolation("n_samples must be an integer >= 2")
     ei = params.bending_stiffness
     L = params.length
     s = np.linspace(0.0, L, n_samples)
@@ -159,7 +158,7 @@ def centerline(params: RobotParams, w: Wrench, n_samples: int) -> np.ndarray:
     kappa = (w.torque[None, :] + (L - s)[:, None] * e1xf[None, :]) / ei
     dtang = np.cross(kappa, E1)
     tang = E1[None, :] + _cumulative_trapezoid(dtang, s)
-    return params.base_position[None, :] + _cumulative_trapezoid(tang, s)
+    return _cumulative_trapezoid(tang, s)
 
 
 def _cumulative_trapezoid(y: np.ndarray, s: np.ndarray) -> np.ndarray:

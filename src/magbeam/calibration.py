@@ -20,19 +20,22 @@ from .geomag import ContractViolation, DipoleSource, FieldCalibration, RingPairC
 
 PLANE_AXES = {"xy": (0, 1), "xz": (0, 2), "xyz": (0, 1, 2)}
 
+# Values on each axis of the default CalibrationGrid
+GRID_POINTS = 25
+
 
 @dataclass(frozen=True)
 class ExperimentRecord:
     """One tracked data point: measured magnet angles and tip position.
 
-    ``tip`` holds NaN for components the tracking plane does not observe;
-    ``plane`` names the observed plane ('xy', 'xz' or 'xyz' for full 3D).
+    ``tip`` holds NaN for components the tracking plane does not observe:
+    x must be finite, and y, z or both. The observed plane follows from
+    which components are finite.
     """
 
     theta1: float  # [rad]
     theta2: float  # [rad]
     tip: np.ndarray  # [m], NaN where unobserved
-    plane: str = "xy"
 
     def __post_init__(self):
         if not (math.isfinite(self.theta1) and math.isfinite(self.theta2)):
@@ -41,17 +44,15 @@ class ExperimentRecord:
         if tip.shape != (3,):
             raise ContractViolation("tip must be a 3-vector")
         object.__setattr__(self, "tip", tip)
-        if self.plane not in PLANE_AXES:
-            raise ContractViolation(f"unknown plane tag {self.plane!r}")
-        axes = PLANE_AXES[self.plane]
         finite = np.isfinite(tip)
-        if finite.sum() < 2:
-            raise ContractViolation("at least two finite tip components required")
-        for k in range(3):
-            if (k in axes) != bool(finite[k]):
-                raise ContractViolation(
-                    f"plane tag {self.plane!r} inconsistent with tip components"
-                )
+        if not (finite[0] and finite[1:].any()):
+            raise ContractViolation("tip needs a finite x and a finite y or z")
+
+    @property
+    def plane(self) -> str:
+        """The observed plane: 'xy', 'xz' or 'xyz' for full 3D."""
+        y, z = np.isfinite(self.tip[1:])
+        return "xyz" if y and z else ("xy" if y else "xz")
 
     @property
     def axes(self) -> tuple[int, ...]:
@@ -134,10 +135,10 @@ class CalibrationGrid:
     """
 
     ke_values: np.ndarray = field(
-        default_factory=lambda: np.linspace(0.009, 0.018, 25)
+        default_factory=lambda: np.linspace(0.009, 0.018, GRID_POINTS)
     )
     kb_values: np.ndarray = field(
-        default_factory=lambda: np.linspace(3.5, 4.5, 25)
+        default_factory=lambda: np.linspace(3.5, 4.5, GRID_POINTS)
     )
 
     def __post_init__(self):
@@ -325,8 +326,5 @@ def load_experiment_csv(
         ])
         if y is None and z is None:
             raise ContractViolation(f"{path}:{line}: need y_mm or z_mm")
-        plane = "xyz" if (y is not None and z is not None) else (
-            "xy" if y is not None else "xz"
-        )
-        records.append(ExperimentRecord(theta1, theta2, tip, plane))
+        records.append(ExperimentRecord(theta1, theta2, tip))
     return records

@@ -27,6 +27,7 @@ import numpy as np
 from . import __version__
 from .beam import BeamFormulation
 from .calibration import (
+    GRID_POINTS,
     CalibrationError,
     CalibrationGrid,
     _csv_number,
@@ -94,14 +95,14 @@ def _parse_range(text: str) -> np.ndarray:
     return start + step * np.arange(n)
 
 
-def _parse_grid_axis(text: str, default_n: int = 25) -> np.ndarray:
-    """Parse 'lo:hi[:n]' into a linspace."""
+def _parse_grid_axis(text: str) -> np.ndarray:
+    """Parse 'lo:hi[:n]' into a linspace of n (default GRID_POINTS) values."""
     parts = text.split(":")
     if len(parts) not in (2, 3):
         raise InputError(f"expected 'lo:hi[:n]', got {text!r}")
     try:
         lo, hi = float(parts[0]), float(parts[1])
-        n = int(parts[2]) if len(parts) == 3 else default_n
+        n = int(parts[2]) if len(parts) == 3 else GRID_POINTS
     except ValueError as exc:
         raise InputError(f"bad grid axis {text!r}") from exc
     if n < 1 or not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
@@ -238,11 +239,13 @@ def cmd_calibrate(args) -> int:
     cfg, _ = _model(args)
     slope, offset = _notch_params(args)
     records = load_experiment_csv(args.data, notch_slope=slope, notch_offset=offset)
+    default = CalibrationGrid()
     grid = CalibrationGrid(
-        ke_values=_parse_grid_axis(args.ke),
-        kb_values=_parse_grid_axis(args.kb),
+        ke_values=default.ke_values if args.ke is None else _parse_grid_axis(args.ke),
+        kb_values=default.kb_values if args.kb is None else _parse_grid_axis(args.kb),
     )
-    _check_count(grid.ke_values.size * grid.kb_values.size, f"{args.ke} x {args.kb}")
+    n_ke, n_kb = grid.ke_values.size, grid.kb_values.size
+    _check_count(n_ke * n_kb, f"{n_ke} x {n_kb} grid")
     result = grid_search_calibrate(
         records, cfg.params, cfg.pair_template, cfg.source, grid,
         cfg.settings, cfg.mode, threads=args.threads,
@@ -325,6 +328,8 @@ def _load_track_csv(path, plane: str) -> PlanarTrack:
 def cmd_workspace(args) -> int:
     t0 = time.perf_counter()
     cfg, cal = _model(args, args.ke, args.kb)
+    if args.schedule and (args.top or args.side):
+        raise InputError("give either --schedule or --top and --side, not both")
     if args.schedule:
         cols = ("theta1_deg", "theta2_deg")
         angles = [[math.radians(_csv_number(row, k, args.schedule, line)) for k in cols]
@@ -413,8 +418,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="grid-search (ke, kb) against data")
     common(p)
     p.add_argument("--data", required=True, help="experiment CSV")
-    p.add_argument("--ke", default="0.009:0.018:25", help="lo:hi[:n]")
-    p.add_argument("--kb", default="3.5:4.5:25", help="lo:hi[:n]")
+    default = CalibrationGrid()
+    for flag, axis in (("--ke", default.ke_values), ("--kb", default.kb_values)):
+        p.add_argument(flag, help=f"lo:hi[:n], default {axis[0]:g}:{axis[-1]:g}:{axis.size}")
     p.add_argument("--out", help="output JSON (default: stdout)")
     p.add_argument("--surface", help="write the error surface as CSV")
     notch(p)

@@ -15,11 +15,12 @@ from pathlib import Path
 import numpy as np
 
 from .beam import BeamFormulation, RobotParams, section_moment_tube
-from .equilibrium import SolverSettings, _is_count
+from .equilibrium import SolverSettings
 from .geomag import (
     ContractViolation,
     DipoleSource,
     RingPairConfig,
+    _is_count,
     magnet_moment_from_geometry,
 )
 
@@ -144,7 +145,6 @@ def parse_config(doc: dict) -> LoadedConfig:
         length=robot["length_mm"],
         elastic_modulus=robot["elastic_modulus_mpa"],
         section_moment=_derived("robot", section_moment_tube, od, idm),
-        base_position=np.zeros(3),
         stiffness_scale=robot["ke"],
     )
 

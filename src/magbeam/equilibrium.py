@@ -39,6 +39,7 @@ from .geomag import (
     _SINGULAR,
     _as_vec3,
     _dot,
+    _is_count,
     _ring_offsets,
     _ring_pair_wrench_rows,
     _ring_rows,
@@ -56,17 +57,12 @@ class DivergenceError(RuntimeError):
     """Fixed-point iteration left the trust region or went non-finite."""
 
 
-def _is_count(n) -> bool:
-    """Whether ``n`` is an integer (a numpy integer too, a bool not) >= 1."""
-    return not isinstance(n, bool) and isinstance(n, (int, np.integer)) and n >= 1
-
-
 @dataclass(frozen=True)
 class SolverSettings:
     """Fixed-point solver controls.
 
     ``initial_tip`` seeds the iteration. ``None`` starts it at the
-    straight tip p0 + L e1 with tangent e1, a finite 3-vector at that
+    straight tip L e1 with tangent e1, a finite 3-vector at that
     position with tangent e1, and a :class:`TipPose` (finite, with a unit
     tangent; a neighbouring solve's tip, say) at that pose. ``relaxation`` is
     the first and smallest relaxation factor of the Aitken-accelerated

@@ -44,6 +44,11 @@ def _as_vec3(v, finite: str | None = None) -> np.ndarray:
     return a
 
 
+def _is_count(n) -> bool:
+    """Whether ``n`` is an integer (a numpy integer too, a bool not) >= 1."""
+    return not isinstance(n, bool) and isinstance(n, (int, np.integer)) and n >= 1
+
+
 @dataclass(frozen=True)
 class DipoleSource:
     """External permanent magnet approximated as a point dipole."""
@@ -77,13 +82,11 @@ class RingMagnet:
 
     ``angle`` is stored unwrapped (no modular reduction) so sweep
     continuity is preserved; the field computations are 2*pi-periodic in
-    it. ``axial_offset`` is the signed offset of the ring center from the
-    tip point, measured along the tip tangent.
+    it. Where the ring sits is set by :class:`RingPairConfig`.
     """
 
     moment_magnitude: float  # [A*m^2]
     angle: float  # [rad]
-    axial_offset: float = 0.0  # [m]
 
     def __post_init__(self):
         if not (self.moment_magnitude >= 0.0 and math.isfinite(self.moment_magnitude)):
@@ -94,20 +97,16 @@ class RingMagnet:
 
 @dataclass(frozen=True)
 class RingPairConfig:
-    """The two rotatable tip magnets (magnet_1 distal, magnet_2 proximal)."""
+    """The two rotatable tip magnets: magnet_1 at the tip point, magnet_2
+    ``separation`` behind it along the tip tangent."""
 
     magnet_1: RingMagnet
     magnet_2: RingMagnet
     separation: float = 0.0  # [m]
 
     def __post_init__(self):
-        if self.separation < 0.0:
-            raise ContractViolation("separation must be >= 0")
-        gap = self.magnet_1.axial_offset - self.magnet_2.axial_offset
-        if abs(gap - self.separation) > 1e-12:
-            raise ContractViolation(
-                "magnet axial offsets inconsistent with separation"
-            )
+        if not (0.0 <= self.separation < math.inf):
+            raise ContractViolation("separation must be finite and >= 0")
 
     @classmethod
     def from_angles(
@@ -119,11 +118,8 @@ class RingPairConfig:
     ) -> "RingPairConfig":
         """Equal-magnitude pair with magnet 1 at the tip and magnet 2 a
         distance ``separation`` behind it along the tangent."""
-        return cls(
-            magnet_1=RingMagnet(moment_magnitude, theta1, 0.0),
-            magnet_2=RingMagnet(moment_magnitude, theta2, -separation),
-            separation=separation,
-        )
+        return cls(RingMagnet(moment_magnitude, theta1),
+                   RingMagnet(moment_magnitude, theta2), separation)
 
     def with_angles(self, theta1: float, theta2: float) -> "RingPairConfig":
         return RingPairConfig(
@@ -304,7 +300,7 @@ class _Rings(NamedTuple):
     once per solve by :func:`_ring_rows`; row k belongs to case k."""
 
     v: np.ndarray  # (N, K, 3) ring moments at zero tangent tilt [A*m^2]
-    offset: np.ndarray | None  # (K, 1) axial offsets of the rings [m]; None if all 0
+    offset: np.ndarray | None  # (K, 1) axial offsets (0, -separation) [m]; None if K = 1
     separation: float  # [m]
     moment: np.ndarray  # (3,) source moment [A*m^2]
     position: np.ndarray  # (N, 3) k_b-scaled source position [m]
@@ -321,22 +317,19 @@ def _ring_rows(pair: RingPairConfig, source: DipoleSource, k_b: np.ndarray,
     and the (N,) field scales ``k_b``.
 
     A ring's moment at zero tangent tilt is magnitude * (0, -sin, cos) of
-    its angle. Two rings at one axial offset (zero separation) see the
-    same field, so they enter as one dipole of their summed moment (K = 1);
-    at zero axial offset, as on the demonstrator, ``offset`` is ``None``.
+    its angle. Magnet 1 sits at the tip point and magnet 2 ``separation``
+    behind it. At zero separation, as on the demonstrator, both see the
+    field at the tip point, so they enter as one dipole of their summed
+    moment (K = 1) and ``offset`` is ``None``.
     """
-    m1, m2 = pair.magnet_1, pair.magnet_2
-    mag = np.array([m1.moment_magnitude, m2.moment_magnitude])
+    mag = np.array([pair.magnet_1.moment_magnitude, pair.magnet_2.moment_magnitude])
     v = np.zeros(angles.shape + (3,))
     v[..., 1] = -mag * np.sin(angles)
     v[..., 2] = mag * np.cos(angles)
-    offset = None
-    if m1.axial_offset == m2.axial_offset:
-        v = v[:, :1] + v[:, 1:]
-        if m1.axial_offset:
-            offset = np.array([[m1.axial_offset]])
+    if pair.separation:
+        offset = np.array([[0.0], [-pair.separation]])
     else:
-        offset = np.array([[m1.axial_offset], [m2.axial_offset]])
+        v, offset = v[:, :1] + v[:, 1:], None
     return _Rings(v=v, offset=offset, separation=pair.separation, moment=source.moment,
                   position=k_b[:, None] * source.position,
                   pref=(k_b * (MU0 / (4.0 * math.pi)))[:, None, None])

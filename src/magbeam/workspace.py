@@ -11,7 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geomag import ContractViolation
+from .geomag import ContractViolation, _is_count
+
+X_TOLERANCE = 2e-3  # [m], the largest x disagreement merge_biplanar leaves unflagged
 
 
 class EllipseFitError(ValueError):
@@ -54,16 +56,12 @@ class MergedTrack:
     x_mismatch: np.ndarray  # (N,) bool, True where views disagree in x
 
 
-def merge_biplanar(
-    top: PlanarTrack,
-    side: PlanarTrack,
-    x_tolerance: float = 2e-3,
-) -> MergedTrack:
+def merge_biplanar(top: PlanarTrack, side: PlanarTrack) -> MergedTrack:
     """Combine index-aligned top (x-y) and side (x-z) tracks into 3D.
 
     y comes from the top view, z from the side view, and x is the average
     of the two views' x. Points whose x readings disagree by more than
-    ``x_tolerance`` are flagged, not dropped.
+    ``X_TOLERANCE`` are flagged, not dropped.
     """
     if top.plane != "top" or side.plane != "side":
         raise ContractViolation("pass the top (x-y) track first, side (x-z) second")
@@ -78,7 +76,7 @@ def merge_biplanar(
         top.points[:, 1],
         side.points[:, 1],
     ])
-    return MergedTrack(points=merged, x_mismatch=np.abs(xt - xs) > x_tolerance)
+    return MergedTrack(points=merged, x_mismatch=np.abs(xt - xs) > X_TOLERANCE)
 
 
 @dataclass(frozen=True)
@@ -89,7 +87,9 @@ class EllipseFit:
     rms_distance: float  # [m], RMS geometric point-to-ellipse distance
 
     def sample(self, n: int = 256) -> np.ndarray:
-        """n points along the ellipse, for plotting."""
+        """``n`` (an integer >= 1, a bool not) points along the ellipse, for plotting."""
+        if not _is_count(n):
+            raise ContractViolation("n must be an integer >= 1")
         t = np.linspace(0.0, 2.0 * math.pi, n)
         a, b = self.semi_axes
         c, s = math.cos(self.orientation), math.sin(self.orientation)

@@ -140,8 +140,8 @@ def test_criterion_3_equilibrium_invariants(capsys, demo):
     d = solve(RingPairConfig.from_angles(moment, t1, t2, 0.0))
     summed = 2 * moment * math.cos((t1 - t2) / 2)
     from magbeam.geomag import RingMagnet
-    single = RingPairConfig(RingMagnet(abs(summed), (t1 + t2) / 2, 0.0),
-                            RingMagnet(0.0, 0.0, 0.0), 0.0)
+    single = RingPairConfig(RingMagnet(abs(summed), (t1 + t2) / 2),
+                            RingMagnet(0.0, 0.0), 0.0)
     e = solve(single)
     checks["superposition"] = float(np.linalg.norm(d.tip.position - e.tip.position))
 
@@ -161,7 +161,7 @@ def _synth_records(demo, ke, kb, noise_m, seed):
     recs = []
     for pt in pts:
         p = pt.result.tip.position + rng.uniform(-noise_m, noise_m, 3)
-        recs.append(ExperimentRecord(pt.q[0], pt.q[1], p, "xyz"))
+        recs.append(ExperimentRecord(pt.q[0], pt.q[1], p))
     return recs
 
 

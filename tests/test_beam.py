@@ -24,7 +24,6 @@ def params():
         length=0.15,
         elastic_modulus=766e6,
         section_moment=section_moment_tube(1.8e-3, 1.2e-3),
-        base_position=np.zeros(3),
         stiffness_scale=0.009,
     )
 
@@ -41,7 +40,7 @@ def integrate_tip_deflection(params, w, n=10_000):
         np.concatenate([[0.0], np.cumsum((dt[1:, k] + dt[:-1, k]) / 2 * np.diff(s))])
         for k in range(3)
     ]).T
-    tip = params.base_position + np.array([
+    tip = np.array([
         np.trapezoid(tang[:, k], s) for k in range(3)
     ])
     return tip
@@ -161,12 +160,17 @@ class TestCenterline:
     def test_two_samples(self, params):
         pts = centerline(params, Wrench.zero(), 2)
         assert pts.shape == (2, 3)
-        assert pts[0] == pytest.approx(params.base_position)
+        assert pts[0] == pytest.approx(np.zeros(3))
         assert pts[1] == pytest.approx(params.straight_tip)
 
     def test_too_few_samples(self, params):
         with pytest.raises(ContractViolation):
             centerline(params, Wrench.zero(), 1)
+
+    @pytest.mark.parametrize("n", [2.5, True])
+    def test_sample_count_must_be_an_integer(self, params, n):
+        with pytest.raises(ContractViolation, match="integer"):
+            centerline(params, Wrench.zero(), n)
 
 
 class TestSectionMoment:

@@ -34,7 +34,7 @@ def synth_records(demo, ke, kb, thetas, mode=BeamFormulation.LEGACY):
     pts = sweep(params, demo.pair_template, demo.source, FieldCalibration(kb),
                 demo.settings, mode, thetas, [0.0] * len(thetas), zipped=True)
     return [
-        ExperimentRecord(pt.q[0], pt.q[1], pt.result.tip.position, "xyz")
+        ExperimentRecord(pt.q[0], pt.q[1], pt.result.tip.position)
         for pt in pts
     ]
 
@@ -42,27 +42,30 @@ def synth_records(demo, ke, kb, thetas, mode=BeamFormulation.LEGACY):
 class TestRecords:
     def test_plane_consistency_enforced(self):
         with pytest.raises(ContractViolation):
-            ExperimentRecord(0.0, 0.0, [0.1, 0.0, np.nan], "xz")
-        with pytest.raises(ContractViolation):
-            ExperimentRecord(0.0, 0.0, [0.1, np.nan, np.nan], "xy")
+            ExperimentRecord(0.0, 0.0, [0.1, np.nan, np.nan])
+
+    @pytest.mark.parametrize("x", [np.nan, np.inf])
+    def test_tip_without_finite_x_rejected(self, x):
+        with pytest.raises(ContractViolation, match="finite x"):
+            ExperimentRecord(0.0, 0.0, [x, 0.02, 0.03])
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("which", ["theta1", "theta2"])
     def test_nonfinite_angles_rejected(self, which, value):
         angles = {"theta1": 0.0, "theta2": 0.0, which: value}
         with pytest.raises(ContractViolation, match="finite"):
-            ExperimentRecord(tip=[0.1, 0.0, np.nan], plane="xy", **angles)
+            ExperimentRecord(tip=[0.1, 0.0, np.nan], **angles)
 
     def test_in_plane_error_projects(self):
-        rec = ExperimentRecord(0.0, 0.0, [0.1, 0.02, np.nan], "xy")
+        rec = ExperimentRecord(0.0, 0.0, [0.1, 0.02, np.nan])
         # error in z is invisible to an x-y record
         assert in_plane_error(rec, [0.1, 0.02, 0.5]) == 0.0
         assert in_plane_error(rec, [0.1, 0.05, 0.0]) == pytest.approx(0.03)
-        rec = ExperimentRecord(0.0, 0.0, [0.1, np.nan, 0.02], "xz")
+        rec = ExperimentRecord(0.0, 0.0, [0.1, np.nan, 0.02])
         # and error in y to an x-z one
         assert in_plane_error(rec, [0.1, 0.5, 0.02]) == 0.0
         assert in_plane_error(rec, [0.13, 0.0, 0.06]) == pytest.approx(0.05)
-        rec = ExperimentRecord(0.0, 0.0, [0.1, 0.02, 0.03], "xyz")
+        rec = ExperimentRecord(0.0, 0.0, [0.1, 0.02, 0.03])
         assert in_plane_error(rec, [0.1, 0.02, 0.03]) == 0.0
         assert in_plane_error(rec, [0.11, 0.04, 0.05]) == pytest.approx(0.03)
 
@@ -70,8 +73,8 @@ class TestRecords:
 class TestMetrics:
     def test_perfect_fit(self):
         recs = [
-            ExperimentRecord(0.0, 0.0, [0.1, 0.01, 0.0], "xyz"),
-            ExperimentRecord(1.0, 0.0, [0.1, 0.02, 0.01], "xyz"),
+            ExperimentRecord(0.0, 0.0, [0.1, 0.01, 0.0]),
+            ExperimentRecord(1.0, 0.0, [0.1, 0.02, 0.01]),
         ]
         preds = [TipPose(r.tip, E1) for r in recs]
         m = evaluate_metrics(recs, preds)
@@ -82,9 +85,9 @@ class TestMetrics:
 
     def test_known_offsets(self):
         recs = [
-            ExperimentRecord(0.0, 0.0, [0.1, 0.00, np.nan], "xy"),
-            ExperimentRecord(1.0, 0.0, [0.1, 0.01, np.nan], "xy"),
-            ExperimentRecord(2.0, 0.0, [0.1, 0.02, np.nan], "xy"),
+            ExperimentRecord(0.0, 0.0, [0.1, 0.00, np.nan]),
+            ExperimentRecord(1.0, 0.0, [0.1, 0.01, np.nan]),
+            ExperimentRecord(2.0, 0.0, [0.1, 0.02, np.nan]),
         ]
         shifts = [0.0, 0.001, 0.003]
         preds = [
@@ -112,7 +115,7 @@ class TestMetrics:
         for plane in planes:
             tip = 0.1 + 0.02 * rng.standard_normal(3)
             tip[[k for k in range(3) if k not in PLANE_AXES[plane]]] = np.nan
-            recs.append(ExperimentRecord(rng.uniform(0, 3), 0.0, tip, plane))
+            recs.append(ExperimentRecord(rng.uniform(0, 3), 0.0, tip))
         preds = [
             TipPose(np.nan_to_num(r.tip, nan=0.3) + 0.004 * rng.standard_normal(3), E1)
             for r in recs
@@ -137,7 +140,7 @@ class TestMetrics:
         assert m.r_squared < 1.0
 
     def test_length_mismatch_rejected(self):
-        recs = [ExperimentRecord(0.0, 0.0, [0.1, 0.0, 0.0], "xyz")] * 2
+        recs = [ExperimentRecord(0.0, 0.0, [0.1, 0.0, 0.0])] * 2
         with pytest.raises(ContractViolation):
             evaluate_metrics(recs, [TipPose(recs[0].tip, E1)])
 

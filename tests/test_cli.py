@@ -25,7 +25,7 @@ from magbeam.cli import (
 from magbeam.beam import BeamFormulation
 from magbeam.config import default_config_path, load_config
 from magbeam.equilibrium import solve_tip_pose
-from magbeam.geomag import FieldCalibration
+from magbeam.geomag import FieldCalibration, RingPairConfig
 
 DATA_DIR = default_config_path().parent
 
@@ -220,6 +220,43 @@ class TestSimulate:
     def test_missing_config_exit_2(self):
         rc = main(["simulate", "--theta1", "0", "--config", "/nonexistent.json"])
         assert rc == EXIT_INPUT
+
+
+def test_separated_rings_through_the_config(tmp_path, capsys):
+    # a config with separation_mm > 0 runs the two-ring kernel end to end;
+    # simulate and sweep agree with solve_tip_pose on the same pair
+    doc = json.loads((DATA_DIR / "demonstrator.json").read_text())
+    doc["tip_magnets"]["separation_mm"] = 5
+    config = tmp_path / "separated.json"
+    config.write_text(json.dumps(doc))
+    cfg = load_config(default_config_path())
+    params = replace(cfg.params, stiffness_scale=0.009)
+    mag = cfg.pair_template.magnet_1.moment_magnitude
+    flags = ["--config", str(config), "--ke", "0.009", "--kb", "4.03"]
+
+    def solve(theta1_deg):
+        pair = RingPairConfig.from_angles(mag, math.radians(theta1_deg), 0.0, separation=5e-3)
+        return solve_tip_pose(params, pair, cfg.source, FieldCalibration(4.03),
+                              cfg.settings, cfg.mode)
+
+    report = tmp_path / "simulate.json"
+    assert main(["simulate", "--theta1", "60", *flags, "--out", str(report)]) == EXIT_OK
+    capsys.readouterr()
+    res = solve(60.0)
+    results = json.loads(report.read_text())["results"]
+    assert results["tip_mm"] == (res.tip.position * 1e3).tolist()
+    assert results["iterations"] == res.iterations == 4
+    assert results["tip_mm"] == pytest.approx([150.0, -6.91, 11.81], abs=5e-3)
+
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--theta1", "0:45:180", *flags, "--out", str(out)]) == EXIT_OK
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 5
+    for row in rows:
+        tip = solve(float(row["theta1_deg"])).tip.position * 1e3
+        assert [float(row[k]) for k in ("x_mm", "y_mm", "z_mm")] == pytest.approx(
+            tip, abs=cfg.settings.position_tolerance * 1e3)
 
 
 class TestSweep:
@@ -532,6 +569,17 @@ class TestWorkspace:
     def test_missing_inputs_exit_2(self):
         rc = main(["workspace"])
         assert rc == EXIT_INPUT
+
+    @pytest.mark.parametrize("tracks", [["--top", "t.csv", "--side", "s.csv"],
+                                        ["--top", "t.csv"], ["--side", "s.csv"]],
+                             ids=["both", "top", "side"])
+    def test_schedule_with_tracks_exit_2(self, capsys, tracks):
+        # the tracks would be ignored, so the pair is refused before any file is read
+        rc = main(["workspace", "--schedule", SCHEDULE, *tracks])
+        assert rc == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: give either --schedule or --top and --side, not both\n"
 
     @pytest.mark.parametrize("flag, text", [
         ("--schedule", "theta1_deg,theta2_deg\n0,0\n10,abc\n"),

@@ -130,8 +130,8 @@ class TestSolve:
         mag = demo.pair_template.magnet_1.moment_magnitude
         summed = 2 * mag * math.cos((t1 - t2) / 2)
         single = RingPairConfig(
-            RingMagnet(abs(summed), (t1 + t2) / 2, 0.0),
-            RingMagnet(0.0, 0.0, 0.0), 0.0,
+            RingMagnet(abs(summed), (t1 + t2) / 2),
+            RingMagnet(0.0, 0.0), 0.0,
         )
         b = solve_tip_pose(demo.params, single, demo.source, CAL, demo.settings, MODE)
         tol = demo.settings.position_tolerance
@@ -312,9 +312,10 @@ class TestBatchKernels:
         for k in range(len(w)):
             cal = FieldCalibration(k_b[k])
             f, tau = np.zeros(3), np.zeros(3)
-            for magnet, theta in zip((pair.magnet_1, pair.magnet_2), angles[k]):
+            for magnet, theta, offset in zip((pair.magnet_1, pair.magnet_2), angles[k],
+                                             (0.0, -separation)):
                 m = ring_dipole_moment(replace(magnet, angle=theta), n[k])
-                s = calibrated_field(demo.source, cal, p[k] + magnet.axial_offset * n[k])
+                s = calibrated_field(demo.source, cal, p[k] + offset * n[k])
                 f += s.gradient.T @ m
                 tau += np.cross(m, s.B)
             expected[k] = np.concatenate([f, tau + separation * np.cross(n[k], f)])

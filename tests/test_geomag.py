@@ -311,7 +311,7 @@ class TestTipWrench:
         w = tip_wrench(pair, self.pose, self.src, self.cal)
         # cancellation is exact up to float roundoff of the two summands
         single = RingPairConfig(
-            RingMagnet(5.44e-3, 1.2, 0.0), RingMagnet(0.0, 0.0, 0.0), 0.0
+            RingMagnet(5.44e-3, 1.2), RingMagnet(0.0, 0.0), 0.0
         )
         scale = np.linalg.norm(
             tip_wrench(single, self.pose, self.src, self.cal).as_stacked()
@@ -323,7 +323,7 @@ class TestTipWrench:
         theta = 0.9
         pair = RingPairConfig.from_angles(5.44e-3, theta, theta, separation=0.0)
         single = RingPairConfig(
-            RingMagnet(2 * 5.44e-3, theta, 0.0), RingMagnet(0.0, 0.0, 0.0), 0.0
+            RingMagnet(2 * 5.44e-3, theta), RingMagnet(0.0, 0.0), 0.0
         )
         w2 = tip_wrench(pair, self.pose, self.src, self.cal)
         w1 = tip_wrench(single, self.pose, self.src, self.cal)
@@ -336,7 +336,7 @@ class TestTipWrench:
         pair = RingPairConfig.from_angles(1.0, t1, t2, separation=0.0)
         summed = 2 * math.cos((t1 - t2) / 2)
         single = RingPairConfig(
-            RingMagnet(abs(summed), (t1 + t2) / 2, 0.0), RingMagnet(0.0, 0.0, 0.0), 0.0
+            RingMagnet(abs(summed), (t1 + t2) / 2), RingMagnet(0.0, 0.0), 0.0
         )
         wp = tip_wrench(pair, self.pose, self.src, self.cal)
         ws = tip_wrench(single, self.pose, self.src, self.cal)
@@ -353,9 +353,9 @@ class TestTipWrench:
             w = tip_wrench(pair, pose, self.src, self.cal)
             f = np.zeros(3)
             tau = np.zeros(3)
-            for mag in (pair.magnet_1, pair.magnet_2):
+            for mag, offset in zip((pair.magnet_1, pair.magnet_2), (0.0, -pair.separation)):
                 m = ring_dipole_moment(mag, n)
-                pos = pose.position + mag.axial_offset * n
+                pos = pose.position + offset * n
                 s = dipole_field(self.src, pos)
                 f += s.gradient.T @ m
                 tau += np.cross(m, s.B)
@@ -374,9 +374,9 @@ class TestTipWrench:
             w = tip_wrench(pair, pose, self.src, cal)
             f = np.zeros(3)
             tau = np.zeros(3)
-            for mag in (pair.magnet_1, pair.magnet_2):
+            for mag, offset in zip((pair.magnet_1, pair.magnet_2), (0.0, -pair.separation)):
                 m = ring_dipole_moment(mag, n)
-                s = calibrated_field(self.src, cal, pose.position + mag.axial_offset * n)
+                s = calibrated_field(self.src, cal, pose.position + offset * n)
                 f += s.gradient.T @ m
                 tau += np.cross(m, s.B)
             tau += pair.separation * np.cross(n, f)
@@ -394,8 +394,8 @@ class TestTipWrench:
             n /= np.linalg.norm(n)
             pose = TipPose(position=rng.normal(size=3) * 0.05 + [0.1, 0, 0], tangent=n)
             w = tip_wrench(pair, pose, self.src, self.cal)
-            p1 = pose.position + pair.magnet_1.axial_offset * n
-            p2 = pose.position + pair.magnet_2.axial_offset * n
+            p1 = pose.position
+            p2 = pose.position - pair.separation * n
             b1 = np.linalg.norm(dipole_field(self.src, p1).B)
             b2 = np.linalg.norm(dipole_field(self.src, p2).B)
             bound = (pair.magnet_1.moment_magnitude * b1
@@ -405,15 +405,11 @@ class TestTipWrench:
 
 
 class TestRingPairConfig:
-    def test_offsets_follow_separation(self):
-        pair = RingPairConfig.from_angles(1.0, 0.0, 0.0, separation=4e-3)
-        assert pair.magnet_1.axial_offset == 0.0
-        assert pair.magnet_2.axial_offset == -4e-3
-
-    def test_inconsistent_offsets_rejected(self):
-        with pytest.raises(ContractViolation):
-            RingPairConfig(RingMagnet(1.0, 0.0, 0.0), RingMagnet(1.0, 0.0, 0.0), 2e-3)
-
     def test_negative_separation_rejected(self):
         with pytest.raises(ContractViolation):
             RingPairConfig.from_angles(1.0, 0.0, 0.0, separation=-1e-3)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_nonfinite_separation_rejected(self, value):
+        with pytest.raises(ContractViolation, match="finite"):
+            RingPairConfig.from_angles(1.0, 0.0, 0.0, separation=value)

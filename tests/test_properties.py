@@ -87,8 +87,8 @@ def test_zero_separation_superposition(cfg, mode):
     for params, mag, _, cal, (t1, t2) in models(cfg, 4, mode, separation=0.0):
         summed = 2 * mag * math.cos((t1 - t2) / 2)
         angle = (t1 + t2) / 2 + (math.pi if summed < 0 else 0.0)
-        single = RingPairConfig(RingMagnet(abs(summed), angle, 0.0),
-                                RingMagnet(0.0, 0.0, 0.0), 0.0)
+        single = RingPairConfig(RingMagnet(abs(summed), angle),
+                                RingMagnet(0.0, 0.0), 0.0)
         a = tip(cfg, params, RingPairConfig.from_angles(mag, t1, t2, 0.0), cal, mode)
         assert np.linalg.norm(tip(cfg, params, single, cal, mode) - a) <= 2 * tol
 

@@ -38,7 +38,7 @@ class TestMerge:
     def test_x_averaged_and_flagged(self):
         top = PlanarTrack("top", [[0.150, 0.0], [0.150, 0.0]])
         side = PlanarTrack("side", [[0.151, 0.0], [0.154, 0.0]])
-        m = merge_biplanar(top, side, x_tolerance=2e-3)
+        m = merge_biplanar(top, side)
         assert m.points[:, 0] == pytest.approx([0.1505, 0.152])
         assert list(m.x_mismatch) == [False, True]
 
@@ -140,6 +140,12 @@ class TestEllipseFit:
         d = nearest_ellipse_points(fit.center, fit.semi_axes,
                                    fit.orientation, on)
         assert np.max(d) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2.5, True])
+    def test_sample_count_must_be_an_integer(self, n):
+        fit = fit_ellipse(ellipse_points([0.0, 0.0], 0.01, 0.004, 0.5, 24))
+        with pytest.raises(ContractViolation, match="integer"):
+            fit.sample(n)
 
     def test_degenerate_inputs(self):
         with pytest.raises(ContractViolation):

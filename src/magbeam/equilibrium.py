@@ -39,6 +39,7 @@ from .geomag import (
     _SINGULAR,
     _as_vec3,
     _dot,
+    _frozen_vec3,
     _is_count,
     _ring_offsets,
     _ring_pair_wrench_rows,
@@ -64,7 +65,8 @@ class SolverSettings:
     ``initial_tip`` seeds the iteration. ``None`` starts it at the
     straight tip L e1 with tangent e1, a finite 3-vector at that
     position with tangent e1, and a :class:`TipPose` (finite, with a unit
-    tangent; a neighbouring solve's tip, say) at that pose. ``relaxation`` is
+    tangent; a neighbouring solve's tip, say) at that pose; a vector is
+    held as a read-only copy, a pose as given. ``relaxation`` is
     the first and smallest relaxation factor of the Aitken-accelerated
     iteration; 1 makes it a plain undamped iteration.
     ``position_tolerance`` must be finite and positive, and
@@ -93,7 +95,7 @@ class SolverSettings:
             if abs(math.hypot(*values[3:]) - 1.0) > UNIT_TANGENT_TOL:
                 raise ContractViolation("initial_tip tangent must have unit norm")
         elif seed is not None:
-            object.__setattr__(self, "initial_tip", _as_vec3(seed, "initial_tip"))
+            object.__setattr__(self, "initial_tip", _frozen_vec3(seed, "initial_tip"))
 
 
 @dataclass(frozen=True)
@@ -427,8 +429,12 @@ def invert_controls(
     """Find magnet rotations that bring the tip to a target position.
 
     Solves a ``grid_size`` x ``grid_size`` grid over [0, 2 pi)^2 as one
-    cold batch. Among cells tied within the solver position tolerance of
-    the smallest error the lexicographically smallest q wins;
+    cold batch. That grid depends on the model alone, not on the target:
+    a query whose inputs other than the target and the template's angles
+    equal the previous query's reuses its grid, and gets the answer of a
+    cold query bit for bit (see :func:`_coarse_grid`). Among cells tied
+    within the solver position tolerance of the smallest error the
+    lexicographically smallest q wins;
     ``basin_count`` reports the number of distinct clusters of tied
     cells. Unless the winner is already within tolerance, it and the next
     best cells, each with its converged tip pose, seed a
@@ -452,19 +458,11 @@ def invert_controls(
         raise ContractViolation("grid_size must be an integer >= 1")
     p_target = _as_vec3(getattr(target, "position", target), "target")
     tol = settings.position_tolerance
-    angles = np.linspace(0.0, 2.0 * np.pi, grid_size, endpoint=False)
-    grid = np.stack(np.meshgrid(angles, angles, indexing="ij"), axis=-1).reshape(-1, 2)
-    coarse = _solve_batch(params, pair_template, source, settings, mode, grid,
-                          params.bending_stiffness, cal.k_b)
-    ok = coarse.converged
-    if not ok.any():
-        raise DivergenceError("no grid seed converged")
-    log.debug("inverse grid: %d of %d seeds failed", (~ok).sum(), ok.size)
+    grid, pose, ok, reach = _coarse_grid(params, pair_template, source, settings, mode,
+                                         cal.k_b, grid_size)
     errs = np.full(ok.size, np.inf)
-    errs[ok] = np.linalg.norm(coarse.tip[ok] - p_target, axis=1)
-    straight = params.straight_tip
-    reach = np.linalg.norm(coarse.tip[ok] - straight, axis=1).max()
-    within_reach = bool(np.linalg.norm(p_target - straight) <= reach * 1.05 + tol)
+    errs[ok] = np.linalg.norm(pose[ok, :3] - p_target, axis=1)
+    within_reach = bool(np.linalg.norm(p_target - params.straight_tip) <= reach * 1.05 + tol)
 
     best = errs.min()
     tied = errs <= best + tol
@@ -477,8 +475,7 @@ def invert_controls(
         others = order[(order != first) & np.isfinite(errs[order])]
         seeds = np.concatenate(([first], others[:_INVERSE_SEEDS - 1]))
         newton = partial(_newton_pass, params, pair_template, source, mode, cal.k_b)
-        q_lm, r_lm = _least_squares(newton, p_target, grid[seeds],
-                                    coarse.pose[seeds],
+        q_lm, r_lm = _least_squares(newton, p_target, grid[seeds], pose[seeds],
                                     _INVERSE_STOP * tol)
         if np.linalg.norm(r_lm) < best:
             q = np.mod(q_lm, 2.0 * np.pi)
@@ -488,6 +485,71 @@ def invert_controls(
     error = float(np.linalg.norm(final.tip.position - p_target))
     return InverseResult(q=q, result=final, position_error=error,
                          within_reach=within_reach, basin_count=basin_count)
+
+
+class _CoarseGrid(NamedTuple):
+    """The model-only part of an inverse query; arrays are read-only."""
+
+    grid: np.ndarray  # (G^2, 2) magnet angles [rad], theta1-major
+    pose: np.ndarray  # (G^2, 6) cold-solved tip poses (p | n), NaN where a solve raised
+    converged: np.ndarray  # (G^2,) bool
+    reach: float  # [m] farthest converged tip from the straight tip
+
+
+# The most recent model's coarse grid, as (key, _CoarseGrid). Sequential
+# queries on one model, as when steering to setpoint after setpoint in a
+# fixed field, solve their grid once. At the default grid size the entry
+# holds 42 kB, a tenth of a cold query's 435 kB peak (tracemalloc). It is
+# replaced by one assignment, so concurrent queries at worst both solve.
+_grid_memo: tuple | None = None
+
+
+def _coarse_grid(params: RobotParams, pair: RingPairConfig, source: DipoleSource,
+                 settings: SolverSettings, mode: BeamFormulation, k_b: float,
+                 grid_size: int) -> _CoarseGrid:
+    """The cold-solved ``grid_size`` x ``grid_size`` grid of
+    :func:`invert_controls`, or the previous call's if every input of the
+    grid solve is equal by value.
+
+    The key holds the robot, the ring magnitudes and separation (not the
+    template's angles, which the grid replaces), the source's arrays,
+    ``k_b``, every solver setting and the seed, ``mode`` and ``grid_size``.
+    Raises :class:`DivergenceError` if no grid seed converges; such a grid
+    is not kept, so it raises again on the next call.
+    """
+    global _grid_memo
+    seed = settings.initial_tip
+    if isinstance(seed, TipPose):
+        seed = (seed.position.tobytes(), seed.tangent.tobytes())
+    elif seed is not None:
+        seed = seed.tobytes()
+    # EI beside its factors: integer factors multiply exactly, floats do not
+    numbers = np.array([params.length, params.elastic_modulus, params.section_moment,
+                        params.stiffness_scale, params.bending_stiffness,
+                        pair.magnet_1.moment_magnitude, pair.magnet_2.moment_magnitude,
+                        pair.separation, k_b, settings.position_tolerance,
+                        settings.relaxation], dtype=float)
+    key = (numbers.tobytes(), source.moment.tobytes(), source.position.tobytes(),
+           settings.max_iterations, seed, mode, grid_size)
+    memo = _grid_memo
+    if memo is not None and memo[0] == key:
+        log.debug("inverse grid: hit")
+        return memo[1]
+    log.debug("inverse grid: miss")
+    angles = np.linspace(0.0, 2.0 * np.pi, grid_size, endpoint=False)
+    grid = np.stack(np.meshgrid(angles, angles, indexing="ij"), axis=-1).reshape(-1, 2)
+    coarse = _solve_batch(params, pair, source, settings, mode, grid,
+                          params.bending_stiffness, k_b)
+    ok = coarse.converged
+    if not ok.any():
+        raise DivergenceError("no grid seed converged")
+    log.debug("inverse grid: %d of %d seeds failed", (~ok).sum(), ok.size)
+    reach = np.linalg.norm(coarse.tip[ok] - params.straight_tip, axis=1).max()
+    out = _CoarseGrid(grid, coarse.pose, ok, float(reach))
+    for a in out[:3]:
+        a.flags.writeable = False
+    _grid_memo = (key, out)
+    return out
 
 
 def _newton_pass(params: RobotParams, pair: RingPairConfig, source: DipoleSource,

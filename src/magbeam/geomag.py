@@ -44,6 +44,14 @@ def _as_vec3(v, finite: str | None = None) -> np.ndarray:
     return a
 
 
+def _frozen_vec3(v, finite: str) -> np.ndarray:
+    """:func:`_as_vec3` as a read-only copy, for a frozen dataclass: a
+    later write to the caller's array does not reach the field."""
+    a = _as_vec3(v, finite).copy()
+    a.flags.writeable = False
+    return a
+
+
 def _is_count(n) -> bool:
     """Whether ``n`` is an integer (a numpy integer too, a bool not) >= 1."""
     return not isinstance(n, bool) and isinstance(n, (int, np.integer)) and n >= 1
@@ -51,14 +59,15 @@ def _is_count(n) -> bool:
 
 @dataclass(frozen=True)
 class DipoleSource:
-    """External permanent magnet approximated as a point dipole."""
+    """External permanent magnet approximated as a point dipole. Its
+    arrays are read-only copies of the ones it was given."""
 
     moment: np.ndarray  # [A*m^2]
     position: np.ndarray  # [m]
 
     def __post_init__(self):
-        object.__setattr__(self, "moment", _as_vec3(self.moment, "dipole moment"))
-        object.__setattr__(self, "position", _as_vec3(self.position, "dipole position"))
+        object.__setattr__(self, "moment", _frozen_vec3(self.moment, "dipole moment"))
+        object.__setattr__(self, "position", _frozen_vec3(self.position, "dipole position"))
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import logging
 import math
 from dataclasses import replace
 
@@ -66,6 +67,15 @@ def _record_wrench_calls(monkeypatch) -> list:
 
     monkeypatch.setattr(equilibrium, "_ring_pair_wrench_rows", kernel)
     return calls
+
+
+def _record_batches(monkeypatch) -> list:
+    """Patch the batched solve to record the number of cases of every call."""
+    batches = []
+    solve_batch = equilibrium._solve_batch
+    monkeypatch.setattr(equilibrium, "_solve_batch",
+                        lambda *a: batches.append(len(a[5])) or solve_batch(*a))
+    return batches
 
 
 def solve(demo, t1, t2, cal=CAL, settings=None, mode=MODE, params=None):
@@ -217,6 +227,14 @@ class TestSolve:
                 SolverSettings(position_tolerance=bad)
         for good in (1, np.int64(7), np.int32(3)):
             assert SolverSettings(max_iterations=good).max_iterations == good
+
+    def test_vector_seed_is_a_read_only_copy(self):
+        seed = np.array([0.15, 0.0, 0.0])
+        settings = SolverSettings(initial_tip=seed)
+        seed[1] = 1.0
+        assert settings.initial_tip.tolist() == [0.15, 0.0, 0.0]
+        with pytest.raises(ValueError, match="read-only"):
+            settings.initial_tip[1] = 1.0
 
     @pytest.mark.parametrize("tangent", [
         [1.0, 1e-4, 0.0], [0.5, 0.0, 0.0], [np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0]])
@@ -729,6 +747,30 @@ class TestSweep:
                   demo.settings, MODE, [], [0.0])
 
 
+REACHABLE = pytest.mark.parametrize("reachable", [True, False],
+                                    ids=["reachable", "unreachable"])
+
+
+def _inverse_target(demo, reachable: bool) -> np.ndarray:
+    """A model tip, or a point 30 mm from the straight tip, twice the reach."""
+    if reachable:
+        return solve(demo, math.radians(50), math.radians(10)).tip.position
+    return demo.params.straight_tip + np.array([0.0, 0.018, 0.024])
+
+
+def _scaled(obj, field: str):
+    """A copy of a frozen dataclass with ``field`` 1 % larger."""
+    return replace(obj, **{field: 1.01 * getattr(obj, field)})
+
+
+def _bits(inv) -> tuple:
+    """An InverseResult as exact values, to compare answers bit for bit."""
+    r = inv.result
+    return (np.array(inv.q).tobytes(), r.tip.position.tobytes(), r.tip.tangent.tobytes(),
+            r.iterations, np.float64(r.residual).tobytes(), r.converged,
+            np.float64(inv.position_error).tobytes(), inv.within_reach, inv.basin_count)
+
+
 class TestInverse:
     def test_straight_target_lexicographic(self, demo):
         inv = invert_controls(demo.params.straight_tip, demo.params,
@@ -747,12 +789,16 @@ class TestInverse:
         assert inv.within_reach
         assert inv.position_error <= demo.settings.position_tolerance
 
-    def test_no_converged_seed_raises(self, demo):
+    def test_no_converged_seed_raises(self, demo, monkeypatch):
+        # on every call: a grid with no converged seed is not memoised
         settings = replace(demo.settings, max_iterations=1)
-        with pytest.raises(DivergenceError, match="no grid seed converged"):
-            invert_controls(demo.params.straight_tip, demo.params,
-                            demo.pair_template, demo.source, CAL, settings, MODE,
-                            grid_size=3)
+        batches = _record_batches(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(DivergenceError, match="no grid seed converged"):
+                invert_controls(demo.params.straight_tip, demo.params,
+                                demo.pair_template, demo.source, CAL, settings, MODE,
+                                grid_size=3)
+        assert batches == [9, 9]
 
     def test_unreachable_flagged(self, demo):
         target = demo.params.straight_tip + np.array([0.0, 2 * demo.params.length, 0.0])
@@ -837,25 +883,122 @@ class TestInverse:
                               grid_size=np.int64(2))
         assert inv.result.converged
 
-    @pytest.mark.parametrize("reachable", [True, False], ids=["reachable", "unreachable"])
+    @REACHABLE
     def test_no_nested_solves(self, demo, monkeypatch, reachable):
         # the coarse grid and the final answer are the only fixed-point
-        # solves; the refinement runs on single passes of the row kernels
-        if reachable:
-            target = solve(demo, math.radians(50), math.radians(10)).tip.position
-        else:
-            target = demo.params.straight_tip + np.array([0.0, 0.018, 0.024])
-        batches, passes = [], []
-        solve_batch, newton_pass = equilibrium._solve_batch, equilibrium._newton_pass
-        monkeypatch.setattr(equilibrium, "_solve_batch",
-                            lambda *a: batches.append(len(a[5])) or solve_batch(*a))
+        # solves, and a second query on the same model reuses the grid; the
+        # refinement runs on single passes of the row kernels
+        target = _inverse_target(demo, reachable)
+        batches, passes = _record_batches(monkeypatch), []
+        newton_pass = equilibrium._newton_pass
         monkeypatch.setattr(equilibrium, "_newton_pass",
                             lambda *a: passes.append(len(a[5])) or newton_pass(*a))
-        inv = invert_controls(target, demo.params, demo.pair_template, demo.source,
-                              CAL, demo.settings, MODE)
+        args = (target, demo.params, demo.pair_template, demo.source, CAL,
+                demo.settings, MODE)
+        inv = invert_controls(*args)
         assert batches == [24 * 24, 1]
         assert passes  # the refinement ran
         assert inv.within_reach is reachable
+        batches.clear()
+        passes.clear()
+        again = invert_controls(*args)
+        assert batches == [1]
+        assert passes
+        assert _bits(again) == _bits(inv)
+
+    @REACHABLE
+    def test_memo_hit_is_bit_identical(self, demo, monkeypatch, reachable):
+        # a query answered from the previous query's grid (at another
+        # target) equals the same query made cold
+        args = (demo.params, demo.pair_template, demo.source, CAL, demo.settings, MODE)
+        target = _inverse_target(demo, reachable)
+        cold = invert_controls(target, *args)
+        monkeypatch.setattr(equilibrium, "_grid_memo", None)
+        invert_controls(_inverse_target(demo, not reachable), *args)
+        batches = _record_batches(monkeypatch)
+        warm = invert_controls(target, *args)
+        assert batches == [1]
+        assert _bits(warm) == _bits(cold)
+
+    # one change to each input of the grid solve
+    MODEL_CHANGES = {
+        **{f: lambda m, f=f: {"params": _scaled(m["params"], f)}
+           for f in ("length", "elastic_modulus", "section_moment", "stiffness_scale")},
+        **{r: lambda m, r=r: {"pair_template": replace(m["pair_template"], **{
+            r: _scaled(getattr(m["pair_template"], r), "moment_magnitude")})}
+           for r in ("magnet_1", "magnet_2")},
+        "separation": lambda m: {"pair_template": replace(m["pair_template"], separation=1e-3)},
+        "source_moment": lambda m: {"source": _scaled(m["source"], "moment")},
+        "source_position": lambda m: {"source": replace(
+            m["source"], position=m["source"].position + np.array([0.0, 1e-3, 0.0]))},
+        "k_b": lambda m: {"cal": _scaled(m["cal"], "k_b")},
+        "position_tolerance": lambda m: {"settings": _scaled(m["settings"],
+                                                             "position_tolerance")},
+        "max_iterations": lambda m: {"settings": replace(m["settings"], max_iterations=999)},
+        "relaxation": lambda m: {"settings": _scaled(m["settings"], "relaxation")},
+        "vector_seed": lambda m: {"settings": replace(
+            m["settings"], initial_tip=m["params"].straight_tip + np.array([0.0, 1e-3, 0.0]))},
+        "pose_seed": lambda m: {"settings": replace(
+            m["settings"], initial_tip=TipPose(m["params"].straight_tip, E1))},
+        "mode": lambda m: {"mode": BeamFormulation.CORRECTED},
+        "grid_size": lambda m: {"grid_size": 9},
+    }
+
+    @pytest.mark.parametrize("change", MODEL_CHANGES.values(), ids=list(MODEL_CHANGES))
+    def test_memo_misses_on_any_model_change(self, demo, monkeypatch, change):
+        model = dict(params=demo.params, pair_template=demo.pair_template,
+                     source=demo.source, cal=CAL, settings=demo.settings, mode=MODE,
+                     grid_size=8)
+        target = _inverse_target(demo, True)
+        invert_controls(target, **model)
+        changed = {**model, **change(model)}
+        batches = _record_batches(monkeypatch)
+        invert_controls(target, **changed)
+        assert batches == [changed["grid_size"] ** 2, 1]
+
+    def test_memo_misses_on_a_seed_changed_in_place(self, demo, monkeypatch):
+        # a pose seed holds the caller's arrays, so the key is their bytes
+        position = demo.params.straight_tip.copy()
+        settings = replace(demo.settings, initial_tip=TipPose(position, E1.copy()))
+        args = (_inverse_target(demo, True), demo.params, demo.pair_template,
+                demo.source, CAL, settings, MODE)
+        invert_controls(*args, grid_size=8)
+        position[1] = 1e-3
+        batches = _record_batches(monkeypatch)
+        invert_controls(*args, grid_size=8)
+        assert batches == [64, 1]
+
+    def test_memo_hit_on_template_angles(self, demo, monkeypatch):
+        # the grid replaces the template's angles, so they are no part of the key
+        target = _inverse_target(demo, True)
+        args = (demo.source, CAL, demo.settings, MODE)
+        first = invert_controls(target, demo.params, demo.pair_template, *args)
+        batches = _record_batches(monkeypatch)
+        turned = invert_controls(target, demo.params,
+                                 demo.pair_template.with_angles(1.0, 2.0), *args)
+        assert batches == [1]
+        assert _bits(turned) == _bits(first)
+
+    def test_memo_arrays_read_only(self, demo):
+        invert_controls(demo.params.straight_tip, demo.params, demo.pair_template,
+                        demo.source, CAL, demo.settings, MODE, grid_size=4)
+        grid = equilibrium._grid_memo[1]
+        for a in (grid.grid, grid.pose, grid.converged):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+
+    def test_debug_logging_changes_no_answer(self, demo, monkeypatch, caplog):
+        args = (_inverse_target(demo, True), demo.params, demo.pair_template,
+                demo.source, CAL, demo.settings, MODE)
+        quiet = invert_controls(*args)
+        monkeypatch.setattr(equilibrium, "_grid_memo", None)
+        caplog.set_level(logging.DEBUG, logger=equilibrium.__name__)
+        loud = [invert_controls(*args) for _ in range(2)]
+        assert [_bits(r) for r in loud] == [_bits(quiet)] * 2
+        said = [m for m in caplog.messages if m in ("inverse grid: hit", "inverse grid: miss")]
+        assert said == ["inverse grid: miss", "inverse grid: hit"]
+        assert sum("seeds failed" in m for m in caplog.messages) == 1
 
     @pytest.mark.parametrize("mode", list(BeamFormulation))
     @pytest.mark.parametrize("ke, kb", [(0.002, 4.0), (0.009, 4.03)])

@@ -165,6 +165,16 @@ class TestFieldInput:
         with pytest.raises(ContractViolation, match="dipole position"):
             DipoleSource(moment=[200.0, 0, 0], position=[bad, 0, 0])
 
+    def test_source_holds_read_only_copies(self):
+        m, p = np.array([200.0, 0.0, 0.0]), np.array([0.23, 0.0, 0.0])
+        src = DipoleSource(m, p)
+        m[2], p[1] = 5.0, 1.0
+        assert src.moment.tolist() == [200.0, 0.0, 0.0]
+        assert src.position.tolist() == [0.23, 0.0, 0.0]
+        for a in (src.moment, src.position):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+
 
 class TestRingDipoleMoment:
     def test_zero_angle_reference(self):

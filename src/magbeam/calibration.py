@@ -261,30 +261,46 @@ def _csv_number(row: dict, key: str, path, line: int, default=_REQUIRED) -> floa
     return value
 
 
-def _csv_rows(path, required) -> list[tuple[int, dict]]:
-    """The data rows of the CSV table at ``path``, each with its line number,
-    as ``csv.DictReader`` rows. A :class:`ContractViolation` naming ``path``
-    rejects an empty file, a header without one of the ``required``
-    columns and a table without data rows; one naming ``path:line`` a
-    file that is not UTF-8 text and one the csv module cannot parse (a
-    cell over its field size limit, say)."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise ContractViolation(f"{path}:{line}: not UTF-8 text ({exc.reason})") from exc
-    reader = csv.DictReader(io.StringIO(text, newline=""))
+def _csv_stream(chunks, name, required):
+    """The data rows of a CSV table, each with its line number, as
+    ``csv.DictReader`` rows, yielded as they are read. ``chunks`` are the
+    table's bytes, cut at line ends: a file's whole content in one, or a
+    stream's lines, so that each row is parsed before the next arrives.
+    A :class:`ContractViolation` naming ``name`` rejects an empty table
+    and a header without one of the ``required`` columns; one naming
+    ``name:line`` a line that is not UTF-8 text and one the csv module
+    cannot parse (a cell over its field size limit, say). A table without
+    data rows yields none."""
+    def lines():
+        line = 1
+        for raw in chunks:
+            try:
+                text = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line += raw.count(b"\n", 0, exc.start)
+                raise ContractViolation(
+                    f"{name}:{line}: not UTF-8 text ({exc.reason})") from exc
+            line += raw.count(b"\n")
+            yield from io.StringIO(text, newline="")
+
+    reader = csv.DictReader(lines())
     try:
         if reader.fieldnames is None:
-            raise ContractViolation(f"{path}: empty CSV")
+            raise ContractViolation(f"{name}: empty CSV")
         missing = set(required) - set(reader.fieldnames)
         if missing:
-            raise ContractViolation(f"{path}: missing columns {sorted(missing)}")
-        rows = list(enumerate(reader, start=2))
+            raise ContractViolation(f"{name}: missing columns {sorted(missing)}")
+        yield from enumerate(reader, start=2)
     except csv.Error as exc:
-        raise ContractViolation(f"{path}:{reader.reader.line_num}: {exc}") from exc
+        raise ContractViolation(f"{name}:{reader.reader.line_num}: {exc}") from exc
+
+
+def _csv_rows(path, required) -> list[tuple[int, dict]]:
+    """All the data rows of the CSV table at ``path``, as :func:`_csv_stream`
+    yields them; a table without data rows is a :class:`ContractViolation`."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    rows = list(_csv_stream([data], path, required))
     if not rows:
         raise ContractViolation(f"{path}: no data rows")
     return rows

@@ -6,6 +6,7 @@ Subcommands:
   calibrate  minimax grid search of (ke, kb) against tracking data
   validate   error metrics of the model at fixed (ke, kb) against data
   workspace  3D workspace reconstruction / ellipse fit / statistics
+  invert     magnet angles that reach target tip positions, one row per target
 
 Exit codes: 0 success, 2 input error, 3 numerical failure.
 """
@@ -32,13 +33,14 @@ from .calibration import (
     CalibrationGrid,
     _csv_number,
     _csv_rows,
+    _csv_stream,
     _fit_metrics,
     _in_plane_errors,
     grid_search_calibrate,
     load_experiment_csv,
 )
 from .config import ConfigError, LoadedConfig, default_config_path, load_config
-from .equilibrium import DivergenceError, _sweep_rows, solve_tip_pose
+from .equilibrium import DivergenceError, _sweep_rows, invert_controls, solve_tip_pose
 from .geomag import ContractViolation, FieldCalibration, FieldSingularityError
 from .svgplot import write_svg
 from .workspace import (
@@ -369,6 +371,40 @@ def cmd_workspace(args) -> int:
     return EXIT_OK
 
 
+def cmd_invert(args) -> int:
+    """Answer each target of ``--targets`` (``-`` for stdin) as it is read,
+    and write its row at once; every query runs on the one model, so all
+    but the first reuse the first's coarse grid."""
+    cfg, cal = _model(args, args.ke, args.kb)
+    cols = ("x_mm", "y_mm", "z_mm")
+    name = "<stdin>" if args.targets == "-" else args.targets
+    failed = answered = 0
+    with contextlib.ExitStack() as stack:
+        # a stream is read line by line; the output opens with the first answer
+        chunks = (sys.stdin.buffer if args.targets == "-"
+                  else stack.enter_context(open(args.targets, "rb")))
+        for line, row in _csv_stream(chunks, name, cols):
+            mm = [_csv_number(row, k, name, line) for k in cols]
+            inv = invert_controls(np.array(mm) * 1e-3, cfg.params, cfg.pair_template,
+                                  cfg.source, cal, cfg.settings, cfg.mode)
+            if not answered:
+                fh = (stack.enter_context(open(args.out, "w", newline="", encoding="utf-8"))
+                      if args.out else sys.stdout)
+                w = csv.writer(fh)
+                w.writerow([*cols, "theta1_deg", "theta2_deg", "tip_x_mm", "tip_y_mm",
+                            "tip_z_mm", "error_mm", "within_reach", "basin_count",
+                            "converged"])
+            tip_mm = (inv.result.tip.position * 1e3).tolist()
+            w.writerow([*mm, *map(math.degrees, inv.q), *tip_mm, inv.position_error * 1e3,
+                        inv.within_reach, inv.basin_count, inv.result.converged])
+            fh.flush()
+            answered += 1
+            failed += not inv.result.converged
+    if not answered:
+        raise InputError(f"{name}: no data rows")
+    return EXIT_OK if failed == 0 else EXIT_NUMERIC
+
+
 def build_parser() -> argparse.ArgumentParser:
     """A new parser of the command line; the subcommand is ``command``."""
     ap = argparse.ArgumentParser(
@@ -444,6 +480,14 @@ def build_parser() -> argparse.ArgumentParser:
     scale_overrides(p)
     p.add_argument("--out", help="output JSON (default: stdout)")
     p.add_argument("--plot", help="write an SVG of the y-z projection")
+
+    p = sub.add_parser("invert", help="magnet angles that reach target tip positions")
+    common(p)
+    p.add_argument("--targets", required=True,
+                   help="CSV of x_mm,y_mm,z_mm targets, '-' for stdin; each row is "
+                        "answered as it is read")
+    scale_overrides(p)
+    p.add_argument("--out", help="output CSV (default: stdout)")
     return ap
 
 
@@ -462,7 +506,8 @@ def main(argv=None) -> int:
     # looked up when it runs, so that the shared parser holds no stale
     # reference to a command function that has since been rebound
     command = {"simulate": cmd_simulate, "sweep": cmd_sweep, "calibrate": cmd_calibrate,
-               "validate": cmd_validate, "workspace": cmd_workspace}[args.command]
+               "validate": cmd_validate, "workspace": cmd_workspace,
+               "invert": cmd_invert}[args.command]
     try:
         return command(args)
     except (ConfigError, ContractViolation, InputError, FileNotFoundError,

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
-from functools import partial
+from dataclasses import dataclass, fields, is_dataclass, replace
+from functools import cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -458,8 +458,8 @@ def invert_controls(
         raise ContractViolation("grid_size must be an integer >= 1")
     p_target = _as_vec3(getattr(target, "position", target), "target")
     tol = settings.position_tolerance
-    grid, pose, ok, reach = _coarse_grid(params, pair_template, source, settings, mode,
-                                         cal.k_b, grid_size)
+    grid, pose, ok, reach = _coarse_grid(params, pair_template, source, cal, settings,
+                                         mode, grid_size)
     errs = np.full(ok.size, np.inf)
     errs[ok] = np.linalg.norm(pose[ok, :3] - p_target, axis=1)
     within_reach = bool(np.linalg.norm(p_target - params.straight_tip) <= reach * 1.05 + tol)
@@ -497,40 +497,54 @@ class _CoarseGrid(NamedTuple):
 
 
 # The most recent model's coarse grid, as (key, _CoarseGrid). Sequential
-# queries on one model, as when steering to setpoint after setpoint in a
-# fixed field, solve their grid once. At the default grid size the entry
-# holds 42 kB, a tenth of a cold query's 435 kB peak (tracemalloc). It is
-# replaced by one assignment, so concurrent queries at worst both solve.
+# queries on one model, as when `magbeam invert` answers setpoint after
+# setpoint in a fixed field, solve their grid once; a query on a new model
+# also builds the key, about 20 us of a 5 ms query. At the default grid
+# size the entry holds 42 kB, a tenth of a cold query's 435 kB peak
+# (tracemalloc). It is replaced by one assignment, so concurrent queries
+# at worst both solve.
 _grid_memo: tuple | None = None
 
 
+def _value_key(v):
+    """``v`` as a key equal to another's only if the two are equal in type
+    and value: a dataclass by every one of its fields, so that a field
+    added later is keyed with no further code; a tuple item by item; an
+    array by dtype, shape and bytes; a float by its bits, so that 0.0 and
+    -0.0 differ; anything else as itself."""
+    if isinstance(v, float):
+        return (type(v), v.hex())
+    if isinstance(v, np.ndarray):
+        return (v.dtype.str, v.shape, v.tobytes())
+    if isinstance(v, tuple):
+        return tuple([_value_key(x) for x in v])
+    names = _field_names(type(v))
+    if names is not None:
+        return (type(v), *[_value_key(getattr(v, n)) for n in names])
+    return (type(v), v)
+
+
+@cache
+def _field_names(cls: type) -> tuple[str, ...] | None:
+    """The field names of the dataclass ``cls``; None if it is none."""
+    return tuple(f.name for f in fields(cls)) if is_dataclass(cls) else None
+
+
 def _coarse_grid(params: RobotParams, pair: RingPairConfig, source: DipoleSource,
-                 settings: SolverSettings, mode: BeamFormulation, k_b: float,
+                 cal: FieldCalibration, settings: SolverSettings, mode: BeamFormulation,
                  grid_size: int) -> _CoarseGrid:
     """The cold-solved ``grid_size`` x ``grid_size`` grid of
     :func:`invert_controls`, or the previous call's if every input of the
-    grid solve is equal by value.
+    grid solve is equal in type and value.
 
-    The key holds the robot, the ring magnitudes and separation (not the
-    template's angles, which the grid replaces), the source's arrays,
-    ``k_b``, every solver setting and the seed, ``mode`` and ``grid_size``.
+    The key is :func:`_value_key` of all the arguments, with the
+    template's angles set to 0 because the grid replaces them.
     Raises :class:`DivergenceError` if no grid seed converges; such a grid
     is not kept, so it raises again on the next call.
     """
     global _grid_memo
-    seed = settings.initial_tip
-    if isinstance(seed, TipPose):
-        seed = (seed.position.tobytes(), seed.tangent.tobytes())
-    elif seed is not None:
-        seed = seed.tobytes()
-    # EI beside its factors: integer factors multiply exactly, floats do not
-    numbers = np.array([params.length, params.elastic_modulus, params.section_moment,
-                        params.stiffness_scale, params.bending_stiffness,
-                        pair.magnet_1.moment_magnitude, pair.magnet_2.moment_magnitude,
-                        pair.separation, k_b, settings.position_tolerance,
-                        settings.relaxation], dtype=float)
-    key = (numbers.tobytes(), source.moment.tobytes(), source.position.tobytes(),
-           settings.max_iterations, seed, mode, grid_size)
+    key = _value_key((params, pair.with_angles(0.0, 0.0), source, cal, settings, mode,
+                      grid_size))
     memo = _grid_memo
     if memo is not None and memo[0] == key:
         log.debug("inverse grid: hit")
@@ -539,7 +553,7 @@ def _coarse_grid(params: RobotParams, pair: RingPairConfig, source: DipoleSource
     angles = np.linspace(0.0, 2.0 * np.pi, grid_size, endpoint=False)
     grid = np.stack(np.meshgrid(angles, angles, indexing="ij"), axis=-1).reshape(-1, 2)
     coarse = _solve_batch(params, pair, source, settings, mode, grid,
-                          params.bending_stiffness, k_b)
+                          params.bending_stiffness, cal.k_b)
     ok = coarse.converged
     if not ok.any():
         raise DivergenceError("no grid seed converged")

@@ -7,12 +7,13 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import magbeam
-from magbeam import cli
+from magbeam import cli, equilibrium
 from magbeam.cli import (
     EXIT_INPUT,
     EXIT_NUMERIC,
@@ -24,7 +25,7 @@ from magbeam.cli import (
 )
 from magbeam.beam import BeamFormulation
 from magbeam.config import default_config_path, load_config
-from magbeam.equilibrium import solve_tip_pose
+from magbeam.equilibrium import invert_controls, solve_tip_pose
 from magbeam.geomag import FieldCalibration, RingPairConfig
 
 DATA_DIR = default_config_path().parent
@@ -130,6 +131,7 @@ def test_option_strings_per_subcommand():
         "validate": {"--data", "--ke", "--kb", "--out", "--plot", "--notch-slope",
                      "--notch-offset"},
         "workspace": {"--schedule", "--top", "--side", "--ke", "--kb", "--out", "--plot"},
+        "invert": {"--targets", "--ke", "--kb", "--out"},
     }
     parser = cli.build_parser()
     [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
@@ -626,3 +628,98 @@ class TestWorkspace:
         side.write_text("x_mm,z_mm\n" + "149.0,0.0\n" * 8)
         rc = main(["workspace", "--top", str(top), "--side", str(side)])
         assert rc == EXIT_NUMERIC
+
+
+INVERT_FLAGS = ["--ke", "0.009", "--kb", "4.03"]
+# a model tip (at 50 and 10 deg), the straight tip and a point out of reach [mm]
+TARGETS = "x_mm,y_mm,z_mm\n148.7,-4.2,9.1\n150,0,0\n130,25,30\n"
+
+
+class TestInvert:
+    def _model(self):
+        cfg = load_config(default_config_path())
+        return (replace(cfg.params, stiffness_scale=0.009), cfg.pair_template, cfg.source,
+                FieldCalibration(4.03), cfg.settings, cfg.mode)
+
+    def test_rows_are_the_library_answers(self, tmp_path):
+        targets, out = tmp_path / "targets.csv", tmp_path / "answers.csv"
+        targets.write_text(TARGETS)
+        assert main(["invert", "--targets", str(targets), *INVERT_FLAGS,
+                     "--out", str(out)]) == EXIT_OK
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["within_reach"] for r in rows] == ["True", "True", "False"]
+        model = self._model()
+        for line, row in zip(TARGETS.splitlines()[1:], rows):
+            mm = [float(v) for v in line.split(",")]
+            inv = invert_controls(np.array(mm) * 1e-3, *model)
+            tip_mm = (inv.result.tip.position * 1e3).tolist()
+            assert [float(row[k]) for k in ("x_mm", "y_mm", "z_mm")] == mm
+            assert [float(row[k]) for k in ("theta1_deg", "theta2_deg")] == [
+                math.degrees(a) for a in inv.q]
+            assert [float(row[f"tip_{k}_mm"]) for k in "xyz"] == tip_mm
+            assert float(row["error_mm"]) == inv.position_error * 1e3
+            assert row["within_reach"] == str(inv.within_reach)
+            assert int(row["basin_count"]) == inv.basin_count
+            assert row["converged"] == "True"
+
+    def test_one_grid_for_all_targets(self, tmp_path, monkeypatch, capsys):
+        # the targets share one model, so the grid is solved for the first
+        # only; every target then makes its final solve
+        batches = []
+        solve_batch = equilibrium._solve_batch
+        monkeypatch.setattr(equilibrium, "_solve_batch",
+                            lambda *a: batches.append(len(a[5])) or solve_batch(*a))
+        targets = tmp_path / "targets.csv"
+        targets.write_text(TARGETS)
+        assert main(["invert", "--targets", str(targets), *INVERT_FLAGS]) == EXIT_OK
+        assert batches == [24 * 24, 1, 1, 1]
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 3
+
+    def test_stdin_rows_answered_as_read(self, monkeypatch, capsys):
+        # each answer is written before the next target is read
+        lines = TARGETS.encode().splitlines(keepends=True)
+        written = []
+
+        def stdin():
+            for line in lines:
+                written.append(len(capsys.readouterr().out.splitlines()))
+                yield line
+
+        monkeypatch.setattr(sys, "stdin", SimpleNamespace(buffer=stdin()))
+        assert main(["invert", "--targets", "-", *INVERT_FLAGS]) == EXIT_OK
+        # before the header, the first target and the second no answer is
+        # out; before the third, the header and the first two
+        assert written == [0, 0, 2, 1]
+        assert len(capsys.readouterr().out.splitlines()) == 1
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty CSV"),
+        ("x_mm,y_mm\n150,0\n", "missing columns ['z_mm']"),
+        ("x_mm,y_mm,z_mm\n", "no data rows"),
+        ("x_mm,y_mm,z_mm\n150,0,nan\n", "2: bad value for z_mm: 'nan'"),
+        ("x_mm,y_mm,z_mm\n150,0,0\n150,\xff,0\n", "3: not UTF-8 text"),
+    ], ids=["empty", "missing-column", "no-rows", "bad-cell", "not-utf8"])
+    def test_bad_targets_exit_2(self, tmp_path, capsys, text, message):
+        targets = tmp_path / "targets.csv"
+        targets.write_bytes(text.encode("latin-1"))
+        out = tmp_path / "answers.csv"
+        assert main(["invert", "--targets", str(targets), *INVERT_FLAGS,
+                     "--out", str(out)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {targets}") and message in err
+        # a bad row after good ones leaves the good ones' answers written
+        assert out.exists() is (message == "3: not UTF-8 text")
+
+    def test_unconverged_answer_exit_3(self, tmp_path, capsys):
+        # with one iteration a final solve away from the straight tip stops
+        # unconverged: its row is still written, flagged, and the exit is 3
+        doc = json.loads(default_config_path().read_text(encoding="utf-8"))
+        doc["solver"]["max_iterations"] = 1
+        config, targets = tmp_path / "one-step.json", tmp_path / "targets.csv"
+        config.write_text(json.dumps(doc))
+        targets.write_text(TARGETS)
+        assert main(["invert", "--targets", str(targets), *INVERT_FLAGS,
+                     "--config", str(config)]) == EXIT_NUMERIC
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert [r["converged"] for r in rows] == ["False", "True", "False"]

@@ -19,7 +19,7 @@ from magbeam.config import default_config_path
 
 DATA_DIR = default_config_path().parent
 CASES = 40  # per subcommand
-COMMANDS = ["simulate", "sweep", "calibrate", "validate", "workspace"]
+COMMANDS = ["simulate", "sweep", "calibrate", "validate", "workspace", "invert"]
 
 BAD_VALUES = [None, "abc", "", -1, 0, 1e308, 1e-300, float("inf"), float("nan"), [],
               [1, 2], ["a", "b", "c"], [[1], 2, 3], {"a": 1}, True, "1"]
@@ -112,6 +112,12 @@ def argv_for(command, rng, tmp_path) -> list[str]:
         ranges = [fuzz_range(rng), "0"]
         rng.shuffle(ranges)
         return ["sweep", "--theta1", ranges[0], "--theta2", ranges[1], *kk, *config]
+    if command == "invert":
+        targets = tmp_path / "targets.csv"
+        targets.write_text("x_mm,y_mm,z_mm\n148.7,-4.2,9.1\n150,0,0\n130,25,30\n",
+                           encoding="utf-8")
+        fuzzed = fuzz_csv(rng, targets, tmp_path / "fuzzed.csv", 3)
+        return ["invert", "--targets", fuzzed, *kk, *config]
     data = fuzz_csv(rng, DATA_DIR / "planar-sweep-digitized.csv", tmp_path / "data.csv", 4)
     if command == "calibrate":
         axes = ["0.009:0.012:2", "4:4.1:2"]

@@ -1,6 +1,7 @@
 import logging
 import math
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
+from enum import Enum
 
 import numpy as np
 import pytest
@@ -758,9 +759,28 @@ def _inverse_target(demo, reachable: bool) -> np.ndarray:
     return demo.params.straight_tip + np.array([0.0, 0.018, 0.024])
 
 
-def _scaled(obj, field: str):
-    """A copy of a frozen dataclass with ``field`` 1 % larger."""
-    return replace(obj, **{field: 1.01 * getattr(obj, field)})
+def _one_field_changes(value, path: str):
+    """``(path, copy)`` for every change of one leaf field of ``value``,
+    found by walking ``dataclasses.fields``, so a field added later is
+    changed here with no further code: a float or an array entry moves by
+    one part in 1e12 (a zero float to 1e-12), an integer by one and an
+    enum to another member; None stays. An unknown leaf type fails."""
+    if is_dataclass(value):
+        for f in fields(value):
+            for leaf, new in _one_field_changes(getattr(value, f.name), f"{path}.{f.name}"):
+                yield leaf, replace(value, **{f.name: new})
+    elif isinstance(value, np.ndarray):
+        new = value.copy()
+        new[np.argmax(np.abs(new))] *= 1.0 + 1e-12
+        yield path, new
+    elif isinstance(value, Enum):
+        yield path, next(m for m in type(value) if m is not value)
+    elif isinstance(value, float):
+        yield path, value * (1.0 + 1e-12) if value else 1e-12
+    elif isinstance(value, int) and not isinstance(value, bool):
+        yield path, value + 1
+    elif value is not None:
+        pytest.fail(f"no change defined for {path} of type {type(value).__name__}")
 
 
 def _bits(inv) -> tuple:
@@ -920,41 +940,41 @@ class TestInverse:
         assert batches == [1]
         assert _bits(warm) == _bits(cold)
 
-    # one change to each input of the grid solve
-    MODEL_CHANGES = {
-        **{f: lambda m, f=f: {"params": _scaled(m["params"], f)}
-           for f in ("length", "elastic_modulus", "section_moment", "stiffness_scale")},
-        **{r: lambda m, r=r: {"pair_template": replace(m["pair_template"], **{
-            r: _scaled(getattr(m["pair_template"], r), "moment_magnitude")})}
-           for r in ("magnet_1", "magnet_2")},
-        "separation": lambda m: {"pair_template": replace(m["pair_template"], separation=1e-3)},
-        "source_moment": lambda m: {"source": _scaled(m["source"], "moment")},
-        "source_position": lambda m: {"source": replace(
-            m["source"], position=m["source"].position + np.array([0.0, 1e-3, 0.0]))},
-        "k_b": lambda m: {"cal": _scaled(m["cal"], "k_b")},
-        "position_tolerance": lambda m: {"settings": _scaled(m["settings"],
-                                                             "position_tolerance")},
-        "max_iterations": lambda m: {"settings": replace(m["settings"], max_iterations=999)},
-        "relaxation": lambda m: {"settings": _scaled(m["settings"], "relaxation")},
-        "vector_seed": lambda m: {"settings": replace(
-            m["settings"], initial_tip=m["params"].straight_tip + np.array([0.0, 1e-3, 0.0]))},
-        "pose_seed": lambda m: {"settings": replace(
-            m["settings"], initial_tip=TipPose(m["params"].straight_tip, E1))},
-        "mode": lambda m: {"mode": BeamFormulation.CORRECTED},
-        "grid_size": lambda m: {"grid_size": 9},
-    }
-
-    @pytest.mark.parametrize("change", MODEL_CHANGES.values(), ids=list(MODEL_CHANGES))
-    def test_memo_misses_on_any_model_change(self, demo, monkeypatch, change):
+    @pytest.mark.parametrize("seed", ["none", "vector", "pose"])
+    def test_memo_misses_on_any_model_change(self, demo, monkeypatch, seed):
+        # every field of every input, found by walking the dataclasses, is
+        # changed alone; only the template's angles, which the grid
+        # replaces, are no part of the key
+        initial_tip = {"none": None, "vector": demo.params.straight_tip,
+                       "pose": TipPose(demo.params.straight_tip, E1)}[seed]
         model = dict(params=demo.params, pair_template=demo.pair_template,
-                     source=demo.source, cal=CAL, settings=demo.settings, mode=MODE,
-                     grid_size=8)
+                     source=demo.source, cal=CAL,
+                     settings=replace(demo.settings, initial_tip=initial_tip),
+                     mode=MODE, grid_size=8)
         target = _inverse_target(demo, True)
-        invert_controls(target, **model)
-        changed = {**model, **change(model)}
         batches = _record_batches(monkeypatch)
-        invert_controls(target, **changed)
-        assert batches == [changed["grid_size"] ** 2, 1]
+        hits = {}
+        for name, value in model.items():
+            for leaf, new in _one_field_changes(value, name):
+                invert_controls(target, **model)
+                batches.clear()
+                changed = {**model, name: new}
+                invert_controls(target, **changed)
+                hits[leaf] = batches[0] != changed["grid_size"] ** 2
+        angles = {"pair_template.magnet_1.angle", "pair_template.magnet_2.angle"}
+        assert angles <= hits.keys()
+        assert {leaf for leaf, hit in hits.items() if hit} == angles
+        assert ("settings.initial_tip.tangent" in hits) is (seed == "pose")
+
+    def test_memo_key_tells_types_and_signed_zeros(self, demo):
+        # EI of integer factors is an exact product, of float ones a rounded
+        # one, so equal values of another type are another model
+        key = equilibrium._value_key
+        whole = replace(demo.params, elastic_modulus=int(demo.params.elastic_modulus))
+        assert whole.elastic_modulus == demo.params.elastic_modulus
+        assert key(whole) != key(demo.params)
+        assert key(0.0) != key(-0.0)
+        assert key(TipPose(E1, E1)) == key(TipPose(E1.copy(), E1.copy()))
 
     def test_memo_misses_on_a_seed_changed_in_place(self, demo, monkeypatch):
         # a pose seed holds the caller's arrays, so the key is their bytes

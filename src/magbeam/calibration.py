@@ -15,8 +15,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .beam import BeamFormulation, RobotParams, TipPose
-from .equilibrium import SolverSettings, _solve_batch, _sweep_rows
-from .geomag import ContractViolation, DipoleSource, FieldCalibration, RingPairConfig
+from .equilibrium import DivergenceError, SolverSettings, _solve_batch, solve_tip_pose
+from .geomag import (
+    ContractViolation,
+    DipoleSource,
+    FieldCalibration,
+    FieldSingularityError,
+    RingPairConfig,
+)
 
 PLANE_AXES = {"xy": (0, 1), "xz": (0, 2), "xyz": (0, 1, 2)}
 
@@ -189,9 +195,11 @@ def grid_search_calibrate(
     (cell, record) solves are independent and run as one vectorised
     batch on the calling thread, each seeded from
     ``settings.initial_tip`` (the straight tip if unset). The predictions
-    behind ``metrics_at_optimum`` are the tip column of a warm-started
-    sweep over the records at the optimum (NaN where a solve raises).
-    Fewer than two records fail before any solve. ``threads`` is ignored.
+    behind ``metrics_at_optimum`` are the tips of one
+    :func:`solve_tip_pose` per record at the optimum, each started at the
+    pose the batch found for that record there (NaN where a solve
+    raises). Fewer than two records fail before any solve. ``threads`` is
+    ignored.
     """
     if len(records) < 2:
         raise ContractViolation("need at least two records")
@@ -216,15 +224,23 @@ def grid_search_calibrate(
     ke_star = float(grid.ke_values[i])
     kb_star = float(grid.kb_values[j])
 
-    _, optimum = _sweep_rows(
-        replace(params, stiffness_scale=ke_star), pair_template, source,
-        FieldCalibration(kb_star), settings, mode,
-        [r.theta1 for r in records], [r.theta2 for r in records],
-        zipped=True, warm_start=True,
-    )
+    # each record's check-solve starts at the fixed point the grid batch
+    # found for it at the optimum, so it normally stops in one iteration
+    rows = batch.pose.reshape(n_ke, n_kb, n_rec, 6)[i, j].copy()
+    params_star = replace(params, stiffness_scale=ke_star)
+    cal_star = FieldCalibration(kb_star)
+    predicted = np.full((n_rec, 3), np.nan)
+    for k, (r, x) in enumerate(zip(records, rows)):
+        pair = pair_template.with_angles(r.theta1, r.theta2)
+        seeded = replace(settings, initial_tip=TipPose(x[:3], x[3:]))
+        try:
+            predicted[k] = solve_tip_pose(params_star, pair, source, cal_star, seeded,
+                                          mode).tip.position
+        except (DivergenceError, FieldSingularityError):
+            pass
     return CalibrationResult(
         ke_star=ke_star, kb_star=kb_star, grid=grid,
-        error_surface=surface, metrics_at_optimum=_fit_metrics(measured, optimum.tip),
+        error_surface=surface, metrics_at_optimum=_fit_metrics(measured, predicted),
     )
 
 

@@ -445,8 +445,11 @@ def invert_controls(
     implicit-function sensitivity dp/dq that is the Jacobian there (see
     :func:`_least_squares`). The seeds run together because one alone
     can stall on the theta1 = theta2 fold, where the swap symmetry of the
-    rings makes the Jacobian singular. The answer is a plain
-    :func:`solve_tip_pose` at ``settings``. Repeated calls give
+    rings makes the Jacobian singular. The answer is a
+    :func:`solve_tip_pose` at ``settings`` started at the winner's tip
+    pose, the grid cell's converged pose or the refinement's
+    Newton-corrected one, so it normally stops in its first iteration;
+    ``settings.initial_tip`` seeds the grid alone. Repeated calls give
     bit-identical answers. Targets outside the sampled reachable set are
     answered with the nearest configuration found and
     ``within_reach = False``. Raises :class:`ContractViolation` for a
@@ -469,19 +472,19 @@ def invert_controls(
     first = np.flatnonzero(tied)[0]  # theta1-major order: the lexicographic winner
     basin_count = _count_basins(tied.reshape(grid_size, grid_size))
 
-    q = grid[first]
+    q, x = grid[first], pose[first]
     if best > tol:
         order = np.argsort(errs, kind="stable")
         others = order[(order != first) & np.isfinite(errs[order])]
         seeds = np.concatenate(([first], others[:_INVERSE_SEEDS - 1]))
         newton = partial(_newton_pass, params, pair_template, source, mode, cal.k_b)
-        q_lm, r_lm = _least_squares(newton, p_target, grid[seeds], pose[seeds],
-                                    _INVERSE_STOP * tol)
+        q_lm, r_lm, x_lm = _least_squares(newton, p_target, grid[seeds], pose[seeds],
+                                          _INVERSE_STOP * tol)
         if np.linalg.norm(r_lm) < best:
-            q = np.mod(q_lm, 2.0 * np.pi)
+            q, x = np.mod(q_lm, 2.0 * np.pi), x_lm
     q = (float(q[0]), float(q[1]))
     final = solve_tip_pose(params, pair_template.with_angles(*q), source, cal,
-                           settings, mode)
+                           replace(settings, initial_tip=TipPose(x[:3], x[3:])), mode)
     error = float(np.linalg.norm(final.tip.position - p_target))
     return InverseResult(q=q, result=final, position_error=error,
                          within_reach=within_reach, basin_count=basin_count)
@@ -628,8 +631,8 @@ def _least_squares(newton, p_target: np.ndarray, q: np.ndarray, x: np.ndarray,
     with that trial's corrected pose and sensitivity, while the error
     falls. It stops when no trial lowers its error by more than ``stop``,
     or after ``_INVERSE_STEPS`` steps; all stop once one seed is within
-    ``stop``. Returns (q, r(q)) of the first seed within ``stop``, else of
-    the one with the smallest error.
+    ``stop``. Returns (q, r(q), x) of the first seed within ``stop``, else
+    of the one with the smallest error, x being its corrected pose.
     """
     q = np.array(q, dtype=float)
 
@@ -672,7 +675,7 @@ def _least_squares(newton, p_target: np.ndarray, q: np.ndarray, x: np.ndarray,
             live[idx] = gain > stop
     done = np.flatnonzero(err <= stop)
     s = done[0] if done.size else np.argmin(err)
-    return q[s], r[s]
+    return q[s], r[s], x[s]
 
 
 def _count_basins(mask: np.ndarray) -> int:
@@ -680,18 +683,18 @@ def _count_basins(mask: np.ndarray) -> int:
     n, m = mask.shape
     seen = np.zeros_like(mask, dtype=bool)
     count = 0
-    for i0 in range(n):
-        for j0 in range(m):
-            if not mask[i0, j0] or seen[i0, j0]:
-                continue
-            count += 1
-            stack = [(i0, j0)]
-            seen[i0, j0] = True
-            while stack:
-                i, j = stack.pop()
-                for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                    ii, jj = (i + di) % n, (j + dj) % m
-                    if mask[ii, jj] and not seen[ii, jj]:
-                        seen[ii, jj] = True
-                        stack.append((ii, jj))
+    # a fill starts only at a set cell, so the scan is over those alone
+    for i0, j0 in np.argwhere(mask).tolist():
+        if seen[i0, j0]:
+            continue
+        count += 1
+        stack = [(i0, j0)]
+        seen[i0, j0] = True
+        while stack:
+            i, j = stack.pop()
+            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                ii, jj = (i + di) % n, (j + dj) % m
+                if mask[ii, jj] and not seen[ii, jj]:
+                    seen[ii, jj] = True
+                    stack.append((ii, jj))
     return count

@@ -267,6 +267,52 @@ class TestGridSearch:
         assert np.isfinite(res.error_surface[1, 0])
         assert (res.ke_star, res.kb_star) == (0.012, 4.0)
 
+    @staticmethod
+    def _shipped_calibration(demo, monkeypatch, mode):
+        """The default-grid calibration on the shipped CSV, with every
+        batched solve it makes as (cases, batch), in call order."""
+        recs = load_experiment_csv(default_config_path().parent
+                                   / "planar-sweep-digitized.csv")
+        batches = []
+        solve_batch = equilibrium._solve_batch
+
+        def recorded(*a):
+            batch = solve_batch(*a)
+            batches.append((len(a[5]), batch))
+            return batch
+
+        # the grid batch is called through calibration, the check-solves
+        # through equilibrium.solve_tip_pose
+        monkeypatch.setattr(calibration, "_solve_batch", recorded)
+        monkeypatch.setattr(equilibrium, "_solve_batch", recorded)
+        res = grid_search_calibrate(recs, demo.params, demo.pair_template, demo.source,
+                                    CalibrationGrid(), demo.settings, mode)
+        return recs, res, batches
+
+    @pytest.mark.parametrize("mode", list(BeamFormulation))
+    def test_one_grid_batch_then_one_step_check_solves(self, demo, monkeypatch, mode):
+        # the optimum's records are re-solved by the public solver, each
+        # started at the fixed point the grid batch found for it there
+        recs, res, batches = self._shipped_calibration(demo, monkeypatch, mode)
+        cells = res.error_surface.size
+        assert [n for n, _ in batches] == [cells * len(recs)] + [1] * len(recs)
+        for _, batch in batches[1:]:
+            assert batch.converged[0] and batch.iterations[0] == 1
+
+    @pytest.mark.parametrize("mode", list(BeamFormulation))
+    def test_metrics_at_optimum_match_the_grid_rows(self, demo, monkeypatch, mode):
+        # the check-solves move the optimum's tips by far less than the
+        # solver tolerance from the grid batch's rows for that cell
+        recs, res, batches = self._shipped_calibration(demo, monkeypatch, mode)
+        n_ke, n_kb = res.error_surface.shape
+        i, j = np.unravel_index(np.argmin(res.error_surface), res.error_surface.shape)
+        rows = batches[0][1].tip.reshape(n_ke, n_kb, len(recs), 3)[i, j]
+        grid = calibration._fit_metrics(np.array([r.tip for r in recs]), rows)
+        got = res.metrics_at_optimum
+        for name in ("max_abs_error", "mean_abs_error", "std_error"):
+            assert abs(getattr(got, name) - getattr(grid, name)) <= 2e-8, name
+        assert got.r_squared == pytest.approx(grid.r_squared, abs=1e-6)
+
     def test_empty_records_rejected(self, demo):
         with pytest.raises(ContractViolation):
             grid_search_calibrate([], demo.params, demo.pair_template,

@@ -711,9 +711,16 @@ class TestInvert:
         # a bad row after good ones leaves the good ones' answers written
         assert out.exists() is (message == "3: not UTF-8 text")
 
-    def test_unconverged_answer_exit_3(self, tmp_path, capsys):
-        # with one iteration a final solve away from the straight tip stops
-        # unconverged: its row is still written, flagged, and the exit is 3
+    def test_unconverged_answer_exit_3(self, tmp_path, capsys, monkeypatch):
+        # the answer's solve starts at the winner's fixed point, so it
+        # converges at once; restarted at the straight tip with one iteration
+        # it stops unconverged away from there: its row is still written,
+        # flagged, and the exit is 3
+        solve = equilibrium.solve_tip_pose
+        monkeypatch.setattr(
+            equilibrium, "solve_tip_pose",
+            lambda params, pair, source, cal, settings, mode: solve(
+                params, pair, source, cal, replace(settings, initial_tip=None), mode))
         doc = json.loads(default_config_path().read_text(encoding="utf-8"))
         doc["solver"]["max_iterations"] = 1
         config, targets = tmp_path / "one-step.json", tmp_path / "targets.csv"

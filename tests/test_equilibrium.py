@@ -834,15 +834,19 @@ class TestInverse:
     def test_round_trip_random(self, demo, q):
         # the first two lie near the theta1 = theta2 fold, where one
         # least-squares seed alone can stall; the error is recomputed by a
-        # fresh solve at the returned angles
+        # fresh solve at the returned angles. The answer's solve starts at
+        # the winner's fixed point, so it stops in its first iteration, and
+        # lands where a cold solve at the same angles does
         target = solve(demo, *q).tip.position
         inv = invert_controls(target, demo.params, demo.pair_template,
                               demo.source, CAL, demo.settings, MODE)
         tol = demo.settings.position_tolerance
         assert inv.within_reach
         assert inv.position_error <= tol
+        assert inv.result.converged and inv.result.iterations == 1
         again = solve(demo, *inv.q)
         assert np.linalg.norm(again.tip.position - target) <= tol
+        assert np.linalg.norm(again.tip.position - inv.result.tip.position) <= tol
 
     @pytest.mark.parametrize("mode", list(BeamFormulation))
     def test_round_trip_soft_body(self, demo, mode):
@@ -1037,6 +1041,26 @@ class TestInverse:
                                   demo.settings, mode)
             assert inv.within_reach
             assert inv.position_error <= tol
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (5, 5), (6, 9), (24, 24)])
+    @pytest.mark.parametrize("density", [0.1, 0.4, 0.7])
+    def test_basin_count_matches_wrapped_labelling(self, shape, density):
+        # oracle: every set cell takes the smallest label among itself and
+        # its four wrapped neighbours until no label changes; a component
+        # ends with one label, the smallest index in it
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            mask = rng.random(shape) < density
+            none = mask.size
+            label = np.where(mask, np.arange(mask.size).reshape(shape), none)
+            while True:
+                near = np.minimum.reduce([label] + [np.roll(label, s, axis=a)
+                                                    for s in (1, -1) for a in (0, 1)])
+                near = np.where(mask, near, none)
+                if np.array_equal(near, label):
+                    break
+                label = near
+            assert equilibrium._count_basins(mask) == np.unique(label[mask]).size
 
 
 class TestSensitivity:

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .geomag import E1, ContractViolation, Wrench, _as_vec3, _dot, _is_count
+from .geomag import E1, ContractViolation, Wrench, _dot, _frozen_vec3, _is_count
 
 
 class BeamFormulation(Enum):
@@ -33,14 +33,15 @@ class BeamFormulation(Enum):
 
 @dataclass(frozen=True)
 class TipPose:
-    """Tip position and unit tangent."""
+    """Tip position and unit tangent. Its arrays are read-only copies of
+    the ones it was given."""
 
     position: np.ndarray  # [m]
     tangent: np.ndarray  # unit vector
 
     def __post_init__(self):
-        object.__setattr__(self, "position", _as_vec3(self.position))
-        object.__setattr__(self, "tangent", _as_vec3(self.tangent))
+        object.__setattr__(self, "position", _frozen_vec3(self.position))
+        object.__setattr__(self, "tangent", _frozen_vec3(self.tangent))
 
 
 @dataclass(frozen=True)

@@ -15,14 +15,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .beam import BeamFormulation, RobotParams, TipPose
-from .equilibrium import DivergenceError, SolverSettings, _solve_batch, solve_tip_pose
-from .geomag import (
-    ContractViolation,
-    DipoleSource,
-    FieldCalibration,
-    FieldSingularityError,
-    RingPairConfig,
-)
+from .equilibrium import SolverSettings, _check_solves, _solve_batch
+from .geomag import ContractViolation, DipoleSource, FieldCalibration, RingPairConfig
 
 PLANE_AXES = {"xy": (0, 1), "xz": (0, 2), "xyz": (0, 1, 2)}
 
@@ -195,11 +189,12 @@ def grid_search_calibrate(
     (cell, record) solves are independent and run as one vectorised
     batch on the calling thread, each seeded from
     ``settings.initial_tip`` (the straight tip if unset). The predictions
-    behind ``metrics_at_optimum`` are the tips of one
-    :func:`solve_tip_pose` per record at the optimum, each started at the
-    pose the batch found for that record there (NaN where a solve
-    raises). Fewer than two records fail before any solve. ``threads`` is
-    ignored.
+    behind ``metrics_at_optimum`` are the tips of the optimum's
+    check-solves (:func:`equilibrium._check_solves`): one
+    :func:`solve_tip_pose` per record, started at the pose the batch found
+    for that record there, which normally stops in its first iteration
+    (NaN where a solve raises). Fewer than two records fail before any
+    solve. ``threads`` is ignored.
     """
     if len(records) < 2:
         raise ContractViolation("need at least two records")
@@ -224,23 +219,12 @@ def grid_search_calibrate(
     ke_star = float(grid.ke_values[i])
     kb_star = float(grid.kb_values[j])
 
-    # each record's check-solve starts at the fixed point the grid batch
-    # found for it at the optimum, so it normally stops in one iteration
-    rows = batch.pose.reshape(n_ke, n_kb, n_rec, 6)[i, j].copy()
-    params_star = replace(params, stiffness_scale=ke_star)
-    cal_star = FieldCalibration(kb_star)
-    predicted = np.full((n_rec, 3), np.nan)
-    for k, (r, x) in enumerate(zip(records, rows)):
-        pair = pair_template.with_angles(r.theta1, r.theta2)
-        seeded = replace(settings, initial_tip=TipPose(x[:3], x[3:]))
-        try:
-            predicted[k] = solve_tip_pose(params_star, pair, source, cal_star, seeded,
-                                          mode).tip.position
-        except (DivergenceError, FieldSingularityError):
-            pass
+    rows = (i * n_kb + j) * n_rec + np.arange(n_rec)
+    _check_solves(replace(params, stiffness_scale=ke_star), pair_template, source,
+                  FieldCalibration(kb_star), settings, mode, angles, batch, rows)
     return CalibrationResult(
         ke_star=ke_star, kb_star=kb_star, grid=grid,
-        error_surface=surface, metrics_at_optimum=_fit_metrics(measured, predicted),
+        error_surface=surface, metrics_at_optimum=_fit_metrics(measured, batch.tip[rows]),
     )
 
 

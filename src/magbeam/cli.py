@@ -198,11 +198,8 @@ def cmd_sweep(args) -> int:
     t2 = np.radians(_parse_range(args.theta2))
     if not args.zip:
         _check_count(t1.size * t2.size, f"{args.theta1} x {args.theta2}")
-    q, batch = _sweep_rows(
-        cfg.params, cfg.pair_template, cfg.source, cal, cfg.settings,
-        cfg.mode, t1, t2, zipped=args.zip,
-        warm_start=not args.no_warm_start,
-    )
+    q, batch = _sweep_rows(cfg.params, cfg.pair_template, cfg.source, cal, cfg.settings,
+                           cfg.mode, t1, t2, zipped=args.zip)
     solved = np.isfinite(batch.tip).all(axis=1)
     rows = [
         [math.degrees(a), math.degrees(b), *(p if s else ["", "", ""]), ok]
@@ -226,7 +223,7 @@ def cmd_sweep(args) -> int:
 
 
 def _schedule_tips(cfg: LoadedConfig, cal, angles) -> np.ndarray:
-    """(N, 3) tips of a warm schedule; DivergenceError unless all converge."""
+    """(N, 3) tips of a schedule; DivergenceError unless all converge."""
     q = np.reshape(angles, (-1, 2))
     _, batch = _sweep_rows(cfg.params, cfg.pair_template, cfg.source, cal, cfg.settings,
                            cfg.mode, q[:, 0], q[:, 1], zipped=True)
@@ -444,9 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zip", action="store_true",
                    help="pair the sequences elementwise instead of a grid")
     p.add_argument("--no-warm-start", action="store_true",
-                   help="with --zip, seed every solve from the straight "
-                        "configuration and solve all points as one batch "
-                        "(a grid is always one batch)")
+                   help="accepted and ignored")
     scale_overrides(p)
     p.add_argument("--out", help="output CSV (default: stdout)")
     p.add_argument("--report", help="write a JSON run report")

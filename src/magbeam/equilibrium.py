@@ -66,7 +66,8 @@ class SolverSettings:
     straight tip L e1 with tangent e1, a finite 3-vector at that
     position with tangent e1, and a :class:`TipPose` (finite, with a unit
     tangent; a neighbouring solve's tip, say) at that pose; a vector is
-    held as a read-only copy, a pose as given. ``relaxation`` is
+    held as a read-only copy, a pose as given, since its arrays are
+    read-only copies already. ``relaxation`` is
     the first and smallest relaxation factor of the Aitken-accelerated
     iteration; 1 makes it a plain undamped iteration.
     ``position_tolerance`` must be finite and positive, and
@@ -88,7 +89,7 @@ class SolverSettings:
             raise ContractViolation("relaxation must lie in (0, 1]")
         seed = self.initial_tip
         if isinstance(seed, TipPose):
-            # plain floats: a warm sweep builds one of these per point
+            # plain floats: a check-solve builds one of these per case
             values = seed.position.tolist() + seed.tangent.tolist()
             if not all(map(math.isfinite, values)):
                 raise ContractViolation("initial_tip pose must be finite")
@@ -331,30 +332,33 @@ def sweep(
 ) -> list[SweepPoint]:
     """Evaluate the forward model over a grid or zipped list of angles.
 
-    A Cartesian grid (``zipped=False``, theta1-major order) is solved as
-    one vectorised batch, every point seeded from ``settings.initial_tip``
-    (the straight tip if unset); each point gets what
-    :func:`solve_tip_pose` gives it, to within the solver's rounding. A
-    point whose solve fails is reported failed, with no retry.
-    ``warm_start`` applies to zipped schedules alone and is accepted and
-    ignored for grids. With it a schedule is solved one point after
-    another by :func:`solve_tip_pose`, each seeded at the pose (position
-    and tangent) of the previous converged tip; without it a schedule is
-    one batch like a grid. Empty or non-finite angle sequences raise
+    A Cartesian grid (``zipped=False``, theta1-major order) or a zipped
+    schedule is solved as one vectorised batch, every point seeded from
+    ``settings.initial_tip`` (the straight tip if unset); each point gets
+    what :func:`solve_tip_pose` gives it, to within the solver's rounding.
+    A point whose solve fails is reported failed, with no retry. A
+    schedule's converged points are then solved again by
+    :func:`solve_tip_pose`, each started at the pose the batch found for
+    it, and report that solve, which normally stops in its first
+    iteration (see :func:`_check_solves`). ``warm_start`` is accepted and
+    ignored. Empty or non-finite angle sequences raise
     :class:`ContractViolation` before any solve. The points wrap the
-    result columns that the command line and calibration read as arrays.
+    result columns that the command line reads as arrays.
     """
     q, batch = _sweep_rows(params, pair_template, source, cal, settings, mode,
-                           theta1_values, theta2_values, zipped, warm_start)
+                           theta1_values, theta2_values, zipped)
     return [SweepPoint(tuple(qk), None if e is not None else _equilibrium(batch, k), e)
             for k, (qk, e) in enumerate(zip(q.tolist(), batch.error))]
 
 
 def _sweep_rows(params, pair_template, source, cal, settings, mode,
-                theta1_values, theta2_values, zipped=False, warm_start=True
+                theta1_values, theta2_values, zipped=False
                 ) -> tuple[np.ndarray, _Batch]:
     """:func:`sweep` as columns: the (N, 2) angles of its points and their
-    :class:`_Batch` rows, with the same order, contract and solves."""
+    :class:`_Batch` rows, with the same order, contract and solves. The
+    rows of a schedule's converged points are those of their check-solves;
+    a failed point keeps the batch's error, and one stopped at the
+    iteration limit the batch's last iterate."""
     t1 = list(theta1_values)
     t2 = list(theta2_values)
     if not t1 or not t2:
@@ -365,25 +369,37 @@ def _sweep_rows(params, pair_template, source, cal, settings, mode,
         raise ContractViolation("zipped sweep needs equal-length sequences")
     q = np.array(list(zip(t1, t2)) if zipped else [(a, b) for a in t1 for b in t2],
                  dtype=float)
-    if not (zipped and warm_start):
-        return q, _solve_batch(params, pair_template, source, settings, mode, q,
-                               params.bending_stiffness, cal.k_b)
+    batch = _solve_batch(params, pair_template, source, settings, mode, q,
+                         params.bending_stiffness, cal.k_b)
+    if zipped:
+        _check_solves(params, pair_template, source, cal, settings, mode, q, batch,
+                      np.flatnonzero(batch.converged))
+    return q, batch
 
-    out = _empty_batch(len(q), settings.max_iterations)
-    seed = settings.initial_tip
-    for k, angles in enumerate(q.tolist()):
+
+def _check_solves(params, pair_template, source, cal, settings, mode, q, out: _Batch,
+                  rows) -> None:
+    """One :func:`solve_tip_pose` per row r of ``rows``, at the angles
+    ``q[r]`` and started at the pose ``out.pose[r]``, written over row r of
+    ``out``; a row whose solve raises gets its error and a NaN pose.
+
+    Started at a fixed point the batch has found, a solve normally stops
+    in its first iteration. Every reported number of a schedule and of a
+    calibration's optimum thus comes from the public solver, whose calls
+    the benchmark's traced run replays as its per-layer probes.
+    """
+    for r in rows:
+        x = out.pose[r]
         try:
-            res = solve_tip_pose(params, pair_template.with_angles(*angles), source, cal,
-                                 replace(settings, initial_tip=seed), mode)
+            res = solve_tip_pose(params, pair_template.with_angles(*q[r].tolist()), source, cal,
+                                 replace(settings, initial_tip=TipPose(x[:3], x[3:])), mode)
         except (DivergenceError, FieldSingularityError) as exc:
-            out.error[k] = str(exc)
-            seed = settings.initial_tip
+            out.pose[r], out.residual[r], out.converged[r] = np.nan, np.nan, False
+            out.error[r] = str(exc)
             continue
-        out.tip[k], out.tangent[k] = res.tip.position, res.tip.tangent
-        out.iterations[k], out.residual[k], out.converged[k] = (
+        out.tip[r], out.tangent[r] = res.tip.position, res.tip.tangent
+        out.iterations[r], out.residual[r], out.converged[r] = (
             res.iterations, res.residual, res.converged)
-        seed = res.tip if res.converged else settings.initial_tip
-    return q, out
 
 
 def _equilibrium(batch: _Batch, k: int) -> EquilibriumResult:

@@ -44,7 +44,7 @@ def _as_vec3(v, finite: str | None = None) -> np.ndarray:
     return a
 
 
-def _frozen_vec3(v, finite: str) -> np.ndarray:
+def _frozen_vec3(v, finite: str | None = None) -> np.ndarray:
     """:func:`_as_vec3` as a read-only copy, for a frozen dataclass: a
     later write to the caller's array does not reach the field."""
     a = _as_vec3(v, finite).copy()

@@ -292,15 +292,17 @@ class TestSweep:
         assert doc["results"]["metrics"]["r_squared"] >= 0.999
 
     def test_grid_is_one_batch_with_or_without_warm_start(self, tmp_path):
-        csvs = []
-        for extra in ([], ["--no-warm-start"]):
-            out = tmp_path / f"sweep{len(csvs)}.csv"
-            rc = main(["sweep", "--theta1", "0:15:180", "--theta2", "0:40:120",
-                       "--ke", "0.009", "--kb", "4.03", "--out", str(out), *extra])
-            assert rc == EXIT_OK
-            csvs.append(out.read_bytes())
-        assert csvs[0] == csvs[1]
-        assert len(csvs[0].splitlines()) == 1 + 13 * 4
+        # --no-warm-start is accepted and ignored, for grids and for --zip
+        for zipped, theta2, rows in (([], "0:40:120", 13 * 4), (["--zip"], "0:10:120", 13)):
+            csvs = []
+            for extra in ([], ["--no-warm-start"]):
+                out = tmp_path / f"sweep{len(zipped)}{len(csvs)}.csv"
+                rc = main(["sweep", "--theta1", "0:15:180", "--theta2", theta2, *zipped,
+                           "--ke", "0.009", "--kb", "4.03", "--out", str(out), *extra])
+                assert rc == EXIT_OK
+                csvs.append(out.read_bytes())
+            assert csvs[0] == csvs[1]
+            assert len(csvs[0].splitlines()) == 1 + rows
 
     def test_stdout_default(self, capsys):
         rc = main(["sweep", "--theta1", "0", "--theta2", "0",

@@ -50,7 +50,7 @@ def demo():
 
 CAL = FieldCalibration(4.03)
 MODE = BeamFormulation.LEGACY
-# the three paths of a sweep: one batch, a warm schedule, a cold one
+# a grid, and a schedule with warm_start on and off, which is ignored
 SWEEP_KINDS = pytest.mark.parametrize("zipped, warm",
                                       [(False, True), (True, True), (True, False)],
                                       ids=["grid", "warm-schedule", "cold-schedule"])
@@ -608,47 +608,70 @@ class TestSweep:
     @pytest.mark.parametrize("ke, kb", [(0.001, 4.0), (0.002, 4.0), (0.009, 4.03),
                                         (0.018, 3.5)])
     def test_grid_batch_matches_warm_path(self, demo, ke, kb, mode, monkeypatch):
-        # the warm zipped schedule over the same theta1-major points is the
-        # sequential path grids took before they became one batch
+        # the reference is the warm chain that schedules took before they
+        # became one batch: one solve per point, seeded at the previous
+        # converged tip, or at settings.initial_tip after a failure
         params = replace(demo.params, stiffness_scale=ke)
+        cal = FieldCalibration(kb)
         t1 = list(np.radians(np.arange(0.0, 360.0, 20.0)))
         t2 = list(np.radians(np.arange(0.0, 360.0, 30.0)))
+        qs = [(a, b) for a in t1 for b in t2]
+        warm, seed = [], demo.settings.initial_tip
+        for q in qs:
+            try:
+                res = solve_tip_pose(params, demo.pair_template.with_angles(*q), demo.source,
+                                     cal, replace(demo.settings, initial_tip=seed), mode)
+            except (DivergenceError, FieldSingularityError):
+                res = None
+            warm.append(res)
+            seed = res.tip if res is not None and res.converged else demo.settings.initial_tip
         calls = []
         monkeypatch.setattr(equilibrium, "solve_tip_pose",
                             lambda *a, **k: calls.append(a) or solve_tip_pose(*a, **k))
-        grid = sweep(params, demo.pair_template, demo.source, FieldCalibration(kb),
-                     demo.settings, mode, t1, t2)
+        grid = sweep(params, demo.pair_template, demo.source, cal, demo.settings, mode,
+                     t1, t2)
         assert calls == []
-        qs = [(a, b) for a in t1 for b in t2]
-        warm = sweep(params, demo.pair_template, demo.source, FieldCalibration(kb),
-                     demo.settings, mode, [q[0] for q in qs], [q[1] for q in qs],
-                     zipped=True, warm_start=True)
-        assert len(calls) == len(qs) == len(grid) == 216
+        schedule = sweep(params, demo.pair_template, demo.source, cal, demo.settings, mode,
+                         [q[0] for q in qs], [q[1] for q in qs], zipped=True)
+        converged = [w is not None and w.converged for w in warm]
+        assert len(calls) == sum(converged)
+        assert len(qs) == len(grid) == len(schedule) == 216
         tol = demo.settings.position_tolerance
-        for g, w in zip(grid, warm):
-            assert g.q == w.q
-            assert (g.error is None) == (w.error is None)
-            if g.error is None:
-                assert g.result.converged == w.result.converged
-                if g.result.converged:
-                    # farther apart would be a second equilibrium branch
-                    gap = np.linalg.norm(g.result.tip.position - w.result.tip.position)
-                    assert gap <= 10.0 * tol
+        for pts in (grid, schedule):
+            for pt, w, q in zip(pts, warm, qs):
+                assert pt.q == q
+                assert (pt.error is None) == (w is not None)
+                if w is not None:
+                    assert pt.result.converged == w.converged
+                    if w.converged:
+                        # farther apart would be a second equilibrium branch
+                        gap = np.linalg.norm(pt.result.tip.position - w.tip.position)
+                        assert gap <= 10.0 * tol
 
-    def test_warm_schedule_fewer_iterations_than_cold(self, demo):
-        # the warm seed carries the previous tip's tangent as well as its
-        # position: 97 iterations against 120 cold; seeded with the
-        # position alone the schedule takes 120 as well
+    def test_schedule_is_one_batch_then_one_step_check_solves(self, demo, monkeypatch):
+        # the shipped elliptical schedule: one batch of its 24 points, then
+        # one public solve per converged point, started at the pose the
+        # batch found for it; warm_start changes nothing
         path = default_config_path().parent / "elliptical-schedule.csv"
         rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         t1, t2 = np.radians(rows[:, 0]), np.radians(rows[:, 1])
-        total = {}
+        batches = _record_batches(monkeypatch)
+        checks = []
+        monkeypatch.setattr(equilibrium, "solve_tip_pose",
+                            lambda *a: checks.append(solve_tip_pose(*a)) or checks[-1])
+        runs = {}
         for warm in (True, False):
+            batches.clear()
+            checks.clear()
             pts = sweep(demo.params, demo.pair_template, demo.source, CAL,
                         demo.settings, MODE, t1, t2, zipped=True, warm_start=warm)
             assert all(pt.result.converged for pt in pts)
-            total[warm] = sum(pt.result.iterations for pt in pts)
-        assert total[True] < total[False]
+            assert batches == [24] + [1] * 24
+            assert [c.iterations for c in checks] == [1] * 24
+            runs[warm] = [(pt.q, pt.error, pt.result.tip.position.tobytes(),
+                           pt.result.tip.tangent.tobytes(), pt.result.iterations,
+                           pt.result.residual) for pt in pts]
+        assert runs[True] == runs[False]
 
     def test_failures_recorded_not_raised(self, demo):
         soft = replace(demo.params, stiffness_scale=1e-9)
@@ -688,8 +711,8 @@ class TestSweep:
             t1 = np.radians([0.0, 90.0, 180.0, 270.0])
             t2 = np.radians([0.0, 10.0, 0.0, 30.0])
         args = (params, demo.pair_template, demo.source, CAL, demo.settings, MODE,
-                t1, t2, zipped, warm)
-        pts = sweep(*args)
+                t1, t2, zipped)
+        pts = sweep(*args, warm_start=warm)
         q, rows = _sweep_rows(*args)
         assert len(q) == len(pts) == (len(t1) if zipped else len(t1) * len(t2))
         failed = rows.error != None  # noqa: E711 -- elementwise over an object array
@@ -722,12 +745,46 @@ class TestSweep:
         for offset, more in ((5e-7, {}), (5e-3, dict(relaxation=1.0, max_iterations=1))):
             settings = replace(demo.settings, **more,
                                initial_tip=demo.params.straight_tip + [0.0, offset, 0.0])
-            _, rows = _sweep_rows(demo.params, demo.pair_template, source,
-                                  FieldCalibration(1.0), settings, MODE, [0.3, 0.5],
-                                  [0.1, 0.2], zipped, warm)
+            args = (demo.params, demo.pair_template, source, FieldCalibration(1.0),
+                    settings, MODE, [0.3, 0.5], [0.1, 0.2], zipped)
+            pts = sweep(*args, warm_start=warm)
+            assert [(pt.result, pt.error) for pt in pts] == [(None, _SINGULAR)] * len(pts)
+            _, rows = _sweep_rows(*args)
             assert rows.error.tolist() == [_SINGULAR] * len(rows.error)
             assert np.isnan(rows.tip).all()
             assert not rows.converged.any()
+
+    def test_failed_check_solve_keeps_its_error(self, demo, monkeypatch):
+        # the check-solve of the second of four converged schedule points
+        # raises: that row gets its error and no tip, the others are as
+        # without the failure
+        args = (demo.params, demo.pair_template, demo.source, CAL, demo.settings, MODE,
+                np.radians([0.0, 40.0, 80.0, 120.0]), np.radians([0.0, 10.0, 20.0, 30.0]),
+                True)
+        _, clean = _sweep_rows(*args)
+        assert clean.converged.all()
+        calls = []
+
+        def failing_second(*a):
+            calls.append(a)
+            if len(calls) == 2:
+                raise DivergenceError("check-solve failed")
+            return solve_tip_pose(*a)
+
+        monkeypatch.setattr(equilibrium, "solve_tip_pose", failing_second)
+        _, rows = _sweep_rows(*args)
+        assert len(calls) == 4
+        assert rows.error.tolist() == [None, "check-solve failed", None, None]
+        assert np.isnan(rows.pose[1]).all() and np.isnan(rows.residual[1])
+        assert rows.converged.tolist() == [True, False, True, True]
+        keep = [0, 2, 3]
+        assert np.array_equal(rows.pose[keep], clean.pose[keep])
+        assert np.array_equal(rows.iterations[keep], clean.iterations[keep])
+        assert np.array_equal(rows.residual[keep], clean.residual[keep])
+        calls.clear()
+        pts = sweep(*args)
+        assert [pt.error for pt in pts] == [None, "check-solve failed", None, None]
+        assert pts[1].result is None
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @SWEEP_KINDS
@@ -980,17 +1037,25 @@ class TestInverse:
         assert key(0.0) != key(-0.0)
         assert key(TipPose(E1, E1)) == key(TipPose(E1.copy(), E1.copy()))
 
-    def test_memo_misses_on_a_seed_changed_in_place(self, demo, monkeypatch):
-        # a pose seed holds the caller's arrays, so the key is their bytes
+    def test_memo_hits_after_the_seed_array_is_written(self, demo, monkeypatch):
+        # a pose holds read-only copies of the caller's arrays, so a later
+        # write to them reaches neither the pose nor the settings, and the
+        # next query hits the memo
         position = demo.params.straight_tip.copy()
-        settings = replace(demo.settings, initial_tip=TipPose(position, E1.copy()))
+        pose = TipPose(position, E1.copy())
+        settings = replace(demo.settings, initial_tip=pose)
         args = (_inverse_target(demo, True), demo.params, demo.pair_template,
                 demo.source, CAL, settings, MODE)
-        invert_controls(*args, grid_size=8)
+        first = invert_controls(*args, grid_size=8)
         position[1] = 1e-3
+        assert np.array_equal(pose.position, demo.params.straight_tip)
+        assert np.array_equal(settings.initial_tip.position, demo.params.straight_tip)
+        with pytest.raises(ValueError):
+            pose.position[1] = 1e-3
         batches = _record_batches(monkeypatch)
-        invert_controls(*args, grid_size=8)
-        assert batches == [64, 1]
+        again = invert_controls(*args, grid_size=8)
+        assert batches == [1]
+        assert _bits(again) == _bits(first)
 
     def test_memo_hit_on_template_angles(self, demo, monkeypatch):
         # the grid replaces the template's angles, so they are no part of the key

@@ -139,7 +139,7 @@ def _cantilever_rows(straight: np.ndarray, L: float, ei, mode: BeamFormulation,
 
 def _straight_pose(params: RobotParams) -> np.ndarray:
     """The (6,) unloaded tip pose (L e1 | e1) of ``params``."""
-    return np.concatenate([params.straight_tip, E1])
+    return np.array([params.length, 0.0, 0.0, 1.0, 0.0, 0.0])
 
 
 def centerline(params: RobotParams, w: Wrench, n_samples: int) -> np.ndarray:

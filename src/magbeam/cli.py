@@ -89,7 +89,7 @@ def _parse_range(text: str) -> np.ndarray:
         raise InputError(f"expected 'start:step:stop' or a single value, got {text!r}")
     start, step, stop = vals
     if step == 0 or (stop - start) * step < 0:
-        return np.array([start])
+        raise InputError(f"angle range {text!r} has a step that does not reach its stop")
     _check_count((stop - start) / step + 1, text)
     # the last sample stays at or before stop; the slack forgives the
     # rounding of a quotient that should be whole ('0:0.1:0.3' gives 2.999...)

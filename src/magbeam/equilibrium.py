@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass
 from functools import cache, partial
 from typing import NamedTuple
 
@@ -29,7 +29,6 @@ from .beam import (
     _straight_pose,
 )
 from .geomag import (
-    E1,
     ContractViolation,
     DipoleSource,
     FieldCalibration,
@@ -49,8 +48,9 @@ from .geomag import (
 log = logging.getLogger(__name__)
 
 # Cases per batched fixed-point call; bounds the working memory of a batch
-# whatever the number of cases. Peak tracemalloc use is about 0.85 kB per
-# case for coincident rings and 1.1 kB for separated ones (4096 cases).
+# whatever the number of cases. Peak tracemalloc use is about 0.76 kB per
+# case for coincident rings and 1.0 kB for rings 5 mm apart (4096 random
+# angle pairs at k_e = 0.009, k_b = 4.03).
 _BATCH_CASES = 4096
 
 
@@ -191,20 +191,21 @@ def _solve_batch(
     case has the seed, relaxation, stop test, iteration limit and bail-out
     described in :func:`solve_tip_pose`, which is the N = 1 call, keeps its
     own relaxation factor and stops on its own iteration. Cases are solved
-    ``_BATCH_CASES`` at a time, which changes no result.
+    ``_BATCH_CASES`` at a time, which changes no result; a batch of one
+    chunk, as every single solve is, goes to :func:`_solve_chunk` directly.
     """
     angles = np.asarray(angles, dtype=float).reshape(-1, 2)
     n_cases = len(angles)
     ei = np.full(n_cases, ei, dtype=float)
     k_b = np.full(n_cases, k_b, dtype=float)
+    if n_cases <= _BATCH_CASES:
+        return _solve_chunk(params, pair, source, settings, mode, angles, ei, k_b)
     chunks = [
         _solve_chunk(params, pair, source, settings, mode,
                      angles[a:a + _BATCH_CASES], ei[a:a + _BATCH_CASES],
                      k_b[a:a + _BATCH_CASES])
         for a in range(0, n_cases, _BATCH_CASES)
     ]
-    if len(chunks) == 1:
-        return chunks[0]
     return _Batch(*(np.concatenate(column) for column in zip(*chunks)))
 
 
@@ -224,17 +225,24 @@ _POSITION = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
 
 
 def _solve_chunk(params, pair, source, settings, mode, angles, ei, k_b) -> _Batch:
+    """:func:`_solve_batch` on at most ``_BATCH_CASES`` cases.
+
+    The live cases' state is one contiguous row per case in each of a few
+    arrays: the ring constants, the pose, the previous residual, the
+    relaxation factor, the stiffness and the case's row of the output.
+    Each iteration relaxes every live case; the cases that stopped then
+    leave the state by integer gathers (``take``), which cost a fraction
+    of boolean-mask indexing on 2-D arrays. Every operation works within
+    a row, so a row's numbers do not depend on the others present.
+    Failures are told apart only in an iteration where some case failed.
+    The output is allocated at the first stop that leaves cases
+    iterating; cases that all stop together, as a single solve does,
+    become the output as they stand. The exit poses are checked against
+    the source once, over all cases, at the end.
+    """
     n_cases = len(angles)
-    out = _empty_batch(n_cases, settings.max_iterations)
     L = params.length
     straight = _straight_pose(params)
-    seed = settings.initial_tip
-    if isinstance(seed, TipPose):
-        x0 = np.concatenate([seed.position, seed.tangent])
-    elif seed is not None:
-        x0 = np.concatenate([seed, E1])
-    else:
-        x0 = straight
     lam = settings.relaxation
     tol = settings.position_tolerance
     bail2 = (10.0 * L) ** 2
@@ -243,11 +251,18 @@ def _solve_chunk(params, pair, source, settings, mode, angles, ei, k_b) -> _Batc
     # x = (p | n), each case's relaxation factor and, from the second
     # iteration on, the previous residual g(p) - p
     rows = np.arange(n_cases)
-    rings = _ring_rows(pair, source, k_b, angles)
+    rings = all_rings = _ring_rows(pair, source, k_b, angles)
     ei = ei[:, None]
     x = np.empty((n_cases, 6))
-    x[:] = x0
+    seed = settings.initial_tip
+    if isinstance(seed, TipPose):
+        x[:, :3], x[:, 3:] = seed.position, seed.tangent
+    else:
+        x[:] = straight
+        if seed is not None:
+            x[:, :3] = seed
     d_old, omega = None, np.full((n_cases, 1), lam)
+    out = None  # allocated at the first stop that leaves cases iterating
     with np.errstate(all="ignore"):  # non-finite values are reported below
         for k in range(1, settings.max_iterations + 1):
             w, r2 = _ring_pair_wrench_rows(rings, x[:, :3], x[:, 3:])
@@ -259,29 +274,29 @@ def _solve_chunk(params, pair, source, settings, mode, angles, ei, k_b) -> _Batc
             change = np.sqrt(np.maximum(d2, L * L * s[:, 1]))
             # NaN fails both tests: a singular or non-finite case stops too
             going = (change > tol) & (d2 <= bail2)
-            if np.count_nonzero(going) < going.size:
-                residual = np.sqrt(d2)
+            n_going = np.count_nonzero(going)
+            if n_going < len(going):
                 converged = change <= tol
-                if converged.all():
+                n_converged = np.count_nonzero(converged)
+                if n_converged == len(converged):
                     # every live case stops converged, as a converged one-case
                     # solve always does: write them as they stand, ungathered
-                    _write_rows(out, rows, k, rings, g, residual, True)
+                    out = _write_rows(out, rows, k, g, np.sqrt(d2), True)
                     break
-                singular = ~going & (r2 <= 0.0).any(axis=1)
-                diverged = ~going & ~converged & ~singular
-                out.error[rows[singular]] = _SINGULAR
-                for r, res in zip(rows[diverged], residual[diverged]):
-                    out.error[r] = f"fixed-point residual {res:.3g} m after {k} iterations"
-                if converged.any():
-                    _write_rows(out, rows[converged], k, rings.take(converged),
-                                g[converged], residual[converged], True)
-                rows = rows[going]
-                if rows.size == 0:
+                if out is None:
+                    out = _empty_batch(n_cases, settings.max_iterations)
+                if n_converged + n_going < len(going):  # some case failed
+                    failed = ~(going | converged)
+                    singular = failed & (r2 <= 0.0).any(axis=1)
+                    out.error[rows[singular]] = _SINGULAR
+                    diverged = failed & ~singular
+                    for r, res in zip(rows[diverged], np.sqrt(d2[diverged])):
+                        out.error[r] = f"fixed-point residual {res:.3g} m after {k} iterations"
+                if n_converged:
+                    c = np.flatnonzero(converged)
+                    _write_rows(out, rows[c], k, g.take(c, axis=0), np.sqrt(d2[c]), True)
+                if not n_going:
                     break
-                g, d, d2, ei, omega = g[going], d[going], d2[going], ei[going], omega[going]
-                if d_old is not None:
-                    d_old = d_old[going]
-                rings = rings.take(going)
             dp = d[:, :3]
             if d_old is not None:
                 # Aitken's factor w <- w r_old . (r_old - r) / |r_old - r|^2,
@@ -292,23 +307,34 @@ def _solve_chunk(params, pair, source, settings, mode, angles, ei, k_b) -> _Batc
                                         lam), 1.0)
             x = g - ((1.0 - omega) * _POSITION) * d  # p <- (1 - w) p + w g(p), n <- n'
             d_old = dp
+            if n_going < len(going):
+                live = np.flatnonzero(going)
+                rows, rings = rows[live], rings.take(live)
+                x, d_old, omega, ei = (a.take(live, axis=0) for a in (x, d_old, omega, ei))
         else:  # unconverged: the last relaxed iterate
-            _write_rows(out, rows, k, rings, x, np.sqrt(d2), False)
-    return out
-
-
-def _write_rows(out: _Batch, c, k: int, rings, x, residual, converged: bool) -> None:
-    """Rows ``c`` of ``out`` for cases that stopped in iteration ``k`` at
-    the poses ``x``, converged or at the iteration limit; an exit pose
-    with a ring on the source is a singular error, with no tip."""
-    out.pose[c], out.iterations[c] = x, k
-    out.residual[c], out.converged[c] = residual, converged
-    on_source = _ring_offsets(rings, x[:, :3], x[:, 3:])[1] <= 0.0
+            out = _write_rows(out, rows, k, x, np.sqrt(d2[going]), False)
+    # an exit pose with a ring on the source is a singular error, with no tip
+    on_source = _ring_offsets(all_rings, out.tip, out.tangent)[1] <= 0.0
     if np.count_nonzero(on_source):
-        singular = c[on_source.any(axis=1)]
+        singular = on_source.any(axis=1)
         out.converged[singular] = False
         out.error[singular] = _SINGULAR
         out.pose[singular] = np.nan
+    return out
+
+
+def _write_rows(out: _Batch | None, c, k: int, x, residual, converged: bool) -> _Batch:
+    """Rows ``c`` of ``out`` for cases that stopped in iteration ``k`` at
+    the poses ``x``, converged or at the iteration limit. With ``out``
+    None, ``c`` holds every case in order, and the rows become a new batch
+    around ``x`` and ``residual``. Returns ``out``."""
+    if out is None:
+        n = len(c)
+        return _Batch(x, np.full(n, k), residual, np.full(n, converged),
+                      np.empty(n, dtype=object))
+    out.pose[c], out.iterations[c] = x, k
+    out.residual[c], out.converged[c] = residual, converged
+    return out
 
 
 @dataclass(frozen=True)
@@ -389,17 +415,23 @@ def _check_solves(params, pair_template, source, cal, settings, mode, q, out: _B
     the benchmark's traced run replays as its per-layer probes.
     """
     for r in rows:
-        x = out.pose[r]
         try:
             res = solve_tip_pose(params, pair_template.with_angles(*q[r].tolist()), source, cal,
-                                 replace(settings, initial_tip=TipPose(x[:3], x[3:])), mode)
+                                 _seeded(settings, out.pose[r]), mode)
         except (DivergenceError, FieldSingularityError) as exc:
             out.pose[r], out.residual[r], out.converged[r] = np.nan, np.nan, False
             out.error[r] = str(exc)
             continue
-        out.tip[r], out.tangent[r] = res.tip.position, res.tip.tangent
+        out.pose[r, :3], out.pose[r, 3:] = res.tip.position, res.tip.tangent
         out.iterations[r], out.residual[r], out.converged[r] = (
             res.iterations, res.residual, res.converged)
+
+
+def _seeded(settings: SolverSettings, x) -> SolverSettings:
+    """``settings`` started at the pose ``x`` = (p | n), built by the
+    constructor, which costs less than ``dataclasses.replace``."""
+    return SolverSettings(settings.position_tolerance, settings.max_iterations,
+                          settings.relaxation, TipPose(x[:3], x[3:]))
 
 
 def _equilibrium(batch: _Batch, k: int) -> EquilibriumResult:
@@ -500,7 +532,7 @@ def invert_controls(
             q, x = np.mod(q_lm, 2.0 * np.pi), x_lm
     q = (float(q[0]), float(q[1]))
     final = solve_tip_pose(params, pair_template.with_angles(*q), source, cal,
-                           replace(settings, initial_tip=TipPose(x[:3], x[3:])), mode)
+                           _seeded(settings, x), mode)
     error = float(np.linalg.norm(final.tip.position - p_target))
     return InverseResult(q=q, result=final, position_error=error,
                          within_reach=within_reach, basin_count=basin_count)

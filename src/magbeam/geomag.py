@@ -8,7 +8,7 @@ assembled by :func:`tip_wrench`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 import math
 from typing import NamedTuple
 
@@ -131,11 +131,9 @@ class RingPairConfig:
                    RingMagnet(moment_magnitude, theta2), separation)
 
     def with_angles(self, theta1: float, theta2: float) -> "RingPairConfig":
-        return RingPairConfig(
-            magnet_1=replace(self.magnet_1, angle=theta1),
-            magnet_2=replace(self.magnet_2, angle=theta2),
-            separation=self.separation,
-        )
+        return RingPairConfig(RingMagnet(self.magnet_1.moment_magnitude, theta1),
+                              RingMagnet(self.magnet_2.moment_magnitude, theta2),
+                              self.separation)
 
 
 @dataclass(frozen=True)
@@ -316,8 +314,10 @@ class _Rings(NamedTuple):
     pref: np.ndarray  # (N, 1, 1) k_b mu0 / (4 pi)
 
     def take(self, rows) -> "_Rings":
-        return self._replace(v=self.v[rows], position=self.position[rows],
-                             pref=self.pref[rows])
+        """The cases of the integer indices ``rows``."""
+        return self._replace(v=self.v.take(rows, axis=0),
+                             position=self.position.take(rows, axis=0),
+                             pref=self.pref.take(rows, axis=0))
 
 
 def _ring_rows(pair: RingPairConfig, source: DipoleSource, k_b: np.ndarray,

@@ -97,7 +97,9 @@ class TestParsers:
     def test_range_bad(self):
         # the huge counts are rejected before any sample is allocated
         for text in ("0:12", "a:b:c", "nan", "0:nan:180", "0:1:inf",
-                     "0:1e-9:180", "-1e308:1:1e308"):
+                     "0:1e-9:180", "-1e308:1:1e308",
+                     # a zero step, or one that points away from stop
+                     "0:0:10", "10:1:0", "0:-1:10"):
             with pytest.raises(InputError):
                 _parse_range(text)
 
@@ -382,6 +384,15 @@ def test_unreadable_csv_exit_2(tmp_path, capsys, command, kind):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"error: {f}:3: {message}")
+    assert "Traceback" not in err
+
+
+def test_sweep_range_away_from_stop_exit_2(capsys):
+    # a step that points away from stop computes nothing and exits 2
+    assert main(["sweep", "--theta1", "180:1:0", "--kb", "4.03"]) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "180:1:0" in err
     assert "Traceback" not in err
 
 

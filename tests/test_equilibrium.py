@@ -423,16 +423,17 @@ class TestBatchKernels:
 class TestStop:
     """However a batch's cases stop together, each row is its own solve."""
 
-    def assert_rows_are_solves(self, demo, source, cases):
+    def assert_rows_are_solves(self, demo, source, cases, settings=None):
         # cases are (theta1, theta2, stiffness_scale, k_b), solved as one batch
+        settings = settings or demo.settings
         params = [replace(demo.params, stiffness_scale=c[2]) for c in cases]
-        batch = _solve_batch(demo.params, demo.pair_template, source, demo.settings, MODE,
+        batch = _solve_batch(demo.params, demo.pair_template, source, settings, MODE,
                              [c[:2] for c in cases], [p.bending_stiffness for p in params],
                              [c[3] for c in cases])
         for k, (case, pk) in enumerate(zip(cases, params)):
             try:
                 ref = solve_tip_pose(pk, demo.pair_template.with_angles(*case[:2]), source,
-                                     FieldCalibration(case[3]), demo.settings, MODE)
+                                     FieldCalibration(case[3]), settings, MODE)
             except (DivergenceError, FieldSingularityError) as exc:
                 assert batch.error[k] == str(exc)
                 assert np.isnan(batch.tip[k]).all() and not batch.converged[k]
@@ -480,6 +481,30 @@ class TestStop:
             (0.5, 0.1, 0.009, 4.03), (0.3, 0.3 + math.pi + 1e-4, 0.009, 4.03),
             (2.0, 1.0, 0.012, 3.8)])
         assert batch.iterations[1] == 2 < min(batch.iterations[0], batch.iterations[2])
+
+    def test_large_batch_of_mixed_stops(self, demo):
+        # a source at a quarter of the straight tip: k_b = 4 puts it on the
+        # seed (singular), and k_b of 35-80 gives fields like the
+        # demonstrator's; a near-zero stiffness diverges and the antiparallel
+        # first case converges in the first iteration, while the others stop
+        # in many iterations, so that many rows leave the batch at each stop
+        source = DipoleSource(moment=demo.source.moment,
+                              position=demo.params.straight_tip / 4.0)
+        kes, kbs = (0.009, 0.018, 1e-9, 0.012, 0.003), (4.0, 35.0, 45.0, 60.0, 80.0, 50.0)
+        cases = [(math.pi, 0.0, 0.009, 47.0)] + [
+            (2.0 * math.pi * k / 72, (0.0, 0.5, -1.0)[k % 3], kes[k % 5], kbs[k % 6])
+            for k in range(1, 72)]
+        batch = self.assert_rows_are_solves(demo, source, cases)
+        stops = set(batch.iterations[batch.converged].tolist())
+        assert {1, 3, 4, 5}.issubset(stops) and len(stops) >= 8
+        errors = [e for e in batch.error if e is not None]
+        assert _SINGULAR in errors
+        assert any(e.startswith("fixed-point residual") for e in errors)
+        # an iteration limit of 3 stops many of the same rows unconverged
+        batch = self.assert_rows_are_solves(demo, source, cases,
+                                            replace(demo.settings, max_iterations=3))
+        at_limit = [not c and e is None for c, e in zip(batch.converged, batch.error)]
+        assert sum(at_limit) >= 10 and (batch.iterations[at_limit] == 3).all()
 
 
 class TestKernelCalls:

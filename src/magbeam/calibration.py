@@ -268,9 +268,9 @@ def _csv_stream(chunks, name, required):
     stream's lines, so that each row is parsed before the next arrives.
     A :class:`ContractViolation` naming ``name`` rejects an empty table
     and a header without one of the ``required`` columns; one naming
-    ``name:line`` a line that is not UTF-8 text and one the csv module
-    cannot parse (a cell over its field size limit, say). A table without
-    data rows yields none."""
+    ``name:line`` a line that is not UTF-8 text, a data row with more cells
+    than the header and a line the csv module cannot parse (a cell over
+    its field size limit, say). A table without data rows yields none."""
     def lines():
         line = 1
         for raw in chunks:
@@ -290,7 +290,10 @@ def _csv_stream(chunks, name, required):
         missing = set(required) - set(reader.fieldnames)
         if missing:
             raise ContractViolation(f"{name}: missing columns {sorted(missing)}")
-        yield from enumerate(reader, start=2)
+        for line, row in enumerate(reader, start=2):
+            if None in row:  # DictReader files the cells past the header under None
+                raise ContractViolation(f"{name}:{line}: more cells than the header")
+            yield line, row
     except csv.Error as exc:
         raise ContractViolation(f"{name}:{reader.reader.line_num}: {exc}") from exc
 

@@ -13,6 +13,7 @@ dx/dq = (I - dG/dx)^-1 dG/dq, so that it needs no fixed-point solve.
 """
 from __future__ import annotations
 
+import contextlib
 import logging
 import math
 from dataclasses import dataclass, fields, is_dataclass
@@ -452,7 +453,8 @@ _INVERSE_STENCIL = np.eye(9, 8, -1) * _INVERSE_H
 _INVERSE_DAMPING = (1e-9, 1e-2, 1.0)  # trial damping mu, over trace(J^T J)
 _INVERSE_MAX_STEP = 0.25  # [rad] longest trial step
 _INVERSE_STEPS = 30
-_INVERSE_STOP = 1e-3  # a seed stops below, or gaining less than, this times the tolerance
+_INVERSE_STOP = 1e-3  # all seeds stop once one is within this times the tolerance
+_INVERSE_GAIN = 0.1  # a seed stops once a step gains at most this times the tolerance
 
 
 @dataclass(frozen=True)
@@ -511,8 +513,7 @@ def invert_controls(
     tol = settings.position_tolerance
     grid, pose, ok, reach = _coarse_grid(params, pair_template, source, cal, settings,
                                          mode, grid_size)
-    errs = np.full(ok.size, np.inf)
-    errs[ok] = np.linalg.norm(pose[ok, :3] - p_target, axis=1)
+    errs = np.where(ok, np.linalg.norm(pose[:, :3] - p_target, axis=1), np.inf)
     within_reach = bool(np.linalg.norm(p_target - params.straight_tip) <= reach * 1.05 + tol)
 
     best = errs.min()
@@ -526,8 +527,7 @@ def invert_controls(
         others = order[(order != first) & np.isfinite(errs[order])]
         seeds = np.concatenate(([first], others[:_INVERSE_SEEDS - 1]))
         newton = partial(_newton_pass, params, pair_template, source, mode, cal.k_b)
-        q_lm, r_lm, x_lm = _least_squares(newton, p_target, grid[seeds], pose[seeds],
-                                          _INVERSE_STOP * tol)
+        q_lm, r_lm, x_lm = _least_squares(newton, p_target, grid[seeds], pose[seeds], tol)
         if np.linalg.norm(r_lm) < best:
             q, x = np.mod(q_lm, 2.0 * np.pi), x_lm
     q = (float(q[0]), float(q[1]))
@@ -632,7 +632,9 @@ def _newton_pass(params: RobotParams, pair: RingPairConfig, source: DipoleSource
     renormalised, and the implicit-function sensitivities
     S = (I - dG/dx)^-1 dG/dq (M, 6, 2), which at a fixed point are dx/dq.
     A row whose pass is singular or non-finite, or whose I - dG/dx is
-    singular, comes back NaN.
+    singular, comes back NaN. Rows are told apart only when one test over
+    the pass fails or the batched solve finds a singular matrix; either
+    way a good row's numbers do not depend on the others present.
     """
     m = len(q)
     x = np.array(x, dtype=float)
@@ -646,24 +648,30 @@ def _newton_pass(params: RobotParams, pair: RingPairConfig, source: DipoleSource
                              params.bending_stiffness, mode, w).reshape(m, 9, 6)
         # column j of jac is dG along input j: 6 pose components, then 2 angles
         jac = ((g[:, 1:] - g[:, :1]) / _INVERSE_H[:, None]).swapaxes(1, 2)
-    eye = np.eye(6)
-    a = eye - jac[..., :6]
-    rhs = np.concatenate([(g[:, 0] - x)[..., None], jac[..., 6:]], axis=2)
-    ok = ((r2.reshape(m, -1) > 0.0).all(axis=1) & np.isfinite(a).all(axis=(1, 2))
-          & np.isfinite(rhs).all(axis=(1, 2)))
-    a[~ok] = eye
-    ok &= np.linalg.det(a) != 0.0
-    a[~ok], rhs[~ok] = eye, 0.0
-    sol = np.linalg.solve(a, rhs)
+        # the system [I - dG/dx | G - x | dG/dq], one (6, 9) block per case
+        system = np.concatenate([np.eye(6) - jac[..., :6], (g[:, 0] - x)[..., None],
+                                 jac[..., 6:]], axis=2)
+    a, rhs = system[..., :6], system[..., 6:]
+    ok = sol = None  # ok stays None while every row is good
+    if r2.min() > 0.0 and np.isfinite(system).all():
+        with contextlib.suppress(np.linalg.LinAlgError):  # some I - dG/dx is singular
+            sol = np.linalg.solve(a, rhs)
+    if sol is None:
+        ok = (r2.reshape(m, -1) > 0.0).all(axis=1) & np.isfinite(system).all(axis=(1, 2))
+        system[~ok] = np.eye(6, 9)  # [I | 0]
+        ok &= np.linalg.det(a) != 0.0
+        system[~ok] = np.eye(6, 9)
+        sol = np.linalg.solve(a, rhs)
     x_new = x + sol[..., 0]
     x_new[:, 3:] /= np.sqrt(_dot(x_new[:, 3:], x_new[:, 3:]))[:, None]
     sens = sol[..., 1:]
-    x_new[~ok], sens[~ok] = np.nan, np.nan
+    if ok is not None:
+        x_new[~ok], sens[~ok] = np.nan, np.nan
     return x_new, sens
 
 
 def _least_squares(newton, p_target: np.ndarray, q: np.ndarray, x: np.ndarray,
-                   stop: float):
+                   tol: float):
     """Multi-start Levenberg-Marquardt on r(q) = p(q) - p_target, coupled to
     Newton on the tip pose.
 
@@ -677,51 +685,67 @@ def _least_squares(newton, p_target: np.ndarray, q: np.ndarray, x: np.ndarray,
     started from the pose x + S dq that the seed's sensitivity predicts
     for it; a trial that fails scores +inf. A seed keeps its best trial,
     with that trial's corrected pose and sensitivity, while the error
-    falls. It stops when no trial lowers its error by more than ``stop``,
-    or after ``_INVERSE_STEPS`` steps; all stop once one seed is within
-    ``stop``. Returns (q, r(q), x) of the first seed within ``stop``, else
-    of the one with the smallest error, x being its corrected pose.
+    falls. It stops once a step gains at most ``_INVERSE_GAIN`` times the
+    position tolerance ``tol`` (a target out of reach ends so), or after
+    ``_INVERSE_STEPS`` steps; all stop once one seed is within
+    ``_INVERSE_STOP`` times ``tol``. Returns (q, r(q), x) of the first
+    seed within that bound, else of the one with the smallest error, x
+    being its corrected pose.
     """
+    def evaluate(points, poses):  # (N, 2), (N, 6) -> pose, S, r, |r| or inf
+        pose, sens = newton(points, poses)
+        r = pose[:, :3] - p_target
+        err = np.sqrt(np.add.reduce(r * r, axis=1))  # np.linalg.norm's sum
+        if not (np.isfinite(pose).all() and np.isfinite(sens).all()):
+            err[~(np.isfinite(pose).all(axis=1) & np.isfinite(sens).all(axis=(1, 2)))] = np.inf
+        return pose, sens, r, err
+
+    within, negligible = _INVERSE_STOP * tol, _INVERSE_GAIN * tol
+    mu = np.asarray(_INVERSE_DAMPING)[:, None]
     q = np.array(q, dtype=float)
-
-    def evaluate(points, poses):  # (..., 2), (..., 6) -> pose, S, r, |r| or inf
-        shape = points.shape[:-1]
-        pose, sens = newton(points.reshape(-1, 2), poses.reshape(-1, 6))
-        pose, sens = pose.reshape(shape + (6,)), sens.reshape(shape + (6, 2))
-        r = pose[..., :3] - p_target
-        good = np.isfinite(pose).all(axis=-1) & np.isfinite(sens).all(axis=(-1, -2))
-        return pose, sens, r, np.where(good, np.linalg.norm(r, axis=-1), np.inf)
-
-    mu = np.asarray(_INVERSE_DAMPING)
     with np.errstate(all="ignore"):  # a failed or singular trial is just rejected
         x, sens, r, err = evaluate(q, np.asarray(x, dtype=float))
-        live = np.isfinite(err)
+        # live: the seeds still stepping; state: their rows of the seed arrays,
+        # written back when they stop. None steps if one is within already
+        seeds = (q, x, sens, r, err)
+        live = np.flatnonzero(np.isfinite(err) & ~(err <= within).any())
+        state = [v[live] for v in seeds]
         for _ in range(_INVERSE_STEPS):
-            if not live.any() or (err <= stop).any():
+            if not live.size:
                 break
-            idx = np.flatnonzero(live)
-            jac = sens[idx, :3]
+            lq, lx, ls, lr, le = state
             # damped normal equations (J^T J + mu tr(J^T J) I) step = -J^T r,
-            # one per damping, solved in closed form
-            a = np.einsum("sij,sik->sjk", jac, jac)[:, None]
-            g = np.einsum("sij,si->sj", jac, r[idx])[:, None]
-            d = mu * (a[..., 0, 0] + a[..., 1, 1])
-            a00, a11, a01 = a[..., 0, 0] + d, a[..., 1, 1] + d, a[..., 0, 1]
-            step = np.stack([a01 * g[..., 1] - a11 * g[..., 0],
-                             a01 * g[..., 0] - a00 * g[..., 1]], axis=-1)
-            step /= (a00 * a11 - a01 * a01)[..., None]
-            length = np.linalg.norm(step, axis=-1, keepdims=True)
+            # one per damping, solved by Cramer's rule
+            jac = ls[:, :3]
+            a = np.einsum("sij,sik->sjk", jac, jac)
+            g = np.einsum("sij,si->sj", jac, lr)[:, None]
+            a01 = a[:, 0, 1, None, None]
+            diag = a.diagonal(axis1=1, axis2=2)[:, None]
+            damped = diag + mu * diag.sum(axis=-1, keepdims=True)  # a_jj + mu tr, per mu
+            step = a01 * g[..., ::-1] - damped[..., ::-1] * g
+            step /= damped[..., :1] * damped[..., 1:] - a01 * a01
+            length = np.sqrt(np.add.reduce(step * step, axis=-1, keepdims=True))
             step *= np.minimum(1.0, _INVERSE_MAX_STEP / length)
-            predicted = x[idx, None] + np.einsum("sij,stj->sti", sens[idx], step)
-            trial = q[idx, None] + step
-            xt, st, rt, et = evaluate(trial, predicted)
-            k = (np.arange(len(idx)), np.argmin(et, axis=1))  # each seed's best trial
-            gain = err[idx] - et[k]
-            upd = idx[gain > 0.0]
-            q[upd], x[upd], sens[upd], r[upd], err[upd] = (
-                v[k][gain > 0.0] for v in (trial, xt, st, rt, et))
-            live[idx] = gain > stop
-    done = np.flatnonzero(err <= stop)
+            trial = (lq[:, None] + step).reshape(-1, 2)
+            predicted = lx[:, None] + np.einsum("sij,stj->sti", ls, step)
+            xt, st, rt, et = evaluate(trial, predicted.reshape(-1, 6))
+            # each seed's best trial, as rows of the flattened trials
+            best = np.argmin(et.reshape(len(live), -1), axis=1) + np.arange(0, len(et), len(mu))
+            gain = le - et[best]
+            state = [v[best] for v in (trial, xt, st, rt, et)]
+            going, reached = gain > negligible, state[4].min() <= within
+            if reached or not going.all():  # some seed stops, or all do
+                kept = np.flatnonzero(~(gain > 0.0))  # no trial gained: keep the state
+                if kept.size:
+                    for v, old in zip(state, (lq, lx, ls, lr, le)):
+                        v[kept] = old[kept]
+                for v, seed in zip(state, seeds):
+                    seed[live] = v
+                going &= not reached
+                live, state = live[going], [v[going] for v in state]
+        for v, seed in zip(state, seeds):
+            seed[live] = v
+    done = np.flatnonzero(err <= within)
     s = done[0] if done.size else np.argmin(err)
     return q[s], r[s], x[s]
 

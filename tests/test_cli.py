@@ -387,6 +387,22 @@ def test_unreadable_csv_exit_2(tmp_path, capsys, command, kind):
     assert "Traceback" not in err
 
 
+# a data row on line 3 with one cell more than its header, as a decimal comma
+# makes of 0,9 mm: the reader must not answer the row from its first cells
+@pytest.mark.parametrize("command, text", [
+    (["invert", "--ke", "0.009", "--kb", "4.03", "--targets"],
+     "x_mm,y_mm,z_mm\n150,0,0\n150,0,0,9\n"),
+    (["calibrate", "--ke", "0.009:0.012:2", "--kb", "3.9:4.2:2", "--data"],
+     "theta1_deg,theta2_deg,x_mm,y_mm,z_mm\n0,0,150,0,\n10,0,149,5,0,9\n"),
+    (["workspace", "--schedule"], "theta1_deg,theta2_deg\n0,0\n10,20,30\n"),
+], ids=["invert", "calibrate", "workspace"])
+def test_extra_csv_cells_exit_2(tmp_path, capsys, command, text):
+    f = tmp_path / "extra.csv"
+    f.write_text(text)
+    assert main([*command, str(f)]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {f}:3: more cells than the header\n"
+
+
 def test_sweep_range_away_from_stop_exit_2(capsys):
     # a step that points away from stop computes nothing and exits 2
     assert main(["sweep", "--theta1", "180:1:0", "--kb", "4.03"]) == EXIT_INPUT

@@ -74,6 +74,9 @@ def in_plane_error(record: ExperimentRecord, predicted_position) -> float:
 
 @dataclass(frozen=True)
 class FitMetrics:
+    """The in-plane tip errors' maximum, mean and population standard
+    deviation [m], and R^2 over the observed components (dimensionless)."""
+
     max_abs_error: float  # [m]
     mean_abs_error: float  # [m]
     std_error: float  # [m], population standard deviation
@@ -155,6 +158,10 @@ class CalibrationGrid:
 
 @dataclass(frozen=True)
 class CalibrationResult:
+    """The winning stiffness and field scales (dimensionless), the grid
+    searched, each cell's maximum in-plane error [m] (+inf where a solve
+    failed) and the metrics at the winner."""
+
     ke_star: float
     kb_star: float
     grid: CalibrationGrid
@@ -320,10 +327,13 @@ def load_experiment_csv(
     in degrees and positions in millimeters; an empty ``z_mm`` marks a
     planar top-view (x-y) record, an empty ``y_mm`` a side-view (x-z)
     one. When both notch parameters are given, a ``notch_mm`` column
-    replaces ``theta1_deg`` (slope in rad/m, offset in m). A missing
-    ``theta2_deg`` defaults to 0.
+    replaces ``theta1_deg`` (slope in rad/m, offset in m); one given
+    alone raises :class:`ContractViolation`. A missing ``theta2_deg``
+    defaults to 0.
     """
-    use_notch = notch_slope is not None and notch_offset is not None
+    use_notch = notch_slope is not None
+    if use_notch != (notch_offset is not None):
+        raise ContractViolation("notch_slope and notch_offset must be given together")
     needed = {"x_mm", "y_mm"} | ({"notch_mm"} if use_notch else {"theta1_deg"})
     records: list[ExperimentRecord] = []
     for line, row in _csv_rows(path, needed):
@@ -335,15 +345,8 @@ def load_experiment_csv(
         else:
             theta1 = math.radians(num("theta1_deg"))
         theta2 = math.radians(num("theta2_deg", 0.0))
-        x = num("x_mm")
-        y = num("y_mm", None)
-        z = num("z_mm", None)
-        tip = np.array([
-            x * 1e-3,
-            np.nan if y is None else y * 1e-3,
-            np.nan if z is None else z * 1e-3,
-        ])
-        if y is None and z is None:
+        x, y, z = num("x_mm"), num("y_mm", math.nan), num("z_mm", math.nan)
+        if math.isnan(y) and math.isnan(z):
             raise ContractViolation(f"{path}:{line}: need y_mm or z_mm")
-        records.append(ExperimentRecord(theta1, theta2, tip))
+        records.append(ExperimentRecord(theta1, theta2, np.array([x, y, z]) * 1e-3))
     return records

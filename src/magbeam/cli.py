@@ -150,13 +150,10 @@ def _emit_report(cfg: LoadedConfig, results: dict, t0: float, out: str | None):
 
 
 def _notch_params(args) -> tuple[float | None, float | None]:
+    # CLI takes deg/mm and mm; the core works in rad/m and m, and refuses a lone one
     slope, offset = args.notch_slope, args.notch_offset
-    if (slope is None) != (offset is None):
-        raise InputError("--notch-slope and --notch-offset must be given together")
-    if slope is None:
-        return None, None
-    # CLI takes deg/mm and mm; the core works in rad/m and m
-    return math.radians(slope) * 1e3, offset * 1e-3
+    return (None if slope is None else math.radians(slope) * 1e3,
+            None if offset is None else offset * 1e-3)
 
 
 def cmd_simulate(args) -> int:
@@ -301,8 +298,7 @@ def cmd_validate(args) -> int:
 
 def _validate_plot(records, preds, path):
     t_deg = np.array([math.degrees(r.theta1) for r in records])
-    meas = []
-    pred = []
+    meas, pred = [], []
     for rec, position in zip(records, preds):
         axes = list(rec.axes)[1:]  # transverse components of the plane
         meas.append(float(np.linalg.norm(rec.tip[axes])) * 1e3)
@@ -315,8 +311,7 @@ def _validate_plot(records, preds, path):
 
 def _load_track_csv(path, plane: str) -> PlanarTrack:
     ycol = "y_mm" if plane == "top" else "z_mm"
-    idx = []
-    pts = []
+    idx, pts = [], []
     for line, row in _csv_rows(path, ("x_mm", ycol)):
         idx.append(_csv_number(row, "index", path, line, line - 2))
         pts.append([_csv_number(row, "x_mm", path, line) * 1e-3,

@@ -459,6 +459,10 @@ _INVERSE_GAIN = 0.1  # a seed stops once a step gains at most this times the tol
 
 @dataclass(frozen=True)
 class InverseResult:
+    """Angles ``q`` [rad], each in [0, 2 pi), the final solve there and its
+    tip's distance from the target [m]; ``within_reach`` is True exactly when
+    that distance is at most the solver's position tolerance."""
+
     q: tuple[float, float]  # [rad]
     result: EquilibriumResult
     position_error: float  # [m]
@@ -500,21 +504,21 @@ def invert_controls(
     pose, the grid cell's converged pose or the refinement's
     Newton-corrected one, so it normally stops in its first iteration;
     ``settings.initial_tip`` seeds the grid alone. Repeated calls give
-    bit-identical answers. Targets outside the sampled reachable set are
-    answered with the nearest configuration found and
-    ``within_reach = False``. Raises :class:`ContractViolation` for a
-    non-finite target or a ``grid_size`` that is not an integer (a numpy
-    integer too, a bool not) of at least 1, and :class:`DivergenceError`
-    if no grid seed converges.
+    bit-identical answers. ``within_reach`` is True exactly when that
+    answer's tip lies within ``settings.position_tolerance`` of the
+    target; a target out of reach gets the nearest configuration found.
+    Raises :class:`ContractViolation` for a non-finite target or a
+    ``grid_size`` that is not an integer (a numpy integer too, a bool
+    not) of at least 1, and :class:`DivergenceError` if no grid seed
+    converges.
     """
     if not _is_count(grid_size):
         raise ContractViolation("grid_size must be an integer >= 1")
     p_target = _as_vec3(getattr(target, "position", target), "target")
     tol = settings.position_tolerance
-    grid, pose, ok, reach = _coarse_grid(params, pair_template, source, cal, settings,
-                                         mode, grid_size)
+    grid, pose, ok = _coarse_grid(params, pair_template, source, cal, settings, mode,
+                                  grid_size)
     errs = np.where(ok, np.linalg.norm(pose[:, :3] - p_target, axis=1), np.inf)
-    within_reach = bool(np.linalg.norm(p_target - params.straight_tip) <= reach * 1.05 + tol)
 
     best = errs.min()
     tied = errs <= best + tol
@@ -529,13 +533,14 @@ def invert_controls(
         newton = partial(_newton_pass, params, pair_template, source, mode, cal.k_b)
         q_lm, r_lm, x_lm = _least_squares(newton, p_target, grid[seeds], pose[seeds], tol)
         if np.linalg.norm(r_lm) < best:
-            q, x = np.mod(q_lm, 2.0 * np.pi), x_lm
+            # a tiny negative angle rounds up to 2 pi; the second mod makes it 0
+            q, x = np.mod(np.mod(q_lm, 2.0 * np.pi), 2.0 * np.pi), x_lm
     q = (float(q[0]), float(q[1]))
     final = solve_tip_pose(params, pair_template.with_angles(*q), source, cal,
                            _seeded(settings, x), mode)
     error = float(np.linalg.norm(final.tip.position - p_target))
     return InverseResult(q=q, result=final, position_error=error,
-                         within_reach=within_reach, basin_count=basin_count)
+                         within_reach=bool(error <= tol), basin_count=basin_count)
 
 
 class _CoarseGrid(NamedTuple):
@@ -544,14 +549,14 @@ class _CoarseGrid(NamedTuple):
     grid: np.ndarray  # (G^2, 2) magnet angles [rad], theta1-major
     pose: np.ndarray  # (G^2, 6) cold-solved tip poses (p | n), NaN where a solve raised
     converged: np.ndarray  # (G^2,) bool
-    reach: float  # [m] farthest converged tip from the straight tip
 
 
 # The most recent model's coarse grid, as (key, _CoarseGrid). Sequential
 # queries on one model, as when `magbeam invert` answers setpoint after
-# setpoint in a fixed field, solve their grid once; a query on a new model
-# also builds the key, about 20 us of a 5 ms query. At the default grid
-# size the entry holds 42 kB, a tenth of a cold query's 435 kB peak
+# setpoint in a fixed field, solve their grid once. Every query builds the
+# key, hits included: 12 us, about 1 % of a 1.0 ms query that hits (timeit,
+# one pinned Xeon core). At the default grid size the entry, its three
+# arrays and its key, holds 45 kB, a tenth of a cold query's 455 kB peak
 # (tracemalloc). It is replaced by one assignment, so concurrent queries
 # at worst both solve.
 _grid_memo: tuple | None = None
@@ -609,9 +614,8 @@ def _coarse_grid(params: RobotParams, pair: RingPairConfig, source: DipoleSource
     if not ok.any():
         raise DivergenceError("no grid seed converged")
     log.debug("inverse grid: %d of %d seeds failed", (~ok).sum(), ok.size)
-    reach = np.linalg.norm(coarse.tip[ok] - params.straight_tip, axis=1).max()
-    out = _CoarseGrid(grid, coarse.pose, ok, float(reach))
-    for a in out[:3]:
+    out = _CoarseGrid(grid, coarse.pose, ok)
+    for a in out:
         a.flags.writeable = False
     _grid_memo = (key, out)
     return out

@@ -41,10 +41,7 @@ class PlanarTrack:
         if not np.all(np.isfinite(pts)):
             raise ContractViolation("points must be finite")
         object.__setattr__(self, "points", pts)
-        idx = self.indices
-        if idx is None:
-            idx = np.arange(len(pts))
-        idx = np.asarray(idx)
+        idx = np.arange(len(pts)) if self.indices is None else np.asarray(self.indices)
         if idx.shape != (len(pts),) or (len(idx) > 1 and not np.all(np.diff(idx) > 0)):
             raise ContractViolation("indices must be strictly increasing, one per point")
         object.__setattr__(self, "indices", idx)
@@ -71,16 +68,15 @@ def merge_biplanar(top: PlanarTrack, side: PlanarTrack) -> MergedTrack:
         raise ContractViolation("tracks must be index-aligned")
     xt = top.points[:, 0]
     xs = side.points[:, 0]
-    merged = np.column_stack([
-        0.5 * (xt + xs),
-        top.points[:, 1],
-        side.points[:, 1],
-    ])
+    merged = np.column_stack([0.5 * (xt + xs), top.points[:, 1], side.points[:, 1]])
     return MergedTrack(points=merged, x_mismatch=np.abs(xt - xs) > X_TOLERANCE)
 
 
 @dataclass(frozen=True)
 class EllipseFit:
+    """A fitted ellipse: center and semi-axes a >= b > 0 [m], major-axis
+    angle in [0, pi) [rad] and RMS orthogonal distance of the points [m]."""
+
     center: np.ndarray  # (2,) [m]
     semi_axes: tuple[float, float]  # (a, b), a >= b > 0 [m]
     orientation: float  # [rad], major axis angle from the first coordinate
@@ -128,8 +124,7 @@ def _fit_conic_ellipse(points: np.ndarray) -> np.ndarray:
     Returns conic coefficients with the ellipse constraint
     4AC - B^2 = 1 enforced exactly.
     """
-    x = points[:, 0]
-    y = points[:, 1]
+    x, y = points.T
     D1 = np.column_stack([x * x, x * y, y * y])
     D2 = np.column_stack([x, y, np.ones_like(x)])
     S1 = D1.T @ D1
@@ -219,6 +214,8 @@ def fit_ellipse(points) -> EllipseFit:
 
 @dataclass(frozen=True)
 class WorkspaceStats:
+    """Largest |y| and |z| and mean y-z distance of tips from the straight tip [m]."""
+
     max_deflection_y: float  # [m]
     max_deflection_z: float  # [m]
     mean_deflection: float  # [m], mean transverse (y-z) deflection magnitude

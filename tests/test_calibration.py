@@ -385,6 +385,15 @@ class TestCsvLoader:
         recs = load_experiment_csv(f, notch_slope=slope, notch_offset=0.0005)
         assert recs[0].theta1 == pytest.approx(math.radians(8.2), rel=1e-12)
 
+    @pytest.mark.parametrize("slope, offset", [(143.0, None), (None, 0.0005)],
+                             ids=["slope-alone", "offset-alone"])
+    def test_lone_notch_parameter_rejected(self, tmp_path, slope, offset):
+        # a file with both columns, so a lone parameter cannot pass unseen
+        f = tmp_path / "exp.csv"
+        f.write_text("theta1_deg,notch_mm,x_mm,y_mm\n12,1.5,150.0,0.0\n")
+        with pytest.raises(ContractViolation, match="given together"):
+            load_experiment_csv(f, notch_slope=slope, notch_offset=offset)
+
     def test_errors(self, tmp_path):
         f = tmp_path / "empty.csv"
         f.write_text("")

@@ -660,8 +660,9 @@ class TestWorkspace:
 
 
 INVERT_FLAGS = ["--ke", "0.009", "--kb", "4.03"]
-# a model tip (at 50 and 10 deg), the straight tip and a point out of reach [mm]
-TARGETS = "x_mm,y_mm,z_mm\n148.7,-4.2,9.1\n150,0,0\n130,25,30\n"
+# an in-plane target within reach, the straight tip, a point out of reach and
+# one 1.3 mm off the plane x = L that holds every tip, so out of reach [mm]
+TARGETS = "x_mm,y_mm,z_mm\n150,-4.2,9.1\n150,0,0\n130,25,30\n148.7,-4.2,9.1\n"
 
 
 class TestInvert:
@@ -677,7 +678,7 @@ class TestInvert:
                      "--out", str(out)]) == EXIT_OK
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
-        assert [r["within_reach"] for r in rows] == ["True", "True", "False"]
+        assert [r["within_reach"] for r in rows] == ["True", "True", "False", "False"]
         model = self._model()
         for line, row in zip(TARGETS.splitlines()[1:], rows):
             mm = [float(v) for v in line.split(",")]
@@ -702,8 +703,8 @@ class TestInvert:
         targets = tmp_path / "targets.csv"
         targets.write_text(TARGETS)
         assert main(["invert", "--targets", str(targets), *INVERT_FLAGS]) == EXIT_OK
-        assert batches == [24 * 24, 1, 1, 1]
-        assert len(capsys.readouterr().out.splitlines()) == 1 + 3
+        assert batches == [24 * 24, 1, 1, 1, 1]
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 4
 
     def test_stdin_rows_answered_as_read(self, monkeypatch, capsys):
         # each answer is written before the next target is read
@@ -718,8 +719,8 @@ class TestInvert:
         monkeypatch.setattr(sys, "stdin", SimpleNamespace(buffer=stdin()))
         assert main(["invert", "--targets", "-", *INVERT_FLAGS]) == EXIT_OK
         # before the header, the first target and the second no answer is
-        # out; before the third, the header and the first two
-        assert written == [0, 0, 2, 1]
+        # out; before each later target, the answer to the one before it
+        assert written == [0, 0, 2, 1, 1]
         assert len(capsys.readouterr().out.splitlines()) == 1
 
     @pytest.mark.parametrize("text, message", [
@@ -758,4 +759,4 @@ class TestInvert:
         assert main(["invert", "--targets", str(targets), *INVERT_FLAGS,
                      "--config", str(config)]) == EXIT_NUMERIC
         rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
-        assert [r["converged"] for r in rows] == ["False", "True", "False"]
+        assert [r["converged"] for r in rows] == ["False", "True", "False", "False"]

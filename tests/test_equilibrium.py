@@ -909,6 +909,37 @@ class TestInverse:
         assert not inv.within_reach
         assert inv.result.converged
 
+    def test_off_plane_target_out_of_reach(self, demo):
+        # every tip has x = L, so a model tip moved 1.3 mm along e1 is out of
+        # reach, and the answer is that tip, 1.3 mm away
+        tip = _inverse_target(demo, True)
+        inv = invert_controls(tip + 1.3e-3 * E1, demo.params, demo.pair_template,
+                              demo.source, CAL, demo.settings, MODE)
+        assert not inv.within_reach
+        assert inv.position_error == pytest.approx(1.3e-3, abs=1e-8)
+        assert np.linalg.norm(inv.result.tip.position - tip) <= 1e-8
+
+    def test_in_plane_target_past_the_rim_out_of_reach(self, demo):
+        # in the plane x = L the tips fill a disk of radius 15.70 mm about
+        # the straight tip, so a target 16.2 mm out is missed by 0.5 mm in
+        # every direction, though it lies within 1.05 times the grid's reach
+        for angle in np.radians(np.arange(0, 360, 15)):
+            offset = 16.2e-3 * np.array([0.0, math.cos(angle), math.sin(angle)])
+            inv = invert_controls(demo.params.straight_tip + offset, demo.params,
+                                  demo.pair_template, demo.source, CAL, demo.settings, MODE)
+            assert not inv.within_reach
+            assert inv.position_error == pytest.approx(0.4989e-3, abs=1e-7)
+
+    def test_refined_angles_wrap_into_range(self, demo, monkeypatch):
+        # an angle a hair below 0 from the refinement is answered as 0, not
+        # as the 2 pi that one np.mod rounds it up to
+        least_squares = equilibrium._least_squares
+        monkeypatch.setattr(equilibrium, "_least_squares", lambda *a: (
+            (np.array([-1e-20, -1e-20]), *least_squares(*a)[1:])))
+        inv = invert_controls(_inverse_target(demo, True), demo.params, demo.pair_template,
+                              demo.source, CAL, demo.settings, MODE)
+        assert inv.q == (0.0, 0.0)
+
     @pytest.mark.parametrize("q", [(1.8010, 1.8935), (4.5962, 4.8653)]
                              + [tuple(q) for q in np.random.default_rng(21).uniform(
                                  0.0, 2.0 * math.pi, (20, 2))],

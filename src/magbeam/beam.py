@@ -90,56 +90,65 @@ def tip_pose_from_wrench(
     with c = 1/3 (corrected) or 1/6 (legacy), and
     n = normalize(e1 + (L/EI) (tau + L/2 e1 x f) x e1).
     """
-    g = _cantilever_rows(_straight_pose(params), params.length, params.bending_stiffness,
-                         mode, w.as_stacked()[None])
-    return TipPose(position=g[0, :3], tangent=g[0, 3:])
+    x = _pose_rows(params.length, _cantilever_rows(params.length, params.bending_stiffness,
+                                                   mode, w.as_stacked()[None]))
+    return TipPose(position=x[0, :3], tangent=x[0, 3:])
 
 
-# the wrench components (f | tau) of each coefficient of _compliance
-_GATHER = np.array([0, 1, 2, 0, 1, 2, 0, 5, 4, 0, 5, 4])
+# the wrench components (f | tau) of each coefficient of _compliance, and
+# the pose columns (p | n) that the beam coordinates (p_y, p_z, a, b) fill
+_GATHER = np.array([1, 2, 1, 2, 5, 4, 5, 4])
+_CHART = np.array([1, 2, 4, 5])
 
 
 @lru_cache(maxsize=16)
 def _compliance(L: float, mode: BeamFormulation) -> np.ndarray:
-    """The linear part of :func:`tip_pose_from_wrench` as the (12,)
+    """The linear part of :func:`tip_pose_from_wrench` as the (8,)
     coefficients ``k`` of the wrench components that ``_GATHER`` picks:
-    with ``wk = w[_GATHER] * k``, EI times the displacement of the tip
-    (outputs 0-2) and of its tangent from e1 before normalisation
-    (outputs 3-5) is ``wk[:6] + wk[6:]``, one force and one torque term.
-    With (e1 x f) x e1 = (0, f_y, f_z) and tau x e1 = (0, tau_z, -tau_y)
-    only f_y, f_z, tau_y and tau_z act; the zero coefficients of p_x and
-    n_x keep a non-finite wrench non-finite there."""
+    with ``wk = w[_GATHER] * k``, EI times the beam coordinates
+    (p_y, p_z, a, b) of :func:`_cantilever_rows` is ``wk[:4] + wk[4:]``,
+    one force and one torque term. With (e1 x f) x e1 = (0, f_y, f_z) and
+    tau x e1 = (0, tau_z, -tau_y) only f_y, f_z, tau_y and tau_z act."""
     h = 0.5 * L * L
     c = L**3 / 3.0 if mode is BeamFormulation.CORRECTED else L**3 / 6.0
-    k = np.array([0.0, c, c, 0.0, h, h,  # c L^3 f_y, c L^3 f_z, L^2/2 f_y, L^2/2 f_z
-                  0.0, h, -h, 0.0, L, -L])  # L^2/2 tau_z, -L^2/2 tau_y, L tau_z, -L tau_y
+    k = np.array([c, c, h, h,  # c L^3 f_y, c L^3 f_z, L^2/2 f_y, L^2/2 f_z
+                  h, -h, L, -L])  # L^2/2 tau_z, -L^2/2 tau_y, L tau_z, -L tau_y
     k.flags.writeable = False
     return k
 
 
-def _cantilever_rows(straight: np.ndarray, L: float, ei, mode: BeamFormulation,
-                     w: np.ndarray) -> np.ndarray:
-    """Tip poses (p | n), (N, 6), of N cases under the stacked tip
-    wrenches ``w`` (N, 6) = (f | tau), with bending stiffness ``ei`` (a
-    scalar or an (N, 1) column).
+def _cantilever_rows(L: float, ei, mode: BeamFormulation, w: np.ndarray) -> np.ndarray:
+    """Beam coordinates u = (p_y, p_z, a, b), (N, 4), of N cases under the
+    stacked tip wrenches ``w`` (N, 6) = (f | tau), with bending stiffness
+    ``ei`` (a scalar or an (N, 1) column): the tip lies at (L, p_y, p_z)
+    with the tangent normalize(1, a, b), which :func:`_pose_rows` builds.
 
     The one beam kernel, unvalidated: :func:`tip_pose_from_wrench` calls
-    it on one row and the equilibrium solver on every case it iterates;
-    ``straight`` is the (6,) unloaded tip pose (L e1 | e1). Every
-    step works within a row (a gather, products, a sum of two terms, the
-    tangent's vecdot), so a row's result does not depend on how many rows
-    there are, which a BLAS matrix product would not promise.
+    it on one row and the equilibrium solver on every case it iterates.
+    Every step works within a row (a gather, products, a sum of two
+    terms), so a row's result does not depend on how many rows there are,
+    which a BLAS matrix product would not promise.
     """
     wk = w[:, _GATHER] * _compliance(L, mode)
-    g = (wk[:, :6] + wk[:, 6:]) / ei + straight
-    t = g[:, 3:]
+    return (wk[:, :4] + wk[:, 4:]) / ei
+
+
+def _pose_rows(L: float, u: np.ndarray) -> np.ndarray:
+    """Tip poses (p | n), (N, 6), at the (N, 4) beam coordinates ``u`` =
+    (p_y, p_z, a, b): p = (L, p_y, p_z) and n = normalize(1, a, b), its norm
+    from a vecdot within the row. :func:`_chart_rows` is the inverse."""
+    x = np.empty((len(u), 6))
+    x[:, ::3] = L, 1.0
+    x[:, _CHART] = u
+    t = x[:, 3:]
     t /= np.sqrt(_dot(t, t))[:, None]
-    return g
+    return x
 
 
-def _straight_pose(params: RobotParams) -> np.ndarray:
-    """The (6,) unloaded tip pose (L e1 | e1) of ``params``."""
-    return np.array([params.length, 0.0, 0.0, 1.0, 0.0, 0.0])
+def _chart_rows(x: np.ndarray) -> np.ndarray:
+    """The beam coordinates (p_y, p_z, n_y/n_x, n_z/n_x), (N, 4), of tip
+    poses (p | n) that have p_x = L and n_x > 0, as :func:`_pose_rows` builds."""
+    return np.column_stack([x[:, 1:3], x[:, 4:] / x[:, 3:4]])
 
 
 def centerline(params: RobotParams, w: Wrench, n_samples: int) -> np.ndarray:

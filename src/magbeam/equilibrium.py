@@ -7,9 +7,9 @@ solved by fixed-point iteration with Aitken's dynamic relaxation
 relaxation factor from its last two residuals. The map is also inverted
 numerically, to find the magnet rotations that reach a target tip
 position: a grid search over the angles, then a least-squares refinement
-that moves each candidate's tip pose by Newton steps on x = G(x; q) and
-takes its Jacobian from the implicit-function sensitivity
-dx/dq = (I - dG/dx)^-1 dG/dq, so that it needs no fixed-point solve.
+that moves each candidate's beam coordinates u = (p_y, p_z, a, b) by
+Newton steps on u = G(u; q) and takes its Jacobian from the sensitivity
+du/dq = (I - dG/du)^-1 dG/dq, so that it needs no fixed-point solve.
 """
 from __future__ import annotations
 
@@ -27,7 +27,8 @@ from .beam import (
     RobotParams,
     TipPose,
     _cantilever_rows,
-    _straight_pose,
+    _chart_rows,
+    _pose_rows,
 )
 from .geomag import (
     ContractViolation,
@@ -221,10 +222,6 @@ def _empty_batch(n_cases: int, max_iterations: int) -> _Batch:
     )
 
 
-# the position columns of a pose (p | n): the relaxation moves p alone
-_POSITION = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
-
-
 def _solve_chunk(params, pair, source, settings, mode, angles, ei, k_b) -> _Batch:
     """:func:`_solve_batch` on at most ``_BATCH_CASES`` cases.
 
@@ -243,7 +240,6 @@ def _solve_chunk(params, pair, source, settings, mode, angles, ei, k_b) -> _Batc
     """
     n_cases = len(angles)
     L = params.length
-    straight = _straight_pose(params)
     lam = settings.relaxation
     tol = settings.position_tolerance
     bail2 = (10.0 * L) ** 2
@@ -254,20 +250,19 @@ def _solve_chunk(params, pair, source, settings, mode, angles, ei, k_b) -> _Batc
     rows = np.arange(n_cases)
     rings = all_rings = _ring_rows(pair, source, k_b, angles)
     ei = ei[:, None]
-    x = np.empty((n_cases, 6))
+    x = np.zeros((n_cases, 6))
+    x[:, ::3] = L, 1.0  # the straight tip (L e1 | e1)
     seed = settings.initial_tip
     if isinstance(seed, TipPose):
         x[:, :3], x[:, 3:] = seed.position, seed.tangent
-    else:
-        x[:] = straight
-        if seed is not None:
-            x[:, :3] = seed
+    elif seed is not None:
+        x[:, :3] = seed
     d_old, omega = None, np.full((n_cases, 1), lam)
     out = None  # allocated at the first stop that leaves cases iterating
     with np.errstate(all="ignore"):  # non-finite values are reported below
         for k in range(1, settings.max_iterations + 1):
             w, r2 = _ring_pair_wrench_rows(rings, x[:, :3], x[:, 3:])
-            g = _cantilever_rows(straight, L, ei, mode, w)
+            g = _pose_rows(L, _cantilever_rows(L, ei, mode, w))
             d = g - x  # position residual | tangent change
             d3 = d.reshape(-1, 2, 3)
             s = _dot(d3, d3)  # squared norms of both
@@ -306,8 +301,8 @@ def _solve_chunk(params, pair, source, settings, mode, angles, ei, k_b) -> _Batc
                 dd = d_old - dp
                 omega = np.fmin(np.fmax(omega * (_dot(d_old, dd) / _dot(dd, dd))[:, None],
                                         lam), 1.0)
-            x = g - ((1.0 - omega) * _POSITION) * d  # p <- (1 - w) p + w g(p), n <- n'
-            d_old = dp
+            g[:, :3] -= (1.0 - omega) * dp  # p <- (1 - w) p + w g(p), n <- n'
+            x, d_old = g, dp
             if n_going < len(going):
                 live = np.flatnonzero(going)
                 rows, rings = rows[live], rings.take(live)
@@ -443,13 +438,13 @@ def _equilibrium(batch: _Batch, k: int) -> EquilibriumResult:
 
 
 # Refinement of invert_controls: multi-start Levenberg-Marquardt on the
-# miss r(q) = p(q) - p_target, coupled to Newton on each seed's tip pose;
-# every step is one pass of the row kernels over every seed's trials.
+# miss r(q) = p(q) - p_target, coupled to Newton on each seed's beam
+# coordinates; every step is one pass of the row kernels over all trials.
 _INVERSE_SEEDS = 5  # the lexicographic winner and the next best grid cells
-# forward-difference steps of dG/dx in the 6 pose components [m, 1] and of
-# dG/dq in the 2 angles [rad]; row 0 of the stencil is the base point
-_INVERSE_H = np.array([1e-8] * 6 + [1e-7] * 2)
-_INVERSE_STENCIL = np.eye(9, 8, -1) * _INVERSE_H
+# forward-difference steps of dG/du in the beam coordinates (p_y, p_z, a, b)
+# [m, m, 1, 1] and of dG/dq in the 2 angles [rad]; stencil row 0 is the base
+_INVERSE_H = np.array([1e-8] * 4 + [1e-7] * 2)
+_INVERSE_STENCIL = np.eye(7, 6, -1) * _INVERSE_H
 _INVERSE_DAMPING = (1e-9, 1e-2, 1.0)  # trial damping mu, over trace(J^T J)
 _INVERSE_MAX_STEP = 0.25  # [rad] longest trial step
 _INVERSE_STEPS = 30
@@ -495,8 +490,8 @@ def invert_controls(
     Levenberg-Marquardt least-squares solve of p(q) = target that makes
     no fixed-point solve: every step is one pass of the wrench and beam
     kernels over a few damped trial steps of all seeds, which takes each
-    trial's pose one Newton step towards its equilibrium and gives the
-    implicit-function sensitivity dp/dq that is the Jacobian there (see
+    trial's beam coordinates one Newton step towards its equilibrium and
+    gives the implicit-function sensitivity du/dq, the Jacobian there (see
     :func:`_least_squares`). The seeds run together because one alone
     can stall on the theta1 = theta2 fold, where the swap symmetry of the
     rings makes the Jacobian singular. The answer is a
@@ -531,10 +526,12 @@ def invert_controls(
         others = order[(order != first) & np.isfinite(errs[order])]
         seeds = np.concatenate(([first], others[:_INVERSE_SEEDS - 1]))
         newton = partial(_newton_pass, params, pair_template, source, mode, cal.k_b)
-        q_lm, r_lm, x_lm = _least_squares(newton, p_target, grid[seeds], pose[seeds], tol)
-        if np.linalg.norm(r_lm) < best:
+        q_lm, err_lm, u_lm = _least_squares(newton, p_target - params.straight_tip,
+                                            grid[seeds], _chart_rows(pose[seeds]), tol)
+        if err_lm < best:
             # a tiny negative angle rounds up to 2 pi; the second mod makes it 0
-            q, x = np.mod(np.mod(q_lm, 2.0 * np.pi), 2.0 * np.pi), x_lm
+            q = np.mod(np.mod(q_lm, 2.0 * np.pi), 2.0 * np.pi)
+            x = _pose_rows(params.length, u_lm[None])[0]
     q = (float(q[0]), float(q[1]))
     final = solve_tip_pose(params, pair_template.with_angles(*q), source, cal,
                            _seeded(settings, x), mode)
@@ -622,105 +619,99 @@ def _coarse_grid(params: RobotParams, pair: RingPairConfig, source: DipoleSource
 
 
 def _newton_pass(params: RobotParams, pair: RingPairConfig, source: DipoleSource,
-                 mode: BeamFormulation, k_b: float, q: np.ndarray, x: np.ndarray
+                 mode: BeamFormulation, k_b: float, q: np.ndarray, u: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """One Newton step on the fixed point x = G(x; q) of M cases, with the
+    """One Newton step on the fixed point u = G(u; q) of M cases, with the
     sensitivity of the fixed point to the angles.
 
-    ``q`` (M, 2) holds magnet angles and ``x`` (M, 6) tip poses (p | n),
-    whose tangents are renormalised first; G is one evaluation of the
-    wrench and beam kernels, as in one iteration of :func:`_solve_batch`.
-    Its Jacobians dG/dx and dG/dq are forward differences with the steps
-    ``_INVERSE_H``, and all 9 M evaluations go through the kernels as one
-    pass. Returns the corrected poses x + (I - dG/dx)^-1 (G - x), tangents
-    renormalised, and the implicit-function sensitivities
-    S = (I - dG/dx)^-1 dG/dq (M, 6, 2), which at a fixed point are dx/dq.
-    A row whose pass is singular or non-finite, or whose I - dG/dx is
+    ``q`` (M, 2) holds magnet angles and ``u`` (M, 4) beam coordinates
+    (p_y, p_z, a, b); G is one evaluation of the wrench and beam kernels
+    at the pose ``_pose_rows(L, u)``, as in one iteration of
+    :func:`_solve_batch`. Its Jacobians dG/du and dG/dq are forward
+    differences with the steps ``_INVERSE_H``, and all 7 M evaluations go
+    through the kernels as one pass. Returns the corrected coordinates
+    u + (I - dG/du)^-1 (G - u) and the implicit-function sensitivities
+    S = (I - dG/du)^-1 dG/dq (M, 4, 2), which at a fixed point are du/dq.
+    A row whose pass is singular or non-finite, or whose I - dG/du is
     singular, comes back NaN. Rows are told apart only when one test over
     the pass fails or the batched solve finds a singular matrix; either
     way a good row's numbers do not depend on the others present.
     """
-    m = len(q)
-    x = np.array(x, dtype=float)
-    x[:, 3:] /= np.sqrt(_dot(x[:, 3:], x[:, 3:]))[:, None]
-    xs = (x[:, None] + _INVERSE_STENCIL[:, :6]).reshape(-1, 6)
-    qs = (q[:, None] + _INVERSE_STENCIL[:, 6:]).reshape(-1, 2)
+    us = (u[:, None] + _INVERSE_STENCIL[:, :4]).reshape(-1, 4)
+    qs = (q[:, None] + _INVERSE_STENCIL[:, 4:]).reshape(-1, 2)
     rings = _ring_rows(pair, source, np.full(len(qs), k_b), qs)
     with np.errstate(all="ignore"):  # singular and non-finite rows are masked below
+        xs = _pose_rows(params.length, us)
         w, r2 = _ring_pair_wrench_rows(rings, xs[:, :3], xs[:, 3:])
-        g = _cantilever_rows(_straight_pose(params), params.length,
-                             params.bending_stiffness, mode, w).reshape(m, 9, 6)
-        # column j of jac is dG along input j: 6 pose components, then 2 angles
+        g = _cantilever_rows(params.length, params.bending_stiffness, mode, w).reshape(-1, 7, 4)
+        # column j of jac is dG along input j: 4 beam coordinates, then 2 angles
         jac = ((g[:, 1:] - g[:, :1]) / _INVERSE_H[:, None]).swapaxes(1, 2)
-        # the system [I - dG/dx | G - x | dG/dq], one (6, 9) block per case
-        system = np.concatenate([np.eye(6) - jac[..., :6], (g[:, 0] - x)[..., None],
-                                 jac[..., 6:]], axis=2)
-    a, rhs = system[..., :6], system[..., 6:]
+        # the system [I - dG/du | G - u | dG/dq], one (4, 7) block per case
+        system = np.concatenate([np.eye(4) - jac[..., :4], (g[:, 0] - u)[..., None],
+                                 jac[..., 4:]], axis=2)
+    a, rhs = system[..., :4], system[..., 4:]
     ok = sol = None  # ok stays None while every row is good
     if r2.min() > 0.0 and np.isfinite(system).all():
-        with contextlib.suppress(np.linalg.LinAlgError):  # some I - dG/dx is singular
+        with contextlib.suppress(np.linalg.LinAlgError):  # some I - dG/du is singular
             sol = np.linalg.solve(a, rhs)
     if sol is None:
-        ok = (r2.reshape(m, -1) > 0.0).all(axis=1) & np.isfinite(system).all(axis=(1, 2))
-        system[~ok] = np.eye(6, 9)  # [I | 0]
+        ok = (r2.reshape(len(q), -1) > 0.0).all(axis=1) & np.isfinite(system).all(axis=(1, 2))
+        system[~ok] = np.eye(4, 7)  # [I | 0]
         ok &= np.linalg.det(a) != 0.0
-        system[~ok] = np.eye(6, 9)
+        system[~ok] = np.eye(4, 7)
         sol = np.linalg.solve(a, rhs)
-    x_new = x + sol[..., 0]
-    x_new[:, 3:] /= np.sqrt(_dot(x_new[:, 3:], x_new[:, 3:]))[:, None]
-    sens = sol[..., 1:]
+    u_new, sens = u + sol[..., 0], sol[..., 1:]
     if ok is not None:
-        x_new[~ok], sens[~ok] = np.nan, np.nan
-    return x_new, sens
+        u_new[~ok], sens[~ok] = np.nan, np.nan
+    return u_new, sens
 
 
-def _least_squares(newton, p_target: np.ndarray, q: np.ndarray, x: np.ndarray,
-                   tol: float):
+def _least_squares(newton, target: np.ndarray, q: np.ndarray, u: np.ndarray, tol: float):
     """Multi-start Levenberg-Marquardt on r(q) = p(q) - p_target, coupled to
-    Newton on the tip pose.
+    Newton on the beam coordinates.
 
-    ``q`` holds one seed per row and ``x`` its (M, 6) tip pose (p | n).
-    ``newton`` maps angles (M, 2) and poses (M, 6) to Newton-corrected
-    poses and their sensitivities S = dx/dq (M, 6, 2), NaN where it
-    fails, as :func:`_newton_pass` does. A point's miss is the position
-    of its corrected pose less the target, with the position rows of S as
-    its Jacobian. Each step is one ``newton`` call over the trial points
-    of every live seed, one per damping in ``_INVERSE_DAMPING``, each
-    started from the pose x + S dq that the seed's sensitivity predicts
-    for it; a trial that fails scores +inf. A seed keeps its best trial,
-    with that trial's corrected pose and sensitivity, while the error
-    falls. It stops once a step gains at most ``_INVERSE_GAIN`` times the
-    position tolerance ``tol`` (a target out of reach ends so), or after
+    ``q`` holds one seed per row and ``u`` its (M, 4) beam coordinates
+    (p_y, p_z, a, b); ``target`` is p_target - L e1, whose x is a miss no
+    angle moves. ``newton`` maps angles (M, 2) and coordinates (M, 4) to
+    corrected ones and their sensitivities S = du/dq (M, 4, 2), NaN where
+    it fails, as :func:`_newton_pass` does. A point's miss is that of its
+    corrected coordinates, with the (p_y, p_z) rows of S as its Jacobian.
+    Each step is one ``newton`` call over the trial points of every live
+    seed, one per damping in ``_INVERSE_DAMPING``, each started from the
+    coordinates u + S dq that the seed's sensitivity predicts; a trial
+    that fails scores +inf. A seed keeps its best trial, with that trial's
+    corrected coordinates and sensitivity, while the error falls. It stops
+    once a step gains at most ``_INVERSE_GAIN`` times the position
+    tolerance ``tol`` (a target out of reach ends so), or after
     ``_INVERSE_STEPS`` steps; all stop once one seed is within
-    ``_INVERSE_STOP`` times ``tol``. Returns (q, r(q), x) of the first
-    seed within that bound, else of the one with the smallest error, x
-    being its corrected pose.
+    ``_INVERSE_STOP`` times ``tol``. Returns (q, |r(q)|, u) of the first
+    seed within that bound, else of the one with the smallest error.
     """
-    def evaluate(points, poses):  # (N, 2), (N, 6) -> pose, S, r, |r| or inf
-        pose, sens = newton(points, poses)
-        r = pose[:, :3] - p_target
-        err = np.sqrt(np.add.reduce(r * r, axis=1))  # np.linalg.norm's sum
-        if not (np.isfinite(pose).all() and np.isfinite(sens).all()):
-            err[~(np.isfinite(pose).all(axis=1) & np.isfinite(sens).all(axis=(1, 2)))] = np.inf
-        return pose, sens, r, err
+    def evaluate(points, coords):  # (N, 2), (N, 4) -> u, S, r, |r| or inf
+        u, sens = newton(points, coords)
+        r = u[:, :2] - target[1:]
+        err = np.sqrt(target[0] * target[0] + np.add.reduce(r * r, axis=1))
+        if not (np.isfinite(u).all() and np.isfinite(sens).all()):
+            err[~(np.isfinite(u).all(axis=1) & np.isfinite(sens).all(axis=(1, 2)))] = np.inf
+        return u, sens, r, err
 
     within, negligible = _INVERSE_STOP * tol, _INVERSE_GAIN * tol
     mu = np.asarray(_INVERSE_DAMPING)[:, None]
     q = np.array(q, dtype=float)
     with np.errstate(all="ignore"):  # a failed or singular trial is just rejected
-        x, sens, r, err = evaluate(q, np.asarray(x, dtype=float))
+        u, sens, r, err = evaluate(q, np.asarray(u, dtype=float))
         # live: the seeds still stepping; state: their rows of the seed arrays,
         # written back when they stop. None steps if one is within already
-        seeds = (q, x, sens, r, err)
+        seeds = (q, u, sens, r, err)
         live = np.flatnonzero(np.isfinite(err) & ~(err <= within).any())
         state = [v[live] for v in seeds]
         for _ in range(_INVERSE_STEPS):
             if not live.size:
                 break
-            lq, lx, ls, lr, le = state
+            lq, lu, ls, lr, le = state
             # damped normal equations (J^T J + mu tr(J^T J) I) step = -J^T r,
             # one per damping, solved by Cramer's rule
-            jac = ls[:, :3]
+            jac = ls[:, :2]
             a = np.einsum("sij,sik->sjk", jac, jac)
             g = np.einsum("sij,si->sj", jac, lr)[:, None]
             a01 = a[:, 0, 1, None, None]
@@ -731,17 +722,17 @@ def _least_squares(newton, p_target: np.ndarray, q: np.ndarray, x: np.ndarray,
             length = np.sqrt(np.add.reduce(step * step, axis=-1, keepdims=True))
             step *= np.minimum(1.0, _INVERSE_MAX_STEP / length)
             trial = (lq[:, None] + step).reshape(-1, 2)
-            predicted = lx[:, None] + np.einsum("sij,stj->sti", ls, step)
-            xt, st, rt, et = evaluate(trial, predicted.reshape(-1, 6))
+            predicted = lu[:, None] + np.einsum("sij,stj->sti", ls, step)
+            ut, st, rt, et = evaluate(trial, predicted.reshape(-1, 4))
             # each seed's best trial, as rows of the flattened trials
             best = np.argmin(et.reshape(len(live), -1), axis=1) + np.arange(0, len(et), len(mu))
             gain = le - et[best]
-            state = [v[best] for v in (trial, xt, st, rt, et)]
+            state = [v[best] for v in (trial, ut, st, rt, et)]
             going, reached = gain > negligible, state[4].min() <= within
             if reached or not going.all():  # some seed stops, or all do
                 kept = np.flatnonzero(~(gain > 0.0))  # no trial gained: keep the state
                 if kept.size:
-                    for v, old in zip(state, (lq, lx, ls, lr, le)):
+                    for v, old in zip(state, (lq, lu, ls, lr, le)):
                         v[kept] = old[kept]
                 for v, seed in zip(state, seeds):
                     seed[live] = v
@@ -751,7 +742,7 @@ def _least_squares(newton, p_target: np.ndarray, q: np.ndarray, x: np.ndarray,
             seed[live] = v
     done = np.flatnonzero(err <= within)
     s = done[0] if done.size else np.argmin(err)
-    return q[s], r[s], x[s]
+    return q[s], err[s], u[s]
 
 
 def _count_basins(mask: np.ndarray) -> int:

@@ -11,7 +11,8 @@ from magbeam.beam import (
     BeamFormulation,
     TipPose,
     _cantilever_rows,
-    _straight_pose,
+    _chart_rows,
+    _pose_rows,
     tip_pose_from_wrench,
 )
 from magbeam.config import default_config_path, load_config
@@ -349,7 +350,6 @@ class TestBatchKernels:
         rng = np.random.default_rng(7)
         n_cases = 32
         L = demo.params.length
-        straight = demo.params.straight_tip
         ei = rng.uniform(0.5, 2.0, n_cases) * demo.params.bending_stiffness
         w = np.hstack([rng.normal(size=(n_cases, 3)) * 1e-4,
                        rng.normal(size=(n_cases, 3)) * 1e-6])
@@ -360,11 +360,9 @@ class TestBatchKernels:
         dz = (-my * L**2 / 2 + c * fz * L**3) / ei
         sy = (mz * L + fy * L**2 / 2) / ei
         sz = (-my * L + fz * L**2 / 2) / ei
-        p, n = np.hsplit(_cantilever_rows(_straight_pose(demo.params), L, ei[:, None],
-                                          mode, w), 2)
-        assert _close_rows(p, straight + np.column_stack([np.zeros(n_cases), dy, dz]))
-        tangent = np.column_stack([np.ones(n_cases), sy, sz])
-        assert _close_rows(n, tangent / np.linalg.norm(tangent, axis=1)[:, None])
+        u = _cantilever_rows(L, ei[:, None], mode, w)
+        assert _close_rows(u[:, :2], np.column_stack([dy, dz]))
+        assert _close_rows(u[:, 2:], np.column_stack([sy, sz]))
 
     def test_rows_are_independent(self, demo):
         # N rows give what N single-row calls give, bit for bit, so a case's
@@ -377,17 +375,17 @@ class TestBatchKernels:
             rings = _ring_rows(pair, demo.source, k_b, angles)
             w, r2 = _ring_pair_wrench_rows(rings, p, n)
             ei = rng.uniform(0.5, 2.0, (len(w), 1)) * demo.params.bending_stiffness
+            L = demo.params.length
             for mode in BeamFormulation:
-                pb, nb = np.hsplit(_cantilever_rows(_straight_pose(demo.params),
-                                                    demo.params.length, ei, mode, w), 2)
+                ub = _cantilever_rows(L, ei, mode, w)
+                xb = _pose_rows(L, ub)
                 for k in range(len(w)):
                     wk, r2k = _ring_pair_wrench_rows(rings.take([k]), p[k:k + 1],
                                                      n[k:k + 1])
                     assert np.array_equal(wk[0], w[k]) and np.array_equal(r2k[0], r2[k])
-                    pk, nk = np.hsplit(_cantilever_rows(_straight_pose(demo.params),
-                                                        demo.params.length, ei[k:k + 1],
-                                                        mode, w[k:k + 1]), 2)
-                    assert np.array_equal(pk[0], pb[k]) and np.array_equal(nk[0], nb[k])
+                    uk = _cantilever_rows(L, ei[k:k + 1], mode, w[k:k + 1])
+                    assert np.array_equal(uk[0], ub[k])
+                    assert np.array_equal(_pose_rows(L, uk)[0], xb[k])
             # the broadcast dot of the kernel, (N, 1, 3) rows against one 3-vector
             ms = demo.source.moment
             d = _dot(p[:, None], ms)
@@ -1193,7 +1191,7 @@ class TestSensitivity:
     def test_matches_central_differences(self, demo, ke, kb, separation, mode):
         # oracle: central differences (h = 1e-5 rad) of tips solved to
         # 1e-13 m; the implicit-function sensitivity at the converged pose
-        # must agree with them in its position rows
+        # must agree with them in its (p_y, p_z) rows, and p_x = L moves not
         params = replace(demo.params, stiffness_scale=ke)
         mag = demo.pair_template.magnet_1.moment_magnitude
         pair = RingPairConfig.from_angles(mag, 0.0, 0.0, separation=separation)
@@ -1209,67 +1207,109 @@ class TestSensitivity:
         q = np.random.default_rng(29).uniform(0.0, 2.0 * math.pi, (6, 2))
         at = tips(q)
         _, sens = equilibrium._newton_pass(params, pair, demo.source, mode, kb, q,
-                                           np.hstack([at.tip, at.tangent]))
+                                           _chart_rows(at.pose))
         steps = h * np.eye(2)
         plus = tips((q[:, None] + steps).reshape(-1, 2)).tip.reshape(6, 2, 3)
         minus = tips((q[:, None] - steps).reshape(-1, 2)).tip.reshape(6, 2, 3)
         oracle = ((plus - minus) / (2.0 * h)).swapaxes(1, 2)  # (6, 3, 2) dp/dq
-        miss = np.linalg.norm(sens[:, :3] - oracle, axis=(1, 2))
+        assert np.all(oracle[:, 0] == 0.0)
+        miss = np.linalg.norm(sens[:, :2] - oracle[:, 1:], axis=(1, 2))
         assert np.all(miss <= 1e-5 * np.linalg.norm(oracle, axis=(1, 2)))
 
     def test_rows_are_independent_and_fail_alone(self, demo, monkeypatch):
         # a mixed batch: ordinary rows, a ring on the source, a NaN pose and
-        # a row whose I - dG/dx is singular. For the last, G is made to
-        # return the tip's y on every stencil block whose base tip has y = 0
-        # exactly; that row of dG/dx is then e_y exactly, so I - dG/dx has
-        # a zero row. Every batch must equal its one-row calls bit for bit
-        # and be NaN exactly on the failing rows: the whole batch, whose
-        # test over the pass fails, and the batch without rows 1 and 2,
-        # whose one solve raises LinAlgError
+        # a row whose I - dG/du is singular. The source lies on the plane
+        # x = L, where every pose of the chart has its tip. For the last row,
+        # G is made to return the tip's y on every stencil block whose base
+        # tip has y = 0 exactly; that row of dG/du is then e_y exactly, so
+        # I - dG/du has a zero row. Every batch must equal its one-row calls
+        # bit for bit and be NaN exactly on the failing rows: the whole
+        # batch, whose test over the pass fails, and the batch without rows
+        # 1 and 2, whose one solve raises LinAlgError
         wrench, cantilever = _ring_pair_wrench_rows, _cantilever_rows
         tips = []
 
         def wrench_rows(rings, p, n):
-            tips.append(p.reshape(-1, 9, 3))
+            tips.append(p.reshape(-1, 7, 3))
             return wrench(rings, p, n)
 
         def cantilever_rows(*args):
             g = cantilever(*args)
             p = tips.pop()
             flat = p[:, 0, 1] == 0.0
-            g.reshape(-1, 9, 6)[flat, :, 1] = p[flat, :, 1]
+            g.reshape(-1, 7, 4)[flat, :, 0] = p[flat, :, 1]
             return g
 
+        source, ring = _source_on_tip_plane(demo)
         q = np.random.default_rng(31).uniform(0.0, 2.0 * math.pi, (7, 2))
-        x = _solve_batch(demo.params, demo.pair_template, demo.source, demo.settings,
-                         MODE, q, demo.params.bending_stiffness, CAL.k_b).pose.copy()
+        u = _chart_rows(_solve_batch(demo.params, demo.pair_template, source, demo.settings,
+                                     MODE, q, demo.params.bending_stiffness, CAL.k_b).pose)
         monkeypatch.setattr(equilibrium, "_ring_pair_wrench_rows", wrench_rows)
         monkeypatch.setattr(equilibrium, "_cantilever_rows", cantilever_rows)
-        x[1, :3] = CAL.k_b * demo.source.position  # a ring on the source
-        x[2] = np.nan
-        x[4, 1] = 0.0  # singular
+        u[1] = [*ring, 0.0, 0.0]  # a ring on the source
+        u[2] = np.nan
+        u[4, 0] = 0.0  # singular
         failing = np.isin(np.arange(7), [1, 2, 4])
 
         def newton(rows):
-            return equilibrium._newton_pass(demo.params, demo.pair_template, demo.source,
-                                            MODE, CAL.k_b, q[rows], x[rows])
+            return equilibrium._newton_pass(demo.params, demo.pair_template, source,
+                                            MODE, CAL.k_b, q[rows], u[rows])
 
         alone = [newton([k]) for k in range(7)]
         for rows in (np.arange(7), np.array([0, 3, 4, 5, 6])):
-            pose, sens = newton(rows)
-            assert np.array_equal(np.isnan(pose).all(axis=1), failing[rows])
+            coords, sens = newton(rows)
+            assert np.array_equal(np.isnan(coords).all(axis=1), failing[rows])
             assert np.array_equal(np.isnan(sens).all(axis=(1, 2)), failing[rows])
-            assert np.isfinite(pose[~failing[rows]]).all()
+            assert np.isfinite(coords[~failing[rows]]).all()
             for k, r in enumerate(rows):
-                assert pose[k].tobytes() == alone[r][0][0].tobytes()
+                assert coords[k].tobytes() == alone[r][0][0].tobytes()
                 assert sens[k].tobytes() == alone[r][1][0].tobytes()
 
     def test_singular_rows_are_nan(self, demo):
         # a pose at the source makes its row NaN and leaves the others alone
+        source, ring = _source_on_tip_plane(demo)
         q = np.array([[0.3, 1.1], [0.3, 1.1]])
-        x = np.array([np.r_[demo.params.straight_tip, E1],
-                      np.r_[CAL.k_b * demo.source.position, E1]])
-        pose, sens = equilibrium._newton_pass(demo.params, demo.pair_template,
-                                              demo.source, MODE, CAL.k_b, q, x)
-        assert np.isfinite(pose[0]).all() and np.isfinite(sens[0]).all()
-        assert np.isnan(pose[1]).all() and np.isnan(sens[1]).all()
+        u = np.array([[0.0, 0.0, 0.0, 0.0], [*ring, 0.0, 0.0]])
+        coords, sens = equilibrium._newton_pass(demo.params, demo.pair_template,
+                                                source, MODE, CAL.k_b, q, u)
+        assert np.isfinite(coords[0]).all() and np.isfinite(sens[0]).all()
+        assert np.isnan(coords[1]).all() and np.isnan(sens[1]).all()
+
+
+def _source_on_tip_plane(demo):
+    """The demonstrator's source moved so that CAL puts it on the plane
+    x = L, 0.8 m off the straight tip (its own distance is 0.78 m), and the
+    (p_y, p_z) of a tip there."""
+    L = demo.params.length
+    source = DipoleSource(moment=demo.source.moment,
+                          position=np.array([L, 0.8, 0.0]) / CAL.k_b)
+    ring = CAL.k_b * source.position
+    assert ring[0] == L
+    return source, ring[1:]
+
+
+class TestNewtonOnTheChart:
+    @pytest.mark.parametrize("mode", list(BeamFormulation))
+    @pytest.mark.parametrize("separation", [0.0, 5e-3])
+    @pytest.mark.parametrize("kb", [4.03, 2.5])
+    def test_passes_from_straight_meet_the_fixed_point(self, demo, kb, separation, mode):
+        # oracle: the fixed-point loop at 1e-13 m over the 36 x 36 grid in
+        # 10 degree steps. Four Newton passes from the straight tip, u = 0,
+        # must land within 1e-10 m of it; every exit pose of the loop lies
+        # on the chart, p_x = L and n_x > 0, which the inverse's conversion
+        # of grid poses to beam coordinates relies on
+        mag = demo.pair_template.magnet_1.moment_magnitude
+        pair = RingPairConfig.from_angles(mag, 0.0, 0.0, separation=separation)
+        t = np.radians(np.arange(0, 360, 10))
+        q = np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2)
+        L = demo.params.length
+        tight = replace(demo.settings, position_tolerance=1e-13)
+        batch = _solve_batch(demo.params, pair, demo.source, tight, mode, q,
+                             demo.params.bending_stiffness, kb)
+        assert batch.converged.all()
+        assert np.all(batch.tip[:, 0] == L) and np.all(batch.tangent[:, 0] > 0.0)
+        u = np.zeros((len(q), 4))
+        for _ in range(4):
+            u, _ = equilibrium._newton_pass(demo.params, pair, demo.source, mode, kb, q, u)
+        miss = np.linalg.norm(_pose_rows(L, u)[:, :3] - batch.tip, axis=1)
+        assert np.all(miss <= 1e-10)

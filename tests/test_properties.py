@@ -93,6 +93,24 @@ def test_zero_separation_superposition(cfg, mode):
         assert np.linalg.norm(tip(cfg, params, single, cal, mode) - a) <= 2 * tol
 
 
+@pytest.mark.parametrize("separation", [0.0, 5e-3])
+@pytest.mark.parametrize("mode", list(BeamFormulation))
+def test_rotation_about_the_source_axis(cfg, mode, separation):
+    # the source sits on the x axis with its moment along it, so turning
+    # both magnets by alpha turns the tip and its tangent about that axis:
+    # every iterate of the two solves is the other's, rotated
+    rng = np.random.default_rng(6)
+    for params, mag, sep, cal, (t1, t2) in models(cfg, 6, mode, separation):
+        alpha = rng.uniform(-math.pi, math.pi)
+        c, s = math.cos(alpha), math.sin(alpha)
+        rot = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+        a, b = (solve_tip_pose(params, RingPairConfig.from_angles(mag, t1 + d, t2 + d, sep),
+                               cfg.source, cal, cfg.settings, mode).tip
+                for d in (0.0, alpha))
+        assert np.linalg.norm(b.position - rot @ a.position) <= 1e-12
+        assert np.linalg.norm(b.tangent - rot @ a.tangent) <= 1e-12
+
+
 def test_gradient_symmetric_traceless():
     rng = np.random.default_rng(5)
     for _ in range(200):

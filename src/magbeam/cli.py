@@ -435,8 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta2", default="0", help="start:step:stop or value [deg]")
     p.add_argument("--zip", action="store_true",
                    help="pair the sequences elementwise instead of a grid")
-    p.add_argument("--no-warm-start", action="store_true",
-                   help="accepted and ignored")
     scale_overrides(p)
     p.add_argument("--out", help="output CSV (default: stdout)")
     p.add_argument("--report", help="write a JSON run report")

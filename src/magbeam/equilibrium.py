@@ -248,7 +248,6 @@ def _solve_chunk(params, pair, source, settings, mode, angles, ei, k_b) -> _Batc
     # x = (p | n), each case's relaxation factor and, from the second
     # iteration on, the previous residual g(p) - p
     rows = np.arange(n_cases)
-    rings = all_rings = _ring_rows(pair, source, k_b, angles)
     ei = ei[:, None]
     x = np.zeros((n_cases, 6))
     x[:, ::3] = L, 1.0  # the straight tip (L e1 | e1)
@@ -260,6 +259,7 @@ def _solve_chunk(params, pair, source, settings, mode, angles, ei, k_b) -> _Batc
     d_old, omega = None, np.full((n_cases, 1), lam)
     out = None  # allocated at the first stop that leaves cases iterating
     with np.errstate(all="ignore"):  # non-finite values are reported below
+        rings = all_rings = _ring_rows(pair, source, k_b, angles)
         for k in range(1, settings.max_iterations + 1):
             w, r2 = _ring_pair_wrench_rows(rings, x[:, :3], x[:, 3:])
             g = _pose_rows(L, _cantilever_rows(L, ei, mode, w))
@@ -309,8 +309,8 @@ def _solve_chunk(params, pair, source, settings, mode, angles, ei, k_b) -> _Batc
                 x, d_old, omega, ei = (a.take(live, axis=0) for a in (x, d_old, omega, ei))
         else:  # unconverged: the last relaxed iterate
             out = _write_rows(out, rows, k, x, np.sqrt(d2[going]), False)
-    # an exit pose with a ring on the source is a singular error, with no tip
-    on_source = _ring_offsets(all_rings, out.tip, out.tangent)[1] <= 0.0
+        # an exit pose with a ring on the source is a singular error, with no tip
+        on_source = _ring_offsets(all_rings, out.tip, out.tangent)[1] <= 0.0
     if np.count_nonzero(on_source):
         singular = on_source.any(axis=1)
         out.converged[singular] = False
@@ -350,7 +350,6 @@ def sweep(
     theta1_values,
     theta2_values,
     zipped: bool = False,
-    warm_start: bool = True,
 ) -> list[SweepPoint]:
     """Evaluate the forward model over a grid or zipped list of angles.
 
@@ -362,10 +361,9 @@ def sweep(
     schedule's converged points are then solved again by
     :func:`solve_tip_pose`, each started at the pose the batch found for
     it, and report that solve, which normally stops in its first
-    iteration (see :func:`_check_solves`). ``warm_start`` is accepted and
-    ignored. Empty or non-finite angle sequences raise
-    :class:`ContractViolation` before any solve. The points wrap the
-    result columns that the command line reads as arrays.
+    iteration (see :func:`_check_solves`). Empty or non-finite angle
+    sequences raise :class:`ContractViolation` before any solve. The
+    points wrap the result columns that the command line reads as arrays.
     """
     q, batch = _sweep_rows(params, pair_template, source, cal, settings, mode,
                            theta1_values, theta2_values, zipped)
@@ -513,7 +511,8 @@ def invert_controls(
     tol = settings.position_tolerance
     grid, pose, ok = _coarse_grid(params, pair_template, source, cal, settings, mode,
                                   grid_size)
-    errs = np.where(ok, np.linalg.norm(pose[:, :3] - p_target, axis=1), np.inf)
+    with np.errstate(over="ignore"):  # a target too far for its squares is just missed
+        errs = np.where(ok, np.linalg.norm(pose[:, :3] - p_target, axis=1), np.inf)
 
     best = errs.min()
     tied = errs <= best + tol
@@ -535,7 +534,8 @@ def invert_controls(
     q = (float(q[0]), float(q[1]))
     final = solve_tip_pose(params, pair_template.with_angles(*q), source, cal,
                            _seeded(settings, x), mode)
-    error = float(np.linalg.norm(final.tip.position - p_target))
+    with np.errstate(over="ignore"):
+        error = float(np.linalg.norm(final.tip.position - p_target))
     return InverseResult(q=q, result=final, position_error=error,
                          within_reach=bool(error <= tol), basin_count=basin_count)
 
@@ -679,41 +679,41 @@ def _least_squares(newton, target: np.ndarray, q: np.ndarray, u: np.ndarray, tol
     Each step is one ``newton`` call over the trial points of every live
     seed, one per damping in ``_INVERSE_DAMPING``, each started from the
     coordinates u + S dq that the seed's sensitivity predicts; a trial
-    that fails scores +inf. A seed keeps its best trial, with that trial's
-    corrected coordinates and sensitivity, while the error falls. It stops
-    once a step gains at most ``_INVERSE_GAIN`` times the position
-    tolerance ``tol`` (a target out of reach ends so), or after
-    ``_INVERSE_STEPS`` steps; all stop once one seed is within
-    ``_INVERSE_STOP`` times ``tol``. Returns (q, |r(q)|, u) of the first
-    seed within that bound, else of the one with the smallest error.
+    that fails scores +inf. The seeds are stepped in place: a step reads
+    the rows of the live seeds through the index array ``live``, and a
+    seed takes its best trial, with that trial's corrected coordinates,
+    sensitivity and error, only if it lowers the seed's error. A seed
+    stops, by leaving ``live``, once a step gains at most
+    ``_INVERSE_GAIN`` times the position tolerance ``tol`` (a target out
+    of reach ends so), or after ``_INVERSE_STEPS`` steps; all stop once
+    one seed is within ``_INVERSE_STOP`` times ``tol``. Returns
+    (q, |r(q)|, u) of the first seed within that bound, else of the one
+    with the smallest error.
     """
-    def evaluate(points, coords):  # (N, 2), (N, 4) -> u, S, r, |r| or inf
+    def evaluate(points, coords):  # (N, 2), (N, 4) -> u, S, |r| or inf
         u, sens = newton(points, coords)
         r = u[:, :2] - target[1:]
         err = np.sqrt(target[0] * target[0] + np.add.reduce(r * r, axis=1))
         if not (np.isfinite(u).all() and np.isfinite(sens).all()):
             err[~(np.isfinite(u).all(axis=1) & np.isfinite(sens).all(axis=(1, 2)))] = np.inf
-        return u, sens, r, err
+        return u, sens, err
 
     within, negligible = _INVERSE_STOP * tol, _INVERSE_GAIN * tol
     mu = np.asarray(_INVERSE_DAMPING)[:, None]
     q = np.array(q, dtype=float)
     with np.errstate(all="ignore"):  # a failed or singular trial is just rejected
-        u, sens, r, err = evaluate(q, np.asarray(u, dtype=float))
-        # live: the seeds still stepping; state: their rows of the seed arrays,
-        # written back when they stop. None steps if one is within already
-        seeds = (q, u, sens, r, err)
+        u, sens, err = evaluate(q, np.asarray(u, dtype=float))
+        # the rows of the seeds still stepping; none steps if one is within already
         live = np.flatnonzero(np.isfinite(err) & ~(err <= within).any())
-        state = [v[live] for v in seeds]
         for _ in range(_INVERSE_STEPS):
             if not live.size:
                 break
-            lq, lu, ls, lr, le = state
+            lu, ls = u[live], sens[live]
             # damped normal equations (J^T J + mu tr(J^T J) I) step = -J^T r,
             # one per damping, solved by Cramer's rule
             jac = ls[:, :2]
             a = np.einsum("sij,sik->sjk", jac, jac)
-            g = np.einsum("sij,si->sj", jac, lr)[:, None]
+            g = np.einsum("sij,si->sj", jac, lu[:, :2] - target[1:])[:, None]
             a01 = a[:, 0, 1, None, None]
             diag = a.diagonal(axis1=1, axis2=2)[:, None]
             damped = diag + mu * diag.sum(axis=-1, keepdims=True)  # a_jj + mu tr, per mu
@@ -721,25 +721,18 @@ def _least_squares(newton, target: np.ndarray, q: np.ndarray, u: np.ndarray, tol
             step /= damped[..., :1] * damped[..., 1:] - a01 * a01
             length = np.sqrt(np.add.reduce(step * step, axis=-1, keepdims=True))
             step *= np.minimum(1.0, _INVERSE_MAX_STEP / length)
-            trial = (lq[:, None] + step).reshape(-1, 2)
+            trial = (q[live, None] + step).reshape(-1, 2)
             predicted = lu[:, None] + np.einsum("sij,stj->sti", ls, step)
-            ut, st, rt, et = evaluate(trial, predicted.reshape(-1, 4))
+            ut, st, et = evaluate(trial, predicted.reshape(-1, 4))
             # each seed's best trial, as rows of the flattened trials
             best = np.argmin(et.reshape(len(live), -1), axis=1) + np.arange(0, len(et), len(mu))
-            gain = le - et[best]
-            state = [v[best] for v in (trial, ut, st, rt, et)]
-            going, reached = gain > negligible, state[4].min() <= within
-            if reached or not going.all():  # some seed stops, or all do
-                kept = np.flatnonzero(~(gain > 0.0))  # no trial gained: keep the state
-                if kept.size:
-                    for v, old in zip(state, (lq, lu, ls, lr, le)):
-                        v[kept] = old[kept]
-                for v, seed in zip(state, seeds):
-                    seed[live] = v
-                going &= not reached
-                live, state = live[going], [v[going] for v in state]
-        for v, seed in zip(state, seeds):
-            seed[live] = v
+            gain = err[live] - et[best]
+            better = gain > 0.0  # no trial gained: the seed keeps its point
+            rows, best = live[better], best[better]
+            q[rows], u[rows], sens[rows], err[rows] = trial[best], ut[best], st[best], et[best]
+            if (err[rows] <= within).any():  # one seed is within: all stop
+                break
+            live = live[gain > negligible]
     done = np.flatnonzero(err <= within)
     s = done[0] if done.size else np.argmin(err)
     return q[s], err[s], u[s]

@@ -187,11 +187,12 @@ def calibrated_field(source: DipoleSource, cal: FieldCalibration, point) -> Fiel
     gradient) by ``k_b``. The gradient is taken with respect to ``point``,
     which must be finite and away from the moved source.
     """
-    P = _as_vec3(point, "field point") - cal.k_b * source.position
-    r2 = _dot(P, P)
-    if r2 <= 0.0:
-        raise FieldSingularityError(_SINGULAR)
-    B, Gm = _field_rows(source.moment, cal.k_b * (MU0 / (4.0 * math.pi)), P, r2, _EYE)
+    with np.errstate(all="ignore"):  # a distance whose square overflows gives no field
+        P = _as_vec3(point, "field point") - cal.k_b * source.position
+        r2 = _dot(P, P)
+        if r2 <= 0.0:
+            raise FieldSingularityError(_SINGULAR)
+        B, Gm = _field_rows(source.moment, cal.k_b * (MU0 / (4.0 * math.pi)), P, r2, _EYE)
     return FieldSample(B=B, gradient=Gm.T)
 
 
@@ -391,9 +392,10 @@ def tip_wrench(pair: RingPairConfig, tip_pose, source: DipoleSource,
     n = _as_vec3(tip_pose.tangent)
     if abs(np.linalg.norm(n) - 1.0) > UNIT_TANGENT_TOL:
         raise ContractViolation("tip tangent must have unit norm")
-    rings = _ring_rows(pair, source, np.array([cal.k_b]),
-                       np.array([[pair.magnet_1.angle, pair.magnet_2.angle]]))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a ring on the source is reported below; an overflowing square is no field
+    with np.errstate(all="ignore"):
+        rings = _ring_rows(pair, source, np.array([cal.k_b]),
+                           np.array([[pair.magnet_1.angle, pair.magnet_2.angle]]))
         w, r2 = _ring_pair_wrench_rows(rings, _as_vec3(tip_pose.position)[None], n[None])
     if (r2 <= 0.0).any():
         raise FieldSingularityError(_SINGULAR)

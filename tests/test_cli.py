@@ -126,8 +126,7 @@ def test_option_strings_per_subcommand():
     common = {"-h", "--help", "--config", "--beam-mode"}
     expected = {
         "simulate": {"--theta1", "--theta2", "--ke", "--kb", "--out"},
-        "sweep": {"--theta1", "--theta2", "--zip", "--no-warm-start", "--ke", "--kb",
-                  "--out", "--report"},
+        "sweep": {"--theta1", "--theta2", "--zip", "--ke", "--kb", "--out", "--report"},
         "calibrate": {"--data", "--ke", "--kb", "--out", "--surface", "--notch-slope",
                       "--notch-offset", "--threads"},
         "validate": {"--data", "--ke", "--kb", "--out", "--plot", "--notch-slope",
@@ -177,7 +176,7 @@ def test_shared_parser_keeps_no_state(tmp_path, capsys):
     cli._parser.cache_clear()
     assert main([*grid, "--out", str(tmp_path / "alone.csv")]) == EXIT_OK
     assert main(["sweep", "--theta1", "0:90:180", "--theta2", "0:90:180", "--zip",
-                 "--no-warm-start", *flags, "--out", str(tmp_path / "zip.csv")]) == EXIT_OK
+                 *flags, "--out", str(tmp_path / "zip.csv")]) == EXIT_OK
     assert main(["--version"]) == EXIT_OK
     assert capsys.readouterr().out.strip() == magbeam.__version__
     assert main(["sweep", *flags]) == EXIT_INPUT  # --theta1 is required
@@ -293,18 +292,17 @@ class TestSweep:
         assert doc["results"]["metrics"]["max_abs_error_mm"] <= 0.01
         assert doc["results"]["metrics"]["r_squared"] >= 0.999
 
-    def test_grid_is_one_batch_with_or_without_warm_start(self, tmp_path):
-        # --no-warm-start is accepted and ignored, for grids and for --zip
+    def test_no_warm_start_flag_is_an_input_error(self, tmp_path):
+        # the retired --no-warm-start is an unknown option, for grids and
+        # for --zip, and writes no file
         for zipped, theta2, rows in (([], "0:40:120", 13 * 4), (["--zip"], "0:10:120", 13)):
-            csvs = []
-            for extra in ([], ["--no-warm-start"]):
-                out = tmp_path / f"sweep{len(zipped)}{len(csvs)}.csv"
-                rc = main(["sweep", "--theta1", "0:15:180", "--theta2", theta2, *zipped,
-                           "--ke", "0.009", "--kb", "4.03", "--out", str(out), *extra])
-                assert rc == EXIT_OK
-                csvs.append(out.read_bytes())
-            assert csvs[0] == csvs[1]
-            assert len(csvs[0].splitlines()) == 1 + rows
+            out = tmp_path / f"sweep{len(zipped)}.csv"
+            args = ["sweep", "--theta1", "0:15:180", "--theta2", theta2, *zipped,
+                    "--ke", "0.009", "--kb", "4.03", "--out", str(out)]
+            assert main([*args, "--no-warm-start"]) == EXIT_INPUT
+            assert not out.exists()
+            assert main(args) == EXIT_OK
+            assert len(out.read_bytes().splitlines()) == 1 + rows
 
     def test_stdout_default(self, capsys):
         rc = main(["sweep", "--theta1", "0", "--theta2", "0",
@@ -314,10 +312,8 @@ class TestSweep:
         assert lines[0].startswith("theta1_deg,theta2_deg,x_mm")
         assert len(lines) == 2
 
-    @pytest.mark.parametrize("extra", [["--theta2", "0"],
-                                       ["--theta2", "10:-5:0", "--zip"],
-                                       ["--theta2", "10:-5:0", "--zip", "--no-warm-start"]],
-                             ids=["grid", "zip", "zip-cold"])
+    @pytest.mark.parametrize("extra", [["--theta2", "0"], ["--theta2", "10:-5:0", "--zip"]],
+                             ids=["grid", "zip"])
     def test_failed_rows(self, tmp_path, capsys, extra):
         # on so soft a body only the antiparallel point (180, 0) deg solves
         report = tmp_path / "sweep.json"

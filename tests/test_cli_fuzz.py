@@ -28,7 +28,7 @@ BAD_CELLS = ["", "x", "nan", "inf", "-inf", "1e999", "--", "0x1", " ", "1,5", "1
 # dozen samples; the step tokens 1e-300 and inf probe the count cap.
 RANGE_TOKENS = ["", "a", "nan", "inf", "-inf", "1e309", "0", "45", "-30", "180", "0x10",
                 " 15", "1e-300", "-0", "90"]
-FLAG_VALUES = ["nan", "inf", "-1", "0", "1e-300", "1e309", "abc", "", "0.009", "4.03"]
+FLAG_VALUES = ["nan", "inf", "-1", "0", "1e-300", "1e308", "1e309", "abc", "", "0.009", "4.03"]
 
 
 def _pick(rng, seq):

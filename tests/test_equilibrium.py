@@ -51,10 +51,8 @@ def demo():
 
 CAL = FieldCalibration(4.03)
 MODE = BeamFormulation.LEGACY
-# a grid, and a schedule with warm_start on and off, which is ignored
-SWEEP_KINDS = pytest.mark.parametrize("zipped, warm",
-                                      [(False, True), (True, True), (True, False)],
-                                      ids=["grid", "warm-schedule", "cold-schedule"])
+# a grid, and a schedule; each is solved as one cold batch
+SWEEP_KINDS = pytest.mark.parametrize("zipped", [False, True], ids=["grid", "cold-schedule"])
 
 
 def _record_wrench_calls(monkeypatch) -> list:
@@ -541,8 +539,7 @@ class TestKernelCalls:
 class TestColdSweep:
     def assert_matches_scalar(self, params, pair_template, settings, t1, t2, demo,
                               mode=MODE):
-        pts = sweep(params, pair_template, demo.source, CAL, settings, mode,
-                    t1, t2, warm_start=False)
+        pts = sweep(params, pair_template, demo.source, CAL, settings, mode, t1, t2)
         assert [pt.q for pt in pts] == [(a, b) for a in t1 for b in t2]
         tol = settings.position_tolerance
         for pt in pts:
@@ -674,7 +671,7 @@ class TestSweep:
     def test_schedule_is_one_batch_then_one_step_check_solves(self, demo, monkeypatch):
         # the shipped elliptical schedule: one batch of its 24 points, then
         # one public solve per converged point, started at the pose the
-        # batch found for it; warm_start changes nothing
+        # batch found for it
         path = default_config_path().parent / "elliptical-schedule.csv"
         rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         t1, t2 = np.radians(rows[:, 0]), np.radians(rows[:, 1])
@@ -682,19 +679,11 @@ class TestSweep:
         checks = []
         monkeypatch.setattr(equilibrium, "solve_tip_pose",
                             lambda *a: checks.append(solve_tip_pose(*a)) or checks[-1])
-        runs = {}
-        for warm in (True, False):
-            batches.clear()
-            checks.clear()
-            pts = sweep(demo.params, demo.pair_template, demo.source, CAL,
-                        demo.settings, MODE, t1, t2, zipped=True, warm_start=warm)
-            assert all(pt.result.converged for pt in pts)
-            assert batches == [24] + [1] * 24
-            assert [c.iterations for c in checks] == [1] * 24
-            runs[warm] = [(pt.q, pt.error, pt.result.tip.position.tobytes(),
-                           pt.result.tip.tangent.tobytes(), pt.result.iterations,
-                           pt.result.residual) for pt in pts]
-        assert runs[True] == runs[False]
+        pts = sweep(demo.params, demo.pair_template, demo.source, CAL,
+                    demo.settings, MODE, t1, t2, zipped=True)
+        assert all(pt.result.converged for pt in pts)
+        assert batches == [24] + [1] * 24
+        assert [c.iterations for c in checks] == [1] * 24
 
     def test_failures_recorded_not_raised(self, demo):
         soft = replace(demo.params, stiffness_scale=1e-9)
@@ -724,7 +713,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("case", ["demonstrator", "failing"])
     @SWEEP_KINDS
-    def test_columns_equal_points(self, demo, zipped, warm, case):
+    def test_columns_equal_points(self, demo, zipped, case):
         if case == "demonstrator":
             params = demo.params
             t1 = np.radians(np.arange(0.0, 360.0, 40.0))
@@ -735,7 +724,7 @@ class TestSweep:
             t2 = np.radians([0.0, 10.0, 0.0, 30.0])
         args = (params, demo.pair_template, demo.source, CAL, demo.settings, MODE,
                 t1, t2, zipped)
-        pts = sweep(*args, warm_start=warm)
+        pts = sweep(*args)
         q, rows = _sweep_rows(*args)
         assert len(q) == len(pts) == (len(t1) if zipped else len(t1) * len(t2))
         failed = rows.error != None  # noqa: E711 -- elementwise over an object array
@@ -758,7 +747,7 @@ class TestSweep:
             assert r.converged == rows.converged[k]
 
     @SWEEP_KINDS
-    def test_singular_exit_pose_has_no_tip(self, demo, zipped, warm):
+    def test_singular_exit_pose_has_no_tip(self, demo, zipped):
         # a field-free source at the straight tip (k_b = 1 leaves it there):
         # from a seed within the tolerance of it every solve converges in
         # one iteration onto the source, and from a seed 5 mm off an
@@ -770,7 +759,7 @@ class TestSweep:
                                initial_tip=demo.params.straight_tip + [0.0, offset, 0.0])
             args = (demo.params, demo.pair_template, source, FieldCalibration(1.0),
                     settings, MODE, [0.3, 0.5], [0.1, 0.2], zipped)
-            pts = sweep(*args, warm_start=warm)
+            pts = sweep(*args)
             assert [(pt.result, pt.error) for pt in pts] == [(None, _SINGULAR)] * len(pts)
             _, rows = _sweep_rows(*args)
             assert rows.error.tolist() == [_SINGULAR] * len(rows.error)
@@ -812,20 +801,49 @@ class TestSweep:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @SWEEP_KINDS
     def test_nonfinite_angles_rejected_before_solving(self, demo, monkeypatch,
-                                                      zipped, warm, value):
+                                                      zipped, value):
         calls = []
         monkeypatch.setattr(equilibrium, "_solve_batch",
                             lambda *a, **k: calls.append(a))
         for t1, t2 in (([0.0, value], [0.0, 0.5]), ([0.0, 0.5], [value, 0.5])):
             with pytest.raises(ContractViolation, match="finite"):
                 sweep(demo.params, demo.pair_template, demo.source, CAL,
-                      demo.settings, MODE, t1, t2, zipped=zipped, warm_start=warm)
+                      demo.settings, MODE, t1, t2, zipped=zipped)
         assert calls == []
 
     def test_empty_rejected(self, demo):
         with pytest.raises(Exception):
             sweep(demo.params, demo.pair_template, demo.source, CAL,
                   demo.settings, MODE, [], [0.0])
+
+
+@pytest.mark.parametrize("entry", ["solve_tip_pose", "sweep", "tip_wrench",
+                                   "calibrated_field", "invert_controls"])
+def test_overflowing_squares_raise_no_warning(demo, entry):
+    # k_b = 1e308 moves the source about 1e308 m out, and a target 1e297 m
+    # out is as far: their squared distances overflow to inf, which is a
+    # zero field or an infinite miss, not a RuntimeWarning (an error here)
+    far = FieldCalibration(1e308)
+    pair = demo.pair_template.with_angles(0.0, 0.0)
+    straight = demo.params.straight_tip
+    if entry in ("solve_tip_pose", "sweep"):
+        res = (solve(demo, 0.0, 0.0, cal=far) if entry == "solve_tip_pose" else
+               sweep(demo.params, demo.pair_template, demo.source, far, demo.settings,
+                     MODE, [0.0], [0.0])[0].result)
+        assert np.array_equal(res.tip.position, straight)
+        assert np.array_equal(res.tip.tangent, E1)
+        assert res.iterations == 1 and res.converged
+    elif entry == "tip_wrench":
+        w = tip_wrench(pair, TipPose(straight, E1), demo.source, far)
+        assert not w.force.any() and not w.torque.any()
+    elif entry == "calibrated_field":
+        field = calibrated_field(demo.source, far, straight)
+        assert not field.B.any() and not field.gradient.any()
+    else:
+        inv = invert_controls(straight + [0.0, 1e297, 1e297], demo.params,
+                              demo.pair_template, demo.source, CAL, demo.settings, MODE)
+        assert inv.position_error == math.inf
+        assert not inv.within_reach and inv.result.converged
 
 
 REACHABLE = pytest.mark.parametrize("reachable", [True, False],
@@ -937,6 +955,27 @@ class TestInverse:
         inv = invert_controls(_inverse_target(demo, True), demo.params, demo.pair_template,
                               demo.source, CAL, demo.settings, MODE)
         assert inv.q == (0.0, 0.0)
+
+    def test_refinement_keeps_seeds_that_no_trial_improves(self):
+        # a Newton pass under which every trial lands 1 m from the target,
+        # worse than either seed: no seed moves, and the better seed comes
+        # back with its own angles, coordinates and error
+        target = np.array([0.0, 0.01, 0.0])  # p_target - L e1
+        q = np.array([[0.3, 0.1], [1.2, 2.0]])
+        u = np.array([[0.004, 0.0, 0.01, 0.0], [0.002, 0.0, 0.0, 0.0]])
+        calls = []
+
+        def newton(points, coords):
+            calls.append(len(points))
+            coords = coords.copy()
+            if len(calls) > 1:  # a trial
+                coords[:, 0] = -0.99
+            return coords, np.tile(np.eye(4, 2), (len(points), 1, 1))
+
+        q_ls, err, u_ls = equilibrium._least_squares(newton, target, q, u, 1e-6)
+        assert calls == [2, 2 * len(equilibrium._INVERSE_DAMPING)]
+        assert np.array_equal(q_ls, q[0]) and np.array_equal(u_ls, u[0])
+        assert err == abs(u[0, 0] - target[1])
 
     @pytest.mark.parametrize("q", [(1.8010, 1.8935), (4.5962, 4.8653)]
                              + [tuple(q) for q in np.random.default_rng(21).uniform(

@@ -7,6 +7,7 @@ the maximum in-plane tip position error over the dataset.
 """
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import math
@@ -273,6 +274,8 @@ def _csv_stream(chunks, name, required):
     ``csv.DictReader`` rows, yielded as they are read. ``chunks`` are the
     table's bytes, cut at line ends: a file's whole content in one, or a
     stream's lines, so that each row is parsed before the next arrives.
+    One UTF-8 byte-order mark at the start, as spreadsheets write into
+    "CSV UTF-8", is dropped.
     A :class:`ContractViolation` naming ``name`` rejects an empty table
     and a header without one of the ``required`` columns; one naming
     ``name:line`` a line that is not UTF-8 text, a data row with more cells
@@ -280,7 +283,9 @@ def _csv_stream(chunks, name, required):
     its field size limit, say). A table without data rows yields none."""
     def lines():
         line = 1
-        for raw in chunks:
+        for k, raw in enumerate(chunks):
+            if not k:
+                raw = raw.removeprefix(codecs.BOM_UTF8)
             try:
                 text = raw.decode("utf-8")
             except UnicodeDecodeError as exc:

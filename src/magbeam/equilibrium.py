@@ -6,10 +6,12 @@ solved by fixed-point iteration with Aitken's dynamic relaxation
 (Kuettler & Wall, Comput. Mech. 43, 2008): every case adapts its own
 relaxation factor from its last two residuals. The map is also inverted
 numerically, to find the magnet rotations that reach a target tip
-position: a grid search over the angles, then a least-squares refinement
-that moves each candidate's beam coordinates u = (p_y, p_z, a, b) by
-Newton steps on u = G(u; q) and takes its Jacobian from the sensitivity
-du/dq = (I - dG/du)^-1 dG/dq, so that it needs no fixed-point solve.
+position: a grid search over the angles, then a refinement that moves
+each candidate's beam coordinates u = (p_y, p_z, a, b) by Newton steps
+on u = G(u; q) and takes its slopes from the sensitivity
+du/dq = (I - dG/du)^-1 dG/dq, so that it needs no fixed-point solve: in
+the one angle theta1 - theta2 for a source on the robot's axis, else by
+least squares in both.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ import contextlib
 import logging
 import math
 from dataclasses import dataclass, fields, is_dataclass
-from functools import cache, partial
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -435,9 +437,11 @@ def _equilibrium(batch: _Batch, k: int) -> EquilibriumResult:
                              bool(batch.converged[k]))
 
 
-# Refinement of invert_controls: multi-start Levenberg-Marquardt on the
-# miss r(q) = p(q) - p_target, coupled to Newton on each seed's beam
-# coordinates; every step is one pass of the row kernels over all trials.
+# Refinement of invert_controls: Newton on the beam coordinates, coupled to
+# a bracketed Newton iteration in theta1 - theta2 for a source on the axis,
+# else to multi-start Levenberg-Marquardt on the miss r(q) = p(q) - p_target;
+# every step is one pass of the row kernels over all trials. The step limit
+# and the stop within the tolerance serve both.
 _INVERSE_SEEDS = 5  # the lexicographic winner and the next best grid cells
 # forward-difference steps of dG/du in the beam coordinates (p_y, p_z, a, b)
 # [m, m, 1, 1] and of dG/dq in the 2 angles [rad]; stencil row 0 is the base
@@ -483,13 +487,19 @@ def invert_controls(
     within the solver position tolerance of the smallest error the
     lexicographically smallest q wins;
     ``basin_count`` reports the number of distinct clusters of tied
-    cells. Unless the winner is already within tolerance, it and the next
-    best cells, each with its converged tip pose, seed a
-    Levenberg-Marquardt least-squares solve of p(q) = target that makes
-    no fixed-point solve: every step is one pass of the wrench and beam
-    kernels over a few damped trial steps of all seeds, which takes each
-    trial's beam coordinates one Newton step towards its equilibrium and
-    gives the implicit-function sensitivity du/dq, the Jacobian there (see
+    cells. Unless the winner is already within tolerance, it is refined
+    with no fixed-point solve: every step is one pass of the wrench and
+    beam kernels (:func:`_newton_pass`), which takes each trial's beam
+    coordinates one Newton step towards its equilibrium and gives the
+    implicit-function sensitivity du/dq. For a source whose position and
+    moment have zero y and z components the tip's distance from the axis
+    depends on theta1 - theta2 alone, and a Newton iteration in that one
+    angle, bracketed by the grid's theta2 = 0 row, meets the target's
+    distance, or takes the nearest point of the rim (see
+    :func:`_axis_refinement`). For any other source the winner and the
+    next best cells, each with its converged tip pose, seed a
+    Levenberg-Marquardt least-squares solve of p(q) = target, each step
+    one pass over a few damped trial steps of all seeds (see
     :func:`_least_squares`). The seeds run together because one alone
     can stall on the theta1 = theta2 fold, where the swap symmetry of the
     rings makes the Jacobian singular. The answer is a
@@ -521,16 +531,31 @@ def invert_controls(
 
     q, x = grid[first], pose[first]
     if best > tol:
-        order = np.argsort(errs, kind="stable")
-        others = order[(order != first) & np.isfinite(errs[order])]
-        seeds = np.concatenate(([first], others[:_INVERSE_SEEDS - 1]))
-        newton = partial(_newton_pass, params, pair_template, source, mode, cal.k_b)
-        q_lm, err_lm, u_lm = _least_squares(newton, p_target - params.straight_tip,
-                                            grid[seeds], _chart_rows(pose[seeds]), tol)
-        if err_lm < best:
+        passes = 0
+
+        def newton(points, coords):
+            nonlocal passes
+            passes += 1
+            return _newton_pass(params, pair_template, source, mode, cal.k_b, points, coords)
+
+        target = p_target - params.straight_tip
+        if not (source.position[1:].any() or source.moment[1:].any()):
+            refinement = "axis"
+            row = np.flatnonzero(ok[::grid_size]) * grid_size  # converged, at theta2 = 0
+            q_r, err_r, u_r = _axis_refinement(newton, target, grid[row, 0],
+                                               _chart_rows(pose[row]), q, tol)
+        else:
+            refinement = "general"
+            order = np.argsort(errs, kind="stable")
+            others = order[(order != first) & np.isfinite(errs[order])]
+            seeds = np.concatenate(([first], others[:_INVERSE_SEEDS - 1]))
+            q_r, err_r, u_r = _least_squares(newton, target, grid[seeds],
+                                             _chart_rows(pose[seeds]), tol)
+        log.debug("inverse refinement: %s, %d Newton passes", refinement, passes)
+        if err_r < best:
             # a tiny negative angle rounds up to 2 pi; the second mod makes it 0
-            q = np.mod(np.mod(q_lm, 2.0 * np.pi), 2.0 * np.pi)
-            x = _pose_rows(params.length, u_lm[None])[0]
+            q = np.mod(np.mod(q_r, 2.0 * np.pi), 2.0 * np.pi)
+            x = _pose_rows(params.length, u_r[None])[0]
     q = (float(q[0]), float(q[1]))
     final = solve_tip_pose(params, pair_template.with_angles(*q), source, cal,
                            _seeded(settings, x), mode)
@@ -551,7 +576,7 @@ class _CoarseGrid(NamedTuple):
 # The most recent model's coarse grid, as (key, _CoarseGrid). Sequential
 # queries on one model, as when `magbeam invert` answers setpoint after
 # setpoint in a fixed field, solve their grid once. Every query builds the
-# key, hits included: 12 us, about 1 % of a 1.0 ms query that hits (timeit,
+# key, hits included: 11 us, about 3 % of a 0.4 ms query that hits (timeit,
 # one pinned Xeon core). At the default grid size the entry, its three
 # arrays and its key, holds 45 kB, a tenth of a cold query's 455 kB peak
 # (tracemalloc). It is replaced by one assignment, so concurrent queries
@@ -736,6 +761,100 @@ def _least_squares(newton, target: np.ndarray, q: np.ndarray, u: np.ndarray, tol
     done = np.flatnonzero(err <= within)
     s = done[0] if done.size else np.argmin(err)
     return q[s], err[s], u[s]
+
+
+def _axis_refinement(newton, target: np.ndarray, delta: np.ndarray, row: np.ndarray,
+                     winner: np.ndarray, tol: float):
+    """The refinement of :func:`invert_controls` for a source whose position
+    and moment lie on e1, in the one unknown D = theta1 - theta2.
+
+    Such a source gives tip(theta1 + t, theta2 + t) = R_x(t) tip(theta1,
+    theta2), so the tip's squared distance rho^2 from the axis is a
+    function of D alone, and turning both rings by t turns the tip by t.
+    rho^2 is even in D, since a mirror through a plane that holds e1, with
+    every moment flipped, negates D, so D = 0 and D = pi are extrema; on
+    the ring pairs modelled it falls from the rim of the reach at D = 0 to
+    the rim at D = pi of the hole about the axis that rings set apart
+    leave. ``delta`` (n,) holds the increasing angles theta1 of
+    the converged cells of the grid's row theta2 = 0, ``row`` (n, 4) their
+    beam coordinates and ``winner`` the grid winner's angles; ``newton``,
+    ``target`` and ``tol`` are those of :func:`_least_squares`. Where
+    rho^2 - |target_yz|^2 changes sign between neighbouring row cells, the
+    crossing nearest the winner's D is bracketed by its two cells and
+    rho^2 = |target_yz|^2 solved in it. Where it changes sign nowhere, the
+    target lies past the rim, whose nearest point is at D = 0, or in the
+    hole, whose nearest is at D = pi; should the hole's rim there lie
+    inside the target's radius, as it may on an odd grid, whose row misses
+    D = pi, the crossing between pi and the nearest cell is bracketed and
+    solved instead. Each step is one ``newton`` call at (D, 0): a Newton
+    step with its slope from the sensitivity, or half the bracket where
+    that step leaves it. It stops once the step would move the tip's
+    distance from the axis by at most ``_INVERSE_STOP`` times ``tol``, or
+    after ``_INVERSE_STEPS`` steps. Both angles then turn by the polar
+    angle from the tip to the target, or by the winner's theta2 for a
+    target on the axis, which has none. Returns (q, |r(q)|, u) as
+    :func:`_least_squares` does; the miss is inf where a step fails or no
+    row cell converged.
+    """
+    if not len(delta):
+        return winner, math.inf, np.full(4, np.nan)
+    within = _INVERSE_STOP * tol
+    with np.errstate(all="ignore"):  # a failed step is rejected; a far target is missed
+        r2 = target[1] * target[1] + target[2] * target[2]
+        f = row[:, 0] * row[:, 0] + row[:, 1] * row[:, 1] - r2
+        f_next = np.roll(f, -1)
+        width = np.roll(delta, -1) - delta
+        width[-1] += 2.0 * np.pi  # the last cell's neighbour is the first, a turn on
+        cross = np.flatnonzero(f * f_next <= 0.0)
+        if cross.size:
+            # the crossing, linearly interpolated (fmax maps the 0/0 of two
+            # zeros to the first), nearest the winner's D
+            at = delta[cross] + width[cross] * np.fmax(f[cross] / (f[cross] - f_next[cross]), 0.0)
+            near = np.mod(at - (winner[0] - winner[1]) + np.pi, 2.0 * np.pi) - np.pi
+            best = np.argmin(np.abs(near))
+            c, x = cross[best], at[best]
+            lo, hi, rising = delta[c], delta[c] + width[c], f_next[c] > f[c]
+            t = (x - lo) / width[c]
+            u = (1.0 - t) * row[c] + t * row[(c + 1) % len(f)]
+        else:
+            # no bracket yet: D = pi in the hole, else D = 0, from the nearest cell
+            x = lo = hi = np.pi if f[0] > 0.0 else 0.0
+            c = np.argmin(np.abs(np.mod(delta - x + np.pi, 2.0 * np.pi) - np.pi))
+            u, rising = row[c], False
+        x_try, u_try = x, u
+        for _ in range(_INVERSE_STEPS):
+            x, (u, sens) = x_try, newton(np.array([[x_try, 0.0]]), u_try[None])
+            u, du = u[0], sens[0, :, 0]
+            if not (np.isfinite(u).all() and np.isfinite(du).all()):
+                return np.array([x, 0.0]), math.inf, u
+            rho2 = u[0] * u[0] + u[1] * u[1]
+            slope = 2.0 * (u[0] * du[0] + u[1] * du[1])  # d rho^2 / dD
+            if lo == hi == np.pi and rho2 < r2:
+                # the hole's rim inside the target's radius: rho^2 rises from
+                # pi towards the nearest cell, past the target's
+                lo, hi = sorted((delta[c], x))
+                rising = lo == x
+            if (rho2 < r2) == rising:
+                lo = x
+            else:
+                hi = x
+            step = (r2 - rho2) / slope
+            if not lo < x + step < hi:  # also a NaN step, and every step with no bracket
+                step = 0.5 * (lo + hi) - x
+            # the step's move of the distance from the axis, to first order
+            # in rho^2: for a Newton step to a root, the miss itself
+            if abs(math.sqrt(max(rho2 + slope * step, 0.0)) - math.sqrt(rho2)) <= within:
+                break
+            x_try, u_try = x + step, u + du * step
+        # turn both rings by the polar angle from the tip to the target
+        turn = (math.atan2(target[2], target[1]) - math.atan2(u[1], u[0]) if r2
+                else winner[1])
+        cos, sin = math.cos(turn), math.sin(turn)
+        u = np.array([cos * u[0] - sin * u[1], sin * u[0] + cos * u[1],
+                      cos * u[2] - sin * u[3], sin * u[2] + cos * u[3]])
+        r = u[:2] - target[1:]
+        miss = math.sqrt(target[0] * target[0] + r[0] * r[0] + r[1] * r[1])
+    return np.array([x + turn, turn]), miss, u
 
 
 def _count_basins(mask: np.ndarray) -> int:

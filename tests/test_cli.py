@@ -1,4 +1,5 @@
 import argparse
+import codecs
 import csv
 import json
 import math
@@ -659,6 +660,53 @@ INVERT_FLAGS = ["--ke", "0.009", "--kb", "4.03"]
 # an in-plane target within reach, the straight tip, a point out of reach and
 # one 1.3 mm off the plane x = L that holds every tip, so out of reach [mm]
 TARGETS = "x_mm,y_mm,z_mm\n150,-4.2,9.1\n150,0,0\n130,25,30\n148.7,-4.2,9.1\n"
+
+
+# every CSV input of the command line, each read from a copy of a file that
+# it accepts, those under DATA_DIR by name; a track is an ellipse of 24 points
+_ELLIPSE = np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False)
+CSV_INPUTS = {
+    "calibrate": (["calibrate", "--ke", "0.009:0.012:2", "--kb", "3.9:4.2:2",
+                   "--data", "{planar-sweep-digitized.csv}"], {}),
+    "validate": (["validate", "--ke", "0.009", "--kb", "4.03",
+                  "--data", "{planar-sweep-digitized.csv}"], {}),
+    "workspace-schedule": (["workspace", "--ke", "0.009", "--kb", "4.03",
+                            "--schedule", "{elliptical-schedule.csv}"], {}),
+    "workspace-tracks": (["workspace", "--top", "{top.csv}", "--side", "{side.csv}"], {
+        "top.csv": "x_mm,y_mm\n" + "".join(f"149,{8 * math.cos(t)}\n" for t in _ELLIPSE),
+        "side.csv": "x_mm,z_mm\n" + "".join(f"149,{5 * math.sin(t)}\n" for t in _ELLIPSE)}),
+    "invert": (["invert", *INVERT_FLAGS, "--targets", "{targets.csv}"],
+               {"targets.csv": TARGETS}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CSV_INPUTS) + ["invert-stdin"])
+def test_csv_with_a_byte_order_mark(tmp_path, capsys, monkeypatch, case):
+    # a spreadsheet's "CSV UTF-8" starts with a byte-order mark: each input
+    # read with one answers as the same input without
+    args, texts = CSV_INPUTS["invert" if case == "invert-stdin" else case]
+    outputs = []
+    for bom in (b"", codecs.BOM_UTF8):
+        files = {}
+        for arg in args:
+            if arg.startswith("{"):
+                name = arg[1:-1]
+                data = (texts[name].encode() if name in texts
+                        else (DATA_DIR / name).read_bytes())
+                files[arg] = tmp_path / f"{len(bom)}-{name}"
+                files[arg].write_bytes(bom + data)
+        if case == "invert-stdin":
+            lines = files.pop("{targets.csv}").read_bytes().splitlines(keepends=True)
+            monkeypatch.setattr(sys, "stdin", SimpleNamespace(buffer=iter(lines)))
+            files["{targets.csv}"] = "-"
+        assert main([str(files.get(a, a)) for a in args]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == ""
+        if out.startswith("{"):  # a report: all but its wall time
+            out = json.loads(out)
+            del out["wall_time_s"]
+        outputs.append(out)
+    assert outputs[1] == outputs[0]
 
 
 class TestInvert:

@@ -890,6 +890,13 @@ def _bits(inv) -> tuple:
 
 
 class TestInverse:
+    # the demonstrator's source lies on the robot's axis, so a query refines
+    # in the one angle theta1 - theta2 (TestInverseOffAxis runs the general
+    # refinement): the kind named in the debug log, and the row counts of
+    # its Newton passes for a reachable and an unreachable target
+    REFINEMENT = "axis"
+    PASSES = {True: [1, 1, 1], False: [1]}
+
     def test_straight_target_lexicographic(self, demo):
         inv = invert_controls(demo.params.straight_tip, demo.params,
                               demo.pair_template, demo.source, CAL,
@@ -949,9 +956,9 @@ class TestInverse:
     def test_refined_angles_wrap_into_range(self, demo, monkeypatch):
         # an angle a hair below 0 from the refinement is answered as 0, not
         # as the 2 pi that one np.mod rounds it up to
-        least_squares = equilibrium._least_squares
-        monkeypatch.setattr(equilibrium, "_least_squares", lambda *a: (
-            (np.array([-1e-20, -1e-20]), *least_squares(*a)[1:])))
+        for name in ("_least_squares", "_axis_refinement"):
+            monkeypatch.setattr(equilibrium, name, lambda *a, refine=getattr(equilibrium, name): (
+                (np.array([-1e-20, -1e-20]), *refine(*a)[1:])))
         inv = invert_controls(_inverse_target(demo, True), demo.params, demo.pair_template,
                               demo.source, CAL, demo.settings, MODE)
         assert inv.q == (0.0, 0.0)
@@ -1062,8 +1069,8 @@ class TestInverse:
         # the coarse grid and the final answer are the only fixed-point
         # solves, and a second query on the same model reuses the grid; the
         # refinement runs on single passes of the row kernels, pinned here
-        # by their row counts: 5 seeds, then 3 damped trials per live seed
-        expected = [5, 15, 12, 12] if reachable else [5, 15, 15, 15, 3]
+        # by their row counts (PASSES)
+        expected = self.PASSES[reachable]
         target = _inverse_target(demo, reachable)
         batches, passes = _record_batches(monkeypatch), []
         newton_pass = equilibrium._newton_pass
@@ -1183,6 +1190,9 @@ class TestInverse:
         said = [m for m in caplog.messages if m in ("inverse grid: hit", "inverse grid: miss")]
         assert said == ["inverse grid: miss", "inverse grid: hit"]
         assert sum("seeds failed" in m for m in caplog.messages) == 1
+        passes = len(self.PASSES[True])
+        refined = [m for m in caplog.messages if m.startswith("inverse refinement:")]
+        assert refined == [f"inverse refinement: {self.REFINEMENT}, {passes} Newton passes"] * 2
 
     @pytest.mark.parametrize("mode", list(BeamFormulation))
     @pytest.mark.parametrize("ke, kb", [(0.002, 4.0), (0.009, 4.03)])
@@ -1221,6 +1231,158 @@ class TestInverse:
                     break
                 label = near
             assert equilibrium._count_basins(mask) == np.unique(label[mask]).size
+
+
+def _off_axis(demo, dy: float):
+    """The demonstrator with its source moved ``dy`` along e2, off the robot's axis."""
+    return replace(demo, source=DipoleSource(demo.source.moment,
+                                             demo.source.position + [0.0, dy, 0.0]))
+
+
+class TestInverseOffAxis(TestInverse):
+    """Every TestInverse test with the source 5 mm off the robot's axis,
+    where a query refines by multi-start Levenberg-Marquardt."""
+
+    REFINEMENT = "general"
+    PASSES = {True: [5, 15, 15, 12], False: [5, 15, 15, 15, 3]}
+    # these see no source: TestInverse runs them once
+    test_refinement_keeps_seeds_that_no_trial_improves = None
+    test_nonfinite_target_rejected = None
+    test_memo_key_tells_types_and_signed_zeros = None
+    test_basin_count_matches_wrapped_labelling = None
+
+    @pytest.fixture(scope="class")
+    def demo(self, demo):
+        return _off_axis(demo, 5e-3)
+
+    def test_in_plane_target_past_the_rim_out_of_reach(self, demo):
+        # off the axis the reach is no disk about the straight tip, so the
+        # oracle is the nearest tip over a dense 180 x 180 grid of cold solves
+        t = np.linspace(0.0, 2.0 * math.pi, 180, endpoint=False)
+        grid = np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2)
+        tips = _solve_batch(demo.params, demo.pair_template, demo.source, demo.settings,
+                            MODE, grid, demo.params.bending_stiffness, CAL.k_b).tip
+        for angle in np.radians(np.arange(0, 360, 45)):
+            target = demo.params.straight_tip + 16.2e-3 * np.array(
+                [0.0, math.cos(angle), math.sin(angle)])
+            inv = invert_controls(target, demo.params, demo.pair_template, demo.source, CAL,
+                                  demo.settings, MODE)
+            assert not inv.within_reach
+            nearest = np.linalg.norm(tips - target, axis=1).min()
+            assert inv.position_error <= nearest + demo.settings.position_tolerance
+
+
+class TestAxisRefinement:
+    """The one-angle refinement of a source on the axis against the
+    general one, which the same query takes with the source 1e-9 m off
+    the axis."""
+
+    @pytest.mark.parametrize("separation", [0.0, 5e-3])
+    @pytest.mark.parametrize("kb", [4.03, 3.0])
+    @pytest.mark.parametrize("mode", list(BeamFormulation))
+    def test_agrees_with_the_general_path(self, demo, mode, kb, separation):
+        brentq = pytest.importorskip("scipy.optimize").brentq
+        mag = demo.pair_template.magnet_1.moment_magnitude
+        pair = RingPairConfig.from_angles(mag, 0.0, 0.0, separation=separation)
+        cal = FieldCalibration(kb)
+        tol = demo.settings.position_tolerance
+        straight = demo.params.straight_tip
+
+        def tip(q):
+            return solve_tip_pose(demo.params, pair.with_angles(*q), demo.source, cal,
+                                  demo.settings, mode).tip.position
+
+        def radius(delta):  # of a cold public solve at (delta, 0)
+            return math.hypot(*tip((delta, 0.0))[1:])
+
+        # 30 targets: 18 model tips, the first two by the theta1 = theta2
+        # fold; 3 inside the rim, at the fold too, by 0.1 %, 2.7 and 1.2 ppm
+        # (19 to 95 nm, where Newton steps leave the bracket); 4 past it by
+        # 3 %; 3 model tips moved off the plane x = L; the axis, on and off it
+        rng = np.random.default_rng(29)
+        targets = [tip(q) for q in [(1.8010, 1.8935), (4.5962, 4.8653),
+                                    *rng.uniform(0.0, 2.0 * math.pi, (16, 2))]]
+        rim = radius(0.0)
+        for scale, angle in zip([0.999, 1.0 - 2.7e-6, 1.0 - 1.2e-6] + [1.03] * 4,
+                                rng.uniform(0.0, 2.0 * math.pi, 7)):
+            targets.append(straight + scale * rim * np.array([0.0, math.cos(angle),
+                                                              math.sin(angle)]))
+        targets += [targets[k] + dx * E1 for k, dx in zip((2, 3, 4), (1.3e-3, -0.7e-3, 2e-3))]
+        targets += [straight, straight + 1e-3 * E1]
+        answers = {}
+        for name, source in (("axis", demo.source), ("general", _off_axis(demo, 1e-9).source)):
+            answers[name] = [invert_controls(t, demo.params, pair, source, cal, demo.settings,
+                                             mode) for t in targets]
+
+        def wrap(a):
+            return (a + math.pi) % (2.0 * math.pi) - math.pi
+
+        for k, (t, a, g) in enumerate(zip(targets, answers["axis"], answers["general"])):
+            assert (a.within_reach, a.basin_count, a.result.converged) == (
+                g.within_reach, g.basin_count, g.result.converged)
+            assert a.position_error <= g.position_error + 0.1 * tol
+            assert a.result.iterations == 1
+            if not a.within_reach:
+                assert np.linalg.norm(a.result.tip.position - g.result.tip.position) <= tol
+            # the same angles, to the 5e-3 rad to which the general path's
+            # stop places an answer on the rim, or else the mirror twin
+            # (theta1 - theta2 negated, the same tip), and only where both
+            # reach the target's distance from the axis, in or off the plane
+            r = math.hypot(*t[1:] - straight[1:])
+            if max(abs(wrap(a.q[0] - g.q[0])), abs(wrap(a.q[1] - g.q[1]))) > 5e-3:
+                assert abs(wrap(a.q[0] - a.q[1]) + wrap(g.q[0] - g.q[1])) <= 5e-3
+                for answer in (a, g):
+                    assert abs(math.hypot(*answer.result.tip.position[1:] - straight[1:])
+                               - r) <= tol
+            # oracle for the model tips and the targets inside the rim:
+            # theta1 - theta2 from a root find on cold public solves
+            if k < 21:
+                assert a.within_reach
+                star = brentq(lambda d: radius(d) - r, 0.0, math.pi, xtol=1e-14)
+                h = 1e-5
+                slope = (radius(star + h) - radius(star - h)) / (2.0 * h)
+                assert abs(abs(wrap(a.q[0] - a.q[1])) - star) <= tol / abs(slope)
+
+    @pytest.mark.parametrize("grid_size", [7, 25])
+    def test_odd_grid_reaches_the_rim_of_the_hole(self, demo, grid_size):
+        # rings 5 mm apart leave a hole of radius 0.16 mm about the axis, at
+        # theta1 - theta2 = pi, which an odd grid's row does not hold: a
+        # target between the hole and the row's nearest cells starts as a
+        # search for the smallest distance and meets the target's on the way
+        mag = demo.pair_template.magnet_1.moment_magnitude
+        pair = RingPairConfig.from_angles(mag, 0.0, 0.0, separation=5e-3)
+        tol = demo.settings.position_tolerance
+        for r in (0.2e-3, 0.5e-3, 0.9e-3):
+            target = demo.params.straight_tip + r * np.array([0.0, 0.6, 0.8])
+            axis, general = (invert_controls(target, demo.params, pair, source, CAL,
+                                             demo.settings, MODE, grid_size=grid_size)
+                             for source in (demo.source, _off_axis(demo, 1e-9).source))
+            assert axis.within_reach and general.within_reach
+            assert axis.position_error <= general.position_error + 0.1 * tol
+
+    def test_unconverged_row_cell_is_left_out(self, demo, monkeypatch):
+        # a grid cell that stopped at max_iterations keeps a finite pose: in
+        # the row cell that brackets the answer's theta1 - theta2 on the side
+        # of 0, farther from the axis than the target, the pose at pi, near
+        # the axis, would bracket a false crossing a cell further, were it read
+        target = _inverse_target(demo, True)
+        args = (demo.params, demo.pair_template, demo.source, CAL, demo.settings, MODE)
+        intact = invert_controls(target, *args)
+        delta = (intact.q[0] - intact.q[1]) % (2.0 * math.pi)
+        coarse_grid = equilibrium._coarse_grid
+
+        def one_failed(*a):
+            grid, pose, ok = coarse_grid(*a)
+            g = round(math.sqrt(len(grid)))
+            cell = (int(delta // (2.0 * math.pi / g)) + (delta > math.pi)) % g * g
+            pose, ok = pose.copy(), ok.copy()
+            pose[cell], ok[cell] = pose[g // 2 * g], False
+            return equilibrium._CoarseGrid(grid, pose, ok)
+
+        monkeypatch.setattr(equilibrium, "_coarse_grid", one_failed)
+        failed = invert_controls(target, *args)
+        assert failed.within_reach and failed.basin_count == intact.basin_count
+        assert np.allclose(failed.q, intact.q, rtol=0.0, atol=1e-6)
 
 
 class TestSensitivity:

@@ -30,8 +30,8 @@ class ExperimentRecord:
     """One tracked data point: measured magnet angles and tip position.
 
     ``tip`` holds NaN for components the tracking plane does not observe:
-    x must be finite, and y, z or both. The observed plane follows from
-    which components are finite.
+    x must be finite, and y, z or both, and no component infinite. The
+    observed plane follows from which components are finite.
     """
 
     theta1: float  # [rad]
@@ -48,6 +48,8 @@ class ExperimentRecord:
         finite = np.isfinite(tip)
         if not (finite[0] and finite[1:].any()):
             raise ContractViolation("tip needs a finite x and a finite y or z")
+        if np.isinf(tip).any():
+            raise ContractViolation("tip components must be finite or NaN")
 
     @property
     def plane(self) -> str:

@@ -107,10 +107,11 @@ def _parse_grid_axis(text: str) -> np.ndarray:
         n = int(parts[2]) if len(parts) == 3 else GRID_POINTS
     except ValueError as exc:
         raise InputError(f"bad grid axis {text!r}") from exc
-    if n < 1 or not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
+    # a finite span hi - lo also keeps linspace from overflowing to inf and NaN
+    if n < 1 or not math.isfinite(hi - lo) or hi < lo:
         raise InputError(f"bad grid axis {text!r}")
     _check_count(n, text)
-    return np.linspace(lo, hi, n) if n > 1 else np.array([lo])
+    return np.linspace(lo, hi, n)
 
 
 def _model(args, ke=None, kb=None) -> tuple[LoadedConfig, FieldCalibration]:
@@ -498,8 +499,7 @@ def main(argv=None) -> int:
                "invert": cmd_invert}[args.command]
     try:
         return command(args)
-    except (ConfigError, ContractViolation, InputError, FileNotFoundError,
-            OSError) as exc:
+    except (ConfigError, ContractViolation, InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (DivergenceError, FieldSingularityError, CalibrationError,

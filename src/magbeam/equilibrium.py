@@ -376,21 +376,21 @@ def sweep(
 def _sweep_rows(params, pair_template, source, cal, settings, mode,
                 theta1_values, theta2_values, zipped=False
                 ) -> tuple[np.ndarray, _Batch]:
-    """:func:`sweep` as columns: the (N, 2) angles of its points and their
-    :class:`_Batch` rows, with the same order, contract and solves. The
-    rows of a schedule's converged points are those of their check-solves;
-    a failed point keeps the batch's error, and one stopped at the
-    iteration limit the batch's last iterate."""
-    t1 = list(theta1_values)
-    t2 = list(theta2_values)
-    if not t1 or not t2:
+    """:func:`sweep` as columns: the (N, 2) float angles of its points, a
+    grid's theta1-major, and their :class:`_Batch` rows, with the same
+    order, contract and solves. A schedule's converged points have
+    the rows of their check-solves; a failed point keeps the batch's
+    error, and one stopped at the iteration limit the batch's last iterate."""
+    t1 = np.array(list(theta1_values), dtype=float)
+    t2 = np.array(list(theta2_values), dtype=float)
+    if not (t1.size and t2.size):
         raise ContractViolation("angle sequences must be nonempty")
     if not (np.isfinite(t1).all() and np.isfinite(t2).all()):
         raise ContractViolation("angles must be finite")
     if zipped and len(t1) != len(t2):
         raise ContractViolation("zipped sweep needs equal-length sequences")
-    q = np.array(list(zip(t1, t2)) if zipped else [(a, b) for a in t1 for b in t2],
-                 dtype=float)
+    q = (np.column_stack((t1, t2)) if zipped
+         else np.stack(np.meshgrid(t1, t2, indexing="ij"), axis=-1).reshape(-1, 2))
     batch = _solve_batch(params, pair_template, source, settings, mode, q,
                          params.bending_stiffness, cal.k_b)
     if zipped:
@@ -480,7 +480,8 @@ def invert_controls(
     """Find magnet rotations that bring the tip to a target position.
 
     Solves a ``grid_size`` x ``grid_size`` grid over [0, 2 pi)^2 as one
-    cold batch. That grid depends on the model alone, not on the target:
+    cold grid :func:`sweep`, whose tip poses and convergence flags the
+    search reads. That grid depends on the model alone, not on the target:
     a query whose inputs other than the target and the template's angles
     equal the previous query's reuses its grid, and gets the answer of a
     cold query bit for bit (see :func:`_coarse_grid`). Among cells tied
@@ -519,8 +520,8 @@ def invert_controls(
         raise ContractViolation("grid_size must be an integer >= 1")
     p_target = _as_vec3(getattr(target, "position", target), "target")
     tol = settings.position_tolerance
-    grid, pose, ok = _coarse_grid(params, pair_template, source, cal, settings, mode,
-                                  grid_size)
+    grid, coarse = _coarse_grid(params, pair_template, source, cal, settings, mode, grid_size)
+    pose, ok = coarse.pose, coarse.converged
     with np.errstate(over="ignore"):  # a target too far for its squares is just missed
         errs = np.where(ok, np.linalg.norm(pose[:, :3] - p_target, axis=1), np.inf)
 
@@ -565,22 +566,14 @@ def invert_controls(
                          within_reach=bool(error <= tol), basin_count=basin_count)
 
 
-class _CoarseGrid(NamedTuple):
-    """The model-only part of an inverse query; arrays are read-only."""
-
-    grid: np.ndarray  # (G^2, 2) magnet angles [rad], theta1-major
-    pose: np.ndarray  # (G^2, 6) cold-solved tip poses (p | n), NaN where a solve raised
-    converged: np.ndarray  # (G^2,) bool
-
-
-# The most recent model's coarse grid, as (key, _CoarseGrid). Sequential
+# The most recent model's coarse grid, as (key, (q, _Batch)). Sequential
 # queries on one model, as when `magbeam invert` answers setpoint after
 # setpoint in a fixed field, solve their grid once. Every query builds the
-# key, hits included: 11 us, about 3 % of a 0.4 ms query that hits (timeit,
-# one pinned Xeon core). At the default grid size the entry, its three
-# arrays and its key, holds 45 kB, a tenth of a cold query's 455 kB peak
-# (tracemalloc). It is replaced by one assignment, so concurrent queries
-# at worst both solve.
+# key, hits included: 11 us, about 2 % of a 0.63 ms query that hits (timeit,
+# one pinned Xeon core). At the default grid size the entry, its angles,
+# its batch and its key, holds 56 kB, an eighth of a cold query's 435 kB
+# peak (tracemalloc). It is replaced by one assignment, so concurrent
+# queries at worst both solve.
 _grid_memo: tuple | None = None
 
 
@@ -610,10 +603,12 @@ def _field_names(cls: type) -> tuple[str, ...] | None:
 
 def _coarse_grid(params: RobotParams, pair: RingPairConfig, source: DipoleSource,
                  cal: FieldCalibration, settings: SolverSettings, mode: BeamFormulation,
-                 grid_size: int) -> _CoarseGrid:
-    """The cold-solved ``grid_size`` x ``grid_size`` grid of
-    :func:`invert_controls`, or the previous call's if every input of the
-    grid solve is equal in type and value.
+                 grid_size: int) -> tuple[np.ndarray, _Batch]:
+    """The angles and :class:`_Batch` rows of the cold-solved ``grid_size``
+    x ``grid_size`` grid of :func:`invert_controls`, every array read-only:
+    one :func:`_sweep_rows` call on ``grid_size`` angles in [0, 2 pi) for
+    both rings, or the previous call's if every input of the grid solve
+    is equal in type and value.
 
     The key is :func:`_value_key` of all the arguments, with the
     template's angles set to 0 because the grid replaces them.
@@ -629,18 +624,15 @@ def _coarse_grid(params: RobotParams, pair: RingPairConfig, source: DipoleSource
         return memo[1]
     log.debug("inverse grid: miss")
     angles = np.linspace(0.0, 2.0 * np.pi, grid_size, endpoint=False)
-    grid = np.stack(np.meshgrid(angles, angles, indexing="ij"), axis=-1).reshape(-1, 2)
-    coarse = _solve_batch(params, pair, source, settings, mode, grid,
-                          params.bending_stiffness, cal.k_b)
-    ok = coarse.converged
+    grid, batch = _sweep_rows(params, pair, source, cal, settings, mode, angles, angles)
+    ok = batch.converged
     if not ok.any():
         raise DivergenceError("no grid seed converged")
     log.debug("inverse grid: %d of %d seeds failed", (~ok).sum(), ok.size)
-    out = _CoarseGrid(grid, coarse.pose, ok)
-    for a in out:
+    for a in (grid, *batch):
         a.flags.writeable = False
-    _grid_memo = (key, out)
-    return out
+    _grid_memo = (key, (grid, batch))
+    return grid, batch
 
 
 def _newton_pass(params: RobotParams, pair: RingPairConfig, source: DipoleSource,

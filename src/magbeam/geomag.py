@@ -44,6 +44,15 @@ def _as_vec3(v, finite: str | None = None) -> np.ndarray:
     return a
 
 
+def _unit_vec3(v, name: str) -> np.ndarray:
+    """``v`` as a finite float 3-vector of unit norm, to within
+    ``UNIT_TANGENT_TOL``; ``name`` names it in the ContractViolation."""
+    a = _as_vec3(v, name)
+    if abs(np.linalg.norm(a) - 1.0) > UNIT_TANGENT_TOL:
+        raise ContractViolation(f"{name} must have unit norm")
+    return a
+
+
 def _frozen_vec3(v, finite: str | None = None) -> np.ndarray:
     """:func:`_as_vec3` as a read-only copy, for a frozen dataclass: a
     later write to the caller's array does not reach the field."""
@@ -202,11 +211,11 @@ def ring_dipole_moment(magnet: RingMagnet, tangent) -> np.ndarray:
     At zero angle the moment points along e3 in the base frame; it is
     rotated by the magnet angle about e1 (right-hand rule) and then
     carried into the tip frame by the minimal rotation mapping e1 onto
-    the (unit) tip tangent. The result is orthogonal to the tangent.
+    the (unit) tip tangent. The result is orthogonal to the tangent. A
+    tangent that is not a finite 3-vector of unit norm raises
+    :class:`ContractViolation`.
     """
-    tangent = _as_vec3(tangent)
-    if abs(np.linalg.norm(tangent) - 1.0) > UNIT_TANGENT_TOL:
-        raise ContractViolation("tangent must have unit norm")
+    tangent = _unit_vec3(tangent, "tangent")
     v = magnet.moment_magnitude * np.array(
         [[[0.0, -np.sin(magnet.angle), np.cos(magnet.angle)]]])
     return _rotate_rows(v, tangent[None])[0, 0]
@@ -385,18 +394,19 @@ def tip_wrench(pair: RingPairConfig, tip_pose, source: DipoleSource,
 
     Force is the sum of gradient pulls on each magnet; torque is the sum
     of the alignment torques m_i x B(p_i) plus the separation lever arm
-    acting on the total force.
+    acting on the total force. The pose needs a finite position and a
+    finite unit tangent, else it raises :class:`ContractViolation`, and a
+    ring on the source raises :class:`FieldSingularityError`.
     """
     if cal is None:
         cal = FieldCalibration(1.0)
-    n = _as_vec3(tip_pose.tangent)
-    if abs(np.linalg.norm(n) - 1.0) > UNIT_TANGENT_TOL:
-        raise ContractViolation("tip tangent must have unit norm")
+    n = _unit_vec3(tip_pose.tangent, "tip tangent")
+    p = _as_vec3(tip_pose.position, "tip position")
     # a ring on the source is reported below; an overflowing square is no field
     with np.errstate(all="ignore"):
         rings = _ring_rows(pair, source, np.array([cal.k_b]),
                            np.array([[pair.magnet_1.angle, pair.magnet_2.angle]]))
-        w, r2 = _ring_pair_wrench_rows(rings, _as_vec3(tip_pose.position)[None], n[None])
+        w, r2 = _ring_pair_wrench_rows(rings, p[None], n[None])
     if (r2 <= 0.0).any():
         raise FieldSingularityError(_SINGULAR)
     return Wrench(force=w[0, :3], torque=w[0, 3:])

@@ -8,6 +8,7 @@ from magbeam.beam import BeamFormulation, TipPose
 from magbeam import calibration
 from magbeam.calibration import (
     PLANE_AXES,
+    CalibrationError,
     CalibrationGrid,
     ExperimentRecord,
     evaluate_metrics,
@@ -48,6 +49,17 @@ class TestRecords:
     def test_tip_without_finite_x_rejected(self, x):
         with pytest.raises(ContractViolation, match="finite x"):
             ExperimentRecord(0.0, 0.0, [x, 0.02, 0.03])
+
+    @pytest.mark.parametrize("tip", [[0.15, np.inf, 0.001], [0.15, 0.02, -np.inf]])
+    def test_infinite_component_rejected(self, tip):
+        # NaN marks a component the plane does not observe; inf is none
+        with pytest.raises(ContractViolation, match="finite or NaN"):
+            ExperimentRecord(0.0, 0.0, tip)
+
+    @pytest.mark.parametrize("tip", [[0.15, 0.02], [[0.15, 0.02, 0.0]]])
+    def test_tip_not_a_3_vector_rejected(self, tip):
+        with pytest.raises(ContractViolation, match="3-vector"):
+            ExperimentRecord(0.0, 0.0, tip)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("which", ["theta1", "theta2"])
@@ -313,6 +325,15 @@ class TestGridSearch:
             assert abs(getattr(got, name) - getattr(grid, name)) <= 2e-8, name
         assert got.r_squared == pytest.approx(grid.r_squared, abs=1e-6)
 
+    def test_every_cell_diverged(self, demo):
+        # one iteration from the straight tip converges no record anywhere
+        recs = synth_records(demo, 0.012, 4.0, [0.0, 1.0])
+        grid = CalibrationGrid(ke_values=np.array([0.01, 0.012]),
+                               kb_values=np.array([3.5, 4.0]))
+        with pytest.raises(CalibrationError, match="every grid cell diverged"):
+            grid_search_calibrate(recs, demo.params, demo.pair_template, demo.source, grid,
+                                  replace(demo.settings, max_iterations=1))
+
     def test_empty_records_rejected(self, demo):
         with pytest.raises(ContractViolation):
             grid_search_calibrate([], demo.params, demo.pair_template,
@@ -407,6 +428,12 @@ class TestCsvLoader:
             load_experiment_csv(f)
         f.write_text("theta1_deg,x_mm\n0,150.0\n")
         with pytest.raises(ContractViolation):
+            load_experiment_csv(f)
+
+    def test_row_without_y_or_z_rejected(self, tmp_path):
+        f = tmp_path / "exp.csv"
+        f.write_text("theta1_deg,x_mm,y_mm,z_mm\n0,150.0,0.0,\n10,150.0,,\n")
+        with pytest.raises(ContractViolation, match=f"^{f}:3: need y_mm or z_mm$"):
             load_experiment_csv(f)
 
     def test_shipped_dataset_loads(self):

@@ -115,6 +115,16 @@ class TestParsers:
             with pytest.raises(InputError):
                 _parse_grid_axis(text)
 
+    def test_grid_axis_of_one_value(self):
+        assert _parse_grid_axis("3.5:4.5:1").tolist() == [3.5]
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_grid_axis_span_that_overflows_rejected(self, n):
+        # linspace over such a span overflows to inf and NaN, with a
+        # RuntimeWarning, whatever the number of values
+        with pytest.raises(InputError, match="bad grid axis"):
+            _parse_grid_axis(f"-1e308:1e308:{n}")
+
     def test_point_count_capped(self, monkeypatch):
         monkeypatch.setattr(cli, "MAX_SAMPLES", 10)
         assert main(["sweep", "--theta1", "0:1:3", "--theta2", "0:1:3"]) == EXIT_INPUT
@@ -409,6 +419,14 @@ def test_sweep_range_away_from_stop_exit_2(capsys):
     assert "Traceback" not in err
 
 
+def test_zipped_sweep_of_unequal_lengths_exit_2(capsys):
+    assert main(["sweep", "--theta1", "0:1:2", "--theta2", "0", "--zip",
+                 "--kb", "4.03"]) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: zipped sweep needs equal-length sequences\n"
+
+
 def test_config_not_utf8_exit_2(tmp_path, capsys):
     f = tmp_path / "bad.json"
     f.write_bytes(b'{"robot": "\xff"}')
@@ -462,6 +480,20 @@ class TestCalibrate:
         assert rc == EXIT_INPUT
         out, err = capsys.readouterr()
         assert out == "" and "must be finite and > 0" in err
+
+    def test_every_cell_diverged_exit_3(self, tmp_path, capsys):
+        # one iteration from the straight tip converges no record anywhere
+        doc = json.loads((DATA_DIR / "demonstrator.json").read_text())
+        doc["solver"]["max_iterations"] = 1
+        config = tmp_path / "one-iteration.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "cal.json"
+        rc = main(["calibrate", "--data", str(DATA_DIR / "planar-sweep-digitized.csv"),
+                   "--ke", "0.009:0.012:2", "--kb", "3.9:4.2:2", "--config", str(config),
+                   "--out", str(out)])
+        assert rc == EXIT_NUMERIC
+        assert capsys.readouterr().err == "error: every grid cell diverged\n"
+        assert not out.exists()
 
     def test_notch_flags_must_pair(self, tmp_path):
         rc = main(["calibrate", "--data", str(DATA_DIR / "planar-sweep-digitized.csv"),

@@ -811,6 +811,15 @@ class TestSweep:
                       demo.settings, MODE, t1, t2, zipped=zipped)
         assert calls == []
 
+    def test_zipped_unequal_lengths_rejected_before_solving(self, demo, monkeypatch):
+        calls = []
+        monkeypatch.setattr(equilibrium, "_solve_batch",
+                            lambda *a, **k: calls.append(a))
+        with pytest.raises(ContractViolation, match="equal-length"):
+            sweep(demo.params, demo.pair_template, demo.source, CAL,
+                  demo.settings, MODE, [0.0, 0.5], [0.0], zipped=True)
+        assert calls == []
+
     def test_empty_rejected(self, demo):
         with pytest.raises(Exception):
             sweep(demo.params, demo.pair_template, demo.source, CAL,
@@ -1173,8 +1182,8 @@ class TestInverse:
     def test_memo_arrays_read_only(self, demo):
         invert_controls(demo.params.straight_tip, demo.params, demo.pair_template,
                         demo.source, CAL, demo.settings, MODE, grid_size=4)
-        grid = equilibrium._grid_memo[1]
-        for a in (grid.grid, grid.pose, grid.converged):
+        q, batch = equilibrium._grid_memo[1]
+        for a in (q, batch.pose, batch.converged):
             assert not a.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0
@@ -1372,17 +1381,72 @@ class TestAxisRefinement:
         coarse_grid = equilibrium._coarse_grid
 
         def one_failed(*a):
-            grid, pose, ok = coarse_grid(*a)
+            grid, batch = coarse_grid(*a)
             g = round(math.sqrt(len(grid)))
             cell = (int(delta // (2.0 * math.pi / g)) + (delta > math.pi)) % g * g
-            pose, ok = pose.copy(), ok.copy()
+            pose, ok = batch.pose.copy(), batch.converged.copy()
             pose[cell], ok[cell] = pose[g // 2 * g], False
-            return equilibrium._CoarseGrid(grid, pose, ok)
+            return grid, batch._replace(pose=pose, converged=ok)
 
         monkeypatch.setattr(equilibrium, "_coarse_grid", one_failed)
         failed = invert_controls(target, *args)
         assert failed.within_reach and failed.basin_count == intact.basin_count
         assert np.allclose(failed.q, intact.q, rtol=0.0, atol=1e-6)
+
+
+class TestRefinementFailures:
+    """Refinements whose Newton passes fail, or that have no cell to start
+    from: a failed trial wins nothing, and the axis refinement returns an
+    infinite miss, which leaves a query its grid winner."""
+
+    def test_least_squares_scores_failed_trials_inf(self):
+        # every trial lands at the coordinates its step predicts, nearer the
+        # target than its seed, but with a failed sensitivity: it scores
+        # +inf, so no seed moves
+        target = np.array([0.0, 0.01, 0.0])  # p_target - L e1
+        q = np.array([[0.3, 0.1], [1.2, 2.0]])
+        u = np.array([[0.004, 0.0, 0.01, 0.0], [0.002, 0.0, 0.0, 0.0]])
+        calls = []
+
+        def newton(points, coords):
+            calls.append(len(points))
+            sens = np.tile(np.eye(4, 2), (len(points), 1, 1))
+            if len(calls) > 1:  # a trial
+                sens[:, 3, 1] = np.nan
+            return coords.copy(), sens
+
+        q_ls, err, u_ls = equilibrium._least_squares(newton, target, q, u, 1e-6)
+        assert calls == [2, 2 * len(equilibrium._INVERSE_DAMPING)]
+        assert np.array_equal(q_ls, q[0]) and np.array_equal(u_ls, u[0])
+        assert err == abs(u[0, 0] - target[1])
+
+    def test_axis_refinement_with_no_row_cell(self):
+        # no theta2 = 0 cell converged: the winner, unrefined, with no pass
+        calls = []
+        winner = np.array([0.5, 0.25])
+        q, miss, u = equilibrium._axis_refinement(
+            lambda *a: calls.append(a), np.array([0.0, 0.01, 0.0]), np.empty(0),
+            np.empty((0, 4)), winner, 1e-6)
+        assert np.array_equal(q, winner) and miss == math.inf and np.isnan(u).all()
+        assert calls == []
+
+    def test_axis_refinement_with_a_failed_pass(self):
+        # the row brackets the target's distance from the axis, and the
+        # first Newton pass, at the interpolated crossing, fails
+        delta = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
+        row = np.zeros((8, 4))
+        row[:, 0] = 0.02 * np.cos(0.5 * delta)
+        calls = []
+
+        def newton(points, coords):
+            calls.append(points.tolist())
+            return np.full_like(coords, np.nan), np.full((len(points), 4, 2), np.nan)
+
+        q, miss, u = equilibrium._axis_refinement(newton, np.array([0.0, 0.01, 0.0]), delta,
+                                                  row, np.array([1.0, 0.0]), 1e-6)
+        assert len(calls) == 1 and calls[0][0][1] == 0.0
+        assert q.tolist() == calls[0][0]
+        assert 0.0 < q[0] < math.pi and miss == math.inf and np.isnan(u).all()
 
 
 class TestSensitivity:

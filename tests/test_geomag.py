@@ -165,6 +165,11 @@ class TestFieldInput:
         with pytest.raises(ContractViolation, match="dipole position"):
             DipoleSource(moment=[200.0, 0, 0], position=[bad, 0, 0])
 
+    @pytest.mark.parametrize("bad", [[0.23, 0.0], [[0.23, 0.0, 0.0]], 0.23])
+    def test_source_position_not_a_3_vector_rejected(self, bad):
+        with pytest.raises(ContractViolation, match="expected a 3-vector, got shape"):
+            DipoleSource(moment=[200.0, 0, 0], position=bad)
+
     def test_source_holds_read_only_copies(self):
         m, p = np.array([200.0, 0.0, 0.0]), np.array([0.23, 0.0, 0.0])
         src = DipoleSource(m, p)
@@ -204,6 +209,16 @@ class TestRingDipoleMoment:
     def test_non_unit_tangent_rejected(self):
         with pytest.raises(ContractViolation):
             ring_dipole_moment(RingMagnet(1.0, 0.0), [1.0, 0.1, 0.0])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_tangent_rejected(self, value):
+        # a NaN norm passes no comparison with the tolerance
+        with pytest.raises(ContractViolation, match="^tangent must be finite$"):
+            ring_dipole_moment(RingMagnet(1.0, 0.0), [1.0, value, 0.0])
+
+    def test_negative_moment_rejected(self):
+        with pytest.raises(ContractViolation, match="moment_magnitude"):
+            RingMagnet(-1.0, 0.0)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_nonfinite_angle_rejected(self, value):
@@ -309,12 +324,42 @@ class TestMomentFromGeometry:
         with pytest.raises(ContractViolation, match="dipole moment is not finite"):
             magnet_moment_from_geometry(od, 0.0, length, remanence)
 
+    def test_negative_remanence_rejected(self):
+        with pytest.raises(ContractViolation, match="remanence must be >= 0"):
+            magnet_moment_from_geometry(0.0762, 0.0, 0.0381, -1.45)
+
 
 class TestTipWrench:
     def setup_method(self):
         self.src = DipoleSource(moment=[-200.0, 0, 0], position=[0.23, 0, 0])
         self.cal = FieldCalibration(1.0)
         self.pose = TipPose(position=[0.15, 0, 0], tangent=E1)
+
+    def test_non_unit_tangent_rejected(self):
+        pair = RingPairConfig.from_angles(5.44e-3, 0.4, 1.7)
+        with pytest.raises(ContractViolation, match="^tip tangent must have unit norm$"):
+            tip_wrench(pair, TipPose(self.pose.position, [1.0, 0.1, 0.0]), self.src, self.cal)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("part", ["tangent", "position"])
+    def test_nonfinite_pose_rejected(self, part, value):
+        # a NaN tangent passed the unit-norm test, and either reached the
+        # wrench check as a non-finite force
+        pair = RingPairConfig.from_angles(5.44e-3, 0.4, 1.7)
+        bad = np.array([0.15 if part == "position" else 1.0, value, 0.0])
+        pose = TipPose(**{"position": self.pose.position, "tangent": E1, part: bad})
+        with pytest.raises(ContractViolation, match=f"^tip {part} must be finite$"):
+            tip_wrench(pair, pose, self.src, self.cal)
+
+    @pytest.mark.parametrize("separation", [0.0, 2.0**-7])
+    def test_ring_on_the_source_is_singular(self, separation):
+        # the tip ring, or the ring behind it, exactly at the source: the
+        # positions are binary fractions, so the offset is exact
+        src = DipoleSource(moment=[-200.0, 0, 0], position=[0.25, 0, 0])
+        pair = RingPairConfig.from_angles(5.44e-3, 0.4, 1.7, separation=separation)
+        pose = TipPose(src.position + separation * E1, E1)
+        with pytest.raises(FieldSingularityError):
+            tip_wrench(pair, pose, src, self.cal)
 
     def test_antiparallel_cancellation(self):
         pair = RingPairConfig.from_angles(5.44e-3, 1.2 + math.pi, 1.2, separation=0.0)

@@ -7,6 +7,8 @@ from magbeam.geomag import ContractViolation
 from magbeam.workspace import (
     EllipseFitError,
     PlanarTrack,
+    _conic_to_geometric,
+    _fit_conic_ellipse,
     fit_ellipse,
     merge_biplanar,
     nearest_ellipse_points,
@@ -153,6 +155,65 @@ class TestEllipseFit:
         line = np.column_stack([np.linspace(0, 1, 10), np.linspace(0, 2, 10)])
         with pytest.raises(EllipseFitError):
             fit_ellipse(line)
+
+
+class TestContracts:
+    """The input checks of the workspace functions, and the fit's failures
+    on points or conics that hold no ellipse."""
+
+    @pytest.mark.parametrize("points", [[0.15, 0.0], [[0.15, 0.0, 0.0]], np.zeros((2, 2, 2))])
+    def test_track_points_shape(self, points):
+        with pytest.raises(ContractViolation, match=r"shape \(N, 2\)"):
+            PlanarTrack("top", points)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_track_points_finite(self, value):
+        with pytest.raises(ContractViolation, match="points must be finite"):
+            PlanarTrack("side", [[0.15, 0.0], [value, 0.0]])
+
+    @pytest.mark.parametrize("indices", [[0, 0], [1, 0], [0], [[0, 1]]])
+    def test_track_indices(self, indices):
+        with pytest.raises(ContractViolation, match="strictly increasing, one per point"):
+            PlanarTrack("top", [[0.15, 0.0], [0.15, 0.001]], indices)
+
+    def test_merge_needs_aligned_indices(self):
+        top = PlanarTrack("top", [[0.15, 0.0], [0.15, 0.001]], [0, 1])
+        side = PlanarTrack("side", [[0.15, 0.0], [0.15, 0.001]], [0, 2])
+        with pytest.raises(ContractViolation, match="index-aligned"):
+            merge_biplanar(top, side)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_fit_needs_finite_points(self, value):
+        pts = ellipse_points([0.0, 0.0], 0.01, 0.004, 0.5, 24)
+        pts[3, 1] = value
+        with pytest.raises(ContractViolation, match="points must be finite"):
+            fit_ellipse(pts)
+
+    def test_fit_of_points_on_a_parabola(self):
+        t = np.linspace(-1.0, 1.0, 9)
+        with pytest.raises(EllipseFitError, match="no ellipse solution found"):
+            fit_ellipse(np.column_stack([t, t * t]))
+
+    def test_singular_scatter_matrix(self):
+        # collinear points, which fit_ellipse rejects before the fit
+        t = np.linspace(0.0, 1.0, 10)
+        with pytest.raises(EllipseFitError, match="degenerate point configuration"):
+            _fit_conic_ellipse(np.column_stack([t, 2.0 * t]))
+
+    @pytest.mark.parametrize("coef, message", [
+        ([1.0, 0.0, -1.0, 0.0, 0.0, -1.0], "not an ellipse"),  # x^2 - y^2 = 1
+        ([1.0, 0.0, 0.0, 0.0, -1.0, 0.0], "not an ellipse"),  # y = x^2
+        ([1.0, 0.0, 1.0, 0.0, 0.0, 1.0], "degenerate ellipse"),  # x^2 + y^2 = -1
+    ])
+    def test_conic_without_a_real_ellipse(self, coef, message):
+        # a conic from the fit's ellipse-constrained eigenvector has
+        # 4AC - B^2 > 0, so only a conic given directly reaches these
+        with pytest.raises(EllipseFitError, match=message):
+            _conic_to_geometric(np.array(coef))
+
+    def test_stats_need_points(self):
+        with pytest.raises(ContractViolation, match="nonempty"):
+            workspace_stats([], [0.15, 0.0, 0.0])
 
 
 class TestStats:

@@ -31,7 +31,8 @@ class ExperimentRecord:
 
     ``tip`` holds NaN for components the tracking plane does not observe:
     x must be finite, and y, z or both, and no component infinite. The
-    observed plane follows from which components are finite.
+    observed plane follows from which components are finite. The record
+    holds a read-only copy of the tip it was given.
     """
 
     theta1: float  # [rad]
@@ -41,15 +42,16 @@ class ExperimentRecord:
     def __post_init__(self):
         if not (math.isfinite(self.theta1) and math.isfinite(self.theta2)):
             raise ContractViolation("theta1 and theta2 must be finite")
-        tip = np.asarray(self.tip, dtype=float)
+        tip = np.array(self.tip, dtype=float)
         if tip.shape != (3,):
             raise ContractViolation("tip must be a 3-vector")
-        object.__setattr__(self, "tip", tip)
         finite = np.isfinite(tip)
         if not (finite[0] and finite[1:].any()):
             raise ContractViolation("tip needs a finite x and a finite y or z")
         if np.isinf(tip).any():
             raise ContractViolation("tip components must be finite or NaN")
+        tip.flags.writeable = False
+        object.__setattr__(self, "tip", tip)
 
     @property
     def plane(self) -> str:
@@ -137,7 +139,8 @@ class CalibrationGrid:
     """Search grid for the (stiffness scale, field scale) pair.
 
     Each axis is a nonempty, strictly increasing sequence of finite values
-    > 0; anything else raises :class:`ContractViolation`.
+    > 0; anything else raises :class:`ContractViolation`. The grid holds
+    read-only copies of the axes it was given.
     """
 
     ke_values: np.ndarray = field(
@@ -149,13 +152,14 @@ class CalibrationGrid:
 
     def __post_init__(self):
         for name in ("ke_values", "kb_values"):
-            v = np.asarray(getattr(self, name), dtype=float)
+            v = np.array(getattr(self, name), dtype=float)
             if v.ndim != 1 or v.size == 0:
                 raise ContractViolation(f"{name} must be a nonempty 1-D sequence")
             if not np.all(np.isfinite(v) & (v > 0)):
                 raise ContractViolation(f"{name} must be finite and > 0")
             if v.size > 1 and not np.all(np.diff(v) > 0):
                 raise ContractViolation(f"{name} must be strictly increasing")
+            v.flags.writeable = False
             object.__setattr__(self, name, v)
 
 

@@ -495,12 +495,13 @@ def invert_controls(
     implicit-function sensitivity du/dq. For a source whose position and
     moment have zero y and z components the tip's distance from the axis
     depends on theta1 - theta2 alone, and a Newton iteration in that one
-    angle, bracketed by the grid's theta2 = 0 row, meets the target's
-    distance, or takes the nearest point of the rim (see
-    :func:`_axis_refinement`). For any other source the winner and the
-    next best cells, each with its converged tip pose, seed a
-    Levenberg-Marquardt least-squares solve of p(q) = target, each step
-    one pass over a few damped trial steps of all seeds (see
+    angle, bracketed by the grid's theta2 = 0 row and started at the root
+    of that row's trigonometric interpolant, meets the target's distance,
+    or takes the nearest point of the rim (see :func:`_axis_refinement`).
+    For any other source the winner and the next best cells, each with
+    its converged tip pose, seed a Levenberg-Marquardt least-squares
+    solve of p(q) = target, each step one pass over a few damped trial
+    steps of all seeds (see
     :func:`_least_squares`). The seeds run together because one alone
     can stall on the theta1 = theta2 fold, where the swap symmetry of the
     rings makes the Jacobian singular. The answer is a
@@ -541,10 +542,10 @@ def invert_controls(
 
         target = p_target - params.straight_tip
         if not (source.position[1:].any() or source.moment[1:].any()):
-            refinement = "axis"
             row = np.flatnonzero(ok[::grid_size]) * grid_size  # converged, at theta2 = 0
-            q_r, err_r, u_r = _axis_refinement(newton, target, grid[row, 0],
-                                               _chart_rows(pose[row]), q, tol)
+            q_r, err_r, u_r, start = _axis_refinement(newton, target, grid[row, 0],
+                                                      _chart_rows(pose[row]), q, tol)
+            refinement = f"axis, {start} start"
         else:
             refinement = "general"
             order = np.argsort(errs, kind="stable")
@@ -569,10 +570,10 @@ def invert_controls(
 # The most recent model's coarse grid, as (key, (q, _Batch)). Sequential
 # queries on one model, as when `magbeam invert` answers setpoint after
 # setpoint in a fixed field, solve their grid once. Every query builds the
-# key, hits included: 11 us, about 2 % of a 0.63 ms query that hits (timeit,
-# one pinned Xeon core). At the default grid size the entry, its angles,
-# its batch and its key, holds 56 kB, an eighth of a cold query's 435 kB
-# peak (tracemalloc). It is replaced by one assignment, so concurrent
+# key, hits included: 15 us, about 3 % of a 0.55 ms query that hits
+# (timeit minima, one pinned Xeon core). At the default grid size the
+# entry, its angles, its batch and its key, holds 56 kB, an eighth of a
+# cold query's 435 kB peak (tracemalloc). It is replaced by one assignment, so concurrent
 # queries at worst both solve.
 _grid_memo: tuple | None = None
 
@@ -773,26 +774,34 @@ def _axis_refinement(newton, target: np.ndarray, delta: np.ndarray, row: np.ndar
     ``target`` and ``tol`` are those of :func:`_least_squares`. Where
     rho^2 - |target_yz|^2 changes sign between neighbouring row cells, the
     crossing nearest the winner's D is bracketed by its two cells and
-    rho^2 = |target_yz|^2 solved in it. Where it changes sign nowhere, the
-    target lies past the rim, whose nearest point is at D = 0, or in the
-    hole, whose nearest is at D = pi; should the hole's rim there lie
-    inside the target's radius, as it may on an odd grid, whose row misses
-    D = pi, the crossing between pi and the nearest cell is bracketed and
-    solved instead. Each step is one ``newton`` call at (D, 0): a Newton
-    step with its slope from the sensitivity, or half the bracket where
-    that step leaves it. It stops once the step would move the tip's
-    distance from the axis by at most ``_INVERSE_STOP`` times ``tol``, or
-    after ``_INVERSE_STEPS`` steps. Both angles then turn by the polar
-    angle from the tip to the target, or by the winner's theta2 for a
-    target on the axis, which has none. Returns (q, |r(q)|, u) as
-    :func:`_least_squares` does; the miss is inf where a step fails or no
-    row cell converged.
+    rho^2 = |target_yz|^2 solved in it, starting from the root of the
+    row's trigonometric interpolant (:func:`_row_series`) when every row
+    cell converged, else from the linear interpolant between the two
+    cells. Where it changes sign nowhere, the target lies past the rim,
+    whose nearest point is at D = 0, or in the hole, whose nearest is at
+    D = pi; should the hole's rim there lie inside the target's radius, as
+    it may on an odd grid, whose row misses D = pi, the crossing between
+    pi and the nearest cell is bracketed and solved instead. Each step is
+    one ``newton`` call at (D, 0): a Newton step with its slope from the
+    sensitivity, or half the bracket where that step leaves it
+    (:func:`_bracketed_step`). It stops once the tip's distance from the
+    axis is within ``_INVERSE_STOP`` times ``tol`` of the target's, or
+    moved by at most that much in the last step (a target past the rim,
+    or inside the hole's, by less than the grid's tolerance, has a
+    bracket that holds no root), once the step would not move D (an empty
+    bracket), or after ``_INVERSE_STEPS`` steps. Both angles then
+    turn by the polar angle from the tip to the target, or by the winner's
+    theta2 for a target on the axis, which has none. Returns (q, |r(q)|, u)
+    as :func:`_least_squares` does, and the start taken: "series",
+    "linear", "rim" with no crossing, or "no" where no row cell converged;
+    the miss is inf where a step fails or no row cell converged.
     """
     if not len(delta):
-        return winner, math.inf, np.full(4, np.nan)
+        return winner, math.inf, np.full(4, np.nan), "no"
     within = _INVERSE_STOP * tol
     with np.errstate(all="ignore"):  # a failed step is rejected; a far target is missed
         r2 = target[1] * target[1] + target[2] * target[2]
+        radius = math.sqrt(r2)
         f = row[:, 0] * row[:, 0] + row[:, 1] * row[:, 1] - r2
         f_next = np.roll(f, -1)
         width = np.roll(delta, -1) - delta
@@ -806,36 +815,39 @@ def _axis_refinement(newton, target: np.ndarray, delta: np.ndarray, row: np.ndar
             best = np.argmin(np.abs(near))
             c, x = cross[best], at[best]
             lo, hi, rising = delta[c], delta[c] + width[c], f_next[c] > f[c]
-            t = (x - lo) / width[c]
-            u = (1.0 - t) * row[c] + t * row[(c + 1) % len(f)]
+            if width.max() < 1.5 * width.min():  # evenly spaced: no row cell failed
+                start = "series"
+                x, u = _series_root(_row_series(delta, row), r2, lo, hi, rising, x,
+                                    _INVERSE_STOP * within)
+            else:
+                start = "linear"
+                t = (x - lo) / width[c]
+                u = (1.0 - t) * row[c] + t * row[(c + 1) % len(f)]
         else:
             # no bracket yet: D = pi in the hole, else D = 0, from the nearest cell
+            start = "rim"
             x = lo = hi = np.pi if f[0] > 0.0 else 0.0
             c = np.argmin(np.abs(np.mod(delta - x + np.pi, 2.0 * np.pi) - np.pi))
             u, rising = row[c], False
-        x_try, u_try = x, u
+        x_try, u_try, rho_last = x, u, math.nan
         for _ in range(_INVERSE_STEPS):
             x, (u, sens) = x_try, newton(np.array([[x_try, 0.0]]), u_try[None])
             u, du = u[0], sens[0, :, 0]
             if not (np.isfinite(u).all() and np.isfinite(du).all()):
-                return np.array([x, 0.0]), math.inf, u
+                return np.array([x, 0.0]), math.inf, u, start
             rho2 = u[0] * u[0] + u[1] * u[1]
+            rho = math.sqrt(rho2)
+            if abs(rho - radius) <= within or abs(rho - rho_last) <= within:
+                break
+            rho_last = rho
             slope = 2.0 * (u[0] * du[0] + u[1] * du[1])  # d rho^2 / dD
             if lo == hi == np.pi and rho2 < r2:
                 # the hole's rim inside the target's radius: rho^2 rises from
                 # pi towards the nearest cell, past the target's
                 lo, hi = sorted((delta[c], x))
                 rising = lo == x
-            if (rho2 < r2) == rising:
-                lo = x
-            else:
-                hi = x
-            step = (r2 - rho2) / slope
-            if not lo < x + step < hi:  # also a NaN step, and every step with no bracket
-                step = 0.5 * (lo + hi) - x
-            # the step's move of the distance from the axis, to first order
-            # in rho^2: for a Newton step to a root, the miss itself
-            if abs(math.sqrt(max(rho2 + slope * step, 0.0)) - math.sqrt(rho2)) <= within:
+            lo, hi, step = _bracketed_step(x, rho2, slope, r2, lo, hi, rising)
+            if x + step == x:  # also every step with no bracket
                 break
             x_try, u_try = x + step, u + du * step
         # turn both rings by the polar angle from the tip to the target
@@ -846,7 +858,74 @@ def _axis_refinement(newton, target: np.ndarray, delta: np.ndarray, row: np.ndar
                       cos * u[2] - sin * u[3], sin * u[2] + cos * u[3]])
         r = u[:2] - target[1:]
         miss = math.sqrt(target[0] * target[0] + r[0] * r[0] + r[1] * r[1])
-    return np.array([x + turn, turn]), miss, u
+    return np.array([x + turn, turn]), miss, u, start
+
+
+def _row_series(delta: np.ndarray, row: np.ndarray):
+    """The trigonometric interpolant u(D) of ``row`` (n, 4), sampled at the
+    n evenly spaced angles ``delta`` over one turn: the sum over k <= n/2
+    of A_k cos kD + B_k sin kD, with the k = n/2 term halved for even n
+    (Trefethen, Spectral Methods in MATLAB, SIAM 2000, ch. 3). For a
+    smooth 2 pi-periodic u it converges spectrally in n. Returns a
+    function of D giving [u(D) | du/dD] (8,)."""
+    n, m = len(delta), len(delta) // 2 + 1
+    k = np.arange(m + 0.0)
+    kd = np.multiply.outer(k, delta)
+    # the coefficients [A; B] (2m, 4) by vecdot, not matmul: the first
+    # matrix product of a process through BLAS adds 0.13 MB to its peak RSS
+    ab = np.vecdot(np.concatenate((np.cos(kd), np.sin(kd)))[:, None], row.T) * (2.0 / n)
+    ab[0] *= 0.5  # the mean, and below the k = n/2 term, are sums over n
+    if n % 2 == 0:
+        ab[m - 1] *= 0.5
+    a, b = ab[:m], ab[m:]
+    # [cos kD | sin kD] @ coef = [u | du/dD]
+    coef = np.concatenate((ab, np.concatenate((k[:, None] * b, -k[:, None] * a))), axis=1)
+
+    def at(x: float) -> np.ndarray:
+        kx = k * x
+        return np.concatenate((np.cos(kx), np.sin(kx))) @ coef
+
+    return at
+
+
+def _series_root(series, r2: float, lo: float, hi: float, rising: bool, x: float,
+                 fine: float):
+    """The root of rho^2(D) = r2 on the interpolant ``series`` of
+    :func:`_row_series`, in the bracket [lo, hi] on which rho^2 - r2 rises
+    if ``rising``, else falls: steps of :func:`_bracketed_step` from
+    ``x`` until the distance from the axis is within ``fine`` of
+    sqrt(r2), the step would not move D, or after ``_INVERSE_STEPS``
+    steps. Returns (D, u(D)); no kernel is evaluated."""
+    radius = math.sqrt(r2)
+    for _ in range(_INVERSE_STEPS):
+        v = series(x)
+        uy, uz, _, _, dy, dz, _, _ = v.tolist()
+        rho2 = uy * uy + uz * uz
+        if abs(math.sqrt(rho2) - radius) <= fine:
+            break
+        lo, hi, step = _bracketed_step(x, rho2, 2.0 * (uy * dy + uz * dz), r2, lo, hi, rising)
+        if x + step == x:
+            break
+        x += step
+    return x, v[:4]
+
+
+def _bracketed_step(x: float, rho2: float, slope: float, r2: float, lo: float, hi: float,
+                    rising: bool) -> tuple[float, float, float]:
+    """One step of a bracketed Newton iteration on rho^2(D) = r2, where
+    rho^2 - r2 rises over [lo, hi] if ``rising``, else falls: the bracket
+    with ``x``, at which rho^2 is ``rho2`` and its slope ``slope``, as its
+    new end on that side, and the Newton step from ``x``, or the step to
+    the bracket's middle where the Newton step leaves it (a zero or NaN
+    slope included). Returns (lo, hi, step)."""
+    if (rho2 < r2) == rising:
+        lo = x
+    else:
+        hi = x
+    step = (r2 - rho2) / slope if slope else math.nan
+    if not lo < x + step < hi:
+        step = 0.5 * (lo + hi) - x
+    return lo, hi, step
 
 
 def _count_basins(mask: np.ndarray) -> int:

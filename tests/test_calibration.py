@@ -68,6 +68,17 @@ class TestRecords:
         with pytest.raises(ContractViolation, match="finite"):
             ExperimentRecord(tip=[0.1, 0.0, np.nan], **angles)
 
+    def test_later_write_reaches_no_record(self):
+        # the record holds a read-only copy: a write to the caller's array
+        # after the checks neither changes its tip nor its plane
+        a = np.array([0.15, 0.02, np.nan])
+        rec = ExperimentRecord(0.0, 0.0, a)
+        a[1], a[0] = np.inf, np.nan
+        assert np.array_equal(rec.tip, [0.15, 0.02, np.nan], equal_nan=True)
+        assert rec.plane == "xy"
+        with pytest.raises(ValueError, match="read-only"):
+            rec.tip[1] = np.inf
+
     def test_in_plane_error_projects(self):
         rec = ExperimentRecord(0.0, 0.0, [0.1, 0.02, np.nan])
         # error in z is invisible to an x-y record
@@ -354,6 +365,17 @@ class TestGridSearch:
             CalibrationGrid(ke_values=np.array([0.01, 0.01]))
         with pytest.raises(ContractViolation):
             CalibrationGrid(kb_values=np.array([]))
+
+    @pytest.mark.parametrize("axis", ["ke_values", "kb_values"])
+    def test_later_write_reaches_no_grid(self, axis):
+        # the grid holds read-only copies of its axes, the default ones too
+        values = np.array([0.01, 0.02])
+        grid = CalibrationGrid(**{axis: values})
+        values[0] = -5.0
+        assert getattr(grid, axis).tolist() == [0.01, 0.02]
+        for grid in (grid, CalibrationGrid()):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(grid, axis)[0] = -5.0
 
     @pytest.mark.parametrize("axis", ["ke_values", "kb_values"])
     @pytest.mark.parametrize("bad", [0.0, -0.01, math.inf, math.nan],

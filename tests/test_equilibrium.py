@@ -69,6 +69,15 @@ def _record_wrench_calls(monkeypatch) -> list:
     return calls
 
 
+def _record_passes(monkeypatch) -> list:
+    """Patch the inverse's Newton pass to record the row count of every call."""
+    passes = []
+    newton_pass = equilibrium._newton_pass
+    monkeypatch.setattr(equilibrium, "_newton_pass",
+                        lambda *a: passes.append(len(a[5])) or newton_pass(*a))
+    return passes
+
+
 def _record_batches(monkeypatch) -> list:
     """Patch the batched solve to record the number of cases of every call."""
     batches = []
@@ -900,11 +909,12 @@ def _bits(inv) -> tuple:
 
 class TestInverse:
     # the demonstrator's source lies on the robot's axis, so a query refines
-    # in the one angle theta1 - theta2 (TestInverseOffAxis runs the general
+    # in the one angle theta1 - theta2, from the root of the grid row's
+    # trigonometric interpolant (TestInverseOffAxis runs the general
     # refinement): the kind named in the debug log, and the row counts of
     # its Newton passes for a reachable and an unreachable target
-    REFINEMENT = "axis"
-    PASSES = {True: [1, 1, 1], False: [1]}
+    REFINEMENT = "axis, series start"
+    PASSES = {True: [1, 1], False: [1]}
 
     def test_straight_target_lexicographic(self, demo):
         inv = invert_controls(demo.params.straight_tip, demo.params,
@@ -1081,10 +1091,7 @@ class TestInverse:
         # by their row counts (PASSES)
         expected = self.PASSES[reachable]
         target = _inverse_target(demo, reachable)
-        batches, passes = _record_batches(monkeypatch), []
-        newton_pass = equilibrium._newton_pass
-        monkeypatch.setattr(equilibrium, "_newton_pass",
-                            lambda *a: passes.append(len(a[5])) or newton_pass(*a))
+        batches, passes = _record_batches(monkeypatch), _record_passes(monkeypatch)
         args = (target, demo.params, demo.pair_template, demo.source, CAL,
                 demo.settings, MODE)
         inv = invert_controls(*args)
@@ -1289,7 +1296,7 @@ class TestAxisRefinement:
     @pytest.mark.parametrize("separation", [0.0, 5e-3])
     @pytest.mark.parametrize("kb", [4.03, 3.0])
     @pytest.mark.parametrize("mode", list(BeamFormulation))
-    def test_agrees_with_the_general_path(self, demo, mode, kb, separation):
+    def test_agrees_with_the_general_path(self, demo, monkeypatch, mode, kb, separation):
         brentq = pytest.importorskip("scipy.optimize").brentq
         mag = demo.pair_template.magnet_1.moment_magnitude
         pair = RingPairConfig.from_angles(mag, 0.0, 0.0, separation=separation)
@@ -1318,10 +1325,15 @@ class TestAxisRefinement:
                                                               math.sin(angle)]))
         targets += [targets[k] + dx * E1 for k, dx in zip((2, 3, 4), (1.3e-3, -0.7e-3, 2e-3))]
         targets += [straight, straight + 1e-3 * E1]
-        answers = {}
+        answers, passes = {}, _record_passes(monkeypatch)
         for name, source in (("axis", demo.source), ("general", _off_axis(demo, 1e-9).source)):
-            answers[name] = [invert_controls(t, demo.params, pair, source, cal, demo.settings,
-                                             mode) for t in targets]
+            answers[name] = []
+            for t in targets:
+                passes.clear()
+                answers[name].append(invert_controls(t, demo.params, pair, source, cal,
+                                                     demo.settings, mode))
+                # no one-angle query, the rim's included, runs to the step limit
+                assert name == "general" or len(passes) < equilibrium._INVERSE_STEPS
 
         def wrap(a):
             return (a + math.pi) % (2.0 * math.pi) - math.pi
@@ -1369,11 +1381,66 @@ class TestAxisRefinement:
             assert axis.within_reach and general.within_reach
             assert axis.position_error <= general.position_error + 0.1 * tol
 
-    def test_unconverged_row_cell_is_left_out(self, demo, monkeypatch):
+    @pytest.mark.parametrize("grid_size", [1, 3, 9, 23, 25])
+    def test_odd_grid_reaches_targets_near_the_axis(self, demo, monkeypatch, grid_size):
+        # coincident rings put the tip on the axis at theta1 - theta2 = pi,
+        # where the slope of its distance from the axis vanishes; an odd
+        # grid's row has no cell there, so the refinement bisects from pi
+        # towards the nearest cell, and must not stop at pi on the
+        # vanishing slope. No query runs to the step limit. (The general
+        # path is no oracle for reach here: on a 1 x 1 grid its one seed,
+        # on the theta1 = theta2 fold, stalls)
+        mag = demo.pair_template.magnet_1.moment_magnitude
+        pair = RingPairConfig.from_angles(mag, 0.0, 0.0, separation=0.0)
+        tol = demo.settings.position_tolerance
+        passes = _record_passes(monkeypatch)
+        for r in (0.3e-3, 0.7e-3, 1.0e-3, 5e-3):
+            target = demo.params.straight_tip + r * np.array([0.0, 0.6, 0.8])
+            passes.clear()
+            axis = invert_controls(target, demo.params, pair, demo.source, CAL, demo.settings,
+                                   MODE, grid_size=grid_size)
+            assert 0 < len(passes) < equilibrium._INVERSE_STEPS
+            general = invert_controls(target, demo.params, pair, _off_axis(demo, 1e-9).source,
+                                      CAL, demo.settings, MODE, grid_size=grid_size)
+            assert axis.within_reach
+            assert axis.position_error <= general.position_error + 0.1 * tol
+
+    @pytest.mark.parametrize("grid_size", [24, 23])
+    @pytest.mark.parametrize("separation", [0.0, 5e-3])
+    @pytest.mark.parametrize("kb", [4.03, 3.0])
+    @pytest.mark.parametrize("mode", list(BeamFormulation))
+    def test_row_series_meets_cold_solves(self, demo, mode, kb, separation, grid_size):
+        # the interpolant of a theta2 = 0 row solved to 1e-13 m, between its
+        # cells, against cold solves there to 1e-13 m: spectrally accurate
+        # (largest miss measured 2.6e-11 m, at k_b = 3.0)
+        mag = demo.pair_template.magnet_1.moment_magnitude
+        pair = RingPairConfig.from_angles(mag, 0.0, 0.0, separation=separation)
+        settings = replace(demo.settings, position_tolerance=1e-13)
+
+        def row(delta):
+            batch = _solve_batch(demo.params, pair, demo.source, settings, mode,
+                                 np.column_stack([delta, np.zeros_like(delta)]),
+                                 demo.params.bending_stiffness, kb)
+            assert batch.converged.all()
+            return _chart_rows(batch.pose)
+
+        delta = np.linspace(0.0, 2.0 * math.pi, grid_size, endpoint=False)
+        series = equilibrium._row_series(delta, row(delta))
+        between = delta + (2.0 * math.pi / grid_size) * np.random.default_rng(31).uniform(
+            0.05, 0.95, grid_size)
+        for d, u in zip(between, row(between)):
+            assert np.abs(series(d)[:2] - u[:2]).max() <= 1e-9
+        # at its samples the interpolant is the row
+        assert np.allclose([series(d)[:4] for d in delta], row(delta), rtol=0.0, atol=1e-12)
+
+    def test_unconverged_row_cell_is_left_out(self, demo, monkeypatch, caplog):
         # a grid cell that stopped at max_iterations keeps a finite pose: in
         # the row cell that brackets the answer's theta1 - theta2 on the side
         # of 0, farther from the axis than the target, the pose at pi, near
-        # the axis, would bracket a false crossing a cell further, were it read
+        # the axis, would bracket a false crossing a cell further, were it
+        # read. The row, one cell short, is no longer evenly spaced, so the
+        # refinement starts from the linear interpolant between its cells
+        caplog.set_level(logging.DEBUG, logger=equilibrium.__name__)
         target = _inverse_target(demo, True)
         args = (demo.params, demo.pair_template, demo.source, CAL, demo.settings, MODE)
         intact = invert_controls(target, *args)
@@ -1389,9 +1456,13 @@ class TestAxisRefinement:
             return grid, batch._replace(pose=pose, converged=ok)
 
         monkeypatch.setattr(equilibrium, "_coarse_grid", one_failed)
+        caplog.clear()
         failed = invert_controls(target, *args)
         assert failed.within_reach and failed.basin_count == intact.basin_count
         assert np.allclose(failed.q, intact.q, rtol=0.0, atol=1e-6)
+        refined = [m for m in caplog.messages if m.startswith("inverse refinement:")]
+        assert len(refined) == 1
+        assert refined[0].startswith("inverse refinement: axis, linear start,")
 
 
 class TestRefinementFailures:
@@ -1424,15 +1495,15 @@ class TestRefinementFailures:
         # no theta2 = 0 cell converged: the winner, unrefined, with no pass
         calls = []
         winner = np.array([0.5, 0.25])
-        q, miss, u = equilibrium._axis_refinement(
+        q, miss, u, start = equilibrium._axis_refinement(
             lambda *a: calls.append(a), np.array([0.0, 0.01, 0.0]), np.empty(0),
             np.empty((0, 4)), winner, 1e-6)
         assert np.array_equal(q, winner) and miss == math.inf and np.isnan(u).all()
-        assert calls == []
+        assert calls == [] and start == "no"
 
     def test_axis_refinement_with_a_failed_pass(self):
         # the row brackets the target's distance from the axis, and the
-        # first Newton pass, at the interpolated crossing, fails
+        # first Newton pass, at the crossing of the row's interpolant, fails
         delta = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
         row = np.zeros((8, 4))
         row[:, 0] = 0.02 * np.cos(0.5 * delta)
@@ -1442,9 +1513,9 @@ class TestRefinementFailures:
             calls.append(points.tolist())
             return np.full_like(coords, np.nan), np.full((len(points), 4, 2), np.nan)
 
-        q, miss, u = equilibrium._axis_refinement(newton, np.array([0.0, 0.01, 0.0]), delta,
-                                                  row, np.array([1.0, 0.0]), 1e-6)
-        assert len(calls) == 1 and calls[0][0][1] == 0.0
+        q, miss, u, start = equilibrium._axis_refinement(
+            newton, np.array([0.0, 0.01, 0.0]), delta, row, np.array([1.0, 0.0]), 1e-6)
+        assert start == "series" and len(calls) == 1 and calls[0][0][1] == 0.0
         assert q.tolist() == calls[0][0]
         assert 0.0 < q[0] < math.pi and miss == math.inf and np.isnan(u).all()
 

@@ -9,9 +9,12 @@ numerically, to find the magnet rotations that reach a target tip
 position: a grid search over the angles, then a refinement that moves
 each candidate's beam coordinates u = (p_y, p_z, a, b) by Newton steps
 on u = G(u; q) and takes its slopes from the sensitivity
-du/dq = (I - dG/du)^-1 dG/dq, so that it needs no fixed-point solve: in
-the one angle theta1 - theta2 for a source on the robot's axis, else by
-least squares in both.
+du/dq = (I - dG/du)^-1 dG/dq, so that it needs no fixed-point solve. For
+a source on the robot's axis it solves for the one angle
+theta1 - theta2 on the trigonometric series of the grid's theta2 = 0
+row, corrected to first order by one such Newton step; for any other
+source, or a grid too coarse or failed for the series, it solves by
+least squares in both angles.
 """
 from __future__ import annotations
 
@@ -438,11 +441,15 @@ def _equilibrium(batch: _Batch, k: int) -> EquilibriumResult:
 
 
 # Refinement of invert_controls: Newton on the beam coordinates, coupled to
-# a bracketed Newton iteration in theta1 - theta2 for a source on the axis,
-# else to multi-start Levenberg-Marquardt on the miss r(q) = p(q) - p_target;
-# every step is one pass of the row kernels over all trials. The step limit
-# and the stop within the tolerance serve both.
+# roots in theta1 - theta2 on the grid row's series for a source on the
+# axis, else to multi-start Levenberg-Marquardt on the miss
+# r(q) = p(q) - p_target; every kernel evaluation is one pass of the row
+# kernels over all trials. The step limit and the stop within the tolerance
+# serve both, the latter squared for the series' roots.
 _INVERSE_SEEDS = 5  # the lexicographic winner and the next best grid cells
+# seeds off the theta1 = theta2 fold and its mirror theta1 - theta2 = pi,
+# started at the straight tip, for a grid with too few converged cells
+_OFF_FOLD_SEEDS = np.array([[0.5 * np.pi, 0.0], [1.5 * np.pi, 0.0]])
 # forward-difference steps of dG/du in the beam coordinates (p_y, p_z, a, b)
 # [m, m, 1, 1] and of dG/dq in the 2 angles [rad]; stencil row 0 is the base
 _INVERSE_H = np.array([1e-8] * 4 + [1e-7] * 2)
@@ -452,6 +459,10 @@ _INVERSE_MAX_STEP = 0.25  # [rad] longest trial step
 _INVERSE_STEPS = 30
 _INVERSE_STOP = 1e-3  # all seeds stop once one is within this times the tolerance
 _INVERSE_GAIN = 0.1  # a seed stops once a step gains at most this times the tolerance
+# the smallest grid whose theta2 = 0 row series the axis path reads: the
+# series of coarser rows lost targets in reach (8 to 10 cells) or fell
+# short of the model by more than 0.1 times the tolerance (12 and 14)
+_AXIS_MIN_GRID = 16
 
 
 @dataclass(frozen=True)
@@ -489,22 +500,26 @@ def invert_controls(
     lexicographically smallest q wins;
     ``basin_count`` reports the number of distinct clusters of tied
     cells. Unless the winner is already within tolerance, it is refined
-    with no fixed-point solve: every step is one pass of the wrench and
-    beam kernels (:func:`_newton_pass`), which takes each trial's beam
+    with no fixed-point solve, by passes of the wrench and beam kernels
+    (:func:`_newton_pass`), each of which takes every trial's beam
     coordinates one Newton step towards its equilibrium and gives the
-    implicit-function sensitivity du/dq. For a source whose position and
-    moment have zero y and z components the tip's distance from the axis
-    depends on theta1 - theta2 alone, and a Newton iteration in that one
-    angle, bracketed by the grid's theta2 = 0 row and started at the root
-    of that row's trigonometric interpolant, meets the target's distance,
-    or takes the nearest point of the rim (see :func:`_axis_refinement`).
-    For any other source the winner and the next best cells, each with
-    its converged tip pose, seed a Levenberg-Marquardt least-squares
-    solve of p(q) = target, each step one pass over a few damped trial
-    steps of all seeds (see
-    :func:`_least_squares`). The seeds run together because one alone
-    can stall on the theta1 = theta2 fold, where the swap symmetry of the
-    rings makes the Jacobian singular. The answer is a
+    implicit-function sensitivity du/dq. For a source whose
+    position and moment have zero y and z components the tip's distance
+    from the axis depends on theta1 - theta2 alone. On a grid of at least
+    ``_AXIS_MIN_GRID`` whose theta2 = 0 row converged in every cell, that
+    angle is solved on the row's trigonometric interpolant, one pass there
+    corrects the interpolant to first order, and the root of the corrected
+    interpolant, or the nearest point of the rim or of the hole, is the
+    answer (see :func:`_axis_refinement`). For any other source or grid
+    the winner and the next best cells, each with its converged tip
+    pose, seed a Levenberg-Marquardt least-squares solve of p(q) =
+    target, each step one pass over a few damped trial steps of all
+    seeds (see :func:`_least_squares`). The seeds run together because
+    one alone can stall on the theta1 = theta2 fold, where the swap
+    symmetry of the rings makes the Jacobian singular; a grid with fewer
+    converged cells than seeds, as a 1 x 1 grid, whose one cell lies on
+    the fold, adds seeds at theta1 - theta2 = pi/2 and 3 pi/2, started
+    at the straight tip. The answer is a
     :func:`solve_tip_pose` at ``settings`` started at the winner's tip
     pose, the grid cell's converged pose or the refinement's
     Newton-corrected one, so it normally stops in its first iteration;
@@ -521,7 +536,8 @@ def invert_controls(
         raise ContractViolation("grid_size must be an integer >= 1")
     p_target = _as_vec3(getattr(target, "position", target), "target")
     tol = settings.position_tolerance
-    grid, coarse = _coarse_grid(params, pair_template, source, cal, settings, mode, grid_size)
+    grid, coarse, series = _coarse_grid(params, pair_template, source, cal, settings, mode,
+                                        grid_size)
     pose, ok = coarse.pose, coarse.converged
     with np.errstate(over="ignore"):  # a target too far for its squares is just missed
         errs = np.where(ok, np.linalg.norm(pose[:, :3] - p_target, axis=1), np.inf)
@@ -541,18 +557,18 @@ def invert_controls(
             return _newton_pass(params, pair_template, source, mode, cal.k_b, points, coords)
 
         target = p_target - params.straight_tip
-        if not (source.position[1:].any() or source.moment[1:].any()):
-            row = np.flatnonzero(ok[::grid_size]) * grid_size  # converged, at theta2 = 0
-            q_r, err_r, u_r, start = _axis_refinement(newton, target, grid[row, 0],
-                                                      _chart_rows(pose[row]), q, tol)
-            refinement = f"axis, {start} start"
+        if series is not None:
+            refinement = "axis"
+            q_r, err_r, u_r = _axis_refinement(newton, target, series, q, tol)
         else:
             refinement = "general"
             order = np.argsort(errs, kind="stable")
             others = order[(order != first) & np.isfinite(errs[order])]
             seeds = np.concatenate(([first], others[:_INVERSE_SEEDS - 1]))
-            q_r, err_r, u_r = _least_squares(newton, target, grid[seeds],
-                                             _chart_rows(pose[seeds]), tol)
+            pad = _OFF_FOLD_SEEDS[:_INVERSE_SEEDS - len(seeds)]
+            q_r, err_r, u_r = _least_squares(
+                newton, target, np.concatenate((grid[seeds], pad)),
+                np.concatenate((_chart_rows(pose[seeds]), np.zeros((len(pad), 4)))), tol)
         log.debug("inverse refinement: %s, %d Newton passes", refinement, passes)
         if err_r < best:
             # a tiny negative angle rounds up to 2 pi; the second mod makes it 0
@@ -567,14 +583,15 @@ def invert_controls(
                          within_reach=bool(error <= tol), basin_count=basin_count)
 
 
-# The most recent model's coarse grid, as (key, (q, _Batch)). Sequential
-# queries on one model, as when `magbeam invert` answers setpoint after
-# setpoint in a fixed field, solve their grid once. Every query builds the
-# key, hits included: 15 us, about 3 % of a 0.55 ms query that hits
-# (timeit minima, one pinned Xeon core). At the default grid size the
-# entry, its angles, its batch and its key, holds 56 kB, an eighth of a
-# cold query's 435 kB peak (tracemalloc). It is replaced by one assignment, so concurrent
-# queries at worst both solve.
+# The most recent model's coarse grid, as (key, (q, _Batch, row series or
+# None)). Sequential queries on one model, as when `magbeam invert` answers
+# setpoint after setpoint in a fixed field, solve their grid and build its
+# series once. Every query builds the key, hits included: 15 us, about 3 %
+# of a 0.55 ms query that hits (timeit minima, one pinned Xeon core). At
+# the default grid size the entry, its angles, its batch, its series and
+# its key, holds 58 kB, an eighth of a cold query's 431 kB peak
+# (tracemalloc). It is replaced by one assignment, so concurrent queries
+# at worst both solve.
 _grid_memo: tuple | None = None
 
 
@@ -604,12 +621,15 @@ def _field_names(cls: type) -> tuple[str, ...] | None:
 
 def _coarse_grid(params: RobotParams, pair: RingPairConfig, source: DipoleSource,
                  cal: FieldCalibration, settings: SolverSettings, mode: BeamFormulation,
-                 grid_size: int) -> tuple[np.ndarray, _Batch]:
+                 grid_size: int) -> tuple[np.ndarray, _Batch, _RowSeries | None]:
     """The angles and :class:`_Batch` rows of the cold-solved ``grid_size``
-    x ``grid_size`` grid of :func:`invert_controls`, every array read-only:
-    one :func:`_sweep_rows` call on ``grid_size`` angles in [0, 2 pi) for
-    both rings, or the previous call's if every input of the grid solve
-    is equal in type and value.
+    x ``grid_size`` grid of :func:`invert_controls`, and the series of its
+    row theta2 = 0, every array read-only: one :func:`_sweep_rows` call on
+    ``grid_size`` angles in [0, 2 pi) for both rings, or the previous
+    call's if every input of the grid solve is equal in type and value.
+    The series (:func:`_row_series`) is built for a source whose position
+    and moment lie on e1, on a grid of at least ``_AXIS_MIN_GRID`` whose
+    every theta2 = 0 cell converged; else it is None.
 
     The key is :func:`_value_key` of all the arguments, with the
     template's angles set to 0 because the grid replaces them.
@@ -632,8 +652,12 @@ def _coarse_grid(params: RobotParams, pair: RingPairConfig, source: DipoleSource
     log.debug("inverse grid: %d of %d seeds failed", (~ok).sum(), ok.size)
     for a in (grid, *batch):
         a.flags.writeable = False
-    _grid_memo = (key, (grid, batch))
-    return grid, batch
+    series = None
+    if (grid_size >= _AXIS_MIN_GRID and ok[::grid_size].all()
+            and not (source.position[1:].any() or source.moment[1:].any())):
+        series = _row_series(angles, _chart_rows(batch.pose[::grid_size]))
+    _grid_memo = (key, (grid, batch, series))
+    return grid, batch, series
 
 
 def _newton_pass(params: RobotParams, pair: RingPairConfig, source: DipoleSource,
@@ -756,8 +780,8 @@ def _least_squares(newton, target: np.ndarray, q: np.ndarray, u: np.ndarray, tol
     return q[s], err[s], u[s]
 
 
-def _axis_refinement(newton, target: np.ndarray, delta: np.ndarray, row: np.ndarray,
-                     winner: np.ndarray, tol: float):
+def _axis_refinement(newton, target: np.ndarray, series: _RowSeries, winner: np.ndarray,
+                     tol: float):
     """The refinement of :func:`invert_controls` for a source whose position
     and moment lie on e1, in the one unknown D = theta1 - theta2.
 
@@ -768,106 +792,88 @@ def _axis_refinement(newton, target: np.ndarray, delta: np.ndarray, row: np.ndar
     every moment flipped, negates D, so D = 0 and D = pi are extrema; on
     the ring pairs modelled it falls from the rim of the reach at D = 0 to
     the rim at D = pi of the hole about the axis that rings set apart
-    leave. ``delta`` (n,) holds the increasing angles theta1 of
-    the converged cells of the grid's row theta2 = 0, ``row`` (n, 4) their
-    beam coordinates and ``winner`` the grid winner's angles; ``newton``,
-    ``target`` and ``tol`` are those of :func:`_least_squares`. Where
-    rho^2 - |target_yz|^2 changes sign between neighbouring row cells, the
-    crossing nearest the winner's D is bracketed by its two cells and
-    rho^2 = |target_yz|^2 solved in it, starting from the root of the
-    row's trigonometric interpolant (:func:`_row_series`) when every row
-    cell converged, else from the linear interpolant between the two
-    cells. Where it changes sign nowhere, the target lies past the rim,
-    whose nearest point is at D = 0, or in the hole, whose nearest is at
-    D = pi; should the hole's rim there lie inside the target's radius, as
-    it may on an odd grid, whose row misses D = pi, the crossing between
-    pi and the nearest cell is bracketed and solved instead. Each step is
-    one ``newton`` call at (D, 0): a Newton step with its slope from the
-    sensitivity, or half the bracket where that step leaves it
-    (:func:`_bracketed_step`). It stops once the tip's distance from the
-    axis is within ``_INVERSE_STOP`` times ``tol`` of the target's, or
-    moved by at most that much in the last step (a target past the rim,
-    or inside the hole's, by less than the grid's tolerance, has a
-    bracket that holds no root), once the step would not move D (an empty
-    bracket), or after ``_INVERSE_STEPS`` steps. Both angles then
-    turn by the polar angle from the tip to the target, or by the winner's
-    theta2 for a target on the axis, which has none. Returns (q, |r(q)|, u)
-    as :func:`_least_squares` does, and the start taken: "series",
-    "linear", "rim" with no crossing, or "no" where no row cell converged;
-    the miss is inf where a step fails or no row cell converged.
+    leave. ``series`` is the trigonometric interpolant s(D) of the grid's
+    row theta2 = 0 (:func:`_row_series`), ``winner`` the grid winner's
+    angles, and ``newton``, ``target`` and ``tol`` are those of
+    :func:`_least_squares`. The refinement is a straight line:
+    1. rho^2 - |target_yz|^2 is read at the series' nodes. Where it changes
+       sign between neighbours, the crossing nearest the winner's D is
+       bracketed by them and solved on the series (:func:`_series_root`).
+       Where it changes sign nowhere, the target lies past the rim, whose
+       nearest point is at D = 0, or in the hole, whose nearest is at
+       D = pi, and the bracket is that one point.
+    2. One ``newton`` call at (D, 0), started at s(D), gives the model's
+       u and du/dD there.
+    3. The equation is solved again in the same bracket, from D, on the
+       series corrected to first order by that pass,
+       s(D') + (u - s(D)) + (du/dD - s'(D)) (D' - D).
+    4. Both angles turn by the polar angle from the tip to the target, or
+       by the winner's theta2 for a target on the axis, which has none.
+    Returns (q, |r(q)|, u) as :func:`_least_squares` does; the miss is inf
+    where the pass fails.
     """
-    if not len(delta):
-        return winner, math.inf, np.full(4, np.nan), "no"
-    within = _INVERSE_STOP * tol
-    with np.errstate(all="ignore"):  # a failed step is rejected; a far target is missed
+    fine = _INVERSE_STOP * _INVERSE_STOP * tol  # the series' roots cost no kernel
+    nodes, v = series.nodes, series.values
+    with np.errstate(all="ignore"):  # a failed pass is rejected; a far target is missed
         r2 = target[1] * target[1] + target[2] * target[2]
-        radius = math.sqrt(r2)
-        f = row[:, 0] * row[:, 0] + row[:, 1] * row[:, 1] - r2
-        f_next = np.roll(f, -1)
-        width = np.roll(delta, -1) - delta
-        width[-1] += 2.0 * np.pi  # the last cell's neighbour is the first, a turn on
+        f = v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] - r2
+        f_next = np.concatenate((f[1:], f[:1]))
         cross = np.flatnonzero(f * f_next <= 0.0)
         if cross.size:
-            # the crossing, linearly interpolated (fmax maps the 0/0 of two
-            # zeros to the first), nearest the winner's D
-            at = delta[cross] + width[cross] * np.fmax(f[cross] / (f[cross] - f_next[cross]), 0.0)
-            near = np.mod(at - (winner[0] - winner[1]) + np.pi, 2.0 * np.pi) - np.pi
-            best = np.argmin(np.abs(near))
-            c, x = cross[best], at[best]
-            lo, hi, rising = delta[c], delta[c] + width[c], f_next[c] > f[c]
-            if width.max() < 1.5 * width.min():  # evenly spaced: no row cell failed
-                start = "series"
-                x, u = _series_root(_row_series(delta, row), r2, lo, hi, rising, x,
-                                    _INVERSE_STOP * within)
-            else:
-                start = "linear"
-                t = (x - lo) / width[c]
-                u = (1.0 - t) * row[c] + t * row[(c + 1) % len(f)]
+            # the crossings, linearly interpolated (fmax maps the 0/0 of two
+            # zeros to the first node), and the one nearest the winner's D
+            right = np.concatenate((nodes[1:], nodes[:1] + 2.0 * np.pi))  # the last's a turn on
+            at = nodes + (right - nodes) * np.fmax(f / (f - f_next), 0.0)
+            c = cross[np.argmin(np.abs(np.mod(at[cross] - (winner[0] - winner[1]) + np.pi,
+                                              2.0 * np.pi) - np.pi))]
+            # plain floats: the roots step one scalar at a time
+            x, lo, hi, rising = float(at[c]), float(nodes[c]), float(right[c]), f_next[c] > f[c]
+            v = series.at(x)
         else:
-            # no bracket yet: D = pi in the hole, else D = 0, from the nearest cell
-            start = "rim"
-            x = lo = hi = np.pi if f[0] > 0.0 else 0.0
-            c = np.argmin(np.abs(np.mod(delta - x + np.pi, 2.0 * np.pi) - np.pi))
-            u, rising = row[c], False
-        x_try, u_try, rho_last = x, u, math.nan
-        for _ in range(_INVERSE_STEPS):
-            x, (u, sens) = x_try, newton(np.array([[x_try, 0.0]]), u_try[None])
-            u, du = u[0], sens[0, :, 0]
-            if not (np.isfinite(u).all() and np.isfinite(du).all()):
-                return np.array([x, 0.0]), math.inf, u, start
-            rho2 = u[0] * u[0] + u[1] * u[1]
-            rho = math.sqrt(rho2)
-            if abs(rho - radius) <= within or abs(rho - rho_last) <= within:
-                break
-            rho_last = rho
-            slope = 2.0 * (u[0] * du[0] + u[1] * du[1])  # d rho^2 / dD
-            if lo == hi == np.pi and rho2 < r2:
-                # the hole's rim inside the target's radius: rho^2 rises from
-                # pi towards the nearest cell, past the target's
-                lo, hi = sorted((delta[c], x))
-                rising = lo == x
-            lo, hi, step = _bracketed_step(x, rho2, slope, r2, lo, hi, rising)
-            if x + step == x:  # also every step with no bracket
-                break
-            x_try, u_try = x + step, u + du * step
+            c = len(nodes) // 2 if f[0] > 0.0 else 0  # the node at pi, or at 0
+            x = lo = hi = float(nodes[c])
+            v, rising = v[c], False
+        x0, v0 = _series_root(series.at, r2, lo, hi, rising, x, v, fine)
+        u, sens = newton(np.array([[x0, 0.0]]), v0[None, :4])
+        v1 = np.concatenate((u[0], sens[0, :, 0]))
+        if not np.isfinite(v1).all():
+            return np.array([x0, 0.0]), math.inf, u[0]
+        shift = v1 - v0  # [u - s(D) | du/dD - s'(D)]
+        tilt = np.concatenate((shift[4:], np.zeros(4)))
+        x, v = _series_root(lambda x: series.at(x) + shift + (x - x0) * tilt,
+                            r2, lo, hi, rising, x0, v1, fine)
         # turn both rings by the polar angle from the tip to the target
-        turn = (math.atan2(target[2], target[1]) - math.atan2(u[1], u[0]) if r2
+        turn = (math.atan2(target[2], target[1]) - math.atan2(v[1], v[0]) if r2
                 else winner[1])
         cos, sin = math.cos(turn), math.sin(turn)
-        u = np.array([cos * u[0] - sin * u[1], sin * u[0] + cos * u[1],
-                      cos * u[2] - sin * u[3], sin * u[2] + cos * u[3]])
+        u = np.array([cos * v[0] - sin * v[1], sin * v[0] + cos * v[1],
+                      cos * v[2] - sin * v[3], sin * v[2] + cos * v[3]])
         r = u[:2] - target[1:]
         miss = math.sqrt(target[0] * target[0] + r[0] * r[0] + r[1] * r[1])
-    return np.array([x + turn, turn]), miss, u, start
+    return np.array([x + turn, turn]), miss, u
 
 
-def _row_series(delta: np.ndarray, row: np.ndarray):
+class _RowSeries(NamedTuple):
+    """The trigonometric interpolant u(D) of a grid's theta2 = 0 row, from
+    :func:`_row_series`, every array read-only."""
+
+    coef: np.ndarray  # (2m, 8): [cos kD | sin kD], k < m, times it is [u(D) | du/dD]
+    nodes: np.ndarray  # the row's angles, with pi inserted on an odd grid
+    values: np.ndarray  # (len(nodes), 8) [u | du/dD] there
+
+    def at(self, x):
+        """[u(D) | du/dD] at D = ``x``: (8,) for a float, (N, 8) for (N,)."""
+        kx = np.multiply.outer(x, np.arange(len(self.coef) // 2))
+        return np.concatenate((np.cos(kx), np.sin(kx)), axis=-1) @ self.coef
+
+
+def _row_series(delta: np.ndarray, row: np.ndarray) -> _RowSeries:
     """The trigonometric interpolant u(D) of ``row`` (n, 4), sampled at the
     n evenly spaced angles ``delta`` over one turn: the sum over k <= n/2
     of A_k cos kD + B_k sin kD, with the k = n/2 term halved for even n
     (Trefethen, Spectral Methods in MATLAB, SIAM 2000, ch. 3). For a
-    smooth 2 pi-periodic u it converges spectrally in n. Returns a
-    function of D giving [u(D) | du/dD] (8,)."""
+    smooth 2 pi-periodic u it converges spectrally in n. Its nodes are
+    ``delta`` and, on an odd row, which misses it, D = pi."""
     n, m = len(delta), len(delta) // 2 + 1
     k = np.arange(m + 0.0)
     kd = np.multiply.outer(k, delta)
@@ -878,54 +884,44 @@ def _row_series(delta: np.ndarray, row: np.ndarray):
     if n % 2 == 0:
         ab[m - 1] *= 0.5
     a, b = ab[:m], ab[m:]
-    # [cos kD | sin kD] @ coef = [u | du/dD]
     coef = np.concatenate((ab, np.concatenate((k[:, None] * b, -k[:, None] * a))), axis=1)
-
-    def at(x: float) -> np.ndarray:
-        kx = k * x
-        return np.concatenate((np.cos(kx), np.sin(kx))) @ coef
-
-    return at
+    nodes = np.insert(delta, m, np.pi) if n % 2 else np.array(delta, dtype=float)
+    series = _RowSeries(coef, nodes, None)
+    series = series._replace(values=series.at(nodes))
+    for a in series:
+        a.flags.writeable = False
+    return series
 
 
 def _series_root(series, r2: float, lo: float, hi: float, rising: bool, x: float,
-                 fine: float):
-    """The root of rho^2(D) = r2 on the interpolant ``series`` of
-    :func:`_row_series`, in the bracket [lo, hi] on which rho^2 - r2 rises
-    if ``rising``, else falls: steps of :func:`_bracketed_step` from
-    ``x`` until the distance from the axis is within ``fine`` of
-    sqrt(r2), the step would not move D, or after ``_INVERSE_STEPS``
-    steps. Returns (D, u(D)); no kernel is evaluated."""
+                 v: np.ndarray, fine: float):
+    """The root of rho^2(D) = r2 on ``series``, a function of D giving
+    [u(D) | du/dD] (8,) with rho^2 = u_0^2 + u_1^2, in the bracket [lo, hi]
+    on which rho^2 - r2 rises if ``rising``, else falls: Newton steps from
+    ``x``, where the series is ``v``, each a step to the bracket's middle
+    where it would leave the bracket (a zero slope included), until the
+    distance from the axis is within ``fine`` of sqrt(r2), the step would
+    not move D, as in a bracket of one point, or after ``_INVERSE_STEPS``
+    steps. Returns (D, the series at D); no kernel is evaluated."""
     radius = math.sqrt(r2)
     for _ in range(_INVERSE_STEPS):
-        v = series(x)
         uy, uz, _, _, dy, dz, _, _ = v.tolist()
         rho2 = uy * uy + uz * uz
         if abs(math.sqrt(rho2) - radius) <= fine:
             break
-        lo, hi, step = _bracketed_step(x, rho2, 2.0 * (uy * dy + uz * dz), r2, lo, hi, rising)
+        if (rho2 < r2) == rising:
+            lo = x
+        else:
+            hi = x
+        slope = 2.0 * (uy * dy + uz * dz)  # d rho^2 / dD
+        step = (r2 - rho2) / slope if slope else math.nan
+        if not lo < x + step < hi:
+            step = 0.5 * (lo + hi) - x
         if x + step == x:
             break
         x += step
-    return x, v[:4]
-
-
-def _bracketed_step(x: float, rho2: float, slope: float, r2: float, lo: float, hi: float,
-                    rising: bool) -> tuple[float, float, float]:
-    """One step of a bracketed Newton iteration on rho^2(D) = r2, where
-    rho^2 - r2 rises over [lo, hi] if ``rising``, else falls: the bracket
-    with ``x``, at which rho^2 is ``rho2`` and its slope ``slope``, as its
-    new end on that side, and the Newton step from ``x``, or the step to
-    the bracket's middle where the Newton step leaves it (a zero or NaN
-    slope included). Returns (lo, hi, step)."""
-    if (rho2 < r2) == rising:
-        lo = x
-    else:
-        hi = x
-    step = (r2 - rho2) / slope if slope else math.nan
-    if not lo < x + step < hi:
-        step = 0.5 * (lo + hi) - x
-    return lo, hi, step
+        v = series(x)
+    return x, v
 
 
 def _count_basins(mask: np.ndarray) -> int:

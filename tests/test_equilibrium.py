@@ -909,12 +909,12 @@ def _bits(inv) -> tuple:
 
 class TestInverse:
     # the demonstrator's source lies on the robot's axis, so a query refines
-    # in the one angle theta1 - theta2, from the root of the grid row's
-    # trigonometric interpolant (TestInverseOffAxis runs the general
+    # in the one angle theta1 - theta2 on the grid row's trigonometric
+    # interpolant, with one Newton pass (TestInverseOffAxis runs the general
     # refinement): the kind named in the debug log, and the row counts of
     # its Newton passes for a reachable and an unreachable target
-    REFINEMENT = "axis, series start"
-    PASSES = {True: [1, 1], False: [1]}
+    REFINEMENT = "axis"
+    PASSES = {True: [1], False: [1]}
 
     def test_straight_target_lexicographic(self, demo):
         inv = invert_controls(demo.params.straight_tip, demo.params,
@@ -1187,13 +1187,18 @@ class TestInverse:
         assert _bits(turned) == _bits(first)
 
     def test_memo_arrays_read_only(self, demo):
-        invert_controls(demo.params.straight_tip, demo.params, demo.pair_template,
-                        demo.source, CAL, demo.settings, MODE, grid_size=4)
-        q, batch = equilibrium._grid_memo[1]
-        for a in (q, batch.pose, batch.converged):
-            assert not a.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                a[0] = 0
+        # the entry holds the row series only for a source on the axis, and
+        # only on a grid of at least the floor
+        for grid_size in (4, equilibrium._AXIS_MIN_GRID):
+            invert_controls(demo.params.straight_tip, demo.params, demo.pair_template,
+                            demo.source, CAL, demo.settings, MODE, grid_size=grid_size)
+            q, batch, series = equilibrium._grid_memo[1]
+            on_axis = self.REFINEMENT == "axis" and grid_size >= equilibrium._AXIS_MIN_GRID
+            assert (series is not None) is on_axis
+            for a in [q, batch.pose, batch.converged, *(series or ())]:
+                assert not a.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 0
 
     def test_debug_logging_changes_no_answer(self, demo, monkeypatch, caplog):
         args = (_inverse_target(demo, True), demo.params, demo.pair_template,
@@ -1294,9 +1299,11 @@ class TestAxisRefinement:
     the axis."""
 
     @pytest.mark.parametrize("separation", [0.0, 5e-3])
-    @pytest.mark.parametrize("kb", [4.03, 3.0])
+    @pytest.mark.parametrize("kb", [4.03, 3.0, 2.5])
     @pytest.mark.parametrize("mode", list(BeamFormulation))
-    def test_agrees_with_the_general_path(self, demo, monkeypatch, mode, kb, separation):
+    def test_agrees_with_the_general_path(self, demo, caplog, mode, kb, separation):
+        # on the grids of at least the floor, the smallest even and odd of
+        # them included; at k_b = 2.5 the grid's cells carry the most noise
         brentq = pytest.importorskip("scipy.optimize").brentq
         mag = demo.pair_template.magnet_1.moment_magnitude
         pair = RingPairConfig.from_angles(mag, 0.0, 0.0, separation=separation)
@@ -1313,63 +1320,84 @@ class TestAxisRefinement:
 
         # 30 targets: 18 model tips, the first two by the theta1 = theta2
         # fold; 3 inside the rim, at the fold too, by 0.1 %, 2.7 and 1.2 ppm
-        # (19 to 95 nm, where Newton steps leave the bracket); 4 past it by
-        # 3 %; 3 model tips moved off the plane x = L; the axis, on and off it
+        # (19 to 95 nm); 4 past it by 3 %; 3 model tips moved off the plane
+        # x = L; the axis, on and off it
         rng = np.random.default_rng(29)
         targets = [tip(q) for q in [(1.8010, 1.8935), (4.5962, 4.8653),
                                     *rng.uniform(0.0, 2.0 * math.pi, (16, 2))]]
-        rim = radius(0.0)
+        rim, hole = radius(0.0), radius(math.pi)
         for scale, angle in zip([0.999, 1.0 - 2.7e-6, 1.0 - 1.2e-6] + [1.03] * 4,
                                 rng.uniform(0.0, 2.0 * math.pi, 7)):
             targets.append(straight + scale * rim * np.array([0.0, math.cos(angle),
                                                               math.sin(angle)]))
         targets += [targets[k] + dx * E1 for k, dx in zip((2, 3, 4), (1.3e-3, -0.7e-3, 2e-3))]
         targets += [straight, straight + 1e-3 * E1]
-        answers, passes = {}, _record_passes(monkeypatch)
-        for name, source in (("axis", demo.source), ("general", _off_axis(demo, 1e-9).source)):
-            answers[name] = []
-            for t in targets:
-                passes.clear()
-                answers[name].append(invert_controls(t, demo.params, pair, source, cal,
-                                                     demo.settings, mode))
-                # no one-angle query, the rim's included, runs to the step limit
-                assert name == "general" or len(passes) < equilibrium._INVERSE_STEPS
+
+        # oracle for the model tips and the targets inside the rim:
+        # theta1 - theta2 from a root find on cold public solves, and the
+        # tolerance in it that the slope of the distance there gives
+        stars = []
+        for t in targets[:21]:
+            r = math.hypot(*t[1:] - straight[1:])
+            star = brentq(lambda d: radius(d) - r, 0.0, math.pi, xtol=1e-14)
+            h = 1e-5
+            stars.append((star, tol * 2.0 * h / abs(radius(star + h) - radius(star - h))))
 
         def wrap(a):
             return (a + math.pi) % (2.0 * math.pi) - math.pi
 
-        for k, (t, a, g) in enumerate(zip(targets, answers["axis"], answers["general"])):
-            assert (a.within_reach, a.basin_count, a.result.converged) == (
-                g.within_reach, g.basin_count, g.result.converged)
-            assert a.position_error <= g.position_error + 0.1 * tol
-            assert a.result.iterations == 1
-            if not a.within_reach:
-                assert np.linalg.norm(a.result.tip.position - g.result.tip.position) <= tol
-            # the same angles, to the 5e-3 rad to which the general path's
-            # stop places an answer on the rim, or else the mirror twin
-            # (theta1 - theta2 negated, the same tip), and only where both
-            # reach the target's distance from the axis, in or off the plane
-            r = math.hypot(*t[1:] - straight[1:])
-            if max(abs(wrap(a.q[0] - g.q[0])), abs(wrap(a.q[1] - g.q[1]))) > 5e-3:
-                assert abs(wrap(a.q[0] - a.q[1]) + wrap(g.q[0] - g.q[1])) <= 5e-3
-                for answer in (a, g):
-                    assert abs(math.hypot(*answer.result.tip.position[1:] - straight[1:])
-                               - r) <= tol
-            # oracle for the model tips and the targets inside the rim:
-            # theta1 - theta2 from a root find on cold public solves
-            if k < 21:
-                assert a.within_reach
-                star = brentq(lambda d: radius(d) - r, 0.0, math.pi, xtol=1e-14)
-                h = 1e-5
-                slope = (radius(star + h) - radius(star - h)) / (2.0 * h)
-                assert abs(abs(wrap(a.q[0] - a.q[1])) - star) <= tol / abs(slope)
+        caplog.set_level(logging.DEBUG, logger=equilibrium.__name__)
+        for grid_size in (equilibrium._AXIS_MIN_GRID, 23, 24):
+            answers = {}
+            for name, source in (("axis", demo.source), ("general", _off_axis(demo, 1e-9).source)):
+                answers[name] = []
+                for t in targets:
+                    caplog.clear()
+                    answers[name].append(invert_controls(t, demo.params, pair, source, cal,
+                                                         demo.settings, mode, grid_size))
+                    # a refined one-angle query, the rim's included, is one Newton pass
+                    refined = [m for m in caplog.messages if m.startswith("inverse refinement:")]
+                    assert name == "general" or refined in (
+                        [], ["inverse refinement: axis, 1 Newton passes"])
+
+            for k, (t, a, g) in enumerate(zip(targets, answers["axis"], answers["general"])):
+                assert (a.within_reach, a.basin_count, a.result.converged) == (
+                    g.within_reach, g.basin_count, g.result.converged)
+                assert a.position_error <= g.position_error + 0.1 * tol
+                assert a.result.iterations == 1
+                r = math.hypot(*t[1:] - straight[1:])
+                if not a.within_reach:
+                    # oracle: the nearest point of the annulus hole <= rho <= rim
+                    # that the tips fill in the plane x = L; for a target on the
+                    # axis every point of the hole's rim is nearest
+                    tip_yz = a.result.tip.position[1:] - straight[1:]
+                    if r:
+                        nearest = min(max(r, hole), rim) / r * (t[1:] - straight[1:])
+                        assert np.linalg.norm(tip_yz - nearest) <= tol
+                    else:
+                        assert abs(math.hypot(*tip_yz) - hole) <= tol
+                    continue
+                # the same angles, to the 5e-3 rad to which the general path's
+                # stop places an answer on the rim, or else the mirror twin
+                # (theta1 - theta2 negated, the same tip), and only where both
+                # reach the target's distance from the axis, in or off the plane
+                if max(abs(wrap(a.q[0] - g.q[0])), abs(wrap(a.q[1] - g.q[1]))) > 5e-3:
+                    assert abs(wrap(wrap(a.q[0] - a.q[1]) + wrap(g.q[0] - g.q[1]))) <= 5e-3
+                    for answer in (a, g):
+                        assert abs(math.hypot(*answer.result.tip.position[1:] - straight[1:])
+                                   - r) <= tol
+                if k < 21:
+                    star, within = stars[k]
+                    assert a.within_reach
+                    assert abs(abs(wrap(a.q[0] - a.q[1])) - star) <= within
 
     @pytest.mark.parametrize("grid_size", [7, 25])
     def test_odd_grid_reaches_the_rim_of_the_hole(self, demo, grid_size):
         # rings 5 mm apart leave a hole of radius 0.16 mm about the axis, at
         # theta1 - theta2 = pi, which an odd grid's row does not hold: a
-        # target between the hole and the row's nearest cells starts as a
-        # search for the smallest distance and meets the target's on the way
+        # target between the hole and the row's nearest cells is bracketed
+        # by the series' value at pi (grid 25), or, on a grid below the
+        # floor (7), reached by the general path
         mag = demo.pair_template.magnet_1.moment_magnitude
         pair = RingPairConfig.from_angles(mag, 0.0, 0.0, separation=5e-3)
         tol = demo.settings.position_tolerance
@@ -1429,46 +1457,73 @@ class TestAxisRefinement:
         between = delta + (2.0 * math.pi / grid_size) * np.random.default_rng(31).uniform(
             0.05, 0.95, grid_size)
         for d, u in zip(between, row(between)):
-            assert np.abs(series(d)[:2] - u[:2]).max() <= 1e-9
-        # at its samples the interpolant is the row
-        assert np.allclose([series(d)[:4] for d in delta], row(delta), rtol=0.0, atol=1e-12)
+            assert np.abs(series.at(d)[:2] - u[:2]).max() <= 1e-9
+        # at its samples the interpolant is the row; its nodes are the
+        # row's angles, with pi inserted on an odd grid, and its values
+        # there are those of the series, one angle or all at once
+        assert np.allclose(series.at(delta)[:, :4], row(delta), rtol=0.0, atol=1e-12)
+        assert np.array_equal(series.nodes, np.union1d(delta, [math.pi] * (grid_size % 2)))
+        assert np.allclose(series.values, [series.at(d) for d in series.nodes],
+                           rtol=0.0, atol=1e-15)
+
+    def test_one_pass_corrects_the_series_to_first_order(self):
+        # the model's u_y is the row's series plus a value and a slope,
+        # c0 + c1 D: the one pass, at the series' root, reads both, and the
+        # root of the series so corrected is the model's, to the 1e-6 x tol
+        # to which the series' roots are solved
+        delta = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
+        row = np.zeros((8, 4))
+        row[:, 0] = 0.01 + 0.005 * np.cos(delta)
+        c0, c1 = 1e-6, 1e-4
+
+        def model(d):  # u_y and du_y/dD
+            return 0.01 + 0.005 * math.cos(d) + c0 + c1 * d, -0.005 * math.sin(d) + c1
+
+        calls = []
+
+        def newton(points, coords):
+            calls.append(points.tolist())
+            u, sens = np.zeros((1, 4)), np.zeros((1, 4, 2))
+            u[0, 0], sens[0, 0, 0] = model(points[0, 0])
+            return u, sens
+
+        q, miss, u = equilibrium._axis_refinement(
+            newton, np.array([0.0, 0.012, 0.0]), equilibrium._row_series(delta, row),
+            np.array([1.0, 0.0]), 1e-6)
+        assert len(calls) == 1 and q[1] == 0.0
+        assert abs(model(q[0])[0] - 0.012) <= 1e-12 and miss <= 1e-12
 
     def test_unconverged_row_cell_is_left_out(self, demo, monkeypatch, caplog):
-        # a grid cell that stopped at max_iterations keeps a finite pose: in
-        # the row cell that brackets the answer's theta1 - theta2 on the side
-        # of 0, farther from the axis than the target, the pose at pi, near
-        # the axis, would bracket a false crossing a cell further, were it
-        # read. The row, one cell short, is no longer evenly spaced, so the
-        # refinement starts from the linear interpolant between its cells
+        # a grid cell that stopped at max_iterations keeps a finite pose; a
+        # theta2 = 0 row with such a cell has no series, and the query takes
+        # the general refinement, which reaches the target all the same
         caplog.set_level(logging.DEBUG, logger=equilibrium.__name__)
         target = _inverse_target(demo, True)
         args = (demo.params, demo.pair_template, demo.source, CAL, demo.settings, MODE)
         intact = invert_controls(target, *args)
-        delta = (intact.q[0] - intact.q[1]) % (2.0 * math.pi)
-        coarse_grid = equilibrium._coarse_grid
+        sweep_rows = equilibrium._sweep_rows
 
         def one_failed(*a):
-            grid, batch = coarse_grid(*a)
-            g = round(math.sqrt(len(grid)))
-            cell = (int(delta // (2.0 * math.pi / g)) + (delta > math.pi)) % g * g
-            pose, ok = batch.pose.copy(), batch.converged.copy()
-            pose[cell], ok[cell] = pose[g // 2 * g], False
-            return grid, batch._replace(pose=pose, converged=ok)
+            grid, batch = sweep_rows(*a)
+            converged = batch.converged.copy()
+            converged[24 * 5] = False  # (5 cells, 0) of the 24 x 24 grid
+            return grid, batch._replace(converged=converged)
 
-        monkeypatch.setattr(equilibrium, "_coarse_grid", one_failed)
+        monkeypatch.setattr(equilibrium, "_grid_memo", None)
+        monkeypatch.setattr(equilibrium, "_sweep_rows", one_failed)
         caplog.clear()
         failed = invert_controls(target, *args)
+        assert equilibrium._grid_memo[1][2] is None
         assert failed.within_reach and failed.basin_count == intact.basin_count
         assert np.allclose(failed.q, intact.q, rtol=0.0, atol=1e-6)
         refined = [m for m in caplog.messages if m.startswith("inverse refinement:")]
-        assert len(refined) == 1
-        assert refined[0].startswith("inverse refinement: axis, linear start,")
+        assert len(refined) == 1 and refined[0].startswith("inverse refinement: general,")
 
 
 class TestRefinementFailures:
-    """Refinements whose Newton passes fail, or that have no cell to start
-    from: a failed trial wins nothing, and the axis refinement returns an
-    infinite miss, which leaves a query its grid winner."""
+    """Refinements whose Newton passes fail: a failed trial wins nothing,
+    and the axis refinement returns an infinite miss, which leaves a query
+    its grid winner."""
 
     def test_least_squares_scores_failed_trials_inf(self):
         # every trial lands at the coordinates its step predicts, nearer the
@@ -1491,19 +1546,9 @@ class TestRefinementFailures:
         assert np.array_equal(q_ls, q[0]) and np.array_equal(u_ls, u[0])
         assert err == abs(u[0, 0] - target[1])
 
-    def test_axis_refinement_with_no_row_cell(self):
-        # no theta2 = 0 cell converged: the winner, unrefined, with no pass
-        calls = []
-        winner = np.array([0.5, 0.25])
-        q, miss, u, start = equilibrium._axis_refinement(
-            lambda *a: calls.append(a), np.array([0.0, 0.01, 0.0]), np.empty(0),
-            np.empty((0, 4)), winner, 1e-6)
-        assert np.array_equal(q, winner) and miss == math.inf and np.isnan(u).all()
-        assert calls == [] and start == "no"
-
     def test_axis_refinement_with_a_failed_pass(self):
-        # the row brackets the target's distance from the axis, and the
-        # first Newton pass, at the crossing of the row's interpolant, fails
+        # the row brackets the target's distance from the axis, and the one
+        # Newton pass, at the root of the row's interpolant, fails
         delta = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
         row = np.zeros((8, 4))
         row[:, 0] = 0.02 * np.cos(0.5 * delta)
@@ -1513,9 +1558,10 @@ class TestRefinementFailures:
             calls.append(points.tolist())
             return np.full_like(coords, np.nan), np.full((len(points), 4, 2), np.nan)
 
-        q, miss, u, start = equilibrium._axis_refinement(
-            newton, np.array([0.0, 0.01, 0.0]), delta, row, np.array([1.0, 0.0]), 1e-6)
-        assert start == "series" and len(calls) == 1 and calls[0][0][1] == 0.0
+        q, miss, u = equilibrium._axis_refinement(
+            newton, np.array([0.0, 0.01, 0.0]), equilibrium._row_series(delta, row),
+            np.array([1.0, 0.0]), 1e-6)
+        assert len(calls) == 1 and calls[0][0][1] == 0.0
         assert q.tolist() == calls[0][0]
         assert 0.0 < q[0] < math.pi and miss == math.inf and np.isnan(u).all()
 

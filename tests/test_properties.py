@@ -1,10 +1,12 @@
-"""Seeded property tests of the forward model.
+"""Seeded property tests of the forward model and its inverse.
 
-The invariants of criterion 3 and the field checks, drawn over random
-ring separations, magnet angles, calibrations (ke, kb) and both beam
-modes instead of the demonstrator alone. Draws come from seeded numpy
-generators, so every run checks the same cases.
+The invariants of criterion 3, the field checks and the inverse's round
+trip, drawn over random ring separations, magnet angles, calibrations
+(ke, kb), source placements, grid sizes and both beam modes instead of
+the demonstrator alone. Draws come from seeded numpy generators, so
+every run checks the same cases.
 """
+import itertools
 import math
 from dataclasses import replace
 
@@ -13,7 +15,7 @@ import pytest
 
 from magbeam.beam import BeamFormulation
 from magbeam.config import default_config_path, load_config
-from magbeam.equilibrium import solve_tip_pose
+from magbeam.equilibrium import invert_controls, solve_tip_pose
 from magbeam.geomag import (
     DipoleSource,
     FieldCalibration,
@@ -23,6 +25,8 @@ from magbeam.geomag import (
 )
 
 DRAWS = 8
+INVERSE_MODELS = 4  # inverse models per placement of the source and separation
+INVERSE_TIPS = 4  # model tips at random angles per inverse model
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +113,39 @@ def test_rotation_about_the_source_axis(cfg, mode, separation):
                 for d in (0.0, alpha))
         assert np.linalg.norm(b.position - rot @ a.position) <= 1e-12
         assert np.linalg.norm(b.tangent - rot @ a.tangent) <= 1e-12
+
+
+@pytest.mark.parametrize("grid_size", [1, 2, 3, 4, 5, 8, 12, 16, 23, 24])
+def test_inverse_round_trip(cfg, grid_size):
+    # every converged model tip is within reach of invert_controls: tips at
+    # random angles and, for rings set apart, one at theta1 - theta2 = pi,
+    # on the rim of the hole about the axis. INVERSE_MODELS models for each
+    # placement of the source (on the axis, or moved up to 20 mm across it)
+    # and each separation, in a random beam mode and field
+    rng = np.random.default_rng(grid_size)
+    mag = cfg.pair_template.magnet_1.moment_magnitude
+    for off_axis, sep, _ in itertools.product((False, True), (0.0, 5e-3),
+                                              range(INVERSE_MODELS)):
+        mode = list(BeamFormulation)[rng.integers(2)]
+        cal = FieldCalibration(rng.uniform(2.6, 4.5))
+        turn, shift = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, 20e-3)
+        source = cfg.source
+        if off_axis:
+            source = DipoleSource(source.moment, source.position
+                                  + shift * np.array([0.0, math.cos(turn), math.sin(turn)]))
+        pair = RingPairConfig.from_angles(mag, 0.0, 0.0, sep)
+        angles = rng.uniform(0.0, 2.0 * math.pi, (INVERSE_TIPS, 2)).tolist()
+        if sep:
+            angles.append([turn + math.pi, turn])
+        for q in angles:
+            res = solve_tip_pose(cfg.params, pair.with_angles(*q), source, cal, cfg.settings,
+                                 mode)
+            if not res.converged:
+                continue
+            inv = invert_controls(res.tip.position, cfg.params, pair, source, cal,
+                                  cfg.settings, mode, grid_size)
+            assert inv.within_reach, (mode, cal.k_b, source.position, sep, q,
+                                      inv.position_error)
 
 
 def test_gradient_symmetric_traceless():

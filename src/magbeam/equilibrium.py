@@ -11,10 +11,10 @@ each candidate's beam coordinates u = (p_y, p_z, a, b) by Newton steps
 on u = G(u; q) and takes its slopes from the sensitivity
 du/dq = (I - dG/du)^-1 dG/dq, so that it needs no fixed-point solve. For
 a source on the robot's axis it solves for the one angle
-theta1 - theta2 on the trigonometric series of the grid's theta2 = 0
-row, corrected to first order by one such Newton step; for any other
-source, or a grid too coarse or failed for the series, it solves by
-least squares in both angles.
+theta1 - theta2 on the trigonometric series of a fixed 24-cell
+theta2 = 0 row, corrected to first order by one such Newton step; for
+any other source, or a row with a failed cell, it solves by least
+squares in both angles.
 """
 from __future__ import annotations
 
@@ -459,10 +459,10 @@ _INVERSE_MAX_STEP = 0.25  # [rad] longest trial step
 _INVERSE_STEPS = 30
 _INVERSE_STOP = 1e-3  # all seeds stop once one is within this times the tolerance
 _INVERSE_GAIN = 0.1  # a seed stops once a step gains at most this times the tolerance
-# the smallest grid whose theta2 = 0 row series the axis path reads: the
-# series of coarser rows lost targets in reach (8 to 10 cells) or fell
-# short of the model by more than 0.1 times the tolerance (12 and 14)
-_AXIS_MIN_GRID = 16
+# the cells of the theta2 = 0 row whose series the axis path reads, whatever
+# the grid size, and their angles D: the default grid holds this row
+_AXIS_ROW = 24
+_AXIS_ANGLES = np.linspace(0.0, 2.0 * np.pi, _AXIS_ROW, endpoint=False)
 
 
 @dataclass(frozen=True)
@@ -486,7 +486,7 @@ def invert_controls(
     cal: FieldCalibration,
     settings: SolverSettings = SolverSettings(),
     mode: BeamFormulation = BeamFormulation.CORRECTED,
-    grid_size: int = 24,
+    grid_size: int = _AXIS_ROW,
 ) -> InverseResult:
     """Find magnet rotations that bring the tip to a target position.
 
@@ -505,15 +505,15 @@ def invert_controls(
     coordinates one Newton step towards its equilibrium and gives the
     implicit-function sensitivity du/dq. For a source whose
     position and moment have zero y and z components the tip's distance
-    from the axis depends on theta1 - theta2 alone. On a grid of at least
-    ``_AXIS_MIN_GRID`` whose theta2 = 0 row converged in every cell, that
-    angle is solved on the row's trigonometric interpolant, one pass there
-    corrects the interpolant to first order, and the root of the corrected
-    interpolant, or the nearest point of the rim or of the hole, is the
-    answer (see :func:`_axis_refinement`). For any other source or grid
-    the winner and the next best cells, each with its converged tip
-    pose, seed a Levenberg-Marquardt least-squares solve of p(q) =
-    target, each step one pass over a few damped trial steps of all
+    from the axis depends on theta1 - theta2 alone. If every cell of the
+    theta2 = 0 row of ``_AXIS_ROW`` cells converged (:func:`_coarse_grid`),
+    that angle is solved on the row's trigonometric interpolant, one pass
+    there corrects the interpolant to first order, and the root of the
+    corrected interpolant, or the nearest point of the rim or of the hole,
+    is the answer (see :func:`_axis_refinement`). For any other source, or
+    a failed row, the winner and the next best cells, each with its
+    converged tip pose, seed a Levenberg-Marquardt least-squares solve of
+    p(q) = target, each step one pass over a few damped trial steps of all
     seeds (see :func:`_least_squares`). The seeds run together because
     one alone can stall on the theta1 = theta2 fold, where the swap
     symmetry of the rings makes the Jacobian singular; a grid with fewer
@@ -585,9 +585,9 @@ def invert_controls(
 
 # The most recent model's coarse grid, as (key, (q, _Batch, row series or
 # None)). Sequential queries on one model, as when `magbeam invert` answers
-# setpoint after setpoint in a fixed field, solve their grid and build its
-# series once. Every query builds the key, hits included: 15 us, about 3 %
-# of a 0.55 ms query that hits (timeit minima, one pinned Xeon core). At
+# setpoint after setpoint in a fixed field, solve their grid and the row of
+# its series once. Every query builds the key, hits included: 15 us, about
+# 3 % of a 0.55 ms query that hits (timeit minima, one pinned Xeon core). At
 # the default grid size the entry, its angles, its batch, its series and
 # its key, holds 58 kB, an eighth of a cold query's 431 kB peak
 # (tracemalloc). It is replaced by one assignment, so concurrent queries
@@ -623,13 +623,14 @@ def _coarse_grid(params: RobotParams, pair: RingPairConfig, source: DipoleSource
                  cal: FieldCalibration, settings: SolverSettings, mode: BeamFormulation,
                  grid_size: int) -> tuple[np.ndarray, _Batch, _RowSeries | None]:
     """The angles and :class:`_Batch` rows of the cold-solved ``grid_size``
-    x ``grid_size`` grid of :func:`invert_controls`, and the series of its
+    x ``grid_size`` grid of :func:`invert_controls`, and the series of the
     row theta2 = 0, every array read-only: one :func:`_sweep_rows` call on
     ``grid_size`` angles in [0, 2 pi) for both rings, or the previous
     call's if every input of the grid solve is equal in type and value.
     The series (:func:`_row_series`) is built for a source whose position
-    and moment lie on e1, on a grid of at least ``_AXIS_MIN_GRID`` whose
-    every theta2 = 0 cell converged; else it is None.
+    and moment lie on e1 from the cells (``_AXIS_ANGLES``, 0), the grid's
+    own at the grid size ``_AXIS_ROW``, else those of one more
+    :func:`_sweep_rows` call; it is None if one of them did not converge.
 
     The key is :func:`_value_key` of all the arguments, with the
     template's angles set to 0 because the grid replaces them.
@@ -653,9 +654,13 @@ def _coarse_grid(params: RobotParams, pair: RingPairConfig, source: DipoleSource
     for a in (grid, *batch):
         a.flags.writeable = False
     series = None
-    if (grid_size >= _AXIS_MIN_GRID and ok[::grid_size].all()
-            and not (source.position[1:].any() or source.moment[1:].any())):
-        series = _row_series(angles, _chart_rows(batch.pose[::grid_size]))
+    if not (source.position[1:].any() or source.moment[1:].any()):
+        row = batch if grid_size == _AXIS_ROW else _sweep_rows(
+            params, pair, source, cal, settings, mode, _AXIS_ANGLES, [0.0])[1]
+        # the cells (D, 0): every 24th of the theta1-major grid, or every one of the row
+        cells = slice(None, None, len(row.pose) // _AXIS_ROW)
+        if row.converged[cells].all():
+            series = _row_series(_chart_rows(row.pose[cells]))
     _grid_memo = (key, (grid, batch, series))
     return grid, batch, series
 
@@ -792,28 +797,29 @@ def _axis_refinement(newton, target: np.ndarray, series: _RowSeries, winner: np.
     every moment flipped, negates D, so D = 0 and D = pi are extrema; on
     the ring pairs modelled it falls from the rim of the reach at D = 0 to
     the rim at D = pi of the hole about the axis that rings set apart
-    leave. ``series`` is the trigonometric interpolant s(D) of the grid's
+    leave. ``series`` is the trigonometric interpolant s(D) of the
     row theta2 = 0 (:func:`_row_series`), ``winner`` the grid winner's
     angles, and ``newton``, ``target`` and ``tol`` are those of
     :func:`_least_squares`. The refinement is a straight line:
-    1. rho^2 - |target_yz|^2 is read at the series' nodes. Where it changes
+    1. rho^2 - |target_yz|^2 is read at the row's cells. Where it changes
        sign between neighbours, the crossing nearest the winner's D is
        bracketed by them and solved on the series (:func:`_series_root`).
-       Where it changes sign nowhere, the target lies past the rim, whose
-       nearest point is at D = 0, or in the hole, whose nearest is at
-       D = pi, and the bracket is that one point.
+       Where it changes sign nowhere, the target lies past the series'
+       rim, whose nearest point is at D = 0, or in its hole, at D = pi;
+       the root is that cell, in the bracket from it to the next cell.
     2. One ``newton`` call at (D, 0), started at s(D), gives the model's
        u and du/dD there.
     3. The equation is solved again in the same bracket, from D, on the
        series corrected to first order by that pass,
-       s(D') + (u - s(D)) + (du/dD - s'(D)) (D' - D).
+       s(D') + (u - s(D)) + (du/dD - s'(D)) (D' - D), which reaches a
+       target past the series' rim or hole but within the model's.
     4. Both angles turn by the polar angle from the tip to the target, or
        by the winner's theta2 for a target on the axis, which has none.
     Returns (q, |r(q)|, u) as :func:`_least_squares` does; the miss is inf
     where the pass fails.
     """
     fine = _INVERSE_STOP * _INVERSE_STOP * tol  # the series' roots cost no kernel
-    nodes, v = series.nodes, series.values
+    nodes, v = _AXIS_ANGLES, series.values
     with np.errstate(all="ignore"):  # a failed pass is rejected; a far target is missed
         r2 = target[1] * target[1] + target[2] * target[2]
         f = v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] - r2
@@ -830,9 +836,9 @@ def _axis_refinement(newton, target: np.ndarray, series: _RowSeries, winner: np.
             x, lo, hi, rising = float(at[c]), float(nodes[c]), float(right[c]), f_next[c] > f[c]
             v = series.at(x)
         else:
-            c = len(nodes) // 2 if f[0] > 0.0 else 0  # the node at pi, or at 0
-            x = lo = hi = float(nodes[c])
-            v, rising = v[c], False
+            c = len(nodes) // 2 if f[0] > 0.0 else 0  # the cell at pi, or at 0
+            x = lo = float(nodes[c])
+            hi, v, rising = float(nodes[c + 1]), v[c], c > 0
         x0, v0 = _series_root(series.at, r2, lo, hi, rising, x, v, fine)
         u, sens = newton(np.array([[x0, 0.0]]), v0[None, :4])
         v1 = np.concatenate((u[0], sens[0, :, 0]))
@@ -854,12 +860,11 @@ def _axis_refinement(newton, target: np.ndarray, series: _RowSeries, winner: np.
 
 
 class _RowSeries(NamedTuple):
-    """The trigonometric interpolant u(D) of a grid's theta2 = 0 row, from
+    """The trigonometric interpolant u(D) of a theta2 = 0 row, from
     :func:`_row_series`, every array read-only."""
 
     coef: np.ndarray  # (2m, 8): [cos kD | sin kD], k < m, times it is [u(D) | du/dD]
-    nodes: np.ndarray  # the row's angles, with pi inserted on an odd grid
-    values: np.ndarray  # (len(nodes), 8) [u | du/dD] there
+    values: np.ndarray  # (_AXIS_ROW, 8) [u | du/dD] at the row's cells
 
     def at(self, x):
         """[u(D) | du/dD] at D = ``x``: (8,) for a float, (N, 8) for (N,)."""
@@ -867,27 +872,21 @@ class _RowSeries(NamedTuple):
         return np.concatenate((np.cos(kx), np.sin(kx)), axis=-1) @ self.coef
 
 
-def _row_series(delta: np.ndarray, row: np.ndarray) -> _RowSeries:
-    """The trigonometric interpolant u(D) of ``row`` (n, 4), sampled at the
-    n evenly spaced angles ``delta`` over one turn: the sum over k <= n/2
-    of A_k cos kD + B_k sin kD, with the k = n/2 term halved for even n
+def _row_series(row: np.ndarray) -> _RowSeries:
+    """The trigonometric interpolant u(D) of ``row`` (n, 4), n =
+    ``_AXIS_ROW``, sampled at the angles ``_AXIS_ANGLES``: the sum over
+    k <= n/2 of A_k cos kD + B_k sin kD, with the k = n/2 term halved
     (Trefethen, Spectral Methods in MATLAB, SIAM 2000, ch. 3). For a
-    smooth 2 pi-periodic u it converges spectrally in n. Its nodes are
-    ``delta`` and, on an odd row, which misses it, D = pi."""
-    n, m = len(delta), len(delta) // 2 + 1
+    smooth 2 pi-periodic u it converges spectrally in n."""
+    n, m = _AXIS_ROW, _AXIS_ROW // 2 + 1
     k = np.arange(m + 0.0)
-    kd = np.multiply.outer(k, delta)
-    # the coefficients [A; B] (2m, 4) by vecdot, not matmul: the first
-    # matrix product of a process through BLAS adds 0.13 MB to its peak RSS
+    kd = np.multiply.outer(k, _AXIS_ANGLES)
     ab = np.vecdot(np.concatenate((np.cos(kd), np.sin(kd)))[:, None], row.T) * (2.0 / n)
-    ab[0] *= 0.5  # the mean, and below the k = n/2 term, are sums over n
-    if n % 2 == 0:
-        ab[m - 1] *= 0.5
+    ab[[0, m - 1]] *= 0.5  # the mean and the k = n/2 term are sums over n
     a, b = ab[:m], ab[m:]
     coef = np.concatenate((ab, np.concatenate((k[:, None] * b, -k[:, None] * a))), axis=1)
-    nodes = np.insert(delta, m, np.pi) if n % 2 else np.array(delta, dtype=float)
-    series = _RowSeries(coef, nodes, None)
-    series = series._replace(values=series.at(nodes))
+    series = _RowSeries(coef, None)
+    series = series._replace(values=series.at(_AXIS_ANGLES))
     for a in series:
         a.flags.writeable = False
     return series

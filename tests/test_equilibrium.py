@@ -1187,14 +1187,13 @@ class TestInverse:
         assert _bits(turned) == _bits(first)
 
     def test_memo_arrays_read_only(self, demo):
-        # the entry holds the row series only for a source on the axis, and
-        # only on a grid of at least the floor
-        for grid_size in (4, equilibrium._AXIS_MIN_GRID):
+        # the entry holds the row series for a source on the axis, on every
+        # grid: the default's own row, and a row solved beside a 4 x 4 grid
+        for grid_size in (4, equilibrium._AXIS_ROW):
             invert_controls(demo.params.straight_tip, demo.params, demo.pair_template,
                             demo.source, CAL, demo.settings, MODE, grid_size=grid_size)
             q, batch, series = equilibrium._grid_memo[1]
-            on_axis = self.REFINEMENT == "axis" and grid_size >= equilibrium._AXIS_MIN_GRID
-            assert (series is not None) is on_axis
+            assert (series is not None) is (self.REFINEMENT == "axis")
             for a in [q, batch.pose, batch.converged, *(series or ())]:
                 assert not a.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
@@ -1302,8 +1301,8 @@ class TestAxisRefinement:
     @pytest.mark.parametrize("kb", [4.03, 3.0, 2.5])
     @pytest.mark.parametrize("mode", list(BeamFormulation))
     def test_agrees_with_the_general_path(self, demo, caplog, mode, kb, separation):
-        # on the grids of at least the floor, the smallest even and odd of
-        # them included; at k_b = 2.5 the grid's cells carry the most noise
+        # on coarse and fine grids, even and odd, whose refinement reads the
+        # same 24-cell row; at k_b = 2.5 the row's cells carry the most noise
         brentq = pytest.importorskip("scipy.optimize").brentq
         mag = demo.pair_template.magnet_1.moment_magnitude
         pair = RingPairConfig.from_angles(mag, 0.0, 0.0, separation=separation)
@@ -1347,7 +1346,7 @@ class TestAxisRefinement:
             return (a + math.pi) % (2.0 * math.pi) - math.pi
 
         caplog.set_level(logging.DEBUG, logger=equilibrium.__name__)
-        for grid_size in (equilibrium._AXIS_MIN_GRID, 23, 24):
+        for grid_size in (4, 9, 23, 24):
             answers = {}
             for name, source in (("axis", demo.source), ("general", _off_axis(demo, 1e-9).source)):
                 answers[name] = []
@@ -1394,10 +1393,9 @@ class TestAxisRefinement:
     @pytest.mark.parametrize("grid_size", [7, 25])
     def test_odd_grid_reaches_the_rim_of_the_hole(self, demo, grid_size):
         # rings 5 mm apart leave a hole of radius 0.16 mm about the axis, at
-        # theta1 - theta2 = pi, which an odd grid's row does not hold: a
-        # target between the hole and the row's nearest cells is bracketed
-        # by the series' value at pi (grid 25), or, on a grid below the
-        # floor (7), reached by the general path
+        # theta1 - theta2 = pi, where an odd grid has no cell: a target
+        # between the hole and the grid's nearest cells is still reached,
+        # since the refinement reads the even 24-cell row, which holds pi
         mag = demo.pair_template.magnet_1.moment_magnitude
         pair = RingPairConfig.from_angles(mag, 0.0, 0.0, separation=5e-3)
         tol = demo.settings.position_tolerance
@@ -1412,12 +1410,11 @@ class TestAxisRefinement:
     @pytest.mark.parametrize("grid_size", [1, 3, 9, 23, 25])
     def test_odd_grid_reaches_targets_near_the_axis(self, demo, monkeypatch, grid_size):
         # coincident rings put the tip on the axis at theta1 - theta2 = pi,
-        # where the slope of its distance from the axis vanishes; an odd
-        # grid's row has no cell there, so the refinement bisects from pi
-        # towards the nearest cell, and must not stop at pi on the
-        # vanishing slope. No query runs to the step limit. (The general
-        # path is no oracle for reach here: on a 1 x 1 grid its one seed,
-        # on the theta1 = theta2 fold, stalls)
+        # where the slope of its distance from the axis vanishes and an odd
+        # grid has no cell; the refinement reads the 24-cell row whatever
+        # the grid, and its root on that row's series must not stop at pi
+        # on the vanishing slope. No query runs to the step limit, and the
+        # general path's answer, at the same grid, bounds the error
         mag = demo.pair_template.magnet_1.moment_magnitude
         pair = RingPairConfig.from_angles(mag, 0.0, 0.0, separation=0.0)
         tol = demo.settings.position_tolerance
@@ -1437,10 +1434,13 @@ class TestAxisRefinement:
     @pytest.mark.parametrize("separation", [0.0, 5e-3])
     @pytest.mark.parametrize("kb", [4.03, 3.0])
     @pytest.mark.parametrize("mode", list(BeamFormulation))
-    def test_row_series_meets_cold_solves(self, demo, mode, kb, separation, grid_size):
-        # the interpolant of a theta2 = 0 row solved to 1e-13 m, between its
+    def test_row_series_meets_cold_solves(self, demo, monkeypatch, mode, kb, separation,
+                                          grid_size):
+        # the interpolant a grid solved to 1e-13 m reads, between the row's
         # cells, against cold solves there to 1e-13 m: spectrally accurate
-        # (largest miss measured 2.6e-11 m, at k_b = 3.0)
+        # (largest miss measured 2.6e-11 m, at k_b = 3.0). The 24 x 24 grid
+        # reads it off its own row, the 23 x 23 one off the row it solves
+        # beside its cells
         mag = demo.pair_template.magnet_1.moment_magnitude
         pair = RingPairConfig.from_angles(mag, 0.0, 0.0, separation=separation)
         settings = replace(demo.settings, position_tolerance=1e-13)
@@ -1452,29 +1452,41 @@ class TestAxisRefinement:
             assert batch.converged.all()
             return _chart_rows(batch.pose)
 
-        delta = np.linspace(0.0, 2.0 * math.pi, grid_size, endpoint=False)
-        series = equilibrium._row_series(delta, row(delta))
-        between = delta + (2.0 * math.pi / grid_size) * np.random.default_rng(31).uniform(
-            0.05, 0.95, grid_size)
+        n = equilibrium._AXIS_ROW
+        delta = equilibrium._AXIS_ANGLES
+        monkeypatch.setattr(equilibrium, "_grid_memo", None)
+        series = equilibrium._coarse_grid(demo.params, pair, demo.source, FieldCalibration(kb),
+                                          settings, mode, grid_size)[2]
+        between = delta + (2.0 * math.pi / n) * np.random.default_rng(31).uniform(
+            0.05, 0.95, n)
         for d, u in zip(between, row(between)):
             assert np.abs(series.at(d)[:2] - u[:2]).max() <= 1e-9
-        # at its samples the interpolant is the row; its nodes are the
-        # row's angles, with pi inserted on an odd grid, and its values
-        # there are those of the series, one angle or all at once
+        # its angles are those of the default grid's row; at its samples
+        # the interpolant is the row, and its values there are those of
+        # the series, one angle or all at once
+        assert np.array_equal(delta, np.linspace(0.0, 2.0 * math.pi, n, endpoint=False))
         assert np.allclose(series.at(delta)[:, :4], row(delta), rtol=0.0, atol=1e-12)
-        assert np.array_equal(series.nodes, np.union1d(delta, [math.pi] * (grid_size % 2)))
-        assert np.allclose(series.values, [series.at(d) for d in series.nodes],
-                           rtol=0.0, atol=1e-15)
+        assert np.allclose(series.values, [series.at(d) for d in delta], rtol=0.0, atol=1e-15)
 
     def test_one_pass_corrects_the_series_to_first_order(self):
-        # the model's u_y is the row's series plus a value and a slope,
-        # c0 + c1 D: the one pass, at the series' root, reads both, and the
-        # root of the series so corrected is the model's, to the 1e-6 x tol
-        # to which the series' roots are solved
-        delta = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
-        row = np.zeros((8, 4))
+        # the model's u_y is the row's series, 5 to 15 mm from the axis,
+        # plus a value and a slope, c0 + c1 D: the one pass, at the series'
+        # root, reads both, and the root of the series so corrected is the
+        # model's, to the 1e-6 x tol to which the series' roots are solved
+        self._one_pass(0.012, 1e-6, 1e-4)
+
+    @pytest.mark.parametrize("radius, c0", [(0.015 + 0.5e-6, 1e-6), (0.005 - 0.5e-6, -1e-6)],
+                             ids=["rim", "hole"])
+    def test_one_pass_reaches_past_the_series_rim_and_hole(self, radius, c0):
+        # a target 0.5 um past the series' rim (D = 0) or hole (D = pi) but
+        # within the model's is reached from the one pass there
+        self._one_pass(radius, c0, 0.0)
+
+    @staticmethod
+    def _one_pass(radius, c0, c1):
+        delta = equilibrium._AXIS_ANGLES
+        row = np.zeros((len(delta), 4))
         row[:, 0] = 0.01 + 0.005 * np.cos(delta)
-        c0, c1 = 1e-6, 1e-4
 
         def model(d):  # u_y and du_y/dD
             return 0.01 + 0.005 * math.cos(d) + c0 + c1 * d, -0.005 * math.sin(d) + c1
@@ -1488,31 +1500,58 @@ class TestAxisRefinement:
             return u, sens
 
         q, miss, u = equilibrium._axis_refinement(
-            newton, np.array([0.0, 0.012, 0.0]), equilibrium._row_series(delta, row),
+            newton, np.array([0.0, radius, 0.0]), equilibrium._row_series(row),
             np.array([1.0, 0.0]), 1e-6)
         assert len(calls) == 1 and q[1] == 0.0
-        assert abs(model(q[0])[0] - 0.012) <= 1e-12 and miss <= 1e-12
+        assert abs(model(q[0])[0] - radius) <= 1e-12 and miss <= 1e-12
+
+    def test_series_is_the_same_on_every_grid(self, demo):
+        # the series is read from one fixed row of the model, so a 12 x 12
+        # grid, which solves that row beside its own cells, gets the 24 x 24
+        # grid's series, which is read off its grid, bit for bit
+        series = {}
+        for grid_size in (12, equilibrium._AXIS_ROW):
+            invert_controls(demo.params.straight_tip, demo.params, demo.pair_template,
+                            demo.source, CAL, demo.settings, MODE, grid_size=grid_size)
+            series[grid_size] = equilibrium._grid_memo[1][2]
+        assert series[12] is not None
+        assert [a.tobytes() for a in series[12]] == [a.tobytes() for a in series[24]]
 
     def test_unconverged_row_cell_is_left_out(self, demo, monkeypatch, caplog):
-        # a grid cell that stopped at max_iterations keeps a finite pose; a
+        # a cell that stopped at max_iterations keeps a finite pose; a
         # theta2 = 0 row with such a cell has no series, and the query takes
-        # the general refinement, which reaches the target all the same
+        # the general refinement, which reaches the target all the same. On
+        # the 24 x 24 grid the cell is the grid's own
+        self._unconverged_row_cell(demo, monkeypatch, caplog, equilibrium._AXIS_ROW)
+
+    def test_unconverged_cell_of_a_solved_row_is_left_out(self, demo, monkeypatch, caplog):
+        # as above, on a 12 x 12 grid, where the cell is one of the row's
+        # own solve, at an angle that grid does not hold
+        self._unconverged_row_cell(demo, monkeypatch, caplog, 12)
+
+    @staticmethod
+    def _unconverged_row_cell(demo, monkeypatch, caplog, grid_size):
         caplog.set_level(logging.DEBUG, logger=equilibrium.__name__)
         target = _inverse_target(demo, True)
-        args = (demo.params, demo.pair_template, demo.source, CAL, demo.settings, MODE)
+        args = (demo.params, demo.pair_template, demo.source, CAL, demo.settings, MODE,
+                grid_size)
         intact = invert_controls(target, *args)
         sweep_rows = equilibrium._sweep_rows
+        cell = [equilibrium._AXIS_ANGLES[5], 0.0]
+        solved = []
 
         def one_failed(*a):
             grid, batch = sweep_rows(*a)
             converged = batch.converged.copy()
-            converged[24 * 5] = False  # (5 cells, 0) of the 24 x 24 grid
+            converged[(grid == cell).all(axis=1)] = False
+            solved.append((~converged).sum())
             return grid, batch._replace(converged=converged)
 
         monkeypatch.setattr(equilibrium, "_grid_memo", None)
         monkeypatch.setattr(equilibrium, "_sweep_rows", one_failed)
         caplog.clear()
         failed = invert_controls(target, *args)
+        assert solved == ([1] if grid_size == equilibrium._AXIS_ROW else [0, 1])
         assert equilibrium._grid_memo[1][2] is None
         assert failed.within_reach and failed.basin_count == intact.basin_count
         assert np.allclose(failed.q, intact.q, rtol=0.0, atol=1e-6)
@@ -1549,8 +1588,8 @@ class TestRefinementFailures:
     def test_axis_refinement_with_a_failed_pass(self):
         # the row brackets the target's distance from the axis, and the one
         # Newton pass, at the root of the row's interpolant, fails
-        delta = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
-        row = np.zeros((8, 4))
+        delta = equilibrium._AXIS_ANGLES
+        row = np.zeros((len(delta), 4))
         row[:, 0] = 0.02 * np.cos(0.5 * delta)
         calls = []
 
@@ -1559,7 +1598,7 @@ class TestRefinementFailures:
             return np.full_like(coords, np.nan), np.full((len(points), 4, 2), np.nan)
 
         q, miss, u = equilibrium._axis_refinement(
-            newton, np.array([0.0, 0.01, 0.0]), equilibrium._row_series(delta, row),
+            newton, np.array([0.0, 0.01, 0.0]), equilibrium._row_series(row),
             np.array([1.0, 0.0]), 1e-6)
         assert len(calls) == 1 and calls[0][0][1] == 0.0
         assert q.tolist() == calls[0][0]

@@ -495,31 +495,31 @@ def invert_controls(
     search reads. That grid depends on the model alone, not on the target:
     a query whose inputs other than the target and the template's angles
     equal the previous query's reuses its grid, and gets the answer of a
-    cold query bit for bit (see :func:`_coarse_grid`). Among cells tied
-    within the solver position tolerance of the smallest error the
-    lexicographically smallest q wins;
-    ``basin_count`` reports the number of distinct clusters of tied
-    cells. Unless the winner is already within tolerance, it is refined
-    with no fixed-point solve, by passes of the wrench and beam kernels
-    (:func:`_newton_pass`), each of which takes every trial's beam
-    coordinates one Newton step towards its equilibrium and gives the
-    implicit-function sensitivity du/dq. For a source whose
-    position and moment have zero y and z components the tip's distance
-    from the axis depends on theta1 - theta2 alone. If every cell of the
-    theta2 = 0 row of ``_AXIS_ROW`` cells converged (:func:`_coarse_grid`),
-    that angle is solved on the row's trigonometric interpolant, one pass
-    there corrects the interpolant to first order, and the root of the
-    corrected interpolant, or the nearest point of the rim or of the hole,
-    is the answer (see :func:`_axis_refinement`). For any other source, or
-    a failed row, the winner and the next best cells, each with its
-    converged tip pose, seed a Levenberg-Marquardt least-squares solve of
-    p(q) = target, each step one pass over a few damped trial steps of all
-    seeds (see :func:`_least_squares`). The seeds run together because
-    one alone can stall on the theta1 = theta2 fold, where the swap
-    symmetry of the rings makes the Jacobian singular; a grid with fewer
-    converged cells than seeds, as a 1 x 1 grid, whose one cell lies on
-    the fold, adds seeds at theta1 - theta2 = pi/2 and 3 pi/2, started
-    at the straight tip. The answer is a
+    cold query bit for bit (see :func:`_coarse_grid`). The search reads
+    converged cells alone: of those tied within the solver position
+    tolerance of the smallest error (all, where every error overflows) the
+    lexicographically smallest q wins, and ``basin_count`` counts the
+    clusters of tied cells (:func:`_count_basins`). Unless the winner is
+    already within tolerance, it is refined with no fixed-point solve, by
+    passes of the wrench and beam kernels (:func:`_newton_pass`), each of
+    which takes every trial's beam coordinates one Newton step towards its
+    equilibrium and gives the implicit-function sensitivity du/dq. For a
+    source whose position and moment have zero y and z components the tip's
+    distance from the axis depends on theta1 - theta2 alone. If every cell
+    of the theta2 = 0 row of ``_AXIS_ROW`` cells converged
+    (:func:`_coarse_grid`), that angle is solved on the row's trigonometric
+    interpolant, one pass there corrects the interpolant to first order, and
+    the root of the corrected interpolant, or the nearest point of the rim
+    or of the hole, is the answer (see :func:`_axis_refinement`). For any
+    other source, or a failed row, the winner and the next best converged
+    cells, each with its converged tip pose, seed a Levenberg-Marquardt
+    least-squares solve of p(q) = target, each step one pass over a few
+    damped trial steps of all seeds (see :func:`_least_squares`). The seeds
+    run together because one alone can stall on the theta1 = theta2 fold,
+    where the swap symmetry of the rings makes the Jacobian singular; a grid
+    with fewer converged cells than seeds, as a 1 x 1 grid, whose one cell
+    lies on the fold, adds seeds at theta1 - theta2 = pi/2 and 3 pi/2,
+    started at the straight tip. The answer is a
     :func:`solve_tip_pose` at ``settings`` started at the winner's tip
     pose, the grid cell's converged pose or the refinement's
     Newton-corrected one, so it normally stops in its first iteration;
@@ -538,14 +538,15 @@ def invert_controls(
     tol = settings.position_tolerance
     grid, coarse, series = _coarse_grid(params, pair_template, source, cal, settings, mode,
                                         grid_size)
-    pose, ok = coarse.pose, coarse.converged
-    with np.errstate(over="ignore"):  # a target too far for its squares is just missed
-        errs = np.where(ok, np.linalg.norm(pose[:, :3] - p_target, axis=1), np.inf)
+    pose = coarse.pose
+    cells = np.flatnonzero(coarse.converged)  # a failed cell takes no part
+    with np.errstate(over="ignore"):  # a target too far for its squares ties them all
+        errs = np.linalg.norm(pose[cells, :3] - p_target, axis=1)
 
     best = errs.min()
-    tied = errs <= best + tol
-    first = np.flatnonzero(tied)[0]  # theta1-major order: the lexicographic winner
-    basin_count = _count_basins(tied.reshape(grid_size, grid_size))
+    tied = cells[errs <= best + tol]
+    first = tied[0]  # theta1-major order: the lexicographic winner
+    basin_count = _count_basins(tied, (grid_size, grid_size))
 
     q, x = grid[first], pose[first]
     if best > tol:
@@ -562,9 +563,8 @@ def invert_controls(
             q_r, err_r, u_r = _axis_refinement(newton, target, series, q, tol)
         else:
             refinement = "general"
-            order = np.argsort(errs, kind="stable")
-            others = order[(order != first) & np.isfinite(errs[order])]
-            seeds = np.concatenate(([first], others[:_INVERSE_SEEDS - 1]))
+            order = cells[np.argsort(errs, kind="stable")]
+            seeds = np.concatenate(([first], order[order != first][:_INVERSE_SEEDS - 1]))
             pad = _OFF_FOLD_SEEDS[:_INVERSE_SEEDS - len(seeds)]
             q_r, err_r, u_r = _least_squares(
                 newton, target, np.concatenate((grid[seeds], pad)),
@@ -880,13 +880,13 @@ def _row_series(row: np.ndarray) -> _RowSeries:
     smooth 2 pi-periodic u it converges spectrally in n."""
     n, m = _AXIS_ROW, _AXIS_ROW // 2 + 1
     k = np.arange(m + 0.0)
-    kd = np.multiply.outer(k, _AXIS_ANGLES)
-    ab = np.vecdot(np.concatenate((np.cos(kd), np.sin(kd)))[:, None], row.T) * (2.0 / n)
+    kd = np.multiply.outer(_AXIS_ANGLES, k)
+    table = np.concatenate((np.cos(kd), np.sin(kd)), axis=1)  # the one _RowSeries.at builds
+    ab = np.vecdot(table.T[:, None], row.T) * (2.0 / n)
     ab[[0, m - 1]] *= 0.5  # the mean and the k = n/2 term are sums over n
     a, b = ab[:m], ab[m:]
     coef = np.concatenate((ab, np.concatenate((k[:, None] * b, -k[:, None] * a))), axis=1)
-    series = _RowSeries(coef, None)
-    series = series._replace(values=series.at(_AXIS_ANGLES))
+    series = _RowSeries(coef, table @ coef)
     for a in series:
         a.flags.writeable = False
     return series
@@ -923,23 +923,21 @@ def _series_root(series, r2: float, lo: float, hi: float, rising: bool, x: float
     return x, v
 
 
-def _count_basins(mask: np.ndarray) -> int:
-    """Connected components of a boolean grid, 4-adjacency with 2 pi wrap."""
-    n, m = mask.shape
-    seen = np.zeros_like(mask, dtype=bool)
+def _count_basins(cells: np.ndarray, shape: tuple[int, int]) -> int:
+    """Connected components of the cells ``cells``, flat theta1-major
+    indices into a grid of ``shape`` (the tied converged cells of
+    :func:`invert_controls`), under 4-adjacency with 2 pi wrap."""
+    n, m = shape
+    left = set(cells.tolist())
     count = 0
-    # a fill starts only at a set cell, so the scan is over those alone
-    for i0, j0 in np.argwhere(mask).tolist():
-        if seen[i0, j0]:
-            continue
+    while left:
         count += 1
-        stack = [(i0, j0)]
-        seen[i0, j0] = True
+        stack = [left.pop()]
         while stack:
-            i, j = stack.pop()
-            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                ii, jj = (i + di) % n, (j + dj) % m
-                if mask[ii, jj] and not seen[ii, jj]:
-                    seen[ii, jj] = True
-                    stack.append((ii, jj))
+            i, j = divmod(stack.pop(), m)
+            for c in (((i + 1) % n) * m + j, ((i - 1) % n) * m + j,
+                      i * m + (j + 1) % m, i * m + (j - 1) % m):
+                if c in left:
+                    left.remove(c)
+                    stack.append(c)
     return count

@@ -817,6 +817,15 @@ class TestInvert:
         # a bad row after good ones leaves the good ones' answers written
         assert out.exists() is (message == "3: not UTF-8 text")
 
+    def test_far_target_answered_at_the_defaults(self, tmp_path, capsys):
+        # at k_b 1 most grid cells fail; a target 1e203 mm away ties every
+        # converged cell, and its answer is one of them, converged
+        targets = tmp_path / "targets.csv"
+        targets.write_text("x_mm,y_mm,z_mm\n150,1e203,0\n")
+        assert main(["invert", "--targets", str(targets)]) == EXIT_OK
+        (row,) = csv.DictReader(capsys.readouterr().out.splitlines())
+        assert (row["within_reach"], row["converged"]) == ("False", "True")
+
     def test_unconverged_answer_exit_3(self, tmp_path, capsys, monkeypatch):
         # the answer's solve starts at the winner's fixed point, so it
         # converges at once; restarted at the straight tip with one iteration

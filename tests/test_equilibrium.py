@@ -1232,6 +1232,20 @@ class TestInverse:
             assert inv.within_reach
             assert inv.position_error <= tol
 
+    @pytest.mark.parametrize("kb", [1.0, 2.0])
+    def test_far_target_answered_at_a_converged_cell(self, demo, kb):
+        # a target 1e200 m away overflows every converged cell's error, so
+        # all of them tie; a failed cell must not, and the answer's solve
+        # starts at the winning cell's converged pose
+        target = demo.params.straight_tip + np.array([0.0, 1e200, 0.0])
+        inv = invert_controls(target, demo.params, demo.pair_template, demo.source,
+                              FieldCalibration(kb), demo.settings, MODE, grid_size=24)
+        q, batch, _ = equilibrium._grid_memo[1]
+        assert not batch.converged.all()
+        (cell,) = np.flatnonzero((q == inv.q).all(axis=1))
+        assert batch.converged[cell]
+        assert inv.result.converged and not inv.within_reach
+
     @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (5, 5), (6, 9), (24, 24)])
     @pytest.mark.parametrize("density", [0.1, 0.4, 0.7])
     def test_basin_count_matches_wrapped_labelling(self, shape, density):
@@ -1250,7 +1264,8 @@ class TestInverse:
                 if np.array_equal(near, label):
                     break
                 label = near
-            assert equilibrium._count_basins(mask) == np.unique(label[mask]).size
+            assert (equilibrium._count_basins(np.flatnonzero(mask), mask.shape)
+                    == np.unique(label[mask]).size)
 
 
 def _off_axis(demo, dy: float):

@@ -6,22 +6,23 @@ solved by fixed-point iteration with Aitken's dynamic relaxation
 (Kuettler & Wall, Comput. Mech. 43, 2008): every case adapts its own
 relaxation factor from its last two residuals. The map is also inverted
 numerically, to find the magnet rotations that reach a target tip
-position: a grid search over the angles, then a refinement that moves
-each candidate's beam coordinates u = (p_y, p_z, a, b) by Newton steps
-on u = G(u; q) and takes its slopes from the sensitivity
-du/dq = (I - dG/du)^-1 dG/dq, so that it needs no fixed-point solve. For
-a source on the robot's axis it solves for the one angle
-theta1 - theta2 on the trigonometric series of a fixed 24-cell
-theta2 = 0 row, corrected to first order by one such Newton step; for
-any other source, or a row with a failed cell, it solves by least
-squares in both angles.
+position: a grid search over the angles, then a refinement with no
+fixed-point solve. For a source on the robot's axis it solves for the
+one angle theta1 - theta2 on the trigonometric series of a fixed
+48-cell theta2 = 0 row, solved once per model to 1e-3 times the
+tolerance, and evaluates no kernel. For any other source, or a row with
+a failed cell or a series too coarse for the tolerance, it solves by
+least squares in both angles, moving each
+candidate's beam coordinates u = (p_y, p_z, a, b) by Newton steps on
+u = G(u; q) and taking its slopes from the sensitivity
+du/dq = (I - dG/du)^-1 dG/dq.
 """
 from __future__ import annotations
 
 import contextlib
 import logging
 import math
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 from functools import cache
 from typing import NamedTuple
 
@@ -440,12 +441,12 @@ def _equilibrium(batch: _Batch, k: int) -> EquilibriumResult:
                              bool(batch.converged[k]))
 
 
-# Refinement of invert_controls: Newton on the beam coordinates, coupled to
-# roots in theta1 - theta2 on the grid row's series for a source on the
-# axis, else to multi-start Levenberg-Marquardt on the miss
-# r(q) = p(q) - p_target; every kernel evaluation is one pass of the row
-# kernels over all trials. The step limit and the stop within the tolerance
-# serve both, the latter squared for the series' roots.
+# Refinement of invert_controls: roots in theta1 - theta2 on the axis row's
+# series for a source on the axis, else multi-start Levenberg-Marquardt on
+# the miss r(q) = p(q) - p_target coupled to Newton on the beam
+# coordinates, every kernel evaluation one pass of the row kernels over all
+# trials. The step limit and the stop within the tolerance serve both, the
+# latter squared for the series' roots.
 _INVERSE_SEEDS = 5  # the lexicographic winner and the next best grid cells
 # seeds off the theta1 = theta2 fold and its mirror theta1 - theta2 = pi,
 # started at the straight tip, for a grid with too few converged cells
@@ -457,12 +458,31 @@ _INVERSE_STENCIL = np.eye(7, 6, -1) * _INVERSE_H
 _INVERSE_DAMPING = (1e-9, 1e-2, 1.0)  # trial damping mu, over trace(J^T J)
 _INVERSE_MAX_STEP = 0.25  # [rad] longest trial step
 _INVERSE_STEPS = 30
-_INVERSE_STOP = 1e-3  # all seeds stop once one is within this times the tolerance
+# all seeds stop once one is within this times the tolerance; it also sets
+# the axis row's tolerance (_AXIS_ROW), and so the series' accuracy and the
+# cost of its solve
+_INVERSE_STOP = 1e-3
 _INVERSE_GAIN = 0.1  # a seed stops once a step gains at most this times the tolerance
-# the cells of the theta2 = 0 row whose series the axis path reads, whatever
-# the grid size, and their angles D: the default grid holds this row
-_AXIS_ROW = 24
+# the cells of the theta2 = 0 row whose series is the axis path's answer,
+# whatever the grid size, and their angles D. Solved to _INVERSE_STOP times
+# the tolerance, a row of 48 reads within 5.4e-9 m of 1e-13 m cold solves
+# down to k_b 2.2 (k_e 0.009, both modes, rings 0 and 5 mm apart); rows of
+# 24 and 32 missed by 3.3e-6 and 2.4e-7 m at k_b 2.25
+_AXIS_ROW = 48
 _AXIS_ANGLES = np.linspace(0.0, 2.0 * np.pi, _AXIS_ROW, endpoint=False)
+# the axis row's tolerance is never below this many epsilons of L, 2.1e-15
+# m for the demonstrator's L = 0.15 m: at its k_b 2.25 a stop within 3e-16
+# m (11 ulp of L) leaves cells unconverged after max_iterations, one within
+# 1e-15 m does not
+_AXIS_EPS = 64
+# the series is used only where the largest amplitude of its last four
+# harmonics, k = 21 to 24, in p_y and p_z, is at most this times the
+# tolerance. The series of a smooth row converges geometrically, and its
+# error between the cells was 0.16 to 0.63 times that amplitude at k_b 2.2
+# to 2.5 (the row solved to 2e-15 m, against 1e-13 m cold solves), so its
+# answers miss by well under the tolerance; a tighter tolerance, or a
+# softer field, takes the general refinement
+_AXIS_TAIL = 0.1
 
 
 @dataclass(frozen=True)
@@ -486,7 +506,7 @@ def invert_controls(
     cal: FieldCalibration,
     settings: SolverSettings = SolverSettings(),
     mode: BeamFormulation = BeamFormulation.CORRECTED,
-    grid_size: int = _AXIS_ROW,
+    grid_size: int = 24,
 ) -> InverseResult:
     """Find magnet rotations that bring the tip to a target position.
 
@@ -500,29 +520,33 @@ def invert_controls(
     tolerance of the smallest error (all, where every error overflows) the
     lexicographically smallest q wins, and ``basin_count`` counts the
     clusters of tied cells (:func:`_count_basins`). Unless the winner is
-    already within tolerance, it is refined with no fixed-point solve, by
-    passes of the wrench and beam kernels (:func:`_newton_pass`), each of
-    which takes every trial's beam coordinates one Newton step towards its
-    equilibrium and gives the implicit-function sensitivity du/dq. For a
-    source whose position and moment have zero y and z components the tip's
-    distance from the axis depends on theta1 - theta2 alone. If every cell
-    of the theta2 = 0 row of ``_AXIS_ROW`` cells converged
-    (:func:`_coarse_grid`), that angle is solved on the row's trigonometric
-    interpolant, one pass there corrects the interpolant to first order, and
-    the root of the corrected interpolant, or the nearest point of the rim
-    or of the hole, is the answer (see :func:`_axis_refinement`). For any
-    other source, or a failed row, the winner and the next best converged
-    cells, each with its converged tip pose, seed a Levenberg-Marquardt
-    least-squares solve of p(q) = target, each step one pass over a few
-    damped trial steps of all seeds (see :func:`_least_squares`). The seeds
+    already within tolerance, it is refined with no fixed-point solve. For
+    a source whose position and moment have zero y and z components the
+    tip's distance from the axis depends on theta1 - theta2 alone. If every
+    cell of the theta2 = 0 row of ``_AXIS_ROW`` cells, solved beside the
+    grid to ``_INVERSE_STOP`` times the tolerance (:func:`_coarse_grid`),
+    converged, and the row's trigonometric interpolant is fine enough for
+    the tolerance, that angle is solved on the interpolant, and its root
+    on the winner's side of the fold theta1 = theta2, or the nearest point
+    of the rim or of the hole, is the answer, with no kernel evaluated
+    (see :func:`_axis_refinement`). For any other source, a failed row or
+    one too coarse, the refinement runs on passes of the
+    wrench and beam kernels (:func:`_newton_pass`), each of which takes
+    every trial's beam coordinates one Newton step towards its equilibrium
+    and gives the implicit-function sensitivity du/dq: the winner and the
+    next best converged cells, each with its converged tip pose, seed a
+    Levenberg-Marquardt least-squares solve of p(q) = target, each step one
+    pass over a few damped trial steps of all seeds (see
+    :func:`_least_squares`). The seeds
     run together because one alone can stall on the theta1 = theta2 fold,
     where the swap symmetry of the rings makes the Jacobian singular; a grid
     with fewer converged cells than seeds, as a 1 x 1 grid, whose one cell
     lies on the fold, adds seeds at theta1 - theta2 = pi/2 and 3 pi/2,
     started at the straight tip. The answer is a
     :func:`solve_tip_pose` at ``settings`` started at the winner's tip
-    pose, the grid cell's converged pose or the refinement's
-    Newton-corrected one, so it normally stops in its first iteration;
+    pose: the grid cell's converged pose, the series' pose or the least
+    squares' Newton-corrected one, so it normally stops in its first
+    iteration;
     ``settings.initial_tip`` seeds the grid alone. Repeated calls give
     bit-identical answers. ``within_reach`` is True exactly when that
     answer's tip lies within ``settings.position_tolerance`` of the
@@ -550,29 +574,28 @@ def invert_controls(
 
     q, x = grid[first], pose[first]
     if best > tol:
-        passes = 0
-
-        def newton(points, coords):
-            nonlocal passes
-            passes += 1
-            return _newton_pass(params, pair_template, source, mode, cal.k_b, points, coords)
-
         target = p_target - params.straight_tip
         if series is not None:
-            refinement = "axis"
-            q_r, err_r, u_r = _axis_refinement(newton, target, series, q, tol)
+            q_r, err_r, u_r = _axis_refinement(target, series, q, tol)
+            log.debug("inverse refinement: axis")
         else:
-            refinement = "general"
+            passes = 0
+
+            def newton(points, coords):
+                nonlocal passes
+                passes += 1
+                return _newton_pass(params, pair_template, source, mode, cal.k_b, points,
+                                    coords)
+
             order = cells[np.argsort(errs, kind="stable")]
             seeds = np.concatenate(([first], order[order != first][:_INVERSE_SEEDS - 1]))
             pad = _OFF_FOLD_SEEDS[:_INVERSE_SEEDS - len(seeds)]
             q_r, err_r, u_r = _least_squares(
                 newton, target, np.concatenate((grid[seeds], pad)),
                 np.concatenate((_chart_rows(pose[seeds]), np.zeros((len(pad), 4)))), tol)
-        log.debug("inverse refinement: %s, %d Newton passes", refinement, passes)
+            log.debug("inverse refinement: general, %d Newton passes", passes)
         if err_r < best:
-            # a tiny negative angle rounds up to 2 pi; the second mod makes it 0
-            q = np.mod(np.mod(q_r, 2.0 * np.pi), 2.0 * np.pi)
+            q = _wrapped(q_r)
             x = _pose_rows(params.length, u_r[None])[0]
     q = (float(q[0]), float(q[1]))
     final = solve_tip_pose(params, pair_template.with_angles(*q), source, cal,
@@ -587,9 +610,9 @@ def invert_controls(
 # None)). Sequential queries on one model, as when `magbeam invert` answers
 # setpoint after setpoint in a fixed field, solve their grid and the row of
 # its series once. Every query builds the key, hits included: 15 us, about
-# 3 % of a 0.55 ms query that hits (timeit minima, one pinned Xeon core). At
+# 6 % of a 0.25 ms query that hits (timeit minima, one pinned Xeon core). At
 # the default grid size the entry, its angles, its batch, its series and
-# its key, holds 58 kB, an eighth of a cold query's 431 kB peak
+# its key, holds 61 kB, a seventh of a cold query's 431 kB peak
 # (tracemalloc). It is replaced by one assignment, so concurrent queries
 # at worst both solve.
 _grid_memo: tuple | None = None
@@ -628,9 +651,12 @@ def _coarse_grid(params: RobotParams, pair: RingPairConfig, source: DipoleSource
     ``grid_size`` angles in [0, 2 pi) for both rings, or the previous
     call's if every input of the grid solve is equal in type and value.
     The series (:func:`_row_series`) is built for a source whose position
-    and moment lie on e1 from the cells (``_AXIS_ANGLES``, 0), the grid's
-    own at the grid size ``_AXIS_ROW``, else those of one more
-    :func:`_sweep_rows` call; it is None if one of them did not converge.
+    and moment lie on e1 from the cells (``_AXIS_ANGLES``, 0) of one more
+    :func:`_sweep_rows` call, whatever the grid size, at ``settings`` with
+    ``_INVERSE_STOP`` times its position tolerance, or ``_AXIS_EPS``
+    epsilons of the robot's length if that is more; it is None if one of
+    them did not converge, or if the series' last harmonics, which measure
+    its error between the cells, exceed ``_AXIS_TAIL`` times the tolerance.
 
     The key is :func:`_value_key` of all the arguments, with the
     template's angles set to 0 because the grid replaces them.
@@ -655,12 +681,16 @@ def _coarse_grid(params: RobotParams, pair: RingPairConfig, source: DipoleSource
         a.flags.writeable = False
     series = None
     if not (source.position[1:].any() or source.moment[1:].any()):
-        row = batch if grid_size == _AXIS_ROW else _sweep_rows(
-            params, pair, source, cal, settings, mode, _AXIS_ANGLES, [0.0])[1]
-        # the cells (D, 0): every 24th of the theta1-major grid, or every one of the row
-        cells = slice(None, None, len(row.pose) // _AXIS_ROW)
-        if row.converged[cells].all():
-            series = _row_series(_chart_rows(row.pose[cells]))
+        tight = replace(settings, position_tolerance=max(
+            _INVERSE_STOP * settings.position_tolerance,
+            _AXIS_EPS * np.finfo(float).eps * params.length))
+        row = _sweep_rows(params, pair, source, cal, tight, mode, _AXIS_ANGLES, [0.0])[1]
+        if row.converged.all():
+            series = _row_series(_chart_rows(row.pose))
+            m = _AXIS_ROW // 2 + 1
+            tail = np.hypot(series.coef[m - 4:m, :2], series.coef[2 * m - 4:, :2]).max()
+            if tail > _AXIS_TAIL * settings.position_tolerance:
+                series = None
     _grid_memo = (key, (grid, batch, series))
     return grid, batch, series
 
@@ -785,7 +815,7 @@ def _least_squares(newton, target: np.ndarray, q: np.ndarray, u: np.ndarray, tol
     return q[s], err[s], u[s]
 
 
-def _axis_refinement(newton, target: np.ndarray, series: _RowSeries, winner: np.ndarray,
+def _axis_refinement(target: np.ndarray, series: _RowSeries, winner: np.ndarray,
                      tol: float):
     """The refinement of :func:`invert_controls` for a source whose position
     and moment lie on e1, in the one unknown D = theta1 - theta2.
@@ -799,55 +829,30 @@ def _axis_refinement(newton, target: np.ndarray, series: _RowSeries, winner: np.
     the rim at D = pi of the hole about the axis that rings set apart
     leave. ``series`` is the trigonometric interpolant s(D) of the
     row theta2 = 0 (:func:`_row_series`), ``winner`` the grid winner's
-    angles, and ``newton``, ``target`` and ``tol`` are those of
-    :func:`_least_squares`. The refinement is a straight line:
-    1. rho^2 - |target_yz|^2 is read at the row's cells. Where it changes
-       sign between neighbours, the crossing nearest the winner's D is
-       bracketed by them and solved on the series (:func:`_series_root`).
-       Where it changes sign nowhere, the target lies past the series'
-       rim, whose nearest point is at D = 0, or in its hole, at D = pi;
-       the root is that cell, in the bracket from it to the next cell.
-    2. One ``newton`` call at (D, 0), started at s(D), gives the model's
-       u and du/dD there.
-    3. The equation is solved again in the same bracket, from D, on the
-       series corrected to first order by that pass,
-       s(D') + (u - s(D)) + (du/dD - s'(D)) (D' - D), which reaches a
-       target past the series' rim or hole but within the model's.
-    4. Both angles turn by the polar angle from the tip to the target, or
+    angles, and ``target`` and ``tol`` are those of :func:`_least_squares`.
+    The row is solved tightly enough for the series to stand for the model
+    (see ``_AXIS_ROW`` and ``_AXIS_TAIL``), so the refinement evaluates no
+    kernel:
+    1. rho^2 - |target_yz|^2 is read at the row's cells in [0, pi]. Where
+       it changes sign between neighbours, the crossing nearest the
+       winner's |D| (taken in [0, pi]) is bracketed by them and solved on
+       the series (:func:`_series_root`), and D is that root or its mirror
+       twin, its negative, whichever lies on the winner's side of the fold
+       D = 0. A winner on D = 0 or pi is as near to the one as to the
+       other, and of the two answers the lexicographically smaller q wins,
+       as on the grid. Where it changes sign nowhere, the target lies past
+       the rim, whose nearest point is at D = 0, or in the hole, at D =
+       pi, and D is that cell's.
+    2. Both angles turn by the polar angle from the tip to the target, or
        by the winner's theta2 for a target on the axis, which has none.
-    Returns (q, |r(q)|, u) as :func:`_least_squares` does; the miss is inf
-    where the pass fails.
+    Returns (q, |r(q)|, u) as :func:`_least_squares` does, q in [0, 2 pi)
+    and u the series'.
     """
-    fine = _INVERSE_STOP * _INVERSE_STOP * tol  # the series' roots cost no kernel
-    nodes, v = _AXIS_ANGLES, series.values
-    with np.errstate(all="ignore"):  # a failed pass is rejected; a far target is missed
-        r2 = target[1] * target[1] + target[2] * target[2]
-        f = v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] - r2
-        f_next = np.concatenate((f[1:], f[:1]))
-        cross = np.flatnonzero(f * f_next <= 0.0)
-        if cross.size:
-            # the crossings, linearly interpolated (fmax maps the 0/0 of two
-            # zeros to the first node), and the one nearest the winner's D
-            right = np.concatenate((nodes[1:], nodes[:1] + 2.0 * np.pi))  # the last's a turn on
-            at = nodes + (right - nodes) * np.fmax(f / (f - f_next), 0.0)
-            c = cross[np.argmin(np.abs(np.mod(at[cross] - (winner[0] - winner[1]) + np.pi,
-                                              2.0 * np.pi) - np.pi))]
-            # plain floats: the roots step one scalar at a time
-            x, lo, hi, rising = float(at[c]), float(nodes[c]), float(right[c]), f_next[c] > f[c]
-            v = series.at(x)
-        else:
-            c = len(nodes) // 2 if f[0] > 0.0 else 0  # the cell at pi, or at 0
-            x = lo = float(nodes[c])
-            hi, v, rising = float(nodes[c + 1]), v[c], c > 0
-        x0, v0 = _series_root(series.at, r2, lo, hi, rising, x, v, fine)
-        u, sens = newton(np.array([[x0, 0.0]]), v0[None, :4])
-        v1 = np.concatenate((u[0], sens[0, :, 0]))
-        if not np.isfinite(v1).all():
-            return np.array([x0, 0.0]), math.inf, u[0]
-        shift = v1 - v0  # [u - s(D) | du/dD - s'(D)]
-        tilt = np.concatenate((shift[4:], np.zeros(4)))
-        x, v = _series_root(lambda x: series.at(x) + shift + (x - x0) * tilt,
-                            r2, lo, hi, rising, x0, v1, fine)
+    half = _AXIS_ROW // 2  # the cell at pi
+    nodes, v = _AXIS_ANGLES[:half + 1], series.values[:half + 1]
+    d = float(winner[0] - winner[1])
+
+    def turned(x, v):  # the answer at D = x, with the series' [u | du/dD] there
         # turn both rings by the polar angle from the tip to the target
         turn = (math.atan2(target[2], target[1]) - math.atan2(v[1], v[0]) if r2
                 else winner[1])
@@ -856,7 +861,38 @@ def _axis_refinement(newton, target: np.ndarray, series: _RowSeries, winner: np.
                       cos * v[2] - sin * v[3], sin * v[2] + cos * v[3]])
         r = u[:2] - target[1:]
         miss = math.sqrt(target[0] * target[0] + r[0] * r[0] + r[1] * r[1])
-    return np.array([x + turn, turn]), miss, u
+        return _wrapped(np.array([x + turn, turn])), miss, u
+
+    with np.errstate(all="ignore"):  # a far target is missed
+        r2 = target[1] * target[1] + target[2] * target[2]
+        f = v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] - r2
+        cross = np.flatnonzero(f[:-1] * f[1:] <= 0.0)
+        if not cross.size:
+            c = half if f[0] > 0.0 else 0  # the cell at pi, or at 0
+            return turned(float(nodes[c]), v[c])
+        # the crossings, linearly interpolated (fmax maps the 0/0 of two
+        # zeros to the first node), and the one nearest the winner's |D|
+        at = nodes[:-1] + (nodes[1:] - nodes[:-1]) * np.fmax(f[:-1] / (f[:-1] - f[1:]), 0.0)
+        c = cross[np.argmin(np.abs(at[cross] - abs(math.remainder(d, 2.0 * np.pi))))]
+        # plain floats: the root steps one scalar at a time
+        x, v = _series_root(series, r2, float(nodes[c]), float(nodes[c + 1]), f[c + 1] > f[c],
+                            float(at[c]), _INVERSE_STOP * _INVERSE_STOP * tol)
+        # the root x on the winner's side of the fold, its twin -x on the
+        # other, and both for a winner on the fold, sin D = 0 to rounding
+        # (a grid's D = pi is a difference of rounded angles)
+        side = math.sin(d)
+        twins = []
+        if side > -1e-12:
+            twins.append(turned(x, v))
+        if side < 1e-12:
+            twins.append(turned(-x, series.at(-x)))
+    return min(twins, key=lambda t: tuple(t[0]))
+
+
+def _wrapped(q: np.ndarray) -> np.ndarray:
+    """Angles ``q`` taken to [0, 2 pi): a tiny negative angle rounds up to
+    2 pi, and the second mod makes it 0."""
+    return np.mod(np.mod(q, 2.0 * np.pi), 2.0 * np.pi)
 
 
 class _RowSeries(NamedTuple):
@@ -877,7 +913,11 @@ def _row_series(row: np.ndarray) -> _RowSeries:
     ``_AXIS_ROW``, sampled at the angles ``_AXIS_ANGLES``: the sum over
     k <= n/2 of A_k cos kD + B_k sin kD, with the k = n/2 term halved
     (Trefethen, Spectral Methods in MATLAB, SIAM 2000, ch. 3). For a
-    smooth 2 pi-periodic u it converges spectrally in n."""
+    smooth 2 pi-periodic u it converges spectrally in n, down to the
+    error of the row's samples, which :func:`_coarse_grid` solves to
+    ``_INVERSE_STOP`` times the tolerance so that the series is the
+    model to well within it, or else, where its last harmonics show that
+    it is not (``_AXIS_TAIL``), does not use it."""
     n, m = _AXIS_ROW, _AXIS_ROW // 2 + 1
     k = np.arange(m + 0.0)
     kd = np.multiply.outer(_AXIS_ANGLES, k)
@@ -892,17 +932,17 @@ def _row_series(row: np.ndarray) -> _RowSeries:
     return series
 
 
-def _series_root(series, r2: float, lo: float, hi: float, rising: bool, x: float,
-                 v: np.ndarray, fine: float):
-    """The root of rho^2(D) = r2 on ``series``, a function of D giving
-    [u(D) | du/dD] (8,) with rho^2 = u_0^2 + u_1^2, in the bracket [lo, hi]
-    on which rho^2 - r2 rises if ``rising``, else falls: Newton steps from
-    ``x``, where the series is ``v``, each a step to the bracket's middle
+def _series_root(series: _RowSeries, r2: float, lo: float, hi: float, rising: bool,
+                 x: float, fine: float):
+    """The root of rho^2(D) = r2 on ``series``, with rho^2 = u_0^2 + u_1^2,
+    in the bracket [lo, hi] on which rho^2 - r2 rises if ``rising``, else
+    falls: Newton steps from ``x``, each a step to the bracket's middle
     where it would leave the bracket (a zero slope included), until the
     distance from the axis is within ``fine`` of sqrt(r2), the step would
-    not move D, as in a bracket of one point, or after ``_INVERSE_STEPS``
-    steps. Returns (D, the series at D); no kernel is evaluated."""
+    not move D, or after ``_INVERSE_STEPS`` steps. Returns (D, the series
+    [u | du/dD] at D); no kernel is evaluated."""
     radius = math.sqrt(r2)
+    v = series.at(x)
     for _ in range(_INVERSE_STEPS):
         uy, uz, _, _, dy, dz, _, _ = v.tolist()
         rho2 = uy * uy + uz * uz
@@ -919,7 +959,7 @@ def _series_root(series, r2: float, lo: float, hi: float, rising: bool, x: float
         if x + step == x:
             break
         x += step
-        v = series(x)
+        v = series.at(x)
     return x, v
 
 

@@ -770,8 +770,8 @@ class TestInvert:
             assert row["converged"] == "True"
 
     def test_one_grid_for_all_targets(self, tmp_path, monkeypatch, capsys):
-        # the targets share one model, so the grid is solved for the first
-        # only; every target then makes its final solve
+        # the targets share one model, so the grid and the axis row beside it
+        # are solved for the first only; every target then makes its final solve
         batches = []
         solve_batch = equilibrium._solve_batch
         monkeypatch.setattr(equilibrium, "_solve_batch",
@@ -779,7 +779,7 @@ class TestInvert:
         targets = tmp_path / "targets.csv"
         targets.write_text(TARGETS)
         assert main(["invert", "--targets", str(targets), *INVERT_FLAGS]) == EXIT_OK
-        assert batches == [24 * 24, 1, 1, 1, 1]
+        assert batches == [24 * 24, 48, 1, 1, 1, 1]
         assert len(capsys.readouterr().out.splitlines()) == 1 + 4
 
     def test_stdin_rows_answered_as_read(self, monkeypatch, capsys):

@@ -909,12 +909,15 @@ def _bits(inv) -> tuple:
 
 class TestInverse:
     # the demonstrator's source lies on the robot's axis, so a query refines
-    # in the one angle theta1 - theta2 on the grid row's trigonometric
-    # interpolant, with one Newton pass (TestInverseOffAxis runs the general
-    # refinement): the kind named in the debug log, and the row counts of
-    # its Newton passes for a reachable and an unreachable target
+    # in the one angle theta1 - theta2 on the trigonometric interpolant of a
+    # row solved beside the grid, with no Newton pass (TestInverseOffAxis
+    # runs the general refinement): the kind named in the debug log, the
+    # case counts of the batched solves of a memo miss but for the answer's,
+    # and the row counts of the Newton passes for a reachable and an
+    # unreachable target
     REFINEMENT = "axis"
-    PASSES = {True: [1], False: [1]}
+    MISS_BATCHES = [24 * 24, 48]
+    PASSES = {True: [], False: []}
 
     def test_straight_target_lexicographic(self, demo):
         inv = invert_controls(demo.params.straight_tip, demo.params,
@@ -1095,7 +1098,7 @@ class TestInverse:
         args = (target, demo.params, demo.pair_template, demo.source, CAL,
                 demo.settings, MODE)
         inv = invert_controls(*args)
-        assert batches == [24 * 24, 1]
+        assert batches == self.MISS_BATCHES + [1]
         assert passes == expected
         assert inv.within_reach is reachable
         batches.clear()
@@ -1186,10 +1189,23 @@ class TestInverse:
         assert batches == [1]
         assert _bits(turned) == _bits(first)
 
+    def test_default_grid_is_24_by_24(self, demo, monkeypatch):
+        # the default grid does not follow the axis row's size: 576 cells
+        # at 15 degree steps of both angles
+        batches = _record_batches(monkeypatch)
+        monkeypatch.setattr(equilibrium, "_grid_memo", None)
+        invert_controls(demo.params.straight_tip, demo.params, demo.pair_template,
+                        demo.source, CAL, demo.settings, MODE)
+        assert batches[0] == 576
+        t = np.radians(np.arange(0, 360, 15))
+        assert np.allclose(equilibrium._grid_memo[1][0],
+                           np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2),
+                           rtol=0.0, atol=1e-15)
+
     def test_memo_arrays_read_only(self, demo):
         # the entry holds the row series for a source on the axis, on every
-        # grid: the default's own row, and a row solved beside a 4 x 4 grid
-        for grid_size in (4, equilibrium._AXIS_ROW):
+        # grid, the default's and a 4 x 4 one
+        for grid_size in (4, 24):
             invert_controls(demo.params.straight_tip, demo.params, demo.pair_template,
                             demo.source, CAL, demo.settings, MODE, grid_size=grid_size)
             q, batch, series = equilibrium._grid_memo[1]
@@ -1210,9 +1226,11 @@ class TestInverse:
         said = [m for m in caplog.messages if m in ("inverse grid: hit", "inverse grid: miss")]
         assert said == ["inverse grid: miss", "inverse grid: hit"]
         assert sum("seeds failed" in m for m in caplog.messages) == 1
-        passes = len(self.PASSES[True])
+        # the general path logs its count of Newton passes; the axis path makes none
+        line = {"axis": "inverse refinement: axis",
+                "general": f"inverse refinement: general, {len(self.PASSES[True])} Newton passes"}
         refined = [m for m in caplog.messages if m.startswith("inverse refinement:")]
-        assert refined == [f"inverse refinement: {self.REFINEMENT}, {passes} Newton passes"] * 2
+        assert refined == [line[self.REFINEMENT]] * 2
 
     @pytest.mark.parametrize("mode", list(BeamFormulation))
     @pytest.mark.parametrize("ke, kb", [(0.002, 4.0), (0.009, 4.03)])
@@ -1279,6 +1297,7 @@ class TestInverseOffAxis(TestInverse):
     where a query refines by multi-start Levenberg-Marquardt."""
 
     REFINEMENT = "general"
+    MISS_BATCHES = [24 * 24]
     PASSES = {True: [5, 15, 15, 12], False: [5, 15, 15, 15, 3]}
     # these see no source: TestInverse runs them once
     test_refinement_keeps_seeds_that_no_trial_improves = None
@@ -1317,7 +1336,7 @@ class TestAxisRefinement:
     @pytest.mark.parametrize("mode", list(BeamFormulation))
     def test_agrees_with_the_general_path(self, demo, caplog, mode, kb, separation):
         # on coarse and fine grids, even and odd, whose refinement reads the
-        # same 24-cell row; at k_b = 2.5 the row's cells carry the most noise
+        # same 48-cell row; at k_b = 2.5 the row's cells carry the most noise
         brentq = pytest.importorskip("scipy.optimize").brentq
         mag = demo.pair_template.magnet_1.moment_magnitude
         pair = RingPairConfig.from_angles(mag, 0.0, 0.0, separation=separation)
@@ -1369,10 +1388,11 @@ class TestAxisRefinement:
                     caplog.clear()
                     answers[name].append(invert_controls(t, demo.params, pair, source, cal,
                                                          demo.settings, mode, grid_size))
-                    # a refined one-angle query, the rim's included, is one Newton pass
+                    # a refined one-angle query, the rim's included, takes the axis
+                    # path, which makes no Newton pass
                     refined = [m for m in caplog.messages if m.startswith("inverse refinement:")]
                     assert name == "general" or refined in (
-                        [], ["inverse refinement: axis, 1 Newton passes"])
+                        [], ["inverse refinement: axis"])
 
             for k, (t, a, g) in enumerate(zip(targets, answers["axis"], answers["general"])):
                 assert (a.within_reach, a.basin_count, a.result.converged) == (
@@ -1410,7 +1430,7 @@ class TestAxisRefinement:
         # rings 5 mm apart leave a hole of radius 0.16 mm about the axis, at
         # theta1 - theta2 = pi, where an odd grid has no cell: a target
         # between the hole and the grid's nearest cells is still reached,
-        # since the refinement reads the even 24-cell row, which holds pi
+        # since the refinement reads the even 48-cell row, which holds pi
         mag = demo.pair_template.magnet_1.moment_magnitude
         pair = RingPairConfig.from_angles(mag, 0.0, 0.0, separation=5e-3)
         tol = demo.settings.position_tolerance
@@ -1426,9 +1446,9 @@ class TestAxisRefinement:
     def test_odd_grid_reaches_targets_near_the_axis(self, demo, monkeypatch, grid_size):
         # coincident rings put the tip on the axis at theta1 - theta2 = pi,
         # where the slope of its distance from the axis vanishes and an odd
-        # grid has no cell; the refinement reads the 24-cell row whatever
+        # grid has no cell; the refinement reads the 48-cell row whatever
         # the grid, and its root on that row's series must not stop at pi
-        # on the vanishing slope. No query runs to the step limit, and the
+        # on the vanishing slope. No query makes a Newton pass, and the
         # general path's answer, at the same grid, bounds the error
         mag = demo.pair_template.magnet_1.moment_magnitude
         pair = RingPairConfig.from_angles(mag, 0.0, 0.0, separation=0.0)
@@ -1439,29 +1459,30 @@ class TestAxisRefinement:
             passes.clear()
             axis = invert_controls(target, demo.params, pair, demo.source, CAL, demo.settings,
                                    MODE, grid_size=grid_size)
-            assert 0 < len(passes) < equilibrium._INVERSE_STEPS
+            assert passes == []
             general = invert_controls(target, demo.params, pair, _off_axis(demo, 1e-9).source,
                                       CAL, demo.settings, MODE, grid_size=grid_size)
             assert axis.within_reach
             assert axis.position_error <= general.position_error + 0.1 * tol
 
-    @pytest.mark.parametrize("grid_size", [24, 23])
+    @pytest.mark.parametrize("tol, kb", [(1e-6, 4.03), (1e-6, 2.5), (1e-6, 2.25), (1e-6, 2.2),
+                                         (1e-11, 4.03), (1e-11, 3.0)])
     @pytest.mark.parametrize("separation", [0.0, 5e-3])
-    @pytest.mark.parametrize("kb", [4.03, 3.0])
     @pytest.mark.parametrize("mode", list(BeamFormulation))
-    def test_row_series_meets_cold_solves(self, demo, monkeypatch, mode, kb, separation,
-                                          grid_size):
-        # the interpolant a grid solved to 1e-13 m reads, between the row's
-        # cells, against cold solves there to 1e-13 m: spectrally accurate
-        # (largest miss measured 2.6e-11 m, at k_b = 3.0). The 24 x 24 grid
-        # reads it off its own row, the 23 x 23 one off the row it solves
-        # beside its cells
+    def test_row_series_meets_cold_solves(self, demo, monkeypatch, mode, separation, tol, kb):
+        # the series a query at the tolerance tol keeps, whatever its grid,
+        # against cold solves to 1e-13 m between the row's cells and at
+        # them: within 0.01 x tol, at the default tolerance down to the
+        # softest field whose row converges at k_e = 0.009 (largest miss
+        # 5.4e-9 m, at k_b = 2.2), and at 1e-11 m for stiffer fields. A row
+        # of 24 cells solved to the tolerance itself, not 1e-3 of it,
+        # missed by up to 5.7e-6 m at the default tolerance
         mag = demo.pair_template.magnet_1.moment_magnitude
         pair = RingPairConfig.from_angles(mag, 0.0, 0.0, separation=separation)
-        settings = replace(demo.settings, position_tolerance=1e-13)
+        exact = replace(demo.settings, position_tolerance=1e-13)
 
         def row(delta):
-            batch = _solve_batch(demo.params, pair, demo.source, settings, mode,
+            batch = _solve_batch(demo.params, pair, demo.source, exact, mode,
                                  np.column_stack([delta, np.zeros_like(delta)]),
                                  demo.params.bending_stiffness, kb)
             assert batch.converged.all()
@@ -1470,62 +1491,103 @@ class TestAxisRefinement:
         n = equilibrium._AXIS_ROW
         delta = equilibrium._AXIS_ANGLES
         monkeypatch.setattr(equilibrium, "_grid_memo", None)
-        series = equilibrium._coarse_grid(demo.params, pair, demo.source, FieldCalibration(kb),
-                                          settings, mode, grid_size)[2]
+        series = equilibrium._coarse_grid(
+            demo.params, pair, demo.source, FieldCalibration(kb),
+            replace(demo.settings, position_tolerance=tol), mode, 1)[2]
         between = delta + (2.0 * math.pi / n) * np.random.default_rng(31).uniform(
             0.05, 0.95, n)
-        for d, u in zip(between, row(between)):
-            assert np.abs(series.at(d)[:2] - u[:2]).max() <= 1e-9
-        # its angles are those of the default grid's row; at its samples
-        # the interpolant is the row, and its values there are those of
-        # the series, one angle or all at once
-        assert np.array_equal(delta, np.linspace(0.0, 2.0 * math.pi, n, endpoint=False))
-        assert np.allclose(series.at(delta)[:, :4], row(delta), rtol=0.0, atol=1e-12)
+        for d in (between, delta):
+            assert np.abs(series.at(d)[:, :2] - row(d)[:, :2]).max() <= 0.01 * tol
+        # its values at the row's cells are those of the series, one angle
+        # or all at once
         assert np.allclose(series.values, [series.at(d) for d in delta], rtol=0.0, atol=1e-15)
 
-    def test_one_pass_corrects_the_series_to_first_order(self):
-        # the model's u_y is the row's series, 5 to 15 mm from the axis,
-        # plus a value and a slope, c0 + c1 D: the one pass, at the series'
-        # root, reads both, and the root of the series so corrected is the
-        # model's, to the 1e-6 x tol to which the series' roots are solved
-        self._one_pass(0.012, 1e-6, 1e-4)
+    @pytest.mark.parametrize("tol, kb, refinement", [
+        (1e-12, 4.03, "axis"), (1e-14, 4.03, "axis"),
+        (1e-12, 2.5, "general"), (1e-9, 2.2, "general")])
+    @pytest.mark.parametrize("separation", [0.0, 5e-3])
+    def test_tight_tolerance_reaches_model_tips(self, demo, caplog, separation, tol, kb,
+                                                refinement):
+        # a tight tolerance solves the row to 1e-3 of it, but never below
+        # 64 epsilons of L (2.1e-15 m), where cells stop converging: at
+        # k_b = 4.03 the series still answers at 1e-14 m. A softer field's
+        # series is truncated too coarsely for such a tolerance (its last
+        # harmonics exceed a tenth of it), and the general refinement
+        # answers. Either way model tips are reached
+        caplog.set_level(logging.DEBUG, logger=equilibrium.__name__)
+        mag = demo.pair_template.magnet_1.moment_magnitude
+        pair = RingPairConfig.from_angles(mag, 0.0, 0.0, separation=separation)
+        cal = FieldCalibration(kb)
+        settings = replace(demo.settings, position_tolerance=tol)
+        for mode in BeamFormulation:
+            for q in np.random.default_rng(3).uniform(0.0, 2.0 * math.pi, (3, 2)):
+                tip = solve_tip_pose(demo.params, pair.with_angles(*q), demo.source, cal,
+                                     settings, mode).tip.position
+                caplog.clear()
+                inv = invert_controls(tip, demo.params, pair, demo.source, cal, settings, mode,
+                                      grid_size=4)
+                refined = [m for m in caplog.messages if m.startswith("inverse refinement:")]
+                assert [m.split(",")[0] for m in refined] == [
+                    f"inverse refinement: {refinement}"]
+                assert (equilibrium._grid_memo[1][2] is None) is (refinement == "general")
+                assert inv.within_reach and inv.result.converged
 
-    @pytest.mark.parametrize("radius, c0", [(0.015 + 0.5e-6, 1e-6), (0.005 - 0.5e-6, -1e-6)],
-                             ids=["rim", "hole"])
-    def test_one_pass_reaches_past_the_series_rim_and_hole(self, radius, c0):
-        # a target 0.5 um past the series' rim (D = 0) or hole (D = pi) but
-        # within the model's is reached from the one pass there
-        self._one_pass(radius, c0, 0.0)
+    @pytest.mark.parametrize("kb", [4.03, 2.25])
+    @pytest.mark.parametrize("mode", list(BeamFormulation))
+    def test_reaches_just_inside_and_past_the_rim_and_hole(self, demo, caplog, mode, kb):
+        # rings 5 mm apart: targets 0.5 um inside and past the rim (the
+        # cold-solved tip's distance from the axis at theta1 - theta2 = 0)
+        # and the hole's rim (at pi) are reached on the series, with no
+        # Newton pass; one past is missed by its distance past, less than tol
+        caplog.set_level(logging.DEBUG, logger=equilibrium.__name__)
+        mag = demo.pair_template.magnet_1.moment_magnitude
+        pair = RingPairConfig.from_angles(mag, 0.0, 0.0, separation=5e-3)
+        cal = FieldCalibration(kb)
+        tol = demo.settings.position_tolerance
+        exact = replace(demo.settings, position_tolerance=1e-13)
+        straight = demo.params.straight_tip
+        rim, hole = (math.hypot(*solve_tip_pose(demo.params, pair.with_angles(d, 0.0),
+                                                demo.source, cal, exact, mode).tip.position[1:])
+                     for d in (0.0, math.pi))
+        angles = np.random.default_rng(41).uniform(0.0, 2.0 * math.pi, 4)
+        for (r, past), angle in zip([(rim - 0.5e-6, 0.0), (rim + 0.5e-6, 0.5e-6),
+                                     (hole + 0.5e-6, 0.0), (hole - 0.5e-6, 0.5e-6)], angles):
+            target = straight + r * np.array([0.0, math.cos(angle), math.sin(angle)])
+            caplog.clear()
+            inv = invert_controls(target, demo.params, pair, demo.source, cal, demo.settings,
+                                  mode, grid_size=4)
+            refined = [m for m in caplog.messages if m.startswith("inverse refinement:")]
+            assert refined == ["inverse refinement: axis"]
+            assert inv.within_reach
+            assert abs(inv.position_error - past) <= 0.01 * tol
 
-    @staticmethod
-    def _one_pass(radius, c0, c1):
-        delta = equilibrium._AXIS_ANGLES
-        row = np.zeros((len(delta), 4))
-        row[:, 0] = 0.01 + 0.005 * np.cos(delta)
-
-        def model(d):  # u_y and du_y/dD
-            return 0.01 + 0.005 * math.cos(d) + c0 + c1 * d, -0.005 * math.sin(d) + c1
-
-        calls = []
-
-        def newton(points, coords):
-            calls.append(points.tolist())
-            u, sens = np.zeros((1, 4)), np.zeros((1, 4, 2))
-            u[0, 0], sens[0, 0, 0] = model(points[0, 0])
-            return u, sens
-
-        q, miss, u = equilibrium._axis_refinement(
-            newton, np.array([0.0, radius, 0.0]), equilibrium._row_series(row),
-            np.array([1.0, 0.0]), 1e-6)
-        assert len(calls) == 1 and q[1] == 0.0
-        assert abs(model(q[0])[0] - radius) <= 1e-12 and miss <= 1e-12
+    def test_winner_on_the_fold_takes_the_lexicographically_smaller_twin(self, demo):
+        # the tip at (50, 10) degrees has the mirror twin (10, 50) with
+        # coincident rings: a winner on either side of the fold
+        # theta1 = theta2 gets the twin on its side, and one on the fold, or
+        # on theta1 - theta2 = pi as a 24 x 24 grid holds it, the
+        # lexicographically smaller, as on the grid
+        tol = demo.settings.position_tolerance
+        target = solve(demo, math.radians(50), math.radians(10)).tip.position
+        invert_controls(target, demo.params, demo.pair_template, demo.source, CAL,
+                        demo.settings, MODE)
+        series = equilibrium._grid_memo[1][2]
+        grid = np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False)
+        for winner, answer in [((40, 20), (50, 10)), ((20, 40), (10, 50)),
+                               ((300, 350), (10, 50)), ((30, 30), (10, 50)),
+                               ((200, 200), (10, 50)), ((grid[14], grid[2]), (10, 50)),
+                               ((grid[2], grid[14]), (10, 50))]:
+            winner = np.radians(winner) if isinstance(winner[0], int) else np.array(winner)
+            q, miss, _ = equilibrium._axis_refinement(
+                target - demo.params.straight_tip, series, winner, tol)
+            assert np.allclose(q, np.radians(answer), rtol=0.0, atol=1e-6)
+            assert miss <= 0.01 * tol
 
     def test_series_is_the_same_on_every_grid(self, demo):
-        # the series is read from one fixed row of the model, so a 12 x 12
-        # grid, which solves that row beside its own cells, gets the 24 x 24
-        # grid's series, which is read off its grid, bit for bit
+        # the series is that of one fixed row of the model, solved beside
+        # any grid, so a 12 x 12 grid gets the 24 x 24 grid's, bit for bit
         series = {}
-        for grid_size in (12, equilibrium._AXIS_ROW):
+        for grid_size in (12, 24):
             invert_controls(demo.params.straight_tip, demo.params, demo.pair_template,
                             demo.source, CAL, demo.settings, MODE, grid_size=grid_size)
             series[grid_size] = equilibrium._grid_memo[1][2]
@@ -1535,13 +1597,13 @@ class TestAxisRefinement:
     def test_unconverged_row_cell_is_left_out(self, demo, monkeypatch, caplog):
         # a cell that stopped at max_iterations keeps a finite pose; a
         # theta2 = 0 row with such a cell has no series, and the query takes
-        # the general refinement, which reaches the target all the same. On
-        # the 24 x 24 grid the cell is the grid's own
-        self._unconverged_row_cell(demo, monkeypatch, caplog, equilibrium._AXIS_ROW)
+        # the general refinement, which reaches the target all the same. The
+        # cell is one of the row's own solve, at an angle that the 24 x 24
+        # grid does not hold
+        self._unconverged_row_cell(demo, monkeypatch, caplog, 24)
 
     def test_unconverged_cell_of_a_solved_row_is_left_out(self, demo, monkeypatch, caplog):
-        # as above, on a 12 x 12 grid, where the cell is one of the row's
-        # own solve, at an angle that grid does not hold
+        # as above, on a 12 x 12 grid
         self._unconverged_row_cell(demo, monkeypatch, caplog, 12)
 
     @staticmethod
@@ -1566,7 +1628,7 @@ class TestAxisRefinement:
         monkeypatch.setattr(equilibrium, "_sweep_rows", one_failed)
         caplog.clear()
         failed = invert_controls(target, *args)
-        assert solved == ([1] if grid_size == equilibrium._AXIS_ROW else [0, 1])
+        assert solved == [0, 1]
         assert equilibrium._grid_memo[1][2] is None
         assert failed.within_reach and failed.basin_count == intact.basin_count
         assert np.allclose(failed.q, intact.q, rtol=0.0, atol=1e-6)
@@ -1575,9 +1637,7 @@ class TestAxisRefinement:
 
 
 class TestRefinementFailures:
-    """Refinements whose Newton passes fail: a failed trial wins nothing,
-    and the axis refinement returns an infinite miss, which leaves a query
-    its grid winner."""
+    """Refinements whose Newton passes fail: a failed trial wins nothing."""
 
     def test_least_squares_scores_failed_trials_inf(self):
         # every trial lands at the coordinates its step predicts, nearer the
@@ -1599,25 +1659,6 @@ class TestRefinementFailures:
         assert calls == [2, 2 * len(equilibrium._INVERSE_DAMPING)]
         assert np.array_equal(q_ls, q[0]) and np.array_equal(u_ls, u[0])
         assert err == abs(u[0, 0] - target[1])
-
-    def test_axis_refinement_with_a_failed_pass(self):
-        # the row brackets the target's distance from the axis, and the one
-        # Newton pass, at the root of the row's interpolant, fails
-        delta = equilibrium._AXIS_ANGLES
-        row = np.zeros((len(delta), 4))
-        row[:, 0] = 0.02 * np.cos(0.5 * delta)
-        calls = []
-
-        def newton(points, coords):
-            calls.append(points.tolist())
-            return np.full_like(coords, np.nan), np.full((len(points), 4, 2), np.nan)
-
-        q, miss, u = equilibrium._axis_refinement(
-            newton, np.array([0.0, 0.01, 0.0]), equilibrium._row_series(row),
-            np.array([1.0, 0.0]), 1e-6)
-        assert len(calls) == 1 and calls[0][0][1] == 0.0
-        assert q.tolist() == calls[0][0]
-        assert 0.0 < q[0] < math.pi and miss == math.inf and np.isnan(u).all()
 
 
 class TestSensitivity:

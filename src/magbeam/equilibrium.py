@@ -522,39 +522,37 @@ def invert_controls(
     clusters of tied cells (:func:`_count_basins`). Unless the winner is
     already within tolerance, it is refined with no fixed-point solve. For
     a source whose position and moment have zero y and z components the
-    tip's distance from the axis depends on theta1 - theta2 alone. If every
-    cell of the theta2 = 0 row of ``_AXIS_ROW`` cells, solved beside the
-    grid to ``_INVERSE_STOP`` times the tolerance (:func:`_coarse_grid`),
-    converged, and the row's trigonometric interpolant is fine enough for
-    the tolerance, that angle is solved on the interpolant, and its root
-    on the winner's side of the fold theta1 = theta2, or the nearest point
-    of the rim or of the hole, is the answer, with no kernel evaluated
-    (see :func:`_axis_refinement`). For any other source, a failed row or
-    one too coarse, the refinement runs on passes of the
+    tip's distance from the axis depends on theta1 - theta2 alone. If the
+    grid's theta2 = 0 row converged, and so did the row of ``_AXIS_ROW``
+    cells solved beside it to ``_INVERSE_STOP`` times the tolerance
+    (:func:`_coarse_grid`), whose trigonometric interpolant is fine enough
+    for the tolerance, that angle is solved on the interpolant, and its
+    root on the winner's side of the fold theta1 = theta2, or the nearest
+    point of the rim or of the hole, is the answer, with no kernel
+    evaluated (see :func:`_axis_refinement`). For any other source, a
+    failed row or one too coarse, the refinement runs on passes of the
     wrench and beam kernels (:func:`_newton_pass`), each of which takes
     every trial's beam coordinates one Newton step towards its equilibrium
     and gives the implicit-function sensitivity du/dq: the winner and the
     next best converged cells, each with its converged tip pose, seed a
-    Levenberg-Marquardt least-squares solve of p(q) = target, each step one
-    pass over a few damped trial steps of all seeds (see
-    :func:`_least_squares`). The seeds
-    run together because one alone can stall on the theta1 = theta2 fold,
-    where the swap symmetry of the rings makes the Jacobian singular; a grid
-    with fewer converged cells than seeds, as a 1 x 1 grid, whose one cell
-    lies on the fold, adds seeds at theta1 - theta2 = pi/2 and 3 pi/2,
-    started at the straight tip. The answer is a
-    :func:`solve_tip_pose` at ``settings`` started at the winner's tip
-    pose: the grid cell's converged pose, the series' pose or the least
-    squares' Newton-corrected one, so it normally stops in its first
-    iteration;
-    ``settings.initial_tip`` seeds the grid alone. Repeated calls give
-    bit-identical answers. ``within_reach`` is True exactly when that
-    answer's tip lies within ``settings.position_tolerance`` of the
-    target; a target out of reach gets the nearest configuration found.
-    Raises :class:`ContractViolation` for a non-finite target or a
-    ``grid_size`` that is not an integer (a numpy integer too, a bool
-    not) of at least 1, and :class:`DivergenceError` if no grid seed
-    converges.
+    Levenberg-Marquardt least-squares solve of p(q) = target, each step
+    one pass over a few damped trial steps of all seeds (see
+    :func:`_least_squares`). The seeds run together because one alone can
+    stall on the theta1 = theta2 fold, where the swap symmetry of the
+    rings makes the Jacobian singular; a grid with fewer converged cells
+    than seeds, as a 1 x 1 grid, whose one cell lies on the fold, adds
+    seeds at theta1 - theta2 = pi/2 and 3 pi/2, started at the straight
+    tip. The answer is a :func:`solve_tip_pose` at ``settings`` started
+    at the winner's tip pose: the grid cell's converged pose, the axis
+    row's (a cell's or the series') or the least squares' Newton-corrected
+    one, so it normally stops in its first iteration; ``settings.initial_tip``
+    seeds the grid alone. Repeated calls give bit-identical answers.
+    ``within_reach`` is True exactly when that answer's tip lies within
+    ``settings.position_tolerance`` of the target; a target out of reach
+    gets the nearest configuration found. Raises
+    :class:`ContractViolation` for a non-finite target or a ``grid_size``
+    that is not an integer (a numpy integer too, a bool not) of at least
+    1, and :class:`DivergenceError` if no grid seed converges.
     """
     if not _is_count(grid_size):
         raise ContractViolation("grid_size must be an integer >= 1")
@@ -610,11 +608,11 @@ def invert_controls(
 # None)). Sequential queries on one model, as when `magbeam invert` answers
 # setpoint after setpoint in a fixed field, solve their grid and the row of
 # its series once. Every query builds the key, hits included: 15 us, about
-# 6 % of a 0.25 ms query that hits (timeit minima, one pinned Xeon core). At
-# the default grid size the entry, its angles, its batch, its series and
-# its key, holds 61 kB, a seventh of a cold query's 431 kB peak
-# (tracemalloc). It is replaced by one assignment, so concurrent queries
-# at worst both solve.
+# 6 % of a 0.24 ms query that hits (timeit minima, one pinned Xeon core). At
+# the default grid size the entry, its angles, its batch, its series with
+# the row's solved cells, and its key, holds 63 kB of a cold query's 435 kB
+# peak (tracemalloc). It is replaced by one assignment, so concurrent
+# queries at worst both solve.
 _grid_memo: tuple | None = None
 
 
@@ -657,6 +655,8 @@ def _coarse_grid(params: RobotParams, pair: RingPairConfig, source: DipoleSource
     epsilons of the robot's length if that is more; it is None if one of
     them did not converge, or if the series' last harmonics, which measure
     its error between the cells, exceed ``_AXIS_TAIL`` times the tolerance.
+    No row is solved where a grid cell at theta2 = 0 failed: the row holds
+    its angle for a grid size dividing 48, and fails there too.
 
     The key is :func:`_value_key` of all the arguments, with the
     template's angles set to 0 because the grid replaces them.
@@ -680,7 +680,7 @@ def _coarse_grid(params: RobotParams, pair: RingPairConfig, source: DipoleSource
     for a in (grid, *batch):
         a.flags.writeable = False
     series = None
-    if not (source.position[1:].any() or source.moment[1:].any()):
+    if not (source.position[1:].any() or source.moment[1:].any()) and ok[::grid_size].all():
         tight = replace(settings, position_tolerance=max(
             _INVERSE_STOP * settings.position_tolerance,
             _AXIS_EPS * np.finfo(float).eps * params.length))
@@ -827,13 +827,13 @@ def _axis_refinement(target: np.ndarray, series: _RowSeries, winner: np.ndarray,
     every moment flipped, negates D, so D = 0 and D = pi are extrema; on
     the ring pairs modelled it falls from the rim of the reach at D = 0 to
     the rim at D = pi of the hole about the axis that rings set apart
-    leave. ``series`` is the trigonometric interpolant s(D) of the
-    row theta2 = 0 (:func:`_row_series`), ``winner`` the grid winner's
-    angles, and ``target`` and ``tol`` are those of :func:`_least_squares`.
+    leave. ``series`` holds the solved cells of the row theta2 = 0 and
+    their interpolant s(D) (:func:`_row_series`), ``winner`` the grid
+    winner's angles, and ``target`` and ``tol`` those of :func:`_least_squares`.
     The row is solved tightly enough for the series to stand for the model
     (see ``_AXIS_ROW`` and ``_AXIS_TAIL``), so the refinement evaluates no
     kernel:
-    1. rho^2 - |target_yz|^2 is read at the row's cells in [0, pi]. Where
+    1. rho^2 - |target_yz|^2 is read at the solved cells in [0, pi]. Where
        it changes sign between neighbours, the crossing nearest the
        winner's |D| (taken in [0, pi]) is bracketed by them and solved on
        the series (:func:`_series_root`), and D is that root or its mirror
@@ -842,17 +842,16 @@ def _axis_refinement(target: np.ndarray, series: _RowSeries, winner: np.ndarray,
        other, and of the two answers the lexicographically smaller q wins,
        as on the grid. Where it changes sign nowhere, the target lies past
        the rim, whose nearest point is at D = 0, or in the hole, at D =
-       pi, and D is that cell's.
+       pi, and D and u are that cell's.
     2. Both angles turn by the polar angle from the tip to the target, or
        by the winner's theta2 for a target on the axis, which has none.
-    Returns (q, |r(q)|, u) as :func:`_least_squares` does, q in [0, 2 pi)
-    and u the series'.
+    Returns (q, |r(q)|, u) as :func:`_least_squares` does, q in [0, 2 pi).
     """
     half = _AXIS_ROW // 2  # the cell at pi
-    nodes, v = _AXIS_ANGLES[:half + 1], series.values[:half + 1]
+    nodes, v = _AXIS_ANGLES[:half + 1], series.cells[:half + 1]
     d = float(winner[0] - winner[1])
 
-    def turned(x, v):  # the answer at D = x, with the series' [u | du/dD] there
+    def turned(x, v):  # the answer at D = x, with u there leading v
         # turn both rings by the polar angle from the tip to the target
         turn = (math.atan2(target[2], target[1]) - math.atan2(v[1], v[0]) if r2
                 else winner[1])
@@ -896,37 +895,37 @@ def _wrapped(q: np.ndarray) -> np.ndarray:
 
 
 class _RowSeries(NamedTuple):
-    """The trigonometric interpolant u(D) of a theta2 = 0 row, from
-    :func:`_row_series`, every array read-only."""
+    """The solved cells of a theta2 = 0 row and their trigonometric
+    interpolant u(D), from :func:`_row_series`, every array read-only."""
 
-    coef: np.ndarray  # (2m, 8): [cos kD | sin kD], k < m, times it is [u(D) | du/dD]
-    values: np.ndarray  # (_AXIS_ROW, 8) [u | du/dD] at the row's cells
+    coef: np.ndarray  # (2m, 6): [cos kD | sin kD], k < m, times it is [u(D) | d(p_y, p_z)/dD]
+    cells: np.ndarray  # (_AXIS_ROW, 4) u at the row's cells, as solved
 
     def at(self, x):
-        """[u(D) | du/dD] at D = ``x``: (8,) for a float, (N, 8) for (N,)."""
+        """[u | d(p_y, p_z)/dD] at D = ``x``: (6,) for a float, (N, 6) for (N,)."""
         kx = np.multiply.outer(x, np.arange(len(self.coef) // 2))
         return np.concatenate((np.cos(kx), np.sin(kx)), axis=-1) @ self.coef
 
 
-def _row_series(row: np.ndarray) -> _RowSeries:
-    """The trigonometric interpolant u(D) of ``row`` (n, 4), n =
-    ``_AXIS_ROW``, sampled at the angles ``_AXIS_ANGLES``: the sum over
-    k <= n/2 of A_k cos kD + B_k sin kD, with the k = n/2 term halved
-    (Trefethen, Spectral Methods in MATLAB, SIAM 2000, ch. 3). For a
-    smooth 2 pi-periodic u it converges spectrally in n, down to the
-    error of the row's samples, which :func:`_coarse_grid` solves to
-    ``_INVERSE_STOP`` times the tolerance so that the series is the
-    model to well within it, or else, where its last harmonics show that
-    it is not (``_AXIS_TAIL``), does not use it."""
+def _row_series(cells: np.ndarray) -> _RowSeries:
+    """The trigonometric interpolant u(D) of the row ``cells`` (n, 4), n =
+    ``_AXIS_ROW``, solved at the angles ``_AXIS_ANGLES``, with d(p_y,
+    p_z)/dD: the sum over k <= n/2 of A_k cos kD + B_k sin kD, with the k
+    = n/2 term halved (Trefethen, Spectral Methods in MATLAB, SIAM 2000,
+    ch. 3). For a smooth 2 pi-periodic u it converges spectrally in n,
+    down to the error of the row's samples, which :func:`_coarse_grid`
+    solves to ``_INVERSE_STOP`` times the tolerance so that the series is
+    the model to well within it, or else, where its last harmonics show
+    that it is not (``_AXIS_TAIL``), does not use it."""
     n, m = _AXIS_ROW, _AXIS_ROW // 2 + 1
     k = np.arange(m + 0.0)
     kd = np.multiply.outer(_AXIS_ANGLES, k)
     table = np.concatenate((np.cos(kd), np.sin(kd)), axis=1)  # the one _RowSeries.at builds
-    ab = np.vecdot(table.T[:, None], row.T) * (2.0 / n)
+    ab = np.vecdot(table.T[:, None], cells.T) * (2.0 / n)
     ab[[0, m - 1]] *= 0.5  # the mean and the k = n/2 term are sums over n
-    a, b = ab[:m], ab[m:]
+    a, b = ab[:m, :2], ab[m:, :2]
     coef = np.concatenate((ab, np.concatenate((k[:, None] * b, -k[:, None] * a))), axis=1)
-    series = _RowSeries(coef, table @ coef)
+    series = _RowSeries(coef, cells)
     for a in series:
         a.flags.writeable = False
     return series
@@ -940,11 +939,11 @@ def _series_root(series: _RowSeries, r2: float, lo: float, hi: float, rising: bo
     where it would leave the bracket (a zero slope included), until the
     distance from the axis is within ``fine`` of sqrt(r2), the step would
     not move D, or after ``_INVERSE_STEPS`` steps. Returns (D, the series
-    [u | du/dD] at D); no kernel is evaluated."""
+    at D); no kernel is evaluated."""
     radius = math.sqrt(r2)
     v = series.at(x)
     for _ in range(_INVERSE_STEPS):
-        uy, uz, _, _, dy, dz, _, _ = v.tolist()
+        uy, uz, _, _, dy, dz = v.tolist()
         rho2 = uy * uy + uz * uz
         if abs(math.sqrt(rho2) - radius) <= fine:
             break

@@ -1203,8 +1203,9 @@ class TestInverse:
                            rtol=0.0, atol=1e-15)
 
     def test_memo_arrays_read_only(self, demo):
-        # the entry holds the row series for a source on the axis, on every
-        # grid, the default's and a 4 x 4 one
+        # the entry holds the row series, its coefficients and the row's
+        # solved cells, for a source on the axis, on every grid, the
+        # default's and a 4 x 4 one
         for grid_size in (4, 24):
             invert_controls(demo.params.straight_tip, demo.params, demo.pair_template,
                             demo.source, CAL, demo.settings, MODE, grid_size=grid_size)
@@ -1496,11 +1497,11 @@ class TestAxisRefinement:
             replace(demo.settings, position_tolerance=tol), mode, 1)[2]
         between = delta + (2.0 * math.pi / n) * np.random.default_rng(31).uniform(
             0.05, 0.95, n)
-        for d in (between, delta):
-            assert np.abs(series.at(d)[:, :2] - row(d)[:, :2]).max() <= 0.01 * tol
-        # its values at the row's cells are those of the series, one angle
-        # or all at once
-        assert np.allclose(series.values, [series.at(d) for d in delta], rtol=0.0, atol=1e-15)
+        assert np.abs(series.at(between)[:, :2] - row(between)[:, :2]).max() <= 0.01 * tol
+        # at the row's cells, the series and the solved cells it keeps
+        cold = row(delta)
+        for at_cells in (series.at(delta), series.cells):
+            assert np.abs(at_cells[:, :2] - cold[:, :2]).max() <= 0.01 * tol
 
     @pytest.mark.parametrize("tol, kb, refinement", [
         (1e-12, 4.03, "axis"), (1e-14, 4.03, "axis"),
@@ -1634,6 +1635,64 @@ class TestAxisRefinement:
         assert np.allclose(failed.q, intact.q, rtol=0.0, atol=1e-6)
         refined = [m for m in caplog.messages if m.startswith("inverse refinement:")]
         assert len(refined) == 1 and refined[0].startswith("inverse refinement: general,")
+
+    @pytest.mark.parametrize("mode", list(BeamFormulation))
+    def test_failed_grid_row_solves_no_axis_row(self, demo, monkeypatch, caplog, mode):
+        # at k_b = 2 cells of the grid's theta2 = 0 row fail, and the 48-cell
+        # row, which holds every angle of that row, would fail there too: a
+        # memo miss solves the grid alone and refines on the general path, as
+        # it would after the row had failed
+        caplog.set_level(logging.DEBUG, logger=equilibrium.__name__)
+        target = demo.params.straight_tip + np.array([0.0, 0.018, 0.024])
+        batches = _record_batches(monkeypatch)
+        inv = invert_controls(target, demo.params, demo.pair_template, demo.source,
+                              FieldCalibration(2.0), demo.settings, mode, grid_size=24)
+        _, batch, series = equilibrium._grid_memo[1]
+        assert not batch.converged.reshape(24, 24)[:, 0].all() and series is None
+        assert batches == [576, 1]
+        refined = [m for m in caplog.messages if m.startswith("inverse refinement:")]
+        assert len(refined) == 1 and refined[0].startswith("inverse refinement: general,")
+        assert inv.within_reach
+
+    def test_a_failed_grid_row_cell_fails_in_the_axis_row(self, demo):
+        # the premise of solving no 48-cell row where the grid's theta2 = 0
+        # row has a failed cell: that row, solved as _coarse_grid solves it,
+        # then has a failed cell too. A 24 x 24 grid's row angles are cells of
+        # the 48-cell row, whose tighter stop runs the same iterates; a 23 x 23
+        # grid's are not. The rows of every model of one mode and separation,
+        # at k_e drawn about the demonstrator's, are solved as one batch,
+        # which changes no row's iterates
+        mag = demo.pair_template.magnet_1.moment_magnitude
+        rng = np.random.default_rng(7)
+        models = [(kb, g) for kb in (2.0, 2.15) for g in (23, 24)]
+        tol = demo.settings.position_tolerance
+        tight = replace(demo.settings, position_tolerance=max(
+            equilibrium._INVERSE_STOP * tol,
+            equilibrium._AXIS_EPS * np.finfo(float).eps * demo.params.length))
+        failed_grid_rows = 0
+        for mode in BeamFormulation:
+            for separation in (0.0, 5e-3):
+                pair = RingPairConfig.from_angles(mag, 0.0, 0.0, separation=separation)
+                ei = [replace(demo.params, stiffness_scale=ke).bending_stiffness
+                      for ke in rng.uniform(0.008, 0.010, len(models))]
+
+                def converged(settings, row_angles):
+                    rows = [row_angles(g) for _, g in models]
+                    n = [len(r) for r in rows]
+                    q = np.column_stack([np.concatenate(rows), np.zeros(sum(n))])
+                    batch = _solve_batch(demo.params, pair, demo.source, settings, mode, q,
+                                         np.repeat(ei, n),
+                                         np.repeat([kb for kb, _ in models], n))
+                    return np.split(batch.converged, np.cumsum(n)[:-1])
+
+                grid_rows = converged(demo.settings, lambda g: np.linspace(
+                    0.0, 2.0 * math.pi, g, endpoint=False))
+                axis_rows = converged(tight, lambda g: equilibrium._AXIS_ANGLES)
+                for grid_row, axis_row in zip(grid_rows, axis_rows):
+                    if not grid_row.all():
+                        failed_grid_rows += 1
+                        assert not axis_row.all()
+        assert failed_grid_rows >= 12
 
 
 class TestRefinementFailures:

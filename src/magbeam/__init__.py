@@ -18,14 +18,7 @@ from .calibration import (
     grid_search_calibrate,
     notch_to_angle,
 )
-from .equilibrium import (
-    EquilibriumResult,
-    InverseResult,
-    SolverSettings,
-    invert_controls,
-    solve_tip_pose,
-    sweep,
-)
+from .equilibrium import EquilibriumResult, SolverSettings, solve_tip_pose, sweep
 from .geomag import (
     MU0,
     DipoleSource,
@@ -39,6 +32,7 @@ from .geomag import (
     ring_dipole_moment,
     tip_wrench,
 )
+from .inverse import InverseResult, invert_controls
 from .workspace import (
     EllipseFit,
     PlanarTrack,

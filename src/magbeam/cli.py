@@ -40,8 +40,9 @@ from .calibration import (
     load_experiment_csv,
 )
 from .config import ConfigError, LoadedConfig, default_config_path, load_config
-from .equilibrium import DivergenceError, _sweep_rows, invert_controls, solve_tip_pose
+from .equilibrium import DivergenceError, _sweep_rows, solve_tip_pose
 from .geomag import ContractViolation, FieldCalibration, FieldSingularityError
+from .inverse import invert_controls
 from .svgplot import write_svg
 from .workspace import (
     EllipseFitError,

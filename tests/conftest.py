@@ -1,9 +1,9 @@
 import pytest
 
-from magbeam import equilibrium
+from magbeam import inverse
 
 
 @pytest.fixture(autouse=True)
 def cold_inverse_grid(monkeypatch):
     """Every test starts with no memoised inverse grid, whatever ran before it."""
-    monkeypatch.setattr(equilibrium, "_grid_memo", None)
+    monkeypatch.setattr(inverse, "_grid_memo", None)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import magbeam
-from magbeam import cli, equilibrium
+from magbeam import cli, equilibrium, inverse
 from magbeam.cli import (
     EXIT_INPUT,
     EXIT_NUMERIC,
@@ -26,8 +26,9 @@ from magbeam.cli import (
 )
 from magbeam.beam import BeamFormulation
 from magbeam.config import default_config_path, load_config
-from magbeam.equilibrium import invert_controls, solve_tip_pose
+from magbeam.equilibrium import solve_tip_pose
 from magbeam.geomag import FieldCalibration, RingPairConfig
+from magbeam.inverse import invert_controls
 
 DATA_DIR = default_config_path().parent
 
@@ -51,8 +52,9 @@ import numpy as np
 from magbeam import cli
 from magbeam.beam import Wrench, centerline
 from magbeam.config import default_config_path, load_config
-from magbeam.equilibrium import invert_controls, solve_tip_pose
+from magbeam.equilibrium import solve_tip_pose
 from magbeam.geomag import FieldCalibration
+from magbeam.inverse import invert_controls
 flags = ["--ke", "0.009", "--kb", "4.03"]
 assert cli.main(["simulate", "--theta1", "60", "--theta2", "0", *flags]) == 0
 assert cli.main(["sweep", "--theta1", "0:30:180", "--theta2", "0", *flags]) == 0
@@ -831,9 +833,9 @@ class TestInvert:
         # converges at once; restarted at the straight tip with one iteration
         # it stops unconverged away from there: its row is still written,
         # flagged, and the exit is 3
-        solve = equilibrium.solve_tip_pose
+        solve = inverse.solve_tip_pose
         monkeypatch.setattr(
-            equilibrium, "solve_tip_pose",
+            inverse, "solve_tip_pose",
             lambda params, pair, source, cal, settings, mode: solve(
                 params, pair, source, cal, replace(settings, initial_tip=None), mode))
         doc = json.loads(default_config_path().read_text(encoding="utf-8"))

@@ -15,7 +15,7 @@ import pytest
 
 from magbeam.beam import BeamFormulation
 from magbeam.config import default_config_path, load_config
-from magbeam.equilibrium import invert_controls, solve_tip_pose
+from magbeam.equilibrium import solve_tip_pose
 from magbeam.geomag import (
     DipoleSource,
     FieldCalibration,
@@ -23,6 +23,7 @@ from magbeam.geomag import (
     RingPairConfig,
     calibrated_field,
 )
+from magbeam.inverse import invert_controls
 
 DRAWS = 8
 INVERSE_MODELS = 4  # inverse models per placement of the source and separation

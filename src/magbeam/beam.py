@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .geomag import E1, ContractViolation, Wrench, _dot, _frozen_vec3, _is_count
+from .geomag import E1, ContractViolation, Wrench, _dot0, _frozen_vec3, _is_count
 
 
 class BeamFormulation(Enum):
@@ -95,24 +95,23 @@ def tip_pose_from_wrench(
     return TipPose(position=x[0, :3], tangent=x[0, 3:])
 
 
-# the wrench components (f | tau) of each coefficient of _compliance, and
-# the pose columns (p | n) that the beam coordinates (p_y, p_z, a, b) fill
+# the wrench components (f | tau) of each coefficient of _compliance
 _GATHER = np.array([1, 2, 1, 2, 5, 4, 5, 4])
-_CHART = np.array([1, 2, 4, 5])
 
 
 @lru_cache(maxsize=16)
 def _compliance(L: float, mode: BeamFormulation) -> np.ndarray:
-    """The linear part of :func:`tip_pose_from_wrench` as the (8,)
-    coefficients ``k`` of the wrench components that ``_GATHER`` picks:
-    with ``wk = w[_GATHER] * k``, EI times the beam coordinates
-    (p_y, p_z, a, b) of :func:`_cantilever_rows` is ``wk[:4] + wk[4:]``,
-    one force and one torque term. With (e1 x f) x e1 = (0, f_y, f_z) and
-    tau x e1 = (0, tau_z, -tau_y) only f_y, f_z, tau_y and tau_z act."""
+    """The linear part of :func:`tip_pose_from_wrench` as the (8, 1)
+    column of coefficients ``k`` of the wrench components that ``_GATHER``
+    picks: with ``wk = w[_GATHER] * k``, components first, EI times the
+    beam coordinates (p_y, p_z, a, b) of :func:`_cantilever_rows` is
+    ``wk[:4] + wk[4:]``, one force and one torque term. With
+    (e1 x f) x e1 = (0, f_y, f_z) and tau x e1 = (0, tau_z, -tau_y) only
+    f_y, f_z, tau_y and tau_z act."""
     h = 0.5 * L * L
     c = L**3 / 3.0 if mode is BeamFormulation.CORRECTED else L**3 / 6.0
-    k = np.array([c, c, h, h,  # c L^3 f_y, c L^3 f_z, L^2/2 f_y, L^2/2 f_z
-                  h, -h, L, -L])  # L^2/2 tau_z, -L^2/2 tau_y, L tau_z, -L tau_y
+    k = np.array([[c], [c], [h], [h],  # c L^3 f_y, c L^3 f_z, L^2/2 f_y, L^2/2 f_z
+                  [h], [-h], [L], [-L]])  # L^2/2 tau_z, -L^2/2 tau_y, L tau_z, -L tau_y
     k.flags.writeable = False
     return k
 
@@ -127,22 +126,26 @@ def _cantilever_rows(L: float, ei, mode: BeamFormulation, w: np.ndarray) -> np.n
     it on one row and the equilibrium solver on every case it iterates.
     Every step works within a row (a gather, products, a sum of two
     terms), so a row's result does not depend on how many rows there are,
-    which a BLAS matrix product would not promise.
+    which a BLAS matrix product would not promise. The steps run
+    components first, on the transposed views, so that each product runs
+    over the cases; ``u`` is the transposed view of a (4, N) array.
     """
-    wk = w[:, _GATHER] * _compliance(L, mode)
-    return (wk[:, :4] + wk[:, 4:]) / ei
+    wk = w.T.take(_GATHER, axis=0) * _compliance(L, mode)
+    return ((wk[:4] + wk[4:]) / getattr(ei, "T", ei)).T
 
 
 def _pose_rows(L: float, u: np.ndarray) -> np.ndarray:
     """Tip poses (p | n), (N, 6), at the (N, 4) beam coordinates ``u`` =
     (p_y, p_z, a, b): p = (L, p_y, p_z) and n = normalize(1, a, b), its norm
-    from a vecdot within the row. :func:`_chart_rows` is the inverse."""
-    x = np.empty((len(u), 6))
-    x[:, ::3] = L, 1.0
-    x[:, _CHART] = u
-    t = x[:, 3:]
-    t /= np.sqrt(_dot(t, t))[:, None]
-    return x
+    from a vecdot within the row. Built components first, as the transposed
+    view of a (6, N) array; :func:`_chart_rows` is the inverse."""
+    u = u.T
+    x = np.empty((6, u.shape[1]))
+    x[0], x[3] = L, 1.0
+    x[1:3], x[4:] = u[:2], u[2:]
+    t = x[3:]
+    t /= np.sqrt(_dot0(t, t))
+    return x.T
 
 
 def _chart_rows(x: np.ndarray) -> np.ndarray:

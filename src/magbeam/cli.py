@@ -237,11 +237,10 @@ def cmd_calibrate(args) -> int:
     cfg, _ = _model(args)
     slope, offset = _notch_params(args)
     records = load_experiment_csv(args.data, notch_slope=slope, notch_offset=offset)
-    default = CalibrationGrid()
-    grid = CalibrationGrid(
-        ke_values=default.ke_values if args.ke is None else _parse_grid_axis(args.ke),
-        kb_values=default.kb_values if args.kb is None else _parse_grid_axis(args.kb),
-    )
+    # an axis left out takes the default, built only then
+    axes = {name: _parse_grid_axis(text)
+            for name, text in (("ke_values", args.ke), ("kb_values", args.kb)) if text is not None}
+    grid = CalibrationGrid(**axes)
     n_ke, n_kb = grid.ke_values.size, grid.kb_values.size
     _check_count(n_ke * n_kb, f"{n_ke} x {n_kb} grid")
     result = grid_search_calibrate(

@@ -30,7 +30,7 @@ from .geomag import (
     RingPairConfig,
     UNIT_TANGENT_TOL,
     _SINGULAR,
-    _dot,
+    _dot0,
     _frozen_vec3,
     _is_count,
     _ring_offsets,
@@ -211,16 +211,18 @@ def _empty_batch(n_cases: int, max_iterations: int) -> _Batch:
     )
 
 
+@np.errstate(all="ignore")  # non-finite values are reported as failures
 def _solve_chunk(params, pair, source, settings, mode, angles, ei, k_b) -> _Batch:
     """:func:`_solve_batch` on at most ``_BATCH_CASES`` cases.
 
-    The live cases' state is one contiguous row per case in each of a few
-    arrays: the ring constants, the pose, the previous residual, the
-    relaxation factor, the stiffness and the case's row of the output.
-    Each iteration relaxes every live case; the cases that stopped then
-    leave the state by integer gathers (``take``), which cost a fraction
-    of boolean-mask indexing on 2-D arrays. Every operation works within
-    a row, so a row's numbers do not depend on the others present.
+    The live cases' state is one column per case in each of a few arrays,
+    components first, as the wrench and beam kernels work: the ring
+    constants, the pose, the previous residual, the relaxation factor, the
+    stiffness and the case's row of the output. Each iteration relaxes
+    every live case; the cases that stopped then leave the state by
+    integer gathers (``take``), which cost a fraction of boolean-mask or
+    fancy indexing. Every operation works within a case, so a case's
+    numbers do not depend on the others present.
     Failures are told apart only in an iteration where some case failed.
     The output is allocated at the first stop that leaves cases
     iterating; cases that all stop together, as a single solve does,
@@ -233,74 +235,78 @@ def _solve_chunk(params, pair, source, settings, mode, angles, ei, k_b) -> _Batc
     tol = settings.position_tolerance
     bail2 = (10.0 * L) ** 2
 
-    # the rows of the cases still iterating, and their state: the pose
-    # x = (p | n), each case's relaxation factor and, from the second
-    # iteration on, the previous residual g(p) - p
+    # the output rows of the cases still iterating, and their state,
+    # components first (column j is the case of row rows[j]): the pose
+    # x = (p | n), the relaxation factor and, from the second iteration
+    # on, the previous residual g(p) - p; the factor is the scalar
+    # ``relaxation`` until the first Aitken update gives each case its own
     rows = np.arange(n_cases)
     ei = ei[:, None]
-    x = np.zeros((n_cases, 6))
-    x[:, ::3] = L, 1.0  # the straight tip (L e1 | e1)
+    x = np.zeros((6, n_cases))
     seed = settings.initial_tip
     if isinstance(seed, TipPose):
-        x[:, :3], x[:, 3:] = seed.position, seed.tangent
-    elif seed is not None:
-        x[:, :3] = seed
-    d_old, omega = None, np.full((n_cases, 1), lam)
+        x[:3], x[3:] = seed.position[:, None], seed.tangent[:, None]
+    else:
+        x[0], x[3] = L, 1.0  # the straight tip (L e1 | e1)
+        if seed is not None:
+            x[:3] = seed[:, None]
+    d_old, omega = None, lam
     out = None  # allocated at the first stop that leaves cases iterating
-    with np.errstate(all="ignore"):  # non-finite values are reported below
-        rings = all_rings = _ring_rows(pair, source, k_b, angles)
-        for k in range(1, settings.max_iterations + 1):
-            w, r2 = _ring_pair_wrench_rows(rings, x[:, :3], x[:, 3:])
-            g = _pose_rows(L, _cantilever_rows(L, ei, mode, w))
-            d = g - x  # position residual | tangent change
-            d3 = d.reshape(-1, 2, 3)
-            s = _dot(d3, d3)  # squared norms of both
-            d2 = s[:, 0]
-            change = np.sqrt(np.maximum(d2, L * L * s[:, 1]))
-            # NaN fails both tests: a singular or non-finite case stops too
-            going = (change > tol) & (d2 <= bail2)
-            n_going = np.count_nonzero(going)
-            if n_going < len(going):
-                converged = change <= tol
-                n_converged = np.count_nonzero(converged)
-                if n_converged == len(converged):
-                    # every live case stops converged, as a converged one-case
-                    # solve always does: write them as they stand, ungathered
-                    out = _write_rows(out, rows, k, g, np.sqrt(d2), True)
-                    break
-                if out is None:
-                    out = _empty_batch(n_cases, settings.max_iterations)
-                if n_converged + n_going < len(going):  # some case failed
-                    failed = ~(going | converged)
-                    out.iterations[rows[failed]] = k
-                    singular = failed & (r2 <= 0.0).any(axis=1)
-                    out.error[rows[singular]] = _SINGULAR
-                    diverged = failed & ~singular
-                    for r, res in zip(rows[diverged], np.sqrt(d2[diverged])):
-                        out.error[r] = f"fixed-point residual {res:.3g} m after {k} iterations"
-                if n_converged:
-                    c = np.flatnonzero(converged)
-                    _write_rows(out, rows[c], k, g.take(c, axis=0), np.sqrt(d2[c]), True)
-                if not n_going:
-                    break
-            dp = d[:, :3]
-            if d_old is not None:
-                # Aitken's factor w <- w r_old . (r_old - r) / |r_old - r|^2,
-                # clipped to [relaxation, 1]; fmax maps a NaN (no change in
-                # the residual) to the floor
-                dd = d_old - dp
-                omega = np.fmin(np.fmax(omega * (_dot(d_old, dd) / _dot(dd, dd))[:, None],
-                                        lam), 1.0)
-            g[:, :3] -= (1.0 - omega) * dp  # p <- (1 - w) p + w g(p), n <- n'
-            x, d_old = g, dp
-            if n_going < len(going):
-                live = np.flatnonzero(going)
-                rows, rings = rows[live], rings.take(live)
-                x, d_old, omega, ei = (a.take(live, axis=0) for a in (x, d_old, omega, ei))
-        else:  # unconverged: the last relaxed iterate
-            out = _write_rows(out, rows, k, x, np.sqrt(d2[going]), False)
-        # an exit pose with a ring on the source is a singular error, with no tip
-        on_source = _ring_offsets(all_rings, out.tip, out.tangent)[1] <= 0.0
+    rings = all_rings = _ring_rows(pair, source, k_b, angles)
+    for k in range(1, settings.max_iterations + 1):
+        w, r2 = _ring_pair_wrench_rows(rings, x[:3].T, x[3:].T)
+        g = _pose_rows(L, _cantilever_rows(L, ei, mode, w)).T
+        d = g - x  # position residual | tangent change
+        d3 = d.reshape(2, 3, -1).swapaxes(0, 1)
+        s = _dot0(d3, d3)  # squared norms of both
+        d2 = s[0]
+        change = np.sqrt(np.maximum(d2, L * L * s[1]))
+        # NaN fails both tests: a singular or non-finite case stops too
+        going = (change > tol) & (d2 <= bail2)
+        n_going = np.count_nonzero(going)
+        if n_going < len(going):
+            converged = change <= tol
+            n_converged = np.count_nonzero(converged)
+            if n_converged == len(converged):
+                # every live case stops converged, as a converged one-case
+                # solve always does: write them as they stand, ungathered
+                out = _write_rows(out, rows, k, g.T, np.sqrt(d2), True)
+                break
+            if out is None:
+                out = _empty_batch(n_cases, settings.max_iterations)
+            if n_converged + n_going < len(going):  # some case failed
+                failed = ~(going | converged)
+                out.iterations[rows[failed]] = k
+                singular = failed & (r2 <= 0.0).any(axis=1)
+                out.error[rows[singular]] = _SINGULAR
+                diverged = failed & ~singular
+                for r, res in zip(rows[diverged], np.sqrt(d2[diverged])):
+                    out.error[r] = f"fixed-point residual {res:.3g} m after {k} iterations"
+            if n_converged:
+                c = np.flatnonzero(converged)
+                _write_rows(out, rows[c], k, g.take(c, axis=1).T, np.sqrt(d2[c]), True)
+            if not n_going:
+                break
+        dp = d[:3]
+        if d_old is not None:
+            # Aitken's factor w <- w r_old . (r_old - r) / |r_old - r|^2,
+            # clipped to [relaxation, 1]; fmax maps a NaN (no change in
+            # the residual) to the floor
+            dd = d_old - dp
+            omega = np.fmin(np.fmax(omega * (_dot0(d_old, dd) / _dot0(dd, dd)), lam), 1.0)
+        g[:3] -= (1.0 - omega) * dp  # p <- (1 - w) p + w g(p), n <- n'
+        x, d_old = g, dp
+        if n_going < len(going):
+            live = np.flatnonzero(going)
+            rows, rings, ei = rows[live], rings.take(live), ei.take(live, axis=0)
+            x, d_old = x.take(live, axis=1), d_old.take(live, axis=1)
+            if k > 1:
+                omega = omega.take(live)
+    else:  # unconverged: the last relaxed iterate
+        out = _write_rows(out, rows, k, x.T, np.sqrt(d2[going]), False)
+    # an exit pose with a ring on the source is a singular error, with no tip
+    pose = out.pose.T  # components first, as _ring_offsets takes them
+    on_source = _ring_offsets(all_rings, pose[:3], pose[3:])[1] <= 0.0
     if np.count_nonzero(on_source):
         singular = on_source.any(axis=1)
         out.converged[singular] = False
@@ -316,8 +322,11 @@ def _write_rows(out: _Batch | None, c, k: int, x, residual, converged: bool) -> 
     around ``x`` and ``residual``. Returns ``out``."""
     if out is None:
         n = len(c)
-        return _Batch(x, np.full(n, k), residual, np.full(n, converged),
-                      np.empty(n, dtype=object))
+        out = _Batch(x, np.empty(n, dtype=int), residual, np.empty(n, dtype=bool),
+                     np.empty(n, dtype=object))
+        out.iterations.fill(k)
+        out.converged.fill(converged)
+        return out
     out.pose[c], out.iterations[c] = x, k
     out.residual[c], out.converged[c] = residual, converged
     return out

@@ -15,6 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 MU0 = 4.0e-7 * math.pi  # vacuum permeability [T*m/A]
+_PREF = MU0 / (4.0 * math.pi)  # the dipole field's prefactor at k_b = 1 [T*m/A]
 
 UNIT_TANGENT_TOL = 1e-9
 
@@ -57,7 +58,7 @@ def _frozen_vec3(v, finite: str | None = None) -> np.ndarray:
     """:func:`_as_vec3` as a read-only copy, for a frozen dataclass: a
     later write to the caller's array does not reach the field."""
     a = _as_vec3(v, finite).copy()
-    a.flags.writeable = False
+    a.setflags(write=False)  # half the cost of setting a.flags.writeable
     return a
 
 
@@ -201,8 +202,10 @@ def calibrated_field(source: DipoleSource, cal: FieldCalibration, point) -> Fiel
         r2 = _dot(P, P)
         if r2 <= 0.0:
             raise FieldSingularityError(_SINGULAR)
-        B, Gm = _field_rows(source.moment, cal.k_b * (MU0 / (4.0 * math.pi)), P, r2, _EYE)
-    return FieldSample(B=B, gradient=Gm.T)
+        # one offset as a (3, 1) column against the moments e1, e2, e3: G m
+        # is then G itself, column j for e_j
+        B, G = _field_rows(source.moment[:, None], cal.k_b * _PREF, P[:, None], r2, _EYE)
+    return FieldSample(B=B[:, 0], gradient=G)
 
 
 def ring_dipole_moment(magnet: RingMagnet, tangent) -> np.ndarray:
@@ -217,14 +220,15 @@ def ring_dipole_moment(magnet: RingMagnet, tangent) -> np.ndarray:
     """
     tangent = _unit_vec3(tangent, "tangent")
     v = magnet.moment_magnitude * np.array(
-        [[[0.0, -np.sin(magnet.angle), np.cos(magnet.angle)]]])
-    return _rotate_rows(v, tangent[None])[0, 0]
+        [[[0.0]], [[-np.sin(magnet.angle)]], [[np.cos(magnet.angle)]]])
+    return _rotate_rows(v, tangent[:, None])[:, 0, 0]
 
 
 def _rotate_rows(v: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Moments ``v`` carried by the minimal rotation e1 -> n, per row.
+    """Moments ``v`` carried by the minimal rotation e1 -> n, per case,
+    components first.
 
-    ``v`` is (N, K, 3), K moments orthogonal to e1 for each of the (N, 3)
+    ``v`` is (3, N, K), K moments orthogonal to e1 for each of the (3, N)
     unit tangents ``n``. With k = e1 x n and c = n_x the rotation is
     v + k x v + k x (k x v) / (1 + c), which for v orthogonal to e1 is
     v - (n . v) (1, w n_y, w n_z) with w = 1 / (1 + c). For c < 0, w is
@@ -232,16 +236,16 @@ def _rotate_rows(v: np.ndarray, n: np.ndarray) -> np.ndarray:
     cancel near -e1; at n = -e1 itself, where no minimal rotation is
     defined, a half-turn about e2 is used.
     """
-    c = n[:, :1]
+    c = n[0]
     if c.min() < 0.0:
-        s2 = n[:, 1:2] * n[:, 1:2] + n[:, 2:] * n[:, 2:]
+        s2 = n[1] * n[1] + n[2] * n[2]
         w = np.where(c < 0.0, (1.0 - c) / np.where(s2 > 0.0, s2, 1.0), 1.0 / (1.0 + abs(c)))
-        v = np.where(((c < 0.0) & (s2 == 0.0))[:, None], v * [1.0, 1.0, -1.0], v)
+        v = np.where(((c < 0.0) & (s2 == 0.0))[:, None], v * [[[1.0]], [[1.0]], [[-1.0]]], v)
     else:
         w = 1.0 / (1.0 + c)
     h = n * w
-    h[:, 0] = 1.0
-    return v - _dot(n[:, None], v)[..., None] * h[:, None]
+    h[0] = 1.0
+    return v - _dot0(n[:, :, None], v) * h[:, :, None]
 
 
 def magnet_moment_from_geometry(
@@ -269,13 +273,21 @@ def magnet_moment_from_geometry(
     return moment
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products over the last axis. ``np.vecdot`` is a generalized
-    ufunc whose core is one vector pair, so each result is computed from
-    its own two vectors alone and a row's result does not depend on how
-    many rows there are; a BLAS matrix product, which blocks rows
-    together, does not promise that."""
-    return np.vecdot(a, b)
+# Dot products over the last axis, bound by name with no wrapper call.
+# ``np.vecdot`` is a generalized ufunc whose core is one vector pair, so
+# each result is computed from its own two vectors alone and a row's
+# result does not depend on how many rows there are; a BLAS matrix
+# product, which blocks rows together, does not promise that.
+_dot = np.vecdot
+
+
+def _dot0(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the first axis, of components-first arrays: those
+    of :data:`_dot` on the transposed views, whose last axis is then the
+    components. A vector's result is the same, bit for bit, whatever its
+    stride; the ``axis`` argument of ``np.vecdot`` costs more than the
+    products of one case."""
+    return _dot(a.T, b.T).T
 
 
 # the six products a_i b_j of a x b: out = (a b)[:3] - (a b)[3:]
@@ -284,27 +296,29 @@ _CROSS_B = np.array([2, 0, 1, 1, 2, 0])
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross products over the last axis of two arrays of one shape: two
-    index gathers, one product and one difference, where ``np.cross``
-    costs far more on the few rows of a single solve."""
-    ab = a[..., _CROSS_A] * b[..., _CROSS_B]
-    return ab[..., :3] - ab[..., 3:]
+    """Cross products over the first axis of two arrays of one shape,
+    components first: two gathers of whole rows, one product and one
+    difference, where ``np.cross`` costs far more on the few cases of a
+    single solve."""
+    ab = a.take(_CROSS_A, axis=0) * b.take(_CROSS_B, axis=0)
+    return ab[:3] - ab[3:]
 
 
-def _field_rows(ms: np.ndarray, pref, P: np.ndarray, r2: np.ndarray, m: np.ndarray
+def _field_rows(ms: np.ndarray, pref, P: np.ndarray, r2, m: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """The one set of dipole field terms, unvalidated: the field B and its
-    gradient G contracted with moments ``m`` (broadcast against ``P``), in
+    """The one set of dipole field terms, unvalidated, components first:
+    the field B and its gradient G contracted with moments ``m``, in
     closed form with no 3x3 matrix, for a source of moment ``ms`` and
-    prefactor ``pref`` = k_b mu0 / (4 pi) at offsets ``P`` (..., 3) with
-    nonzero squared norms ``r2`` (..., 1), or a scalar for one offset.
-    Per-offset scalars are (..., 1) columns, so they broadcast against the
-    vectors without reshaping."""
+    prefactor ``pref`` = k_b mu0 / (4 pi) at offsets ``P`` (3, ...) with
+    nonzero squared norms ``r2`` (...). ``ms`` and ``m`` are (3, ...)
+    too, broadcast against ``P``. A per-offset scalar has the offsets'
+    shape, so it broadcasts against their vectors along the leading axis,
+    which keeps the inner loop of every product over the cases."""
     ir = 1.0 / np.sqrt(r2)
     u = P * ir
-    um = _dot(u, ms)[..., None]
-    u_m = _dot(u, m)[..., None]
-    m_ms = _dot(m, ms)[..., None]
+    um = _dot0(u, ms)
+    u_m = _dot0(u, m)
+    m_ms = _dot0(m, ms)
     a = pref * (ir * ir * ir)  # pref / r^3
     b = 3.0 * a * ir  # 3 pref / r^4
     # B = a (3 (u . m_s) u - m_s), G = b (m_s u^T + u m_s^T + (u . m_s)(I - 5 u u^T))
@@ -314,19 +328,20 @@ def _field_rows(ms: np.ndarray, pref, P: np.ndarray, r2: np.ndarray, m: np.ndarr
 
 class _Rings(NamedTuple):
     """The per-case constants of :func:`_ring_pair_wrench_rows`, computed
-    once per solve by :func:`_ring_rows`; row k belongs to case k."""
+    once per solve by :func:`_ring_rows`, components first: case k is
+    index k along each array's axis of length N."""
 
-    v: np.ndarray  # (N, K, 3) ring moments at zero tangent tilt [A*m^2]
-    offset: np.ndarray | None  # (K, 1) axial offsets (0, -separation) [m]; None if K = 1
+    v: np.ndarray  # (3, N, K) ring moments at zero tangent tilt [A*m^2]
+    offset: np.ndarray | None  # (K,) axial offsets (0, -separation) [m]; None if K = 1
     separation: float  # [m]
-    moment: np.ndarray  # (3,) source moment [A*m^2]
-    position: np.ndarray  # (N, 3) k_b-scaled source position [m]
-    pref: np.ndarray  # (N, 1, 1) k_b mu0 / (4 pi)
+    moment: np.ndarray  # (3, 1, 1) source moment [A*m^2]
+    position: np.ndarray  # (3, N) k_b-scaled source position [m]
+    pref: np.ndarray  # (N, 1) k_b mu0 / (4 pi)
 
     def take(self, rows) -> "_Rings":
         """The cases of the integer indices ``rows``."""
-        return self._replace(v=self.v.take(rows, axis=0),
-                             position=self.position.take(rows, axis=0),
+        return self._replace(v=self.v.take(rows, axis=1),
+                             position=self.position.take(rows, axis=1),
                              pref=self.pref.take(rows, axis=0))
 
 
@@ -341,25 +356,28 @@ def _ring_rows(pair: RingPairConfig, source: DipoleSource, k_b: np.ndarray,
     field at the tip point, so they enter as one dipole of their summed
     moment (K = 1) and ``offset`` is ``None``.
     """
-    mag = np.array([pair.magnet_1.moment_magnitude, pair.magnet_2.moment_magnitude])
-    v = np.zeros(angles.shape + (3,))
-    v[..., 1] = -mag * np.sin(angles)
-    v[..., 2] = mag * np.cos(angles)
+    m1, m2 = pair.magnet_1.moment_magnitude, pair.magnet_2.moment_magnitude
+    v = np.empty((3,) + angles.shape)
+    v[0] = 0.0
+    np.sin(angles, out=v[1])
+    np.cos(angles, out=v[2])
+    v *= np.array([[[0.0, 0.0]], [[-m1, -m2]], [[m1, m2]]])
     if pair.separation:
-        offset = np.array([[0.0], [-pair.separation]])
+        offset = np.array([0.0, -pair.separation])
     else:
-        v, offset = v[:, :1] + v[:, 1:], None
-    return _Rings(v=v, offset=offset, separation=pair.separation, moment=source.moment,
-                  position=k_b[:, None] * source.position,
-                  pref=(k_b * (MU0 / (4.0 * math.pi)))[:, None, None])
+        v, offset = v[..., :1] + v[..., 1:], None
+    return _Rings(v=v, offset=offset, separation=pair.separation,
+                  moment=source.moment[:, None, None],
+                  position=source.position[:, None] * k_b, pref=(k_b * _PREF)[:, None])
 
 
 def _ring_offsets(rings: _Rings, p: np.ndarray, n: np.ndarray):
-    """(N, K, 3) source-to-ring vectors of N cases, and their squared norms:
-    a ring sits at the tip position ``p`` plus its offset along ``n``."""
-    P = (p - rings.position)[:, None]
-    P = P if rings.offset is None else P + rings.offset * n[:, None]
-    return P, _dot(P, P)
+    """(3, N, K) source-to-ring vectors of N cases, components first, and
+    their (N, K) squared norms: a ring sits at the tip position ``p`` plus
+    its offset along the unit tangent ``n``, both (3, N)."""
+    P = (p - rings.position)[:, :, None]
+    P = P if rings.offset is None else P + rings.offset * n[:, :, None]
+    return P, _dot0(P, P)
 
 
 def _ring_pair_wrench_rows(rings: _Rings, p: np.ndarray, n: np.ndarray
@@ -375,17 +393,22 @@ def _ring_pair_wrench_rows(rings: _Rings, p: np.ndarray, n: np.ndarray
     a row with a zero there is singular, its ``w`` meaningless. One ring
     dipole at the tip point (K = 1, zero offset, as on the demonstrator)
     skips the offset term and the sum over rings, whose call overhead on
-    the few rows of a one-case solve outweighs their arithmetic.
+    the few rows of a one-case solve outweighs their arithmetic. Every
+    step runs components first, on the transposed views, so that a
+    per-case scalar broadcasts against the vectors along their leading
+    axis and each product's inner loop runs over the cases; ``w`` is the
+    transposed view of a (6, N) array.
     """
+    p, n = p.T, n.T  # components first, as every step below
     m = _rotate_rows(rings.v, n)
     P, r2 = _ring_offsets(rings, p, n)
     # force G m and torque m x B at each ring
-    B, f = _field_rows(rings.moment, rings.pref, P, r2[..., None], m)
-    W = np.concatenate([f, _cross(m, B)], axis=-1)
-    w = W[:, 0] if W.shape[1] == 1 else W.sum(axis=1)
+    B, f = _field_rows(rings.moment, rings.pref, P, r2, m)
+    W = np.concatenate([f, _cross(m, B)])
+    w = W[..., 0] if W.shape[2] == 1 else W[..., 0] + W[..., 1]
     if rings.separation:
-        w[:, 3:] += rings.separation * _cross(n, w[:, :3])
-    return w, r2
+        w[3:] += rings.separation * _cross(n, w[:3])
+    return w.T, r2
 
 
 def tip_wrench(pair: RingPairConfig, tip_pose, source: DipoleSource,

@@ -24,6 +24,7 @@ from magbeam.equilibrium import (
 from magbeam.geomag import (
     _SINGULAR,
     E1,
+    MU0,
     ContractViolation,
     DipoleSource,
     FieldCalibration,
@@ -313,7 +314,79 @@ def _random_cases(demo, rng, n_cases):
     return angles, k_b, p, n
 
 
+# The wrench kernel as first written, statement for statement: the
+# reference that its rewrites for fewer numpy calls must reproduce byte
+# for byte, as long as they keep its arithmetic.
+def _reference_rotate_rows(v, n):
+    c = n[:, :1]
+    if c.min() < 0.0:
+        s2 = n[:, 1:2] * n[:, 1:2] + n[:, 2:] * n[:, 2:]
+        w = np.where(c < 0.0, (1.0 - c) / np.where(s2 > 0.0, s2, 1.0), 1.0 / (1.0 + abs(c)))
+        v = np.where(((c < 0.0) & (s2 == 0.0))[:, None], v * [1.0, 1.0, -1.0], v)
+    else:
+        w = 1.0 / (1.0 + c)
+    h = n * w
+    h[:, 0] = 1.0
+    return v - np.vecdot(n[:, None], v)[..., None] * h[:, None]
+
+
+def _reference_field_rows(ms, pref, P, r2, m):
+    ir = 1.0 / np.sqrt(r2)
+    u = P * ir
+    um = np.vecdot(u, ms)[..., None]
+    u_m = np.vecdot(u, m)[..., None]
+    m_ms = np.vecdot(m, ms)[..., None]
+    a = pref * (ir * ir * ir)
+    b = 3.0 * a * ir
+    B = a * ((3.0 * um) * u - ms)
+    return B, (b * u_m) * ms + (b * (m_ms - 5.0 * um * u_m)) * u + (b * um) * m
+
+
+def _reference_cross(a, b):
+    ab = a[..., [1, 2, 0, 2, 0, 1]] * b[..., [2, 0, 1, 1, 2, 0]]
+    return ab[..., :3] - ab[..., 3:]
+
+
+def _reference_wrench_rows(pair, source, k_b, angles, p, n):
+    """The wrench rows (N, 6) and squared ring distances (N, K) of N cases."""
+    mag = np.array([pair.magnet_1.moment_magnitude, pair.magnet_2.moment_magnitude])
+    v = np.zeros(angles.shape + (3,))
+    v[..., 1] = -mag * np.sin(angles)
+    v[..., 2] = mag * np.cos(angles)
+    if not pair.separation:
+        v = v[:, :1] + v[:, 1:]
+    m = _reference_rotate_rows(v, n)
+    P = (p - k_b[:, None] * source.position)[:, None]
+    if pair.separation:
+        P = P + np.array([[0.0], [-pair.separation]]) * n[:, None]
+    r2 = np.vecdot(P, P)
+    pref = (k_b * (MU0 / (4.0 * math.pi)))[:, None, None]
+    B, f = _reference_field_rows(source.moment, pref, P, r2[..., None], m)
+    W = np.concatenate([f, _reference_cross(m, B)], axis=-1)
+    w = W[:, 0] if W.shape[1] == 1 else W.sum(axis=1)
+    if pair.separation:
+        w[:, 3:] += pair.separation * _reference_cross(n, w[:, :3])
+    return w, r2
+
+
 class TestBatchKernels:
+    @pytest.mark.parametrize("separation", [0.0, 5e-3])
+    def test_wrench_rows_are_the_reference_kernel(self, demo, separation):
+        # K = 1 and K = 2 rings, tangents +e1, -e1 and both signs of n_x,
+        # batches of one and of many rows: byte for byte the reference
+        rng = np.random.default_rng(11)
+        mag = demo.pair_template.magnet_1.moment_magnitude
+        pair = RingPairConfig.from_angles(mag, 0.0, 0.0, separation=separation)
+        angles, k_b, p, n = _random_cases(demo, rng, 400)
+        n[2:200, 0] = abs(n[2:200, 0])  # a batch whose tangents all have n_x >= 0
+        for rows in (slice(0, 400), slice(2, 200), slice(0, 1), slice(1, 2), slice(7, 8)):
+            rings = _ring_rows(pair, demo.source, k_b[rows], angles[rows])
+            w, r2 = _ring_pair_wrench_rows(rings, p[rows], n[rows])
+            ref_w, ref_r2 = _reference_wrench_rows(pair, demo.source, k_b[rows], angles[rows],
+                                                   p[rows], n[rows])
+            assert w.tobytes() == ref_w.tobytes()
+            assert r2.tobytes() == ref_r2.tobytes()
+
     @pytest.mark.parametrize("separation", [0.0, 5e-3])
     def test_wrench_rows_match_public_compositions(self, demo, separation):
         # reference: f = sum G(p_i)^T m_i, tau = sum m_i x B(p_i) + delta n x f,

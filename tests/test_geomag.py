@@ -277,12 +277,13 @@ class TestRotationOracle:
                 assert np.linalg.norm(got - expected) <= 1e-12 * mag
 
     def test_kernel_moments(self):
-        # the wrench kernel's rotation, all tangents and two moments per row at once
+        # the wrench kernel's rotation, all tangents and two moments per row at
+        # once, components first
         rng = np.random.default_rng(47)
         n = np.array(oracle_tangents())
         theta = rng.uniform(-10.0, 10.0, (len(n), 2))
         v = np.stack([np.zeros_like(theta), -np.sin(theta), np.cos(theta)], axis=-1)
-        m = _rotate_rows(v, n)
+        m = np.moveaxis(_rotate_rows(np.moveaxis(v, -1, 0), n.T), 0, -1)
         for k in range(len(n)):
             R = rodrigues_e1_to(n[k])
             for j in range(2):

@@ -27,30 +27,13 @@ import numpy as np
 
 from . import __version__
 from .beam import BeamFormulation
-from .calibration import (
-    GRID_POINTS,
-    CalibrationError,
-    CalibrationGrid,
-    _csv_number,
-    _csv_rows,
-    _csv_stream,
-    _fit_metrics,
-    _in_plane_errors,
-    grid_search_calibrate,
-    load_experiment_csv,
-)
 from .config import ConfigError, LoadedConfig, default_config_path, load_config
 from .equilibrium import DivergenceError, _sweep_rows, solve_tip_pose
 from .geomag import ContractViolation, FieldCalibration, FieldSingularityError
-from .inverse import invert_controls
-from .svgplot import write_svg
-from .workspace import (
-    EllipseFitError,
-    PlanarTrack,
-    fit_ellipse,
-    merge_biplanar,
-    workspace_stats,
-)
+
+# Only what loading a config needs is imported above. Each command imports
+# the rest of what it runs (calibration, inverse, workspace, svgplot), so
+# that a fresh process loads the layers of its own command only.
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -100,6 +83,8 @@ def _parse_range(text: str) -> np.ndarray:
 
 def _parse_grid_axis(text: str) -> np.ndarray:
     """Parse 'lo:hi[:n]' into a linspace of n (default GRID_POINTS) values."""
+    from .calibration import GRID_POINTS
+
     parts = text.split(":")
     if len(parts) not in (2, 3):
         raise InputError(f"expected 'lo:hi[:n]', got {text!r}")
@@ -233,6 +218,8 @@ def _schedule_tips(cfg: LoadedConfig, cal, angles) -> np.ndarray:
 
 
 def cmd_calibrate(args) -> int:
+    from .calibration import CalibrationGrid, grid_search_calibrate, load_experiment_csv
+
     t0 = time.perf_counter()
     cfg, _ = _model(args)
     slope, offset = _notch_params(args)
@@ -269,6 +256,8 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from .calibration import _fit_metrics, _in_plane_errors, load_experiment_csv
+
     t0 = time.perf_counter()
     cfg, cal = _model(args, args.ke, args.kb)
     slope, offset = _notch_params(args)
@@ -298,6 +287,8 @@ def cmd_validate(args) -> int:
 
 
 def _validate_plot(records, preds, path):
+    from .svgplot import write_svg
+
     t_deg = np.array([math.degrees(r.theta1) for r in records])
     meas, pred = [], []
     for rec, position in zip(records, preds):
@@ -310,7 +301,11 @@ def _validate_plot(records, preds, path):
               "theta1 [deg]", "in-plane deflection [mm]")
 
 
-def _load_track_csv(path, plane: str) -> PlanarTrack:
+def _load_track_csv(path, plane: str):
+    """The ``plane`` track of the CSV at ``path``, a ``PlanarTrack``."""
+    from .calibration import _csv_number, _csv_rows
+    from .workspace import PlanarTrack
+
     ycol = "y_mm" if plane == "top" else "z_mm"
     idx, pts = [], []
     for line, row in _csv_rows(path, ("x_mm", ycol)):
@@ -321,6 +316,10 @@ def _load_track_csv(path, plane: str) -> PlanarTrack:
 
 
 def cmd_workspace(args) -> int:
+    from .calibration import _csv_number, _csv_rows
+    from .svgplot import write_svg
+    from .workspace import fit_ellipse, merge_biplanar, workspace_stats
+
     t0 = time.perf_counter()
     cfg, cal = _model(args, args.ke, args.kb)
     if args.schedule and (args.top or args.side):
@@ -368,6 +367,9 @@ def cmd_invert(args) -> int:
     """Answer each target of ``--targets`` (``-`` for stdin) as it is read,
     and write its row at once; every query runs on the one model, so all
     but the first reuse the first's coarse grid."""
+    from .calibration import _csv_number, _csv_stream
+    from .inverse import invert_controls
+
     cfg, cal = _model(args, args.ke, args.kb)
     cols = ("x_mm", "y_mm", "z_mm")
     name = "<stdin>" if args.targets == "-" else args.targets
@@ -400,6 +402,8 @@ def cmd_invert(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """A new parser of the command line; the subcommand is ``command``."""
+    from .calibration import CalibrationGrid
+
     ap = argparse.ArgumentParser(
         prog="magbeam",
         description="Magnetic continuum robot simulation and calibration toolkit",
@@ -502,8 +506,14 @@ def main(argv=None) -> int:
     except (ConfigError, ContractViolation, InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (DivergenceError, FieldSingularityError, CalibrationError,
-            EllipseFitError) as exc:
+    except Exception as exc:
+        # imported only once an exception has reached here
+        from .calibration import CalibrationError
+        from .workspace import EllipseFitError
+
+        if not isinstance(exc, (DivergenceError, FieldSingularityError, CalibrationError,
+                                EllipseFitError)):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -74,7 +73,7 @@ class LoadedConfig:
 
 def default_config_path() -> Path:
     """Path of the bundled demonstrator configuration."""
-    return Path(str(resources.files("magbeam").joinpath("data/demonstrator.json")))
+    return Path(__file__).with_name("data") / "demonstrator.json"
 
 
 def _check_keys(doc: dict):

@@ -434,5 +434,11 @@ def _equilibrium(batch: _Batch, k: int) -> EquilibriumResult:
                              bool(batch.converged[k]))
 
 
-# the inverse's documented path, kept after every name that inverse.py imports from here
-from .inverse import InverseResult, invert_controls  # noqa: E402, F401
+def __getattr__(name):
+    # the inverse's documented path; magbeam.inverse, which imports from
+    # here, loads on the first use of either name
+    if name not in ("InverseResult", "invert_controls"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import inverse
+    value = globals()[name] = getattr(inverse, name)
+    return value

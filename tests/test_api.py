@@ -22,3 +22,24 @@ def test_public_name_has_its_own_docstring(name):
     assert doc and doc.strip()
     if is_dataclass(obj):
         assert not doc.startswith(f"{obj.__name__}(")
+
+
+def test_dir_lists_every_public_name(monkeypatch):
+    # a name not yet resolved is listed too, and resolving it binds it
+    sweep = magbeam.sweep
+    monkeypatch.delattr(magbeam, "sweep")
+    assert set(magbeam.__all__) <= set(dir(magbeam))
+    assert magbeam.sweep is sweep and vars(magbeam)["sweep"] is sweep
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from magbeam import *", namespace)
+    assert {n: namespace[n] for n in magbeam.__all__} == {
+        n: getattr(magbeam, n) for n in magbeam.__all__}
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        magbeam.no_such_name
+    assert not hasattr(magbeam, "no_such_name")

@@ -33,15 +33,48 @@ from magbeam.inverse import invert_controls
 DATA_DIR = default_config_path().parent
 
 
+def fresh_python(code: str, *args: str) -> str:
+    """The stdout of ``code`` run with ``args`` in a new interpreter that
+    imports this magbeam; the run must exit 0."""
+    src = str(Path(magbeam.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                         timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
 def test_import_leaves_scipy_unloaded():
     # scipy is a test-only dependency, and importing it is slow
-    src = str(Path(magbeam.__file__).resolve().parents[1])
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, magbeam, magbeam.cli; print(sorted(m for m in "
-         "sys.modules if m == 'scipy' or m.startswith('scipy.')))"],
-        capture_output=True, text=True, check=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "[]"
+    out = fresh_python("import sys, magbeam, magbeam.cli; print(sorted(m for m in "
+                       "sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    assert out.strip() == "[]"
+
+
+LAYERS_LOADED = """
+import contextlib, io, sys
+import magbeam, magbeam.cli
+from magbeam.config import default_config_path, load_config
+def layers():
+    print(" ".join(m for m in sys.modules if m.startswith("magbeam.")))
+load_config(default_config_path())
+layers()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = magbeam.cli.main([*sys.argv[1:], "--ke", "0.009", "--kb", "4.03"])
+assert code == 0, code
+layers()
+"""
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--theta1", "60"],
+                                  ["sweep", "--theta1", "0:30:180"]],
+                         ids=["simulate", "sweep"])
+def test_import_and_forward_commands_load_only_their_layers(argv):
+    # loading a config needs no calibration, inverse, workspace or plot,
+    # and a forward command loads neither the inverse nor the workspace
+    setup, after = (set(line.split()) for line in fresh_python(LAYERS_LOADED, *argv).splitlines())
+    assert not setup & {"magbeam.calibration", "magbeam.inverse", "magbeam.workspace",
+                        "magbeam.svgplot"}
+    assert not after & {"magbeam.inverse", "magbeam.workspace"}
 
 
 SCIPY_BLOCKED = """
@@ -75,11 +108,7 @@ print("runs without scipy")
 def test_runtime_needs_no_scipy():
     # scipy is only a test dependency: the CLI, the inverse and the
     # centerline run with it blocked
-    src = str(Path(magbeam.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", SCIPY_BLOCKED], capture_output=True,
-                         text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip().endswith("runs without scipy")
+    assert fresh_python(SCIPY_BLOCKED).strip().endswith("runs without scipy")
 
 
 class TestParsers:
@@ -173,11 +202,7 @@ magbeam.cli.main(["--version"])
 
 def test_import_builds_no_parser():
     # the parser is built by the first main() call, not at import
-    src = str(Path(magbeam.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", PARSER_BUILDS], capture_output=True,
-                         text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
-    assert out.returncode == 0, out.stderr
-    builds, version = out.stdout.split()
+    builds, version = fresh_python(PARSER_BUILDS).split()
     assert builds == "0" and version == magbeam.__version__
 
 

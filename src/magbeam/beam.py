@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .geomag import E1, ContractViolation, Wrench, _dot0, _frozen_vec3, _is_count
+from .geomag import E1, ContractViolation, Wrench, _dot0, _frozen, _frozen_vec3, _is_count
 
 
 class BeamFormulation(Enum):
@@ -91,12 +91,12 @@ def tip_pose_from_wrench(
     n = normalize(e1 + (L/EI) (tau + L/2 e1 x f) x e1).
     """
     x = _pose_rows(params.length, _cantilever_rows(params.length, params.bending_stiffness,
-                                                   mode, w.as_stacked()[None]))
-    return TipPose(position=x[0, :3], tangent=x[0, 3:])
+                                                   mode, w.as_stacked()[:, None]))
+    return TipPose(position=x[:3, 0], tangent=x[3:, 0])
 
 
 # the wrench components (f | tau) of each coefficient of _compliance
-_GATHER = np.array([1, 2, 1, 2, 5, 4, 5, 4])
+_GATHER = _frozen(np.array([1, 2, 1, 2, 5, 4, 5, 4]))
 
 
 @lru_cache(maxsize=16)
@@ -112,45 +112,43 @@ def _compliance(L: float, mode: BeamFormulation) -> np.ndarray:
     c = L**3 / 3.0 if mode is BeamFormulation.CORRECTED else L**3 / 6.0
     k = np.array([[c], [c], [h], [h],  # c L^3 f_y, c L^3 f_z, L^2/2 f_y, L^2/2 f_z
                   [h], [-h], [L], [-L]])  # L^2/2 tau_z, -L^2/2 tau_y, L tau_z, -L tau_y
-    k.flags.writeable = False
-    return k
+    return _frozen(k)
 
 
 def _cantilever_rows(L: float, ei, mode: BeamFormulation, w: np.ndarray) -> np.ndarray:
-    """Beam coordinates u = (p_y, p_z, a, b), (N, 4), of N cases under the
-    stacked tip wrenches ``w`` (N, 6) = (f | tau), with bending stiffness
-    ``ei`` (a scalar or an (N, 1) column): the tip lies at (L, p_y, p_z)
-    with the tangent normalize(1, a, b), which :func:`_pose_rows` builds.
+    """Beam coordinates u = (p_y, p_z, a, b), (4, N), of N cases under the
+    tip wrenches ``w`` = (f | tau), (6, N), one column per case, with
+    bending stiffness ``ei`` (a scalar or an (N,) vector): the tip lies at
+    (L, p_y, p_z) with the tangent normalize(1, a, b), which
+    :func:`_pose_rows` builds.
 
     The one beam kernel, unvalidated: :func:`tip_pose_from_wrench` calls
-    it on one row and the equilibrium solver on every case it iterates.
-    Every step works within a row (a gather, products, a sum of two
-    terms), so a row's result does not depend on how many rows there are,
-    which a BLAS matrix product would not promise. The steps run
-    components first, on the transposed views, so that each product runs
-    over the cases; ``u`` is the transposed view of a (4, N) array.
+    it on one column and the equilibrium solver on every case it iterates.
+    Every step works within a case (a gather, products, a sum of two
+    terms), so a case's result does not depend on how many cases there
+    are, which a BLAS matrix product would not promise.
     """
-    wk = w.T.take(_GATHER, axis=0) * _compliance(L, mode)
-    return ((wk[:4] + wk[4:]) / getattr(ei, "T", ei)).T
+    wk = w.take(_GATHER, axis=0) * _compliance(L, mode)
+    return (wk[:4] + wk[4:]) / ei
 
 
 def _pose_rows(L: float, u: np.ndarray) -> np.ndarray:
-    """Tip poses (p | n), (N, 6), at the (N, 4) beam coordinates ``u`` =
-    (p_y, p_z, a, b): p = (L, p_y, p_z) and n = normalize(1, a, b), its norm
-    from a vecdot within the row. Built components first, as the transposed
-    view of a (6, N) array; :func:`_chart_rows` is the inverse."""
-    u = u.T
+    """Tip poses (p | n), (6, N), at the (4, N) beam coordinates ``u`` =
+    (p_y, p_z, a, b), one column per case: p = (L, p_y, p_z) and n =
+    normalize(1, a, b), its norm from a vecdot within the case.
+    :func:`_chart_rows` is the inverse, on row-major poses."""
     x = np.empty((6, u.shape[1]))
     x[0], x[3] = L, 1.0
     x[1:3], x[4:] = u[:2], u[2:]
     t = x[3:]
     t /= np.sqrt(_dot0(t, t))
-    return x.T
+    return x
 
 
 def _chart_rows(x: np.ndarray) -> np.ndarray:
-    """The beam coordinates (p_y, p_z, n_y/n_x, n_z/n_x), (N, 4), of tip
-    poses (p | n) that have p_x = L and n_x > 0, as :func:`_pose_rows` builds."""
+    """The beam coordinates (p_y, p_z, n_y/n_x, n_z/n_x), (N, 4), of the
+    (N, 6) tip poses (p | n), row-major as the solver's batches hold them,
+    that have p_x = L and n_x > 0, as :func:`_pose_rows` builds."""
     return np.column_stack([x[:, 1:3], x[:, 4:] / x[:, 3:4]])
 
 

@@ -216,7 +216,7 @@ def _solve_chunk(params, pair, source, settings, mode, angles, ei, k_b) -> _Batc
     """:func:`_solve_batch` on at most ``_BATCH_CASES`` cases.
 
     The live cases' state is one column per case in each of a few arrays,
-    components first, as the wrench and beam kernels work: the ring
+    components first, as the wrench and beam kernels take them: the ring
     constants, the pose, the previous residual, the relaxation factor, the
     stiffness and the case's row of the output. Each iteration relaxes
     every live case; the cases that stopped then leave the state by
@@ -241,7 +241,6 @@ def _solve_chunk(params, pair, source, settings, mode, angles, ei, k_b) -> _Batc
     # on, the previous residual g(p) - p; the factor is the scalar
     # ``relaxation`` until the first Aitken update gives each case its own
     rows = np.arange(n_cases)
-    ei = ei[:, None]
     x = np.zeros((6, n_cases))
     seed = settings.initial_tip
     if isinstance(seed, TipPose):
@@ -254,8 +253,8 @@ def _solve_chunk(params, pair, source, settings, mode, angles, ei, k_b) -> _Batc
     out = None  # allocated at the first stop that leaves cases iterating
     rings = all_rings = _ring_rows(pair, source, k_b, angles)
     for k in range(1, settings.max_iterations + 1):
-        w, r2 = _ring_pair_wrench_rows(rings, x[:3].T, x[3:].T)
-        g = _pose_rows(L, _cantilever_rows(L, ei, mode, w)).T
+        w, r2 = _ring_pair_wrench_rows(rings, x)
+        g = _pose_rows(L, _cantilever_rows(L, ei, mode, w))
         d = g - x  # position residual | tangent change
         d3 = d.reshape(2, 3, -1).swapaxes(0, 1)
         s = _dot0(d3, d3)  # squared norms of both
@@ -298,15 +297,14 @@ def _solve_chunk(params, pair, source, settings, mode, angles, ei, k_b) -> _Batc
         x, d_old = g, dp
         if n_going < len(going):
             live = np.flatnonzero(going)
-            rows, rings, ei = rows[live], rings.take(live), ei.take(live, axis=0)
+            rows, rings, ei = rows[live], rings.take(live), ei.take(live)
             x, d_old = x.take(live, axis=1), d_old.take(live, axis=1)
             if k > 1:
                 omega = omega.take(live)
     else:  # unconverged: the last relaxed iterate
         out = _write_rows(out, rows, k, x.T, np.sqrt(d2[going]), False)
     # an exit pose with a ring on the source is a singular error, with no tip
-    pose = out.pose.T  # components first, as _ring_offsets takes them
-    on_source = _ring_offsets(all_rings, pose[:3], pose[3:])[1] <= 0.0
+    on_source = _ring_offsets(all_rings, out.pose.T)[1] <= 0.0
     if np.count_nonzero(on_source):
         singular = on_source.any(axis=1)
         out.converged[singular] = False

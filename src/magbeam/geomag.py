@@ -19,8 +19,15 @@ _PREF = MU0 / (4.0 * math.pi)  # the dipole field's prefactor at k_b = 1 [T*m/A]
 
 UNIT_TANGENT_TOL = 1e-9
 
-E1 = np.array([1.0, 0.0, 0.0])
-_EYE = np.eye(3)  # G contracted with e1, e2, e3: the columns of G
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only in place: a constant no caller can write to."""
+    a.setflags(write=False)  # half the cost of setting a.flags.writeable
+    return a
+
+
+E1 = _frozen(np.array([1.0, 0.0, 0.0]))
+_EYE = _frozen(np.eye(3))  # G contracted with e1, e2, e3: the columns of G
 
 
 class FieldSingularityError(ValueError):
@@ -57,9 +64,7 @@ def _unit_vec3(v, name: str) -> np.ndarray:
 def _frozen_vec3(v, finite: str | None = None) -> np.ndarray:
     """:func:`_as_vec3` as a read-only copy, for a frozen dataclass: a
     later write to the caller's array does not reach the field."""
-    a = _as_vec3(v, finite).copy()
-    a.setflags(write=False)  # half the cost of setting a.flags.writeable
-    return a
+    return _frozen(_as_vec3(v, finite).copy())
 
 
 def _is_count(n) -> bool:
@@ -291,8 +296,8 @@ def _dot0(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 # the six products a_i b_j of a x b: out = (a b)[:3] - (a b)[3:]
-_CROSS_A = np.array([1, 2, 0, 2, 0, 1])
-_CROSS_B = np.array([2, 0, 1, 1, 2, 0])
+_CROSS_A = _frozen(np.array([1, 2, 0, 2, 0, 1]))
+_CROSS_B = _frozen(np.array([2, 0, 1, 1, 2, 0]))
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -371,44 +376,41 @@ def _ring_rows(pair: RingPairConfig, source: DipoleSource, k_b: np.ndarray,
                   position=source.position[:, None] * k_b, pref=(k_b * _PREF)[:, None])
 
 
-def _ring_offsets(rings: _Rings, p: np.ndarray, n: np.ndarray):
+def _ring_offsets(rings: _Rings, x: np.ndarray):
     """(3, N, K) source-to-ring vectors of N cases, components first, and
-    their (N, K) squared norms: a ring sits at the tip position ``p`` plus
-    its offset along the unit tangent ``n``, both (3, N)."""
-    P = (p - rings.position)[:, :, None]
-    P = P if rings.offset is None else P + rings.offset * n[:, :, None]
+    their (N, K) squared norms: a ring sits at the tip position plus its
+    offset along the unit tangent, of the (6, N) tip poses ``x`` = (p | n)."""
+    P = (x[:3] - rings.position)[:, :, None]
+    P = P if rings.offset is None else P + rings.offset * x[3:, :, None]
     return P, _dot0(P, P)
 
 
-def _ring_pair_wrench_rows(rings: _Rings, p: np.ndarray, n: np.ndarray
-                           ) -> tuple[np.ndarray, np.ndarray]:
-    """Force and torque on the rings of N cases at tip positions ``p`` and
-    unit tangents ``n``, both (N, 3).
+def _ring_pair_wrench_rows(rings: _Rings, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Force and torque on the rings of N cases at the (6, N) tip poses
+    ``x`` = (p | n), positions over unit tangents, one column per case.
 
-    The one wrench kernel, unvalidated: :func:`tip_wrench` calls it on
-    one row, the equilibrium solver once per iteration on every case it
+    The one wrench kernel, unvalidated: :func:`tip_wrench` calls it on one
+    column, the equilibrium solver once per iteration on every case it
     iterates. The field terms are those of :func:`_field_rows`. Returns
-    ``(w, r2)``: ``w`` (N, 6) stacks force and torque, and ``r2`` (N, K)
+    ``(w, r2)``: ``w`` (6, N) stacks force over torque, and ``r2`` (N, K)
     holds the squared ring-to-source distances of :func:`_ring_offsets`;
-    a row with a zero there is singular, its ``w`` meaningless. One ring
+    a case with a zero there is singular, its ``w`` meaningless. One ring
     dipole at the tip point (K = 1, zero offset, as on the demonstrator)
     skips the offset term and the sum over rings, whose call overhead on
-    the few rows of a one-case solve outweighs their arithmetic. Every
-    step runs components first, on the transposed views, so that a
-    per-case scalar broadcasts against the vectors along their leading
-    axis and each product's inner loop runs over the cases; ``w`` is the
-    transposed view of a (6, N) array.
+    the few cases of a one-case solve outweighs their arithmetic. Every
+    step runs components first, so that a per-case scalar broadcasts
+    against the vectors along their leading axis and each product's inner
+    loop runs over the cases.
     """
-    p, n = p.T, n.T  # components first, as every step below
-    m = _rotate_rows(rings.v, n)
-    P, r2 = _ring_offsets(rings, p, n)
+    m = _rotate_rows(rings.v, x[3:])
+    P, r2 = _ring_offsets(rings, x)
     # force G m and torque m x B at each ring
     B, f = _field_rows(rings.moment, rings.pref, P, r2, m)
     W = np.concatenate([f, _cross(m, B)])
     w = W[..., 0] if W.shape[2] == 1 else W[..., 0] + W[..., 1]
     if rings.separation:
-        w[3:] += rings.separation * _cross(n, w[:3])
-    return w.T, r2
+        w[3:] += rings.separation * _cross(x[3:], w[:3])
+    return w, r2
 
 
 def tip_wrench(pair: RingPairConfig, tip_pose, source: DipoleSource,
@@ -429,7 +431,7 @@ def tip_wrench(pair: RingPairConfig, tip_pose, source: DipoleSource,
     with np.errstate(all="ignore"):
         rings = _ring_rows(pair, source, np.array([cal.k_b]),
                            np.array([[pair.magnet_1.angle, pair.magnet_2.angle]]))
-        w, r2 = _ring_pair_wrench_rows(rings, p[None], n[None])
+        w, r2 = _ring_pair_wrench_rows(rings, np.concatenate([p, n])[:, None])
     if (r2 <= 0.0).any():
         raise FieldSingularityError(_SINGULAR)
-    return Wrench(force=w[0, :3], torque=w[0, 3:])
+    return Wrench(force=w[:3, 0], torque=w[3:, 0])

@@ -39,6 +39,7 @@ from .geomag import (
     FieldCalibration,
     RingPairConfig,
     _as_vec3,
+    _frozen,
     _is_count,
     _ring_pair_wrench_rows,
     _ring_rows,
@@ -55,11 +56,11 @@ log = logging.getLogger(__name__)
 _INVERSE_SEEDS = 5  # the lexicographic winner and the next best grid cells
 # seeds off the theta1 = theta2 fold and its mirror theta1 - theta2 = pi,
 # started at the straight tip, for a grid with too few converged cells
-_OFF_FOLD_SEEDS = np.array([[0.5 * np.pi, 0.0], [1.5 * np.pi, 0.0]])
+_OFF_FOLD_SEEDS = _frozen(np.array([[0.5 * np.pi, 0.0], [1.5 * np.pi, 0.0]]))
 # forward-difference steps of dG/du in the beam coordinates (p_y, p_z, a, b)
 # [m, m, 1, 1] and of dG/dq in the 2 angles [rad]; stencil row 0 is the base
-_INVERSE_H = np.array([1e-8] * 4 + [1e-7] * 2)
-_INVERSE_STENCIL = np.eye(7, 6, -1) * _INVERSE_H
+_INVERSE_H = _frozen(np.array([1e-8] * 4 + [1e-7] * 2))
+_INVERSE_STENCIL = _frozen(np.eye(7, 6, -1) * _INVERSE_H)
 _INVERSE_DAMPING = (1e-9, 1e-2, 1.0)  # trial damping mu, over trace(J^T J)
 _INVERSE_MAX_STEP = 0.25  # [rad] longest trial step
 _INVERSE_STEPS = 30
@@ -74,7 +75,7 @@ _INVERSE_GAIN = 0.1  # a seed stops once a step gains at most this times the tol
 # down to k_b 2.2 (k_e 0.009, both modes, rings 0 and 5 mm apart); rows of
 # 24 and 32 missed by 3.3e-6 and 2.4e-7 m at k_b 2.25
 _AXIS_ROW = 48
-_AXIS_ANGLES = np.linspace(0.0, 2.0 * np.pi, _AXIS_ROW, endpoint=False)
+_AXIS_ANGLES = _frozen(np.linspace(0.0, 2.0 * np.pi, _AXIS_ROW, endpoint=False))
 # the axis row's tolerance is never below this many epsilons of L, 2.1e-15
 # m for the demonstrator's L = 0.15 m: at its k_b 2.25 a stop within 3e-16
 # m (11 ulp of L) leaves cells unconverged after max_iterations, one within
@@ -199,7 +200,7 @@ def invert_controls(
             log.debug("inverse refinement: general, %d Newton passes", passes)
         if err_r < best:
             q = _wrapped(q_r)
-            x = _pose_rows(params.length, u_r[None])[0]
+            x = _pose_rows(params.length, u_r[:, None])[:, 0]
     q = (float(q[0]), float(q[1]))
     final = solve_tip_pose(params, pair_template.with_angles(*q), source, cal,
                            _seeded(settings, x), mode)
@@ -309,7 +310,7 @@ def _newton_pass(params: RobotParams, pair: RingPairConfig, source: DipoleSource
 
     ``q`` (M, 2) holds magnet angles and ``u`` (M, 4) beam coordinates
     (p_y, p_z, a, b); G is one evaluation of the wrench and beam kernels
-    at the pose ``_pose_rows(L, u)``, as in one iteration of
+    at the pose ``_pose_rows(L, u.T)``, as in one iteration of
     :func:`_solve_batch`. Its Jacobians dG/du and dG/dq are forward
     differences with the steps ``_INVERSE_H``, and all 7 M evaluations go
     through the kernels as one pass. Returns the corrected coordinates
@@ -324,9 +325,9 @@ def _newton_pass(params: RobotParams, pair: RingPairConfig, source: DipoleSource
     qs = (q[:, None] + _INVERSE_STENCIL[:, 4:]).reshape(-1, 2)
     rings = _ring_rows(pair, source, np.full(len(qs), k_b), qs)
     with np.errstate(all="ignore"):  # singular and non-finite rows are masked below
-        xs = _pose_rows(params.length, us)
-        w, r2 = _ring_pair_wrench_rows(rings, xs[:, :3], xs[:, 3:])
-        g = _cantilever_rows(params.length, params.bending_stiffness, mode, w).reshape(-1, 7, 4)
+        w, r2 = _ring_pair_wrench_rows(rings, _pose_rows(params.length, us.T))
+        g = _cantilever_rows(params.length, params.bending_stiffness, mode, w).T
+        g = g.reshape(-1, 7, 4)  # row-major again, one (7, 4) block per case
         # column j of jac is dG along input j: 4 beam coordinates, then 2 angles
         jac = ((g[:, 1:] - g[:, :1]) / _INVERSE_H[:, None]).swapaxes(1, 2)
         # the system [I - dG/du | G - u | dG/dq], one (4, 7) block per case

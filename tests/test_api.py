@@ -1,6 +1,9 @@
+import importlib
 import inspect
+import pkgutil
 from dataclasses import is_dataclass
 
+import numpy as np
 import pytest
 
 import magbeam
@@ -43,3 +46,15 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         magbeam.no_such_name
     assert not hasattr(magbeam, "no_such_name")
+
+
+def test_module_arrays_are_read_only():
+    # a module-level array is a constant every caller shares: a write to
+    # geomag.E1 would move the straight tip of every model
+    arrays = {}
+    for info in pkgutil.iter_modules(magbeam.__path__):
+        module = importlib.import_module(f"magbeam.{info.name}")
+        arrays.update({f"{info.name}.{name}": value for name, value in vars(module).items()
+                       if isinstance(value, np.ndarray)})
+    assert "geomag.E1" in arrays and "inverse._AXIS_ANGLES" in arrays
+    assert [name for name, a in arrays.items() if a.flags.writeable] == []

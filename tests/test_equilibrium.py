@@ -54,13 +54,13 @@ SWEEP_KINDS = pytest.mark.parametrize("zipped", [False, True], ids=["grid", "col
 
 
 def _record_wrench_calls(monkeypatch) -> list:
-    """Patch the wrench kernel of the solver to record the first row (p, n,
-    w) of every call it makes."""
+    """Patch the wrench kernel of the solver to record the first column (p,
+    n, w) of every call it makes."""
     calls = []
 
-    def kernel(rings, p, n):
-        w, r2 = _ring_pair_wrench_rows(rings, p, n)
-        calls.append((p[0].copy(), n[0].copy(), w[0].copy()))
+    def kernel(rings, x):
+        w, r2 = _ring_pair_wrench_rows(rings, x)
+        calls.append((x[:3, 0].copy(), x[3:, 0].copy(), w[:, 0].copy()))
         return w, r2
 
     monkeypatch.setattr(equilibrium, "_ring_pair_wrench_rows", kernel)
@@ -381,10 +381,10 @@ class TestBatchKernels:
         n[2:200, 0] = abs(n[2:200, 0])  # a batch whose tangents all have n_x >= 0
         for rows in (slice(0, 400), slice(2, 200), slice(0, 1), slice(1, 2), slice(7, 8)):
             rings = _ring_rows(pair, demo.source, k_b[rows], angles[rows])
-            w, r2 = _ring_pair_wrench_rows(rings, p[rows], n[rows])
+            w, r2 = _ring_pair_wrench_rows(rings, np.hstack([p[rows], n[rows]]).T)
             ref_w, ref_r2 = _reference_wrench_rows(pair, demo.source, k_b[rows], angles[rows],
                                                    p[rows], n[rows])
-            assert w.tobytes() == ref_w.tobytes()
+            assert w.T.tobytes() == ref_w.tobytes()
             assert r2.tobytes() == ref_r2.tobytes()
 
     @pytest.mark.parametrize("separation", [0.0, 5e-3])
@@ -395,10 +395,11 @@ class TestBatchKernels:
         mag = demo.pair_template.magnet_1.moment_magnitude
         pair = RingPairConfig.from_angles(mag, 0.0, 0.0, separation=separation)
         angles, k_b, p, n = _random_cases(demo, rng, 64)
-        w, r2 = _ring_pair_wrench_rows(_ring_rows(pair, demo.source, k_b, angles), p, n)
+        w, r2 = _ring_pair_wrench_rows(_ring_rows(pair, demo.source, k_b, angles),
+                                       np.hstack([p, n]).T)
         assert np.all(r2 > 0.0)
-        expected = np.zeros_like(w)
-        for k in range(len(w)):
+        expected = np.zeros((len(p), 6))
+        for k in range(len(p)):
             cal = FieldCalibration(k_b[k])
             f, tau = np.zeros(3), np.zeros(3)
             for magnet, theta, offset in zip((pair.magnet_1, pair.magnet_2), angles[k],
@@ -408,8 +409,8 @@ class TestBatchKernels:
                 f += s.gradient.T @ m
                 tau += np.cross(m, s.B)
             expected[k] = np.concatenate([f, tau + separation * np.cross(n[k], f)])
-        assert _close_rows(w[:, :3], expected[:, :3])
-        assert _close_rows(w[:, 3:], expected[:, 3:])
+        assert _close_rows(w[:3].T, expected[:, :3])
+        assert _close_rows(w[3:].T, expected[:, 3:])
 
     @pytest.mark.parametrize("mode", list(BeamFormulation))
     def test_beam_rows_match_closed_forms(self, demo, mode):
@@ -429,9 +430,9 @@ class TestBatchKernels:
         dz = (-my * L**2 / 2 + c * fz * L**3) / ei
         sy = (mz * L + fy * L**2 / 2) / ei
         sz = (-my * L + fz * L**2 / 2) / ei
-        u = _cantilever_rows(L, ei[:, None], mode, w)
-        assert _close_rows(u[:, :2], np.column_stack([dy, dz]))
-        assert _close_rows(u[:, 2:], np.column_stack([sy, sz]))
+        u = _cantilever_rows(L, ei, mode, w.T)
+        assert _close_rows(u[:2].T, np.column_stack([dy, dz]))
+        assert _close_rows(u[2:].T, np.column_stack([sy, sz]))
 
     def test_rows_are_independent(self, demo):
         # N rows give what N single-row calls give, bit for bit, so a case's
@@ -442,19 +443,20 @@ class TestBatchKernels:
             pair = RingPairConfig.from_angles(mag, 0.0, 0.0, separation=separation)
             angles, k_b, p, n = _random_cases(demo, rng, 33)
             rings = _ring_rows(pair, demo.source, k_b, angles)
-            w, r2 = _ring_pair_wrench_rows(rings, p, n)
-            ei = rng.uniform(0.5, 2.0, (len(w), 1)) * demo.params.bending_stiffness
+            x = np.hstack([p, n]).T
+            w, r2 = _ring_pair_wrench_rows(rings, x)
+            ei = rng.uniform(0.5, 2.0, len(p)) * demo.params.bending_stiffness
             L = demo.params.length
             for mode in BeamFormulation:
                 ub = _cantilever_rows(L, ei, mode, w)
                 xb = _pose_rows(L, ub)
-                for k in range(len(w)):
-                    wk, r2k = _ring_pair_wrench_rows(rings.take([k]), p[k:k + 1],
-                                                     n[k:k + 1])
-                    assert np.array_equal(wk[0], w[k]) and np.array_equal(r2k[0], r2[k])
-                    uk = _cantilever_rows(L, ei[k:k + 1], mode, w[k:k + 1])
-                    assert np.array_equal(uk[0], ub[k])
-                    assert np.array_equal(_pose_rows(L, uk)[0], xb[k])
+                assert (w.shape, ub.shape, xb.shape) == ((6, 33), (4, 33), (6, 33))
+                for k in range(len(p)):
+                    wk, r2k = _ring_pair_wrench_rows(rings.take([k]), x[:, k:k + 1])
+                    assert np.array_equal(wk[:, 0], w[:, k]) and np.array_equal(r2k[0], r2[k])
+                    uk = _cantilever_rows(L, ei[k:k + 1], mode, w[:, k:k + 1])
+                    assert np.array_equal(uk[:, 0], ub[:, k])
+                    assert np.array_equal(_pose_rows(L, uk)[:, 0], xb[:, k])
             # the broadcast dot of the kernel, (N, 1, 3) rows against one 3-vector
             ms = demo.source.moment
             d = _dot(p[:, None], ms)
@@ -482,9 +484,9 @@ class TestBatchKernels:
         rings = _ring_rows(pair, demo.source, np.ones(2), np.zeros((2, 2)))
         p = np.array([demo.source.position, demo.params.straight_tip])
         with np.errstate(divide="ignore", invalid="ignore"):
-            w, r2 = _ring_pair_wrench_rows(rings, p, np.array([E1, E1]))
+            w, r2 = _ring_pair_wrench_rows(rings, np.hstack([p, [E1, E1]]).T)
         assert (r2 <= 0.0).any(axis=1).tolist() == [True, False]
-        assert np.all(np.isfinite(w[1]))
+        assert np.all(np.isfinite(w[:, 1]))
 
 
 class TestStop:

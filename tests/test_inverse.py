@@ -965,15 +965,15 @@ class TestSensitivity:
         wrench, cantilever = _ring_pair_wrench_rows, _cantilever_rows
         tips = []
 
-        def wrench_rows(rings, p, n):
-            tips.append(p.reshape(-1, 7, 3))
-            return wrench(rings, p, n)
+        def wrench_rows(rings, x):
+            tips.append(x[1].reshape(-1, 7))  # the tip's y, one stencil block a row
+            return wrench(rings, x)
 
         def cantilever_rows(*args):
             g = cantilever(*args)
-            p = tips.pop()
-            flat = p[:, 0, 1] == 0.0
-            g.reshape(-1, 7, 4)[flat, :, 0] = p[flat, :, 1]
+            y = tips.pop()
+            flat = y[:, 0] == 0.0
+            g[0].reshape(-1, 7)[flat] = y[flat]
             return g
 
         source, ring = _source_on_tip_plane(demo)
@@ -1047,7 +1047,7 @@ class TestNewtonOnTheChart:
         u = np.zeros((len(q), 4))
         for _ in range(4):
             u, _ = inverse._newton_pass(demo.params, pair, demo.source, mode, kb, q, u)
-        miss = np.linalg.norm(_pose_rows(L, u)[:, :3] - batch.tip, axis=1)
+        miss = np.linalg.norm(_pose_rows(L, u.T)[:3].T - batch.tip, axis=1)
         assert np.all(miss <= 1e-10)
 
 
